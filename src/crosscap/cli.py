@@ -15,9 +15,9 @@
 
 Data files are resolved per genus: an explicit ``--registry`` /
 ``--twist-table`` / ``--certificates`` path wins, then a file in
-``$MCG_DATA_DIR``, then the packaged data directory, and finally the
-built-in constructions.  Structured output (``--format structured``) is
-line-oriented ``key=value`` and byte-stable for fixed inputs.
+``$MCG_DATA_DIR``, and finally the built-in constructions.  Structured
+output (``--format structured``) is line-oriented ``key=value`` and
+byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import argparse
 import os
 import random
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -52,7 +51,6 @@ from crosscap.twists import (
     apply_to_curve,
     attach_tables,
     audit_tables,
-    calibrate_key_conjugation,
     check_certificate,
     derive_generators,
     equal,
@@ -91,9 +89,6 @@ def _locate_data(kind: str, genus: int, explicit: str | None) -> tuple[str, str 
         candidate = Path(env_dir) / name
         if candidate.is_file():
             return "env", candidate.read_text(encoding="utf-8")
-    packaged = resources.files("crosscap") / "data" / name
-    if packaged.is_file():
-        return "packaged", packaged.read_text(encoding="utf-8")
     return "derived", None
 
 
@@ -342,13 +337,6 @@ def _cmd_verify_theorem(args) -> int:
     log.record("twist-suite", "PASS", f"{len(checks)} identities")
 
     # stage 3: the key conjugation
-    generators, flipped = calibrate_key_conjugation(registry, generators)
-    if flipped:
-        print(
-            "note: the loaded table orients f opposite to the registry layout; "
-            "its inverse satisfies the key conjugation and is used below",
-            file=sys.stderr,
-        )
     conj = verify_key_conjugation(registry, generators)
     if not conj.ok:
         log.record("key-conjugation", "FAIL", "; ".join(conj.diagnostics))

@@ -167,7 +167,7 @@ def _frozen_layouts(genus: int) -> dict[str, tuple[tuple[Event, ...], int]]:
     if genus >= MIN_RICH_GENUS:
         # beta's arrow is -1 relative to the chain (the braid relation
         # with alpha_4 holds only for opposite tags on these layouts),
-        # and zeta's is calibrated against epsilon; see the twist suite.
+        # and zeta's is pinned by the key conjugation with epsilon.
         layouts["beta"] = (_BETA_EVENTS, -1)
         layouts["gamma"] = (_GAMMA_EVENTS, 1)
         layouts["epsilon"] = (_EPSILON_EVENTS, 1)

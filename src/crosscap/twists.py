@@ -321,34 +321,6 @@ def verify_key_conjugation(
     return KeyConjugationReport(curve_ok, twist_ok, tuple(diagnostics))
 
 
-def calibrate_key_conjugation(
-    registry: Registry, generators: Mapping[str, TwistGenerator]
-) -> tuple[dict[str, TwistGenerator], bool]:
-    """Fix up loaded tables written under the opposite arrow for f.
-
-    If the tables satisfy the variant with ``e`` in place of ``e^-1``,
-    the f block was generated with the opposite twist direction; the
-    repair is to swap f's image and inverse-image tables and re-verify.
-    Returns (generators, flipped).
-    """
-    gens = dict(generators)
-    needed = {"a1", "a2", "a3", "b", "e", "f"}
-    if not needed.issubset(gens):
-        return gens, False
-    genus = registry.spec.genus
-    direct = evaluate(ZETA_CERTIFICATE_EXPRESSION, gens, genus)
-    if equal(gens["f"].auto, direct):
-        return gens, False
-    variant = evaluate(
-        f"{PHI_EXPRESSION} e {PHI_INVERSE_EXPRESSION}", gens, genus
-    )
-    if equal(gens["f"].auto, variant):
-        f = gens["f"]
-        gens["f"] = TwistGenerator(f.name, f.curve, f.auto.inverse())
-        return gens, True
-    return gens, False
-
-
 # -- certificates ------------------------------------------------------------
 
 

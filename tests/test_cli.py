@@ -4,14 +4,13 @@ import os
 import shutil
 import subprocess
 import sys
-from importlib import resources
 from pathlib import Path
 
 import pytest
 
 import crosscap
 from crosscap.cli import DATA_DIR_ENV, main
-from crosscap.surface import SurfaceSpec, standard_registry
+from crosscap.surface import SurfaceSpec, registry_text, standard_registry
 from crosscap.twists import TwistGenerator, derive_generators, tables_text
 
 F_EXPRESSION = "a3^-1 a2^-1 b a1^-1 a2^-1 a3^-1 e^-1 a3 a2 a1 b^-1 a2 a3"
@@ -21,10 +20,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def packaged(name):
-    return (resources.files("crosscap") / "data" / name).read_text(encoding="utf-8")
 
 
 # -- verify-theorem ------------------------------------------------------
@@ -101,6 +96,26 @@ def test_flipped_arrow_table_is_caught_by_the_audit(tmp_path, capsys):
     assert "table-audit b" in out
     assert "was an arrow flipped without regenerating?" in out
     assert "FAIL at stage twist-suite" in out
+
+
+def test_flipped_zeta_arrow_in_a_registry_fails_the_key_conjugation(tmp_path, capsys):
+    # zeta's arrow is pinned only by the key conjugation; a registry that
+    # flips it must fail there, with no repair and no note
+    text = registry_text(standard_registry(SurfaceSpec(4, 1)))
+    lines = text.splitlines()
+    (row,) = [i for i, line in enumerate(lines) if line.startswith("zeta |")]
+    assert lines[row].endswith("| -1")
+    lines[row] = lines[row][: -len("-1")] + "+1"
+    flipped = tmp_path / "registry.txt"
+    flipped.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "verify-theorem", "--genus", "4", "--n", "1", "--registry", str(flipped),
+    )
+    assert code == 1
+    assert "[PASS] twist-suite" in out
+    assert "FAIL at stage key-conjugation" in out
+    assert "note:" not in err
 
 
 def test_missing_explicit_registry_fails_its_stage(capsys):
@@ -284,8 +299,9 @@ def test_validate_data_flags_a_broken_certificate_file(tmp_path, capsys):
 # -- data resolution ---------------------------------------------------------
 
 
-def test_env_data_dir_wins_over_packaged_files(tmp_path, monkeypatch, capsys):
-    text = packaged("twists_g4.txt").replace(
+def test_env_data_dir_wins_over_derivation(tmp_path, monkeypatch, capsys):
+    generators = derive_generators(standard_registry(SurfaceSpec(4, 1)))
+    text = tables_text(generators, 4).replace(
         "[a1]\nx1 -> x1 x1 x2", "[a1]\nx1 -> x2 x1 x1"
     )
     assert "x2 x1 x1" in text
@@ -296,10 +312,9 @@ def test_env_data_dir_wins_over_packaged_files(tmp_path, monkeypatch, capsys):
     assert "FAIL at stage twist-suite" in out
 
 
-def test_genus_without_packaged_data_derives_in_memory(capsys):
-    # nothing is shipped beyond genus 10, so this exercises the fallback
+def test_genus_without_data_files_derives_in_memory(capsys):
     code, out, _ = run(
-        capsys, "validate-data", "--genus", "11", "--format", "text"
+        capsys, "validate-data", "--genus", "4", "--format", "text"
     )
     assert code == 0
     assert "derived in memory" in out

@@ -1,13 +1,17 @@
-"""The shipped data files are exactly what the constructions produce.
+"""Data files written from the constructions read back to the same objects.
 
-Anyone can hand-edit a text table; these tests pin the packaged files to
-the in-memory derivations so an edited file cannot drift in silently.
+Registry, twist-table and certificate files are how external data enters
+the engine (``--registry``, ``--twist-table``, ``--certificates`` and
+``$MCG_DATA_DIR``).  These tests take each file kind through the round
+trip a user's file goes through: write the text, parse it, and run the
+check the command line runs on it.
 """
 
-from importlib import resources
+from functools import lru_cache
 
 import pytest
 
+from crosscap.cli import DATA_DIR_ENV, main
 from crosscap.surface import (
     SurfaceSpec,
     parse_registry,
@@ -26,55 +30,60 @@ from crosscap.twists import (
     tables_text,
 )
 
-SHIPPED_GENERA = range(4, 11)
+GENERA = range(4, 11)
 
 
-def shipped(name):
-    return (resources.files("crosscap") / "data" / name).read_text(encoding="utf-8")
+@lru_cache(maxsize=None)
+def derived(genus):
+    registry = standard_registry(SurfaceSpec(genus, 1))
+    return registry, derive_generators(registry)
 
 
-@pytest.mark.parametrize("genus", SHIPPED_GENERA)
+@pytest.mark.parametrize("genus", GENERA)
 def test_registry_file_matches_the_construction(genus):
-    registry = standard_registry(SurfaceSpec(genus, 1))
-    assert shipped(f"registry_g{genus}.txt") == registry_text(registry)
+    registry, _ = derived(genus)
+    text = registry_text(registry)
+    parsed = parse_registry(SurfaceSpec(genus, 1), text)
+    assert registry_text(parsed) == text
+    assert validate_registry(parsed).ok
 
 
-@pytest.mark.parametrize("genus", SHIPPED_GENERA)
+@pytest.mark.parametrize("genus", GENERA)
 def test_twist_file_matches_the_derivation(genus):
-    registry = standard_registry(SurfaceSpec(genus, 1))
-    generators = derive_generators(registry)
-    assert shipped(f"twists_g{genus}.txt") == tables_text(generators, genus)
+    registry, generators = derived(genus)
+    text = tables_text(generators, genus)
+    attached = attach_tables(registry, parse_twist_tables(text, genus))
+    assert tables_text(attached, genus) == text
 
 
-@pytest.mark.parametrize("genus", SHIPPED_GENERA)
+@pytest.mark.parametrize("genus", GENERA)
 def test_certificate_file_matches_the_construction(genus):
-    assert shipped(f"certificates_g{genus}.txt") == certificates_text(
-        standard_certificates(genus)
-    )
+    _, generators = derived(genus)
+    certificates = standard_certificates(genus)
+    parsed = parse_certificates(certificates_text(certificates))
+    assert parsed == certificates
+    assert check_certificate(parsed["f"], generators, genus).ok
 
 
-def test_exactly_the_advertised_genera_are_shipped():
-    names = sorted(
-        entry.name
-        for entry in (resources.files("crosscap") / "data").iterdir()
-        if entry.name.endswith(".txt")
-    )
-    expected = sorted(
-        f"{kind}_g{genus}.txt"
-        for kind in ("registry", "twists", "certificates")
-        for genus in SHIPPED_GENERA
-    )
-    assert names == expected
-
-
-def test_shipped_files_load_and_validate_end_to_end():
-    """Parse the genus-7 files the way the command line does and run the
-    full validation stack on what comes back."""
+def test_written_files_load_and_validate_end_to_end(tmp_path, monkeypatch, capsys):
+    """Write the genus-7 files into ``$MCG_DATA_DIR`` and run the command
+    line on them: the tables are audited against the derivation and every
+    stage passes."""
     genus = 7
-    spec = SurfaceSpec(genus, 1)
-    registry = parse_registry(spec, shipped(f"registry_g{genus}.txt"))
-    assert validate_registry(registry).ok
-    tables = parse_twist_tables(shipped(f"twists_g{genus}.txt"), genus)
-    generators = attach_tables(registry, tables)
-    certificates = parse_certificates(shipped(f"certificates_g{genus}.txt"))
-    assert check_certificate(certificates["f"], generators, genus).ok
+    registry, generators = derived(genus)
+    files = {
+        "registry": registry_text(registry),
+        "twists": tables_text(generators, genus),
+        "certificates": certificates_text(standard_certificates(genus)),
+    }
+    for kind, text in files.items():
+        (tmp_path / f"{kind}_g{genus}.txt").write_text(text, encoding="utf-8")
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+
+    assert main(["validate-data", "--genus", str(genus)]) == 0
+    out = capsys.readouterr().out
+    assert f"[PASS] twist-tables: {len(generators)} tables match the derived twists" in out
+
+    assert main(["verify-theorem", "--genus", str(genus), "--n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert f"verify-theorem: PASS (genus {genus}, n 1)" in out

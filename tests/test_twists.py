@@ -15,7 +15,6 @@ from crosscap.twists import (
     apply_to_curve,
     attach_tables,
     audit_tables,
-    calibrate_key_conjugation,
     check_certificate,
     curve_for_generator,
     derive_generator,
@@ -188,19 +187,6 @@ def test_key_conjugation_diagnostics_name_the_failure(world4):
     report = verify_key_conjugation(reg, broken)
     assert not report.ok
     assert any("x" in d for d in report.diagnostics)
-
-
-def test_calibration_repairs_a_mirrored_f(world4):
-    reg, gens = world4
-    mirrored = dict(gens)
-    mirrored["f"] = TwistGenerator("f", gens["f"].curve, gens["f"].auto.inverse())
-    repaired, flipped = calibrate_key_conjugation(reg, mirrored)
-    assert flipped
-    assert verify_key_conjugation(reg, repaired).ok
-    # a clean family is left untouched
-    same, flipped = calibrate_key_conjugation(reg, gens)
-    assert not flipped
-    assert same["f"].auto is gens["f"].auto
 
 
 # -- certificates ------------------------------------------------------------
