@@ -52,7 +52,7 @@ from crosscap.twists import (
     attach_tables,
     audit_tables,
     check_certificate,
-    derive_generators,
+    derive_generator,
     equal,
     evaluate,
     first_difference,
@@ -232,7 +232,14 @@ def _load_generators(args, registry: Registry) -> tuple[dict, str]:
     except OSError as exc:
         raise _WorldError(f"twist table: {exc}") from exc
     if text is None:
-        return derive_generators(registry), source
+        generators = {}
+        for rec in registry:
+            try:
+                gen = derive_generator(registry, rec.name)
+            except ValueError as exc:
+                raise _WorldError(f"twist derivation: curve {rec.name}: {exc}") from exc
+            generators[gen.name] = gen
+        return generators, source
     try:
         tables = parse_twist_tables(text, args.genus)
         return attach_tables(registry, tables), source

@@ -15,10 +15,12 @@ the components always sum to ``2 - g - n``; that identity doubles as a
 built-in integrity check on the whole construction.
 
 Everything is computed on the exact chord arrangement: vertices are
-rational points, faces come from a half-edge walk with exact angular
-sorting, and the side gluings are matched interval-by-interval (the two
-copies of a crosscap side are subdivided at identical parameters, one
-per crossing event).
+rational points (on the unit circle, and at chord crossings), faces
+come from a half-edge walk with exact angular sorting, and the side
+gluings are matched interval-by-interval (the two copies of a crosscap
+side are subdivided at identical parameters, one per crossing event).
+This is the only module that needs points; the rest of the package
+works with the order of boundary coordinates alone.
 """
 
 from __future__ import annotations
@@ -29,15 +31,10 @@ from fractions import Fraction
 from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from crosscap.polygon import (
-    CurveGeometry,
-    DegeneratePositionError,
-    Point,
-    circle_point,
-    crossing_count,
-    segment_crossing_param,
-)
+from crosscap.polygon import CurveGeometry, DegeneratePositionError, crossing_count
 from crosscap.surface import Registry, SurfaceSpec
+
+Point = tuple[Fraction, Fraction]
 
 
 def intersection_number(registry: Registry, u: str, v: str) -> int:
@@ -193,6 +190,77 @@ class _ParityUnionFind:
         return self.find(x)[0] in self.bad
 
 
+# -- exact circle geometry ---------------------------------------------------
+
+
+def _circle_point(genus: int, c: Fraction) -> Point:
+    """Exact rational point of the unit circle at boundary coordinate c.
+
+    The coordinate-to-circle map is strictly increasing (counter-
+    clockwise) on [0, 2g+1), with c = 0 at (-1, 0).
+    """
+    L = 2 * genus + 1
+    c = Fraction(c)
+    if not (0 <= c < L):
+        raise ValueError(f"boundary coordinate {c} outside [0, {L})")
+    if c == 0:
+        return (Fraction(-1), Fraction(0))
+    s = (2 * c - L) / (c * (L - c))
+    d = 1 + s * s
+    return ((1 - s * s) / d, 2 * s / d)
+
+
+def _sub(a: Point, b: Point) -> Point:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _det(u: Point, v: Point) -> Fraction:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _orient(a: Point, b: Point, c: Point) -> Fraction:
+    return _det(_sub(b, a), _sub(c, a))
+
+
+def _between(a: Point, b: Point, p: Point) -> bool:
+    # p collinear with segment ab: is it inside the closed box?
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _segment_crossing_param(
+    p1: Point, p2: Point, q1: Point, q2: Point
+) -> Fraction | None:
+    """Parameter in (0,1) along p1→p2 of a proper crossing with q1→q2.
+
+    Returns None when the open segments are disjoint.  Endpoint contact,
+    collinear overlap, or any other exact coincidence raises
+    DegeneratePositionError rather than guessing a perturbation here.
+    """
+    o1 = _orient(q1, q2, p1)
+    o2 = _orient(q1, q2, p2)
+    o3 = _orient(p1, p2, q1)
+    o4 = _orient(p1, p2, q2)
+    if o1 == 0 and o2 == 0:
+        # collinear: degenerate only on actual contact
+        if _between(p1, p2, q1) or _between(p1, p2, q2) or _between(q1, q2, p1):
+            raise DegeneratePositionError("collinear segment contact")
+        return None
+    for o, pt, (a, b) in (
+        (o1, p1, (q1, q2)),
+        (o2, p2, (q1, q2)),
+        (o3, q1, (p1, p2)),
+        (o4, q2, (p1, p2)),
+    ):
+        if o == 0 and _between(a, b, pt):
+            raise DegeneratePositionError("segment endpoint touches another segment")
+    if (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0):
+        return o1 / (o1 - o2)
+    return None
+
+
 # -- exact angular order -----------------------------------------------------
 
 
@@ -231,8 +299,8 @@ class _CutComplex:
         self.spec = spec
         self.curves = curves
         g = spec.genus
-        self._build_chords()
         self._build_vertices(g)
+        self._build_chords()
         self._build_crossings()
         self._build_edges(g)
         self._build_faces()
@@ -241,18 +309,6 @@ class _CutComplex:
 
     # -- geometry ------------------------------------------------------
 
-    def _build_chords(self) -> None:
-        # one entry per chord: (curve index, chord index, p1, p2, tail
-        # coordinate, head coordinate); chord k follows crossing k.
-        self.chords: list[tuple[int, int, Point, Point, Fraction, Fraction]] = []
-        for ci, (_, geom) in enumerate(self.curves):
-            m = len(geom.events)
-            for k in range(m):
-                p1, p2 = geom.chords[k]
-                tail = geom.events[k].out_coord
-                head = geom.events[(k + 1) % m].hit_coord
-                self.chords.append((ci, k, p1, p2, tail, head))
-
     def _build_vertices(self, g: int) -> None:
         self.vid_point: list[Point] = []
         self.coord_vid: dict[Fraction, int] = {}
@@ -260,20 +316,32 @@ class _CutComplex:
         def circle_vid(coord: Fraction) -> int:
             if coord not in self.coord_vid:
                 self.coord_vid[coord] = len(self.vid_point)
-                self.vid_point.append(circle_point(g, coord))
+                self.vid_point.append(_circle_point(g, coord))
             return self.coord_vid[coord]
 
         for corner in range(0, 2 * g + 1):
             circle_vid(Fraction(corner))
         seen: set[Fraction] = set()
-        for _, _, _, _, tail, head in self.chords:
-            for coord in (tail, head):
-                if coord in seen:
-                    raise DegeneratePositionError(
-                        f"two curve endpoints share boundary coordinate {coord}"
-                    )
-                seen.add(coord)
-                circle_vid(coord)
+        for _, geom in self.curves:
+            for chord in geom.chords:
+                for coord in chord:
+                    if coord in seen:
+                        raise DegeneratePositionError(
+                            f"two curve endpoints share boundary coordinate {coord}"
+                        )
+                    seen.add(coord)
+                    circle_vid(coord)
+
+    def _build_chords(self) -> None:
+        # one entry per chord: (curve index, chord index, p1, p2, tail
+        # coordinate, head coordinate); chord k follows crossing k, and
+        # its ends are the circle points of its two boundary vertices.
+        self.chords: list[tuple[int, int, Point, Point, Fraction, Fraction]] = []
+        for ci, (_, geom) in enumerate(self.curves):
+            for k, (tail, head) in enumerate(geom.chords):
+                p1 = self.vid_point[self.coord_vid[tail]]
+                p2 = self.vid_point[self.coord_vid[head]]
+                self.chords.append((ci, k, p1, p2, tail, head))
 
     def _build_crossings(self) -> None:
         n_chords = len(self.chords)
@@ -287,10 +355,10 @@ class _CutComplex:
             _, _, p1, p2, _, _ = self.chords[i]
             for j in range(i + 1, n_chords):
                 _, _, q1, q2, _, _ = self.chords[j]
-                s = segment_crossing_param(p1, p2, q1, q2)
+                s = _segment_crossing_param(p1, p2, q1, q2)
                 if s is None:
                     continue
-                u = segment_crossing_param(q1, q2, p1, p2)
+                u = _segment_crossing_param(q1, q2, p1, p2)
                 assert u is not None
                 pt = (p1[0] + s * (p2[0] - p1[0]), p1[1] + s * (p2[1] - p1[1]))
                 if pt in point_vid:

@@ -1,4 +1,4 @@
-"""Exact geometry of the polygon model of a non-orientable surface.
+"""Combinatorial polygon model of a non-orientable surface.
 
 A genus-``g`` surface with one boundary circle is presented as a
 ``(2g+1)``-gon: boundary coordinate ``c`` runs over ``[0, 2g+1)``, side
@@ -9,17 +9,20 @@ on the boundary, and the fundamental group is free on the glued edges
 ``x1 .. xg``.
 
 Curves and based loops are stored as sequences of crossing events with
-the glued sides; connecting arcs are straight chords between exact
-rational points of the unit circle (a strictly monotone rational
-parametrisation of the boundary coordinate).  Two facts make everything
-exact and mechanical:
+the glued sides; between crossings they run along chords of the disk,
+each given by its two boundary coordinates.  Everything here depends
+only on the cyclic order of those coordinates, so no point is built and
+no arithmetic is done on them:
 
+* two chords cross exactly when their endpoints interleave;
+* the chords of an embedded curve do not cross one another, so those
+  that cross a target chord meet it in the order of their endpoints on
+  the counterclockwise arc from the target's tail to its head, and the
+  endpoint on that arc tells which way each one crosses;
 * any two arcs in a disk with the same endpoints are homotopic rel
   endpoints, so each chord may be replaced by a monotone walk along the
-  glued sides, and loop words can be read off from marker crossings;
-* a straight line meets the circle in at most two points, so distinct
-  chords are never collinear and all intersection arithmetic stays in
-  the rationals.
+  glued sides, and loop words are read off from one marker per side,
+  placed just after the side's start corner.
 
 Dehn twists act by splicing the twisting curve's event cycle into a
 target's event sequence at every chord crossing.  The detour direction
@@ -29,31 +32,25 @@ inflicts on the plane frame.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from crosscap.words import Word
 
-Point = tuple[Fraction, Fraction]
+#: A chord as its (tail, head) boundary coordinates.
+Chord = tuple[Fraction, Fraction]
 
-#: Anchor offset for based loops: the basepoint sits at radius
-#: 9999/10000 just inside the circle point with boundary coordinate
-#: RHO, a hair counterclockwise of the vertex v at coordinate 0.  The
-#: radius must keep the anchor on the vertex side of every registered
-#: curve chord (checked at twist time); chords whose endpoints hug the
-#: ends of a side pass close to the vertex, so the anchor hugs the
-#: circle tighter still.
-RHO = Fraction(1, 10**6)
-_ANCHOR_RADIUS = Fraction(9999, 10000)
-
-_MAX_SALT = 64
+#: Based loops start and end at an anchor just inside the polygon, a hair
+#: counterclockwise of the vertex v.  Only the order of coordinates
+#: matters, and every event coordinate lies strictly inside a side, so
+#: coordinate 0 stands for that anchor: it sorts below every endpoint.
+_ANCHOR = Fraction(0)
 
 
 class DegeneratePositionError(Exception):
-    """Exact geometry hit a coincidence (touching or collinear segments,
-    or two crossings at one point).  Callers re-salt parameters and retry."""
+    """Two chords share an endpoint coordinate, so whether they cross is
+    not defined.  Give the events distinct parameters (refresh_events)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -119,135 +116,41 @@ def parse_event_token(token: str, genus: int, t: Fraction) -> Event:
     return Event(pair, tok[-1] == "+", t)
 
 
-# -- circle geometry -------------------------------------------------------
+# -- endpoint order --------------------------------------------------------
 
 
-def circle_point(genus: int, c: Fraction) -> Point:
-    """Exact rational point of the unit circle at boundary coordinate c.
-
-    The coordinate-to-circle map is strictly increasing (counter-
-    clockwise) on [0, 2g+1), with c = 0 at (-1, 0).
-    """
-    L = 2 * genus + 1
-    c = Fraction(c)
-    if not (0 <= c < L):
-        raise ValueError(f"boundary coordinate {c} outside [0, {L})")
-    if c == 0:
-        return (Fraction(-1), Fraction(0))
-    s = (2 * c - L) / (c * (L - c))
-    d = 1 + s * s
-    return ((1 - s * s) / d, 2 * s / d)
+def _on_arc(lo: Fraction, hi: Fraction, c: Fraction) -> bool:
+    """Is c on the open counterclockwise boundary arc from lo to hi?"""
+    if lo < hi:
+        return lo < c < hi
+    return c > lo or c < hi
 
 
-def anchor_point(genus: int) -> Point:
-    """Basepoint for based loops, just inside the circle near the vertex."""
-    x, y = circle_point(genus, RHO)
-    return (x * _ANCHOR_RADIUS, y * _ANCHOR_RADIUS)
+def _crosses(p: Chord, q: Chord) -> bool:
+    """Do two chords cross?  They do exactly when their endpoints interleave."""
+    for c in p:
+        if c in q:
+            raise DegeneratePositionError(
+                f"two chords share the endpoint coordinate {c}"
+            )
+    return _on_arc(p[0], p[1], q[0]) != _on_arc(p[0], p[1], q[1])
 
 
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
+# -- spelling --------------------------------------------------------------
 
 
-def _det(u: Point, v: Point) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _orient(a: Point, b: Point, c: Point) -> Fraction:
-    return _det(_sub(b, a), _sub(c, a))
-
-
-def _between(a: Point, b: Point, p: Point) -> bool:
-    # p collinear with segment ab: is it inside the closed box?
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def segment_crossing_param(
-    p1: Point, p2: Point, q1: Point, q2: Point
-) -> Fraction | None:
-    """Parameter in (0,1) along p1→p2 of a proper crossing with q1→q2.
-
-    Returns None when the open segments are disjoint.  Endpoint contact,
-    collinear overlap, or any other exact coincidence raises
-    DegeneratePositionError: the caller's parameters are re-salted
-    rather than guessing a perturbation here.
-    """
-    o1 = _orient(q1, q2, p1)
-    o2 = _orient(q1, q2, p2)
-    o3 = _orient(p1, p2, q1)
-    o4 = _orient(p1, p2, q2)
-    if o1 == 0 and o2 == 0:
-        # collinear: degenerate only on actual contact
-        if _between(p1, p2, q1) or _between(p1, p2, q2) or _between(q1, q2, p1):
-            raise DegeneratePositionError("collinear segment contact")
-        return None
-    for o, pt, (a, b) in (
-        (o1, p1, (q1, q2)),
-        (o2, p2, (q1, q2)),
-        (o3, q1, (p1, p2)),
-        (o4, q2, (p1, p2)),
-    ):
-        if o == 0 and _between(a, b, pt):
-            raise DegeneratePositionError("segment endpoint touches another segment")
-    if (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0):
-        return o1 / (o1 - o2)
-    return None
-
-
-# -- walks and spelling ----------------------------------------------------
-
-
-def _walk_pieces(
-    genus: int, a: Fraction, b: Fraction
-) -> list[tuple[int, Fraction, Fraction]]:
-    """Monotone boundary walk from coordinate a to b through sides 1..2g.
-
-    Yields (edge, t_from, t_to) motions along glued edges; the boundary
-    side is never entered (coordinates stay within [0, 2g]).
-    """
-    top = 2 * genus
-    if not (0 <= a <= top and 0 <= b <= top):
-        raise ValueError(f"walk endpoints {a}, {b} must lie in [0, {top}]")
-    pieces: list[tuple[int, Fraction, Fraction]] = []
-    cur = Fraction(a)
-    b = Fraction(b)
-    while cur != b:
-        if b > cur:
-            k = math.floor(cur) + 1  # side being traversed, 1-indexed
-            nxt = min(b, Fraction(k))
-        else:
-            k = int(cur) if cur == int(cur) else math.floor(cur) + 1
-            nxt = max(b, Fraction(k - 1))
-        edge = (k + 1) // 2
-        pieces.append((edge, cur - (k - 1), nxt - (k - 1)))
-        cur = nxt
-    return pieces
-
-
-def _spell_pieces(genus: int, pieces: Sequence[tuple[int, Fraction, Fraction]]) -> Word:
-    # One marker per edge, placed away from every motion endpoint; a
-    # motion crossing the marker spells one letter.  Any valid marker
-    # placement yields the same reduced word.
-    endpoints: dict[int, set[Fraction]] = {}
-    for edge, t0, t1 in pieces:
-        endpoints.setdefault(edge, set()).update((t0, t1))
-    markers: dict[int, Fraction] = {}
-    for edge, params in endpoints.items():
-        grid = sorted(params | {Fraction(0), Fraction(1)})
-        for lo, hi in zip(grid, grid[1:]):
-            if lo != hi:
-                markers[edge] = (lo + hi) / 2
-                break
+def _spell_walks(genus: int, walks: Iterable[tuple[int, int]]) -> Word:
+    # Each glued side k carries one marker just after its start corner
+    # k-1, so a point of side k (or the vertex, for k = 0) has k markers
+    # below it.  A walk between two such marker counts a < b spells the
+    # sides k+1 for k in [a, b), and the walk from b down to a spells
+    # their inverses in reverse; side k belongs to edge (k+1)//2.
     letters: list[int] = []
-    for edge, t0, t1 in pieces:
-        mu = markers[edge]
-        if t0 < mu < t1:
-            letters.append(edge)
-        elif t1 < mu < t0:
-            letters.append(-edge)
+    for a, b in walks:
+        if a < b:
+            letters += [k // 2 + 1 for k in range(a, b)]
+        else:
+            letters += [-(k // 2 + 1) for k in range(a - 1, b - 1, -1)]
     return Word(genus, tuple(letters))
 
 
@@ -257,13 +160,11 @@ def spell_based_loop(genus: int, events: Sequence[Event]) -> Word:
     The loop starts and ends at the vertex (anchored just inside the
     polygon), visiting the events in order.
     """
-    pieces: list[tuple[int, Fraction, Fraction]] = []
-    prev = Fraction(0)
+    stops = [0]
     for ev in events:
-        pieces += _walk_pieces(genus, prev, ev.hit_coord)
-        prev = ev.out_coord
-    pieces += _walk_pieces(genus, prev, Fraction(0))
-    return _spell_pieces(genus, pieces)
+        stops += [ev.hit_side, ev.out_side]
+    stops.append(0)
+    return _spell_walks(genus, zip(stops[::2], stops[1::2]))
 
 
 def spell_cyclic(genus: int, events: Sequence[Event]) -> Word:
@@ -272,24 +173,21 @@ def spell_cyclic(genus: int, events: Sequence[Event]) -> Word:
     The representative is based at the first event's crossing point, so
     only its conjugacy class (CyclicWord) is meaningful.
     """
-    if not events:
-        return Word(genus)
-    pieces: list[tuple[int, Fraction, Fraction]] = []
     m = len(events)
-    for j, ev in enumerate(events):
-        nxt = events[(j + 1) % m]
-        pieces += _walk_pieces(genus, ev.out_coord, nxt.hit_coord)
-    return _spell_pieces(genus, pieces)
+    return _spell_walks(
+        genus,
+        ((ev.out_side, events[(j + 1) % m].hit_side) for j, ev in enumerate(events)),
+    )
 
 
 # -- chord systems ---------------------------------------------------------
 
 
 class CurveGeometry:
-    """A closed curve realized as exact chords between its crossing events.
+    """A closed curve realized as chords between its crossing events.
 
-    chord k runs from event k's emergence point to event k+1's hit point
-    (indices cyclic), so chord k follows crossing k.
+    chord k runs from event k's emergence coordinate to event k+1's hit
+    coordinate (indices cyclic), so chord k follows crossing k.
     """
 
     def __init__(self, genus: int, events: Sequence[Event]):
@@ -303,11 +201,10 @@ class CurveGeometry:
         self.genus = genus
         self.events: tuple[Event, ...] = tuple(events)
         m = len(self.events)
-        self.chords: list[tuple[Point, Point]] = []
-        for k in range(m):
-            a = circle_point(genus, self.events[k].out_coord)
-            b = circle_point(genus, self.events[(k + 1) % m].hit_coord)
-            self.chords.append((a, b))
+        self.chords: list[Chord] = [
+            (self.events[k].out_coord, self.events[(k + 1) % m].hit_coord)
+            for k in range(m)
+        ]
 
     def params(self) -> set[Fraction]:
         return {ev.t for ev in self.events}
@@ -316,14 +213,12 @@ class CurveGeometry:
         return len(self.events) % 2 == 0
 
     def self_crossing_count(self) -> int:
-        n = 0
-        for i in range(len(self.chords)):
-            for j in range(i + 1, len(self.chords)):
-                p1, p2 = self.chords[i]
-                q1, q2 = self.chords[j]
-                if segment_crossing_param(p1, p2, q1, q2) is not None:
-                    n += 1
-        return n
+        chords = self.chords
+        return sum(
+            _crosses(chords[i], chords[j])
+            for i in range(len(chords))
+            for j in range(i + 1, len(chords))
+        )
 
     def spelled(self) -> Word:
         return spell_cyclic(self.genus, self.events)
@@ -333,34 +228,26 @@ def crossing_count(a: CurveGeometry, b: CurveGeometry) -> int:
     """Number of transverse chord crossings between two curve systems."""
     if a.genus != b.genus:
         raise ValueError("curves live on different surfaces")
-    n = 0
-    for p1, p2 in a.chords:
-        for q1, q2 in b.chords:
-            if segment_crossing_param(p1, p2, q1, q2) is not None:
-                n += 1
-    return n
+    return sum(_crosses(p, q) for p in a.chords for q in b.chords)
 
 
 # -- fresh parameters ------------------------------------------------------
 
 
-def fresh_params(
-    m: int, forbidden: Iterable[Fraction], salt: int = 0
-) -> list[Fraction]:
+def fresh_params(m: int, forbidden: Iterable[Fraction]) -> list[Fraction]:
     """Deterministic distinct parameters in (0,1) avoiding `forbidden`.
 
     Evenly spaced base points are nudged by an exact epsilon small
-    enough that no nudge can reach the next base point; `salt` shifts
-    the whole family to escape exact coincidences discovered later.
+    enough that no nudge can reach the next base point.
     """
     if m == 0:
         return []
     avoid = set(Fraction(f) for f in forbidden)
     max_den = max((f.denominator for f in avoid), default=1)
-    eps = Fraction(1, 2 * m * (max_den + 1) * (salt + 2) * (len(avoid) + 2))
+    eps = Fraction(1, 4 * m * (max_den + 1) * (len(avoid) + 2))
     out: list[Fraction] = []
     for j in range(m):
-        q = Fraction(2 * j + 1, 2 * m) + salt * eps
+        q = Fraction(2 * j + 1, 2 * m)
         while q in avoid or q in out:
             q += eps
         if not (0 < q < 1):
@@ -370,10 +257,7 @@ def fresh_params(
 
 
 def refresh_events(
-    genus: int,
-    events: Sequence[Event],
-    forbidden: Iterable[Fraction],
-    salt: int = 0,
+    genus: int, events: Sequence[Event], forbidden: Iterable[Fraction]
 ) -> list[Event]:
     """Reassign distinct parameters to an event sequence.
 
@@ -381,40 +265,64 @@ def refresh_events(
     crossing points along a glued side is a homotopy), so this is used
     to put iterated twist images back into general position.
     """
-    ts = fresh_params(len(events), forbidden, salt)
+    ts = fresh_params(len(events), forbidden)
     return [ev.with_t(t) for ev, t in zip(events, ts)]
 
 
 # -- the twist engine ------------------------------------------------------
 
 
+def _check_twistable(curve: CurveGeometry, arrow: int) -> None:
+    if arrow not in (1, -1):
+        raise ValueError(f"twist arrow must be +1 or -1, got {arrow}")
+    if not curve.is_two_sided():
+        raise ValueError("cannot twist along a one-sided curve")
+    crossings = curve.self_crossing_count()
+    if crossings:
+        raise ValueError(
+            f"cannot twist along a curve whose chords cross ({crossings} "
+            "self-crossings): detours are ordered only along an embedded curve"
+        )
+
+
+def _crossings_along(chord: Chord, chords: Sequence[Chord]) -> list[tuple[int, int]]:
+    """(index, sign) of each of `chords` that crosses `chord`, in order.
+
+    `chords` must not cross one another: those that cross `chord` then
+    meet it in the order of their endpoints on the counterclockwise arc
+    from its tail to its head.  The sign is +1 when the crossing chord's
+    head is the endpoint on that arc, i.e. it crosses from the left of
+    `chord` to its right.
+    """
+    tail, head = chord
+    hits: list[tuple[bool, Fraction, int, int]] = []
+    for k, q in enumerate(chords):
+        if not _crosses(chord, q):
+            continue
+        sigma = 1 if _on_arc(tail, head, q[1]) else -1
+        end = q[1] if sigma > 0 else q[0]
+        # position of `end` along the arc that starts at `tail`
+        hits.append((end < tail, end, k, sigma))
+    hits.sort()
+    return [(k, sigma) for _, _, k, sigma in hits]
+
+
 def _detour_sequences(
-    curve: CurveGeometry, arrow: int, chord: tuple[Point, Point]
+    curve: CurveGeometry, arrow: int, chord: Chord
 ) -> list[list[Event]]:
     """Detours (in order) that twisting along `curve` inserts on one chord.
 
-    Each proper crossing with curve chord k contributes one full copy of
-    the curve's event cycle; the splice direction is
-      d = -arrow * (-1)^k * sign det(curve chord dir, target chord dir),
-    where the (-1)^k tracks the plane-frame reversal at each crosscap
-    passage along the curve (the event count is even for two-sided
-    curves, so the parity is globally consistent).
+    Each crossing with curve chord k contributes one full copy of the
+    curve's event cycle; the splice direction is
+      d = -arrow * (-1)^k * sigma,
+    where sigma is the crossing sign from _crossings_along and the
+    (-1)^k tracks the plane-frame reversal at each crosscap passage
+    along the curve (the event count is even for two-sided curves, so
+    the parity is globally consistent).
     """
-    p1, p2 = chord
-    hits: list[tuple[Fraction, int, int]] = []
-    for k, (q1, q2) in enumerate(curve.chords):
-        s = segment_crossing_param(p1, p2, q1, q2)
-        if s is None:
-            continue
-        d = _det(_sub(q2, q1), _sub(p2, p1))
-        hits.append((s, k, 1 if d > 0 else -1))
-    hits.sort(key=lambda h: h[0])
-    for (s1, _, _), (s2, _, _) in zip(hits, hits[1:]):
-        if s1 == s2:
-            raise DegeneratePositionError("two crossings share a chord point")
     m = len(curve.events)
     sequences: list[list[Event]] = []
-    for _, k, sigma in hits:
+    for k, sigma in _crossings_along(chord, curve.chords):
         d = -arrow * (1 if k % 2 == 0 else -1) * sigma
         if d > 0:
             seq = [curve.events[(k + 1 + i) % m] for i in range(m)]
@@ -424,37 +332,19 @@ def _detour_sequences(
     return sequences
 
 
-def _check_anchor_clear(curve: CurveGeometry) -> None:
-    z0 = anchor_point(curve.genus)
-    v = circle_point(curve.genus, Fraction(0))
-    for q1, q2 in curve.chords:
-        if segment_crossing_param(z0, v, q1, q2) is not None:
-            raise ValueError(
-                "curve chord separates the anchor from the vertex; "
-                "the based-loop model does not apply to this layout"
-            )
-
-
 def twist_based_loop(
     curve: CurveGeometry, arrow: int, events: Sequence[Event]
 ) -> list[Event]:
     """Image of a based loop under the Dehn twist along `curve`."""
-    if arrow not in (1, -1):
-        raise ValueError(f"twist arrow must be +1 or -1, got {arrow}")
-    if not curve.is_two_sided():
-        raise ValueError("cannot twist along a one-sided curve")
-    _check_anchor_clear(curve)
-    genus = curve.genus
-    z0 = anchor_point(genus)
+    _check_twistable(curve, arrow)
     new_events: list[Event] = []
-    prev = z0
+    prev = _ANCHOR
     for ev in events:
-        chord = (prev, circle_point(genus, ev.hit_coord))
-        for seq in _detour_sequences(curve, arrow, chord):
+        for seq in _detour_sequences(curve, arrow, (prev, ev.hit_coord)):
             new_events.extend(seq)
         new_events.append(ev)
-        prev = circle_point(genus, ev.out_coord)
-    for seq in _detour_sequences(curve, arrow, (prev, z0)):
+        prev = ev.out_coord
+    for seq in _detour_sequences(curve, arrow, (prev, _ANCHOR)):
         new_events.extend(seq)
     return new_events
 
@@ -467,10 +357,7 @@ def twist_cyclic(
     The target must be in general position with respect to the twisting
     curve (no shared parameters); use refresh_events first.
     """
-    if arrow not in (1, -1):
-        raise ValueError(f"twist arrow must be +1 or -1, got {arrow}")
-    if not curve.is_two_sided():
-        raise ValueError("cannot twist along a one-sided curve")
+    _check_twistable(curve, arrow)
     new_events: list[Event] = []
     for j, ev in enumerate(target.events):
         new_events.append(ev)
@@ -491,18 +378,8 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     images: list[Word] = []
     shell = Word(genus)  # image of x₁²⋯x_{i-1}²
     for i in range(1, genus + 1):
-        spliced: list[Event] | None = None
-        for salt in range(_MAX_SALT):
-            (tau,) = fresh_params(1, forbidden, salt=salt + 7 * i)
-            try:
-                spliced = twist_based_loop(curve, arrow, [Event(i, True, tau)])
-                break
-            except DegeneratePositionError:
-                continue
-        if spliced is None:  # pragma: no cover - salt space is ample
-            raise DegeneratePositionError(
-                f"no general-position anchor parameter found for crosscap {i}"
-            )
+        (tau,) = fresh_params(1, forbidden)
+        spliced = twist_based_loop(curve, arrow, [Event(i, True, tau)])
         h_i = spell_based_loop(genus, spliced)
         x_i = shell.inverse() * h_i * shell
         images.append(x_i)

@@ -57,7 +57,7 @@ class SurfaceSpec:
     """The surface ``N_{g,n}``: genus ``g`` crosscaps, ``n`` boundary circles."""
 
     genus: int
-    boundary: int = 1
+    boundary: int
 
     def __post_init__(self) -> None:
         if self.genus < 2:

@@ -118,6 +118,35 @@ def test_flipped_zeta_arrow_in_a_registry_fails_the_key_conjugation(tmp_path, ca
     assert "note:" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, want_code, want_line",
+    [
+        (("relation", "a1", "a1"), 2, "error: twist derivation: curve epsilon:"),
+        (("apply-curve", "a1", "alpha_1"), 2, "error: twist derivation: curve epsilon:"),
+        (("homology", "a1"), 2, "error: twist derivation: curve epsilon:"),
+        (("validate-data",), 1, "[FAIL] twist-tables: twist derivation: curve epsilon:"),
+    ],
+)
+def test_a_registry_curve_that_cannot_be_twisted_is_named(
+    tmp_path, capsys, argv, want_code, want_line
+):
+    # this ordering of epsilon's crossings gives chords that cross, so no
+    # twist can be derived from it
+    text = registry_text(standard_registry(SurfaceSpec(4, 1)))
+    lines = text.splitlines()
+    (row,) = [i for i, line in enumerate(lines) if line.startswith("epsilon |")]
+    name, word, _, arrow = lines[row].split(" | ")
+    lines[row] = " | ".join((name, word, "A1-,A4-,A2-,A3-", arrow))
+    bad = tmp_path / "registry.txt"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, argv[0], "--genus", "4", "--n", "1", "--registry", str(bad), *argv[1:]
+    )
+    assert code == want_code
+    assert want_line in err + out
+    assert "chords cross" in err + out
+
+
 def test_missing_explicit_registry_fails_its_stage(capsys):
     code, out, _ = run(
         capsys,

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from crosscap.cutting import ComponentReport, cut_along, intersection_number
+from crosscap.cutting import (
+    ComponentReport,
+    _circle_point,
+    cut_along,
+    intersection_number,
+)
 from crosscap.polygon import DegeneratePositionError, Event, spell_cyclic
 from crosscap.surface import (
     CurveRecord,
@@ -24,6 +29,37 @@ def pieces(report):
         (c.kind, c.euler_characteristic, c.boundary_circles, c.orientable)
         for c in report.components
     ]
+
+
+# -- exact circle points -----------------------------------------------------
+
+
+def test_circle_points_are_on_unit_circle_and_distinct():
+    genus = 3
+    coords = [Fraction(0), Fraction(1, 7)] + [Fraction(k, 2) for k in range(1, 14, 2)]
+    pts = [_circle_point(genus, c) for c in coords]
+    for x, y in pts:
+        assert x * x + y * y == 1
+    assert len(set(pts)) == len(pts)
+
+
+def test_circle_points_in_counterclockwise_order():
+    genus = 2
+    coords = [Fraction(i, 10) for i in range(0, 50)]
+    pts = [_circle_point(genus, c) for c in coords]
+    # shoelace area of the inscribed polygon is positive iff ccw
+    area = sum(
+        pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1]
+        for i in range(len(pts))
+    )
+    assert area > 0
+
+
+def test_circle_point_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        _circle_point(2, Fraction(5))
+    with pytest.raises(ValueError):
+        _circle_point(2, Fraction(-1, 2))
 
 
 # -- the uncut surface -------------------------------------------------------

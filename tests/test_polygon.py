@@ -6,9 +6,7 @@ from crosscap.polygon import (
     CurveGeometry,
     DegeneratePositionError,
     Event,
-    anchor_point,
     apply_images,
-    circle_point,
     crossing_count,
     fresh_params,
     refresh_events,
@@ -42,40 +40,7 @@ def shell_word(genus, i):
     return Word(genus, tuple(letters))
 
 
-# -- circle / event basics --------------------------------------------------
-
-
-def test_circle_points_are_on_unit_circle_and_distinct():
-    genus = 3
-    coords = [F(0), F(1, 7), F(1, 2), F(3, 2), F(5, 2), F(7, 2), F(9, 2), F(11, 2), F(13, 2)]
-    pts = [circle_point(genus, c) for c in coords]
-    for x, y in pts:
-        assert x * x + y * y == 1
-    assert len(set(pts)) == len(pts)
-
-
-def test_circle_points_in_counterclockwise_order():
-    genus = 2
-    coords = [F(i, 10) for i in range(0, 50)]
-    pts = [circle_point(genus, c) for c in coords]
-    # shoelace area of the inscribed polygon is positive iff ccw
-    area = sum(
-        pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1]
-        for i in range(len(pts))
-    )
-    assert area > 0
-
-
-def test_circle_point_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        circle_point(2, F(5))
-    with pytest.raises(ValueError):
-        circle_point(2, F(-1, 2))
-
-
-def test_anchor_point_is_interior():
-    x, y = anchor_point(2)
-    assert x * x + y * y < 1
+# -- event basics --------------------------------------------------
 
 
 def test_event_validation():
@@ -165,6 +130,15 @@ def test_one_sided_curve_rejected_for_twisting():
         twist_based_loop(c, 1, [Event(2, True, F(1, 4))])
 
 
+def test_self_crossing_curve_rejected_for_twisting():
+    c = CurveGeometry(3, [Event(1, True, F(1, 3)), Event(2, False, F(2, 3))])
+    assert c.is_two_sided() and c.self_crossing_count() == 1
+    with pytest.raises(ValueError, match="chords cross"):
+        twist_images(c, 1)
+    with pytest.raises(ValueError, match="chords cross"):
+        twist_cyclic(c, 1, alpha(3, 2))
+
+
 def test_bad_arrow_rejected():
     with pytest.raises(ValueError):
         twist_based_loop(alpha(2, 1), 0, [])
@@ -183,7 +157,6 @@ def test_fresh_params_avoid_forbidden_and_stay_distinct():
     assert not set(got) & avoid
     assert got == sorted(got)
     assert fresh_params(6, avoid) == got  # deterministic
-    assert fresh_params(6, avoid, salt=3) != got
 
 
 def test_refresh_events_preserves_class():
@@ -274,13 +247,6 @@ def test_iterated_geometric_twist_matches_algebra():
     for _ in range(2):
         events = twist_cyclic(twisting, 1, CurveGeometry(genus, events))
         # put the image back into general position before the next pass
-        for salt in range(16):
-            try:
-                fresh = refresh_events(genus, events, twisting.params(), salt=salt)
-                CurveGeometry(genus, fresh).chords
-                events = fresh
-                break
-            except DegeneratePositionError:
-                continue
+        events = refresh_events(genus, events, twisting.params())
     twice = apply_images(images, apply_images(images, alpha(genus, 2).spelled()))
     assert CyclicWord.of(spell_cyclic(genus, events)) == CyclicWord.of(twice)
