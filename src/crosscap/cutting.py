@@ -1,4 +1,4 @@
-"""Cutting the surface along registered curves, with exact arithmetic.
+"""Cutting the surface along registered curves, combinatorially.
 
 The surface is decomposed along the boundary of a regular neighbourhood
 of the selected curves.  The result has two kinds of components:
@@ -14,13 +14,14 @@ Cutting along circles never changes the total Euler characteristic, so
 the components always sum to ``2 - g - n``; that identity doubles as a
 built-in integrity check on the whole construction.
 
-Everything is computed on the exact chord arrangement: vertices are
-rational points (on the unit circle, and at chord crossings), faces
-come from a half-edge walk with exact angular sorting, and the side
-gluings are matched interval-by-interval (the two copies of a crosscap
-side are subdivided at identical parameters, one per crossing event).
-This is the only module that needs points; the rest of the package
-works with the order of boundary coordinates alone.
+Everything is computed from the order of the chord endpoints on the
+boundary, with no points: each chord is drawn along the boundary
+interval between its ends, so which chords cross, where the crossings
+sit along each chord and the rotation at every vertex are comparisons
+of coordinates and integer ranks.  Faces come from a half-edge walk of
+that drawing, and the side gluings are matched interval-by-interval
+(the two copies of a crosscap side are subdivided at identical
+parameters, one per crossing event).
 """
 
 from __future__ import annotations
@@ -28,13 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterable, Sequence
 
-from crosscap.polygon import CurveGeometry, DegeneratePositionError, crossing_count
+from crosscap.polygon import (
+    CurveGeometry,
+    DegeneratePositionError,
+    _crosses,
+    crossing_count,
+)
 from crosscap.surface import Registry, SurfaceSpec
-
-Point = tuple[Fraction, Fraction]
 
 
 def intersection_number(registry: Registry, u: str, v: str) -> int:
@@ -190,96 +193,6 @@ class _ParityUnionFind:
         return self.find(x)[0] in self.bad
 
 
-# -- exact circle geometry ---------------------------------------------------
-
-
-def _circle_point(genus: int, c: Fraction) -> Point:
-    """Exact rational point of the unit circle at boundary coordinate c.
-
-    The coordinate-to-circle map is strictly increasing (counter-
-    clockwise) on [0, 2g+1), with c = 0 at (-1, 0).
-    """
-    L = 2 * genus + 1
-    c = Fraction(c)
-    if not (0 <= c < L):
-        raise ValueError(f"boundary coordinate {c} outside [0, {L})")
-    if c == 0:
-        return (Fraction(-1), Fraction(0))
-    s = (2 * c - L) / (c * (L - c))
-    d = 1 + s * s
-    return ((1 - s * s) / d, 2 * s / d)
-
-
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def _det(u: Point, v: Point) -> Fraction:
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _orient(a: Point, b: Point, c: Point) -> Fraction:
-    return _det(_sub(b, a), _sub(c, a))
-
-
-def _between(a: Point, b: Point, p: Point) -> bool:
-    # p collinear with segment ab: is it inside the closed box?
-    return (
-        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
-        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
-    )
-
-
-def _segment_crossing_param(
-    p1: Point, p2: Point, q1: Point, q2: Point
-) -> Fraction | None:
-    """Parameter in (0,1) along p1→p2 of a proper crossing with q1→q2.
-
-    Returns None when the open segments are disjoint.  Endpoint contact,
-    collinear overlap, or any other exact coincidence raises
-    DegeneratePositionError rather than guessing a perturbation here.
-    """
-    o1 = _orient(q1, q2, p1)
-    o2 = _orient(q1, q2, p2)
-    o3 = _orient(p1, p2, q1)
-    o4 = _orient(p1, p2, q2)
-    if o1 == 0 and o2 == 0:
-        # collinear: degenerate only on actual contact
-        if _between(p1, p2, q1) or _between(p1, p2, q2) or _between(q1, q2, p1):
-            raise DegeneratePositionError("collinear segment contact")
-        return None
-    for o, pt, (a, b) in (
-        (o1, p1, (q1, q2)),
-        (o2, p2, (q1, q2)),
-        (o3, q1, (p1, p2)),
-        (o4, q2, (p1, p2)),
-    ):
-        if o == 0 and _between(a, b, pt):
-            raise DegeneratePositionError("segment endpoint touches another segment")
-    if (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0):
-        return o1 / (o1 - o2)
-    return None
-
-
-# -- exact angular order -----------------------------------------------------
-
-
-def _half_plane(d: Point) -> int:
-    return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
-
-
-def _angle_cmp(a: Point, b: Point) -> int:
-    ha, hb = _half_plane(a), _half_plane(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    cross = a[0] * b[1] - a[1] * b[0]
-    if cross > 0:
-        return -1
-    if cross < 0:
-        return 1
-    raise DegeneratePositionError("parallel edge directions at a vertex")
-
-
 _CAP_SLOT = -1
 _CAP_FACE = -1
 
@@ -307,70 +220,72 @@ class _CutComplex:
         self._build_pairings(g)
         self._account()
 
-    # -- geometry ------------------------------------------------------
+    # -- the drawing -----------------------------------------------------
 
     def _build_vertices(self, g: int) -> None:
-        self.vid_point: list[Point] = []
-        self.coord_vid: dict[Fraction, int] = {}
-
-        def circle_vid(coord: Fraction) -> int:
-            if coord not in self.coord_vid:
-                self.coord_vid[coord] = len(self.vid_point)
-                self.vid_point.append(_circle_point(g, coord))
-            return self.coord_vid[coord]
-
-        for corner in range(0, 2 * g + 1):
-            circle_vid(Fraction(corner))
-        seen: set[Fraction] = set()
+        # boundary vertices: the polygon corners, then the chord ends
+        self.coord_vid: dict[Fraction, int] = {
+            Fraction(corner): corner for corner in range(0, 2 * g + 1)
+        }
         for _, geom in self.curves:
             for chord in geom.chords:
                 for coord in chord:
-                    if coord in seen:
+                    if coord in self.coord_vid:
                         raise DegeneratePositionError(
                             f"two curve endpoints share boundary coordinate {coord}"
                         )
-                    seen.add(coord)
-                    circle_vid(coord)
+                    self.coord_vid[coord] = len(self.coord_vid)
 
     def _build_chords(self) -> None:
-        # one entry per chord: (curve index, chord index, p1, p2, tail
-        # coordinate, head coordinate); chord k follows crossing k, and
-        # its ends are the circle points of its two boundary vertices.
-        self.chords: list[tuple[int, int, Point, Point, Fraction, Fraction]] = []
-        for ci, (_, geom) in enumerate(self.curves):
-            for k, (tail, head) in enumerate(geom.chords):
-                p1 = self.vid_point[self.coord_vid[tail]]
-                p2 = self.vid_point[self.coord_vid[head]]
-                self.chords.append((ci, k, p1, p2, tail, head))
+        # one entry per chord: (curve index, chord index, tail coordinate,
+        # head coordinate); chord k follows crossing k.
+        self.chords: list[tuple[int, int, Fraction, Fraction]] = [
+            (ci, k, tail, head)
+            for ci, (_, geom) in enumerate(self.curves)
+            for k, (tail, head) in enumerate(geom.chords)
+        ]
 
     def _build_crossings(self) -> None:
+        # Each chord is drawn along the boundary interval between its
+        # ends, the one that avoids the free side: down from its lower
+        # end to its depth, along, and up at its upper end.  Shorter
+        # chords run shallower, so nested or disjoint intervals never
+        # meet, and chords whose ends interleave cross exactly once,
+        # where the deeper one's end inside the shallower one's interval
+        # comes down through it.  A crossing's place on a chord is the
+        # key (0, depth) on the way down, (1, x) along and (2, -depth) on
+        # the way up, counted from the lower end, and negated when the
+        # tail is the upper end, so keys ascend from tail to head.
         n_chords = len(self.chords)
-        self.splits: dict[int, list[tuple[Fraction, int]]] = {
+        spans = [sorted(chord[2:]) for chord in self.chords]  # [lower, upper]
+        ranked = sorted(
+            range(n_chords), key=lambda i: (spans[i][1] - spans[i][0], spans[i][0])
+        )
+        depth = {i: r for r, i in enumerate(ranked)}
+        self.splits: dict[int, list[tuple[tuple, int]]] = {
             i: [] for i in range(n_chords)
         }
-        point_vid: dict[Point, int] = {}
-        # (vertex, chord a, param on a, chord b, param on b)
-        self.crossings: list[tuple[int, int, Fraction, int, Fraction]] = []
+        # (vertex, chord a, key on a, chord b, key on b)
+        self.crossings: list[tuple[int, int, tuple, int, tuple]] = []
         for i in range(n_chords):
-            _, _, p1, p2, _, _ = self.chords[i]
             for j in range(i + 1, n_chords):
-                _, _, q1, q2, _, _ = self.chords[j]
-                s = _segment_crossing_param(p1, p2, q1, q2)
-                if s is None:
+                if not _crosses(self.chords[i][2:], self.chords[j][2:]):
                     continue
-                u = _segment_crossing_param(q1, q2, p1, p2)
-                assert u is not None
-                pt = (p1[0] + s * (p2[0] - p1[0]), p1[1] + s * (p2[1] - p1[1]))
-                if pt in point_vid:
-                    raise DegeneratePositionError(
-                        "three chord segments meet at one point"
-                    )
-                vid = len(self.vid_point)
-                self.vid_point.append(pt)
-                point_vid[pt] = vid
-                self.splits[i].append((s, vid))
-                self.splits[j].append((u, vid))
-                self.crossings.append((vid, i, s, j, u))
+                shallow, deep = sorted((i, j), key=depth.__getitem__)
+                lo, hi = spans[shallow]
+                x = next(c for c in spans[deep] if lo < c < hi)
+                d = depth[shallow]
+                key = {
+                    shallow: (1, x),
+                    deep: (0, d) if x == spans[deep][0] else (2, -d),
+                }
+                for c in (i, j):
+                    if self.chords[c][2] > self.chords[c][3]:
+                        key[c] = tuple(-v for v in key[c])
+                vid = len(self.coord_vid) + len(self.crossings)
+                self.splits[i].append((key[i], vid))
+                self.splits[j].append((key[j], vid))
+                self.crossings.append((vid, i, key[i], j, key[j]))
 
     def _build_edges(self, g: int) -> None:
         # edges: ("arc", u, v, side, t0, t1) with u -> v counterclockwise,
@@ -395,17 +310,10 @@ class _CutComplex:
             self.edges.append(
                 ("arc", self.coord_vid[a], self.coord_vid[b], side, t0, t1)
             )
-        for i in range(len(self.chords)):
-            _, _, _, _, tail, head = self.chords[i]
-            stations = sorted(self.splits[i])
-            for (s1, _), (s2, _) in zip(stations, stations[1:]):
-                if s1 == s2:
-                    raise DegeneratePositionError(
-                        "two crossings share a point on one chord"
-                    )
+        for i, (_, _, tail, head) in enumerate(self.chords):
             chain = (
                 [self.coord_vid[tail]]
-                + [vid for _, vid in stations]
+                + [vid for _, vid in sorted(self.splits[i])]
                 + [self.coord_vid[head]]
             )
             for r in range(len(chain) - 1):
@@ -421,18 +329,18 @@ class _CutComplex:
         e = self.edges[he >> 1]
         return e[2] if he & 1 == 0 else e[1]
 
-    def _he_dir(self, he: int) -> Point:
+    def _he_rank(self, he: int) -> Fraction | int:
+        # Half-edges leave a boundary vertex in the order counterclockwise
+        # arc, chord, clockwise arc.  The four leaving a crossing reach
+        # four boundary points without meeting one another, so they leave
+        # in the order of those points.
         e = self.edges[he >> 1]
-        if e[0] == "chord":
-            pu, pv = self.vid_point[e[1]], self.vid_point[e[2]]
-            if he & 1 == 0:
-                return (pv[0] - pu[0], pv[1] - pu[1])
-            return (pu[0] - pv[0], pu[1] - pv[1])
-        if he & 1 == 0:  # leaving u counterclockwise along the circle
-            x, y = self.vid_point[e[1]]
-            return (-y, x)
-        x, y = self.vid_point[e[2]]  # leaving v clockwise
-        return (y, -x)
+        if e[0] == "arc":
+            return 2 * (he & 1)
+        if self._he_tail(he) < len(self.coord_vid):
+            return 1
+        _, _, tail, head = self.chords[e[3]]
+        return tail if he & 1 else head
 
     def _build_faces(self) -> None:
         incident: dict[int, list[int]] = {}
@@ -442,12 +350,7 @@ class _CutComplex:
         self.rotation: dict[int, list[int]] = {}
         self.rot_pos: dict[int, int] = {}
         for vid, hes in incident.items():
-            ordered = sorted(
-                hes,
-                key=cmp_to_key(
-                    lambda h1, h2: _angle_cmp(self._he_dir(h1), self._he_dir(h2))
-                ),
-            )
+            ordered = sorted(hes, key=self._he_rank)
             self.rotation[vid] = ordered
             for i, h in enumerate(ordered):
                 self.rot_pos[h] = i
@@ -662,49 +565,40 @@ class _CutComplex:
             self._check_ribbon_circles(ribbon_circles)
             return out
 
-        # stations along each curve: (local chord index, param, crossing id)
-        stations: dict[int, list[tuple[int, Fraction, int]]] = {}
+        # stations along each curve: (local chord index, key, crossing id)
+        stations: dict[int, list[tuple[int, tuple, int]]] = {}
         for rid, (vid, i, s, j, u) in enumerate(self.crossings):
-            for chord_idx, param in ((i, s), (j, u)):
+            for chord_idx, key in ((i, s), (j, u)):
                 ci, k, *_ = self.chords[chord_idx]
-                stations.setdefault(ci, []).append((k, param, rid))
+                stations.setdefault(ci, []).append((k, key, rid))
         edges: list[tuple[int, int, int]] = []  # (rid_from, rid_to, parity)
-        end_dir: dict[tuple[int, int], Point] = {}  # (edge id, end) -> direction
+        # (edge id, end) -> the boundary point the strand end heads for
+        end_coord: dict[tuple[int, int], Fraction] = {}
         ends_at: dict[int, list[tuple[int, int]]] = {}  # rid -> ends
         for ci, sts in stations.items():
             sts.sort()
-            m = len(self.curves[ci][1].events)
-            chord_base = {}
-            for idx, (gci, k, p1, p2, _, _) in enumerate(self.chords):
-                if gci == ci:
-                    chord_base[k] = (idx, p1, p2)
+            chords = self.curves[ci][1].chords
+            m = len(chords)
             n = len(sts)
             for q in range(n):
-                k1, s1, r1 = sts[q]
-                k2, s2, r2 = sts[(q + 1) % n]
+                k1, _, r1 = sts[q]
+                k2, _, r2 = sts[(q + 1) % n]
                 delta = k2 - k1 if q + 1 < n else (k2 + m - k1)
                 eid = len(edges)
                 edges.append((r1, r2, delta % 2))
-                x1 = self.vid_point[self.crossings[r1][0]]
-                x2 = self.vid_point[self.crossings[r2][0]]
-                _, _, p2_out = chord_base[k1]
-                _, p1_in, _ = chord_base[k2]
-                end_dir[(eid, 0)] = (p2_out[0] - x1[0], p2_out[1] - x1[1])
-                end_dir[(eid, 1)] = (p1_in[0] - x2[0], p1_in[1] - x2[1])
+                end_coord[(eid, 0)] = chords[k1][1]
+                end_coord[(eid, 1)] = chords[k2][0]
                 ends_at.setdefault(r1, []).append((eid, 0))
                 ends_at.setdefault(r2, []).append((eid, 1))
 
+        # strand ends leave a crossing in the order of the boundary points
+        # they head for, as the half-edges do
         rotation: dict[int, list[tuple[int, int]]] = {}
         rot_pos: dict[tuple[int, int], int] = {}
         for rid, ends in ends_at.items():
             if len(ends) != 4:
                 raise RuntimeError("a crossing without four strand ends")
-            ordered = sorted(
-                ends,
-                key=cmp_to_key(
-                    lambda e1, e2: _angle_cmp(end_dir[e1], end_dir[e2])
-                ),
-            )
+            ordered = sorted(ends, key=end_coord.__getitem__)
             rotation[rid] = ordered
             for i, end in enumerate(ordered):
                 rot_pos[end] = i

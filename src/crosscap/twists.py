@@ -513,7 +513,11 @@ def attach_tables(
     registry: Registry,
     tables: Mapping[str, tuple[tuple[Word, ...], tuple[Word, ...]]],
 ) -> dict[str, TwistGenerator]:
-    """Bind parsed tables to registered curves, verifying invertibility."""
+    """Bind parsed tables to registered curves, verifying invertibility.
+
+    Every registered curve needs a table: a run that used a partial one
+    would stop at the first expression naming a missing generator.
+    """
     gens: dict[str, TwistGenerator] = {}
     for name, (images, inverses) in tables.items():
         curve_name = curve_for_generator(name)
@@ -528,6 +532,14 @@ def attach_tables(
         except AutomorphismError as exc:
             raise TwistTableError(f"twist table [{name}] is unsound: {exc}") from None
         gens[name] = TwistGenerator(name, rec, auto)
+    missing = [
+        gen for gen in map(generator_for_curve, registry.names()) if gen not in gens
+    ]
+    if missing:
+        raise TwistTableError(
+            "the table lacks generators for registered curves: "
+            + ", ".join(f"[{gen}]" for gen in missing)
+        )
     return gens
 
 
@@ -557,7 +569,18 @@ def audit_tables(
     """
     results: list[CheckResult] = []
     for name, gen in generators.items():
-        derived = derive_generator(registry, gen.curve.name)
+        try:
+            derived = derive_generator(registry, gen.curve.name)
+        except ValueError as exc:
+            results.append(
+                CheckResult(
+                    "table-audit",
+                    name,
+                    False,
+                    f"twist derivation: curve {gen.curve.name}: {exc}",
+                )
+            )
+            continue
         if equal(gen.auto, derived.auto):
             results.append(
                 CheckResult("table-audit", name, True, "matches derived twist")

@@ -1,10 +1,11 @@
 """The order-based chord tests agree with exact rational circle geometry.
 
-The twist engine decides crossings, their order along a chord and their
-signs from the cyclic order of boundary coordinates alone.  Here random
-coordinates are placed on the unit circle with the cut complex's exact
-rational points, and each answer is checked against the segment
-crossing parameter and the determinant sign computed there.
+The twist engine decides crossings, their order along a chord and
+their signs from the cyclic order of boundary coordinates alone, and the
+cut complex decides its crossings the same way.  This module keeps an
+exact rational reference: random coordinates are placed on the unit
+circle as rational points, and each answer is checked against the
+segment crossing parameter and the determinant sign computed there.
 """
 
 from fractions import Fraction
@@ -15,17 +16,115 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from crosscap.cutting import (  # noqa: E402
-    _circle_point,
-    _det,
-    _segment_crossing_param,
-    _sub,
-)
 from crosscap.polygon import (  # noqa: E402
     DegeneratePositionError,
     _crosses,
     _crossings_along,
 )
+
+Point = tuple[Fraction, Fraction]
+
+
+# -- the rational reference --------------------------------------------------
+
+
+def _circle_point(genus: int, c: Fraction) -> Point:
+    """Exact rational point of the unit circle at boundary coordinate c.
+
+    The coordinate-to-circle map is strictly increasing (counter-
+    clockwise) on [0, 2g+1), with c = 0 at (-1, 0).
+    """
+    L = 2 * genus + 1
+    c = Fraction(c)
+    if not (0 <= c < L):
+        raise ValueError(f"boundary coordinate {c} outside [0, {L})")
+    if c == 0:
+        return (Fraction(-1), Fraction(0))
+    s = (2 * c - L) / (c * (L - c))
+    d = 1 + s * s
+    return ((1 - s * s) / d, 2 * s / d)
+
+
+def _sub(a: Point, b: Point) -> Point:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _det(u: Point, v: Point) -> Fraction:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _orient(a: Point, b: Point, c: Point) -> Fraction:
+    return _det(_sub(b, a), _sub(c, a))
+
+
+def _between(a: Point, b: Point, p: Point) -> bool:
+    # p collinear with segment ab: is it inside the closed box?
+    return (
+        min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
+        and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+    )
+
+
+def _segment_crossing_param(
+    p1: Point, p2: Point, q1: Point, q2: Point
+) -> Fraction | None:
+    """Parameter in (0,1) along p1→p2 of a proper crossing with q1→q2.
+
+    Returns None when the open segments are disjoint.  Endpoint contact,
+    collinear overlap, or any other exact coincidence raises
+    DegeneratePositionError rather than guessing a perturbation here.
+    """
+    o1 = _orient(q1, q2, p1)
+    o2 = _orient(q1, q2, p2)
+    o3 = _orient(p1, p2, q1)
+    o4 = _orient(p1, p2, q2)
+    if o1 == 0 and o2 == 0:
+        # collinear: degenerate only on actual contact
+        if _between(p1, p2, q1) or _between(p1, p2, q2) or _between(q1, q2, p1):
+            raise DegeneratePositionError("collinear segment contact")
+        return None
+    for o, pt, (a, b) in (
+        (o1, p1, (q1, q2)),
+        (o2, p2, (q1, q2)),
+        (o3, q1, (p1, p2)),
+        (o4, q2, (p1, p2)),
+    ):
+        if o == 0 and _between(a, b, pt):
+            raise DegeneratePositionError("segment endpoint touches another segment")
+    if (o1 > 0) != (o2 > 0) and (o3 > 0) != (o4 > 0):
+        return o1 / (o1 - o2)
+    return None
+
+
+def test_circle_points_are_on_unit_circle_and_distinct():
+    genus = 3
+    coords = [Fraction(0), Fraction(1, 7)] + [Fraction(k, 2) for k in range(1, 14, 2)]
+    pts = [_circle_point(genus, c) for c in coords]
+    for x, y in pts:
+        assert x * x + y * y == 1
+    assert len(set(pts)) == len(pts)
+
+
+def test_circle_points_in_counterclockwise_order():
+    genus = 2
+    coords = [Fraction(i, 10) for i in range(0, 50)]
+    pts = [_circle_point(genus, c) for c in coords]
+    # shoelace area of the inscribed polygon is positive iff ccw
+    area = sum(
+        pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1]
+        for i in range(len(pts))
+    )
+    assert area > 0
+
+
+def test_circle_point_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        _circle_point(2, Fraction(5))
+    with pytest.raises(ValueError):
+        _circle_point(2, Fraction(-1, 2))
+
+
+# -- the order-based tests against it -----------------------------------------
 
 
 @st.composite

@@ -118,6 +118,19 @@ def test_flipped_zeta_arrow_in_a_registry_fails_the_key_conjugation(tmp_path, ca
     assert "note:" not in err
 
 
+def epsilon_with_crossing_chords(tmp_path):
+    """A genus-4 registry file whose epsilon cannot be twisted: this
+    ordering of its crossings gives chords that cross."""
+    text = registry_text(standard_registry(SurfaceSpec(4, 1)))
+    lines = text.splitlines()
+    (row,) = [i for i, line in enumerate(lines) if line.startswith("epsilon |")]
+    name, word, _, arrow = lines[row].split(" | ")
+    lines[row] = " | ".join((name, word, "A1-,A4-,A2-,A3-", arrow))
+    bad = tmp_path / "registry.txt"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return bad
+
+
 @pytest.mark.parametrize(
     "argv, want_code, want_line",
     [
@@ -130,21 +143,56 @@ def test_flipped_zeta_arrow_in_a_registry_fails_the_key_conjugation(tmp_path, ca
 def test_a_registry_curve_that_cannot_be_twisted_is_named(
     tmp_path, capsys, argv, want_code, want_line
 ):
-    # this ordering of epsilon's crossings gives chords that cross, so no
-    # twist can be derived from it
-    text = registry_text(standard_registry(SurfaceSpec(4, 1)))
-    lines = text.splitlines()
-    (row,) = [i for i, line in enumerate(lines) if line.startswith("epsilon |")]
-    name, word, _, arrow = lines[row].split(" | ")
-    lines[row] = " | ".join((name, word, "A1-,A4-,A2-,A3-", arrow))
-    bad = tmp_path / "registry.txt"
-    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bad = epsilon_with_crossing_chords(tmp_path)
     code, out, err = run(
         capsys, argv[0], "--genus", "4", "--n", "1", "--registry", str(bad), *argv[1:]
     )
     assert code == want_code
     assert want_line in err + out
     assert "chords cross" in err + out
+
+
+@pytest.mark.parametrize(
+    "command, want_line",
+    [
+        ("validate-data", "[FAIL] twist-tables: twist derivation: curve epsilon:"),
+        # registry validation rejects the crossing chords before the audit
+        ("verify-theorem", "FAIL at stage registry-validation"),
+    ],
+)
+def test_a_loaded_table_for_a_curve_that_cannot_be_twisted_fails(
+    tmp_path, capsys, command, want_line
+):
+    table = tmp_path / "twists.tbl"
+    reg = standard_registry(SurfaceSpec(4, 1))
+    table.write_text(tables_text(derive_generators(reg), 4), encoding="utf-8")
+    code, out, _ = run(
+        capsys, command, "--genus", "4", "--n", "1",
+        "--registry", str(epsilon_with_crossing_chords(tmp_path)),
+        "--twist-table", str(table),
+    )
+    assert code == 1
+    assert want_line in out
+
+
+@pytest.mark.parametrize(
+    "command, want_line",
+    [
+        ("validate-data", "[FAIL] twist-tables: twist table: the table lacks"),
+        ("verify-theorem", "FAIL at stage twist-suite"),
+    ],
+)
+def test_an_empty_twist_table_names_the_missing_generators(
+    tmp_path, capsys, command, want_line
+):
+    empty = tmp_path / "empty.tbl"
+    empty.write_text("", encoding="utf-8")
+    code, out, _ = run(
+        capsys, command, "--genus", "4", "--n", "1", "--twist-table", str(empty)
+    )
+    assert code == 1
+    assert want_line in out
+    assert "[a1], [a2], [a3], [b], [c], [e], [f], [y2]" in out
 
 
 def test_missing_explicit_registry_fails_its_stage(capsys):

@@ -1,16 +1,23 @@
 """Cutting the surface along curve systems: components, Euler counts, ribbons."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from crosscap.cutting import (
     ComponentReport,
-    _circle_point,
+    _CutComplex,
     cut_along,
     intersection_number,
 )
-from crosscap.polygon import DegeneratePositionError, Event, spell_cyclic
+from crosscap.polygon import (
+    CurveGeometry,
+    DegeneratePositionError,
+    Event,
+    _crosses,
+    spell_cyclic,
+)
 from crosscap.surface import (
     CurveRecord,
     SurfaceSpec,
@@ -29,37 +36,6 @@ def pieces(report):
         (c.kind, c.euler_characteristic, c.boundary_circles, c.orientable)
         for c in report.components
     ]
-
-
-# -- exact circle points -----------------------------------------------------
-
-
-def test_circle_points_are_on_unit_circle_and_distinct():
-    genus = 3
-    coords = [Fraction(0), Fraction(1, 7)] + [Fraction(k, 2) for k in range(1, 14, 2)]
-    pts = [_circle_point(genus, c) for c in coords]
-    for x, y in pts:
-        assert x * x + y * y == 1
-    assert len(set(pts)) == len(pts)
-
-
-def test_circle_points_in_counterclockwise_order():
-    genus = 2
-    coords = [Fraction(i, 10) for i in range(0, 50)]
-    pts = [_circle_point(genus, c) for c in coords]
-    # shoelace area of the inscribed polygon is positive iff ccw
-    area = sum(
-        pts[i][0] * pts[(i + 1) % len(pts)][1] - pts[(i + 1) % len(pts)][0] * pts[i][1]
-        for i in range(len(pts))
-    )
-    assert area > 0
-
-
-def test_circle_point_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        _circle_point(2, Fraction(5))
-    with pytest.raises(ValueError):
-        _circle_point(2, Fraction(-1, 2))
 
 
 # -- the uncut surface -------------------------------------------------------
@@ -204,6 +180,71 @@ def test_an_isolated_two_sided_curve_gets_an_annulus_neighbourhood():
     rep = cut_along(registry(4), ["alpha_1", "beta"])
     ribbons = [c for c in rep.components if c.kind == "neighbourhood"]
     assert pieces_of(ribbons) == [(0, 2, True), (0, 2, True)]
+
+
+def test_random_curve_systems_cut_consistently():
+    """On random systems of 1-4 curves, one-sided and self-crossing ones
+    included, the complex passes its own integrity checks, the pieces
+    add up to the surface, the ribbons to minus the crossings, and
+    neither the order of the curves nor their direction matters."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def systems(draw):
+        genus = draw(st.integers(min_value=2, max_value=7))
+        boundary = draw(st.sampled_from([0, 1]))
+        lengths = draw(
+            st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4)
+        )
+        params = iter(
+            draw(
+                st.lists(
+                    st.integers(min_value=1, max_value=999),
+                    min_size=sum(lengths),
+                    max_size=sum(lengths),
+                    unique=True,
+                )
+            )
+        )
+        curves = [
+            [
+                Event(
+                    draw(st.integers(min_value=1, max_value=genus)),
+                    draw(st.booleans()),
+                    Fraction(next(params), 1000),
+                )
+                for _ in range(m)
+            ]
+            for m in lengths
+        ]
+        return SurfaceSpec(genus, boundary), curves
+
+    def cut(spec, curves):
+        complex_ = _CutComplex(
+            spec,
+            [(f"c{i}", CurveGeometry(spec.genus, evs)) for i, evs in enumerate(curves)],
+        )
+        return sorted(
+            (c.kind, c.euler_characteristic, c.boundary_circles, c.orientable)
+            for c in complex_.components + complex_.ribbons()
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(systems())
+    def check(drawn):
+        spec, curves = drawn
+        parts = cut(spec, curves)
+        assert sum(chi for _, chi, _, _ in parts) == 2 - spec.genus - spec.boundary
+        chords = [c for evs in curves for c in CurveGeometry(spec.genus, evs).chords]
+        crossings = sum(_crosses(p, q) for p, q in combinations(chords, 2))
+        ribbons = [chi for kind, chi, _, _ in parts if kind == "neighbourhood"]
+        assert sum(ribbons) == -crossings
+        assert cut(spec, curves[::-1]) == parts
+        backwards = [[ev.flipped() for ev in reversed(evs)] for evs in curves]
+        assert cut(spec, backwards) == parts
+
+    check()
 
 
 # -- selection handling ------------------------------------------------------

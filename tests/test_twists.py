@@ -2,7 +2,12 @@
 
 import pytest
 
-from crosscap.surface import SurfaceSpec, standard_registry
+from crosscap.surface import (
+    SurfaceSpec,
+    parse_registry,
+    registry_text,
+    standard_registry,
+)
 from crosscap.twists import (
     Automorphism,
     AutomorphismError,
@@ -286,6 +291,17 @@ def test_attach_rejects_corrupted_images(world4):
         attach_tables(reg, tables)
 
 
+def test_attach_names_the_generators_a_partial_table_lacks(world4):
+    reg, gens = world4
+    tables = {
+        name: (gen.auto.images, gen.auto.inverse_images)
+        for name, gen in gens.items()
+        if name not in ("b", "y2")
+    }
+    with pytest.raises(TwistTableError, match=r"lacks .*: \[b\], \[y2\]$"):
+        attach_tables(reg, tables)
+
+
 def test_audit_catches_a_silently_inverted_table(world4):
     reg, gens = world4
     flipped = dict(gens)
@@ -300,3 +316,17 @@ def test_audit_catches_a_silently_inverted_table(world4):
 def test_audit_is_clean_on_derived_tables(world4):
     reg, gens = world4
     assert all(r.ok for r in audit_tables(reg, gens))
+
+
+def test_audit_names_a_curve_that_cannot_be_twisted(world4):
+    reg, gens = world4
+    lines = registry_text(reg).splitlines()
+    (row,) = [i for i, line in enumerate(lines) if line.startswith("epsilon |")]
+    name, word, _, arrow = lines[row].split(" | ")
+    lines[row] = " | ".join((name, word, "A1-,A4-,A2-,A3-", arrow))
+    crossing = parse_registry(reg.spec, "\n".join(lines))
+    results = audit_tables(crossing, gens)
+    bad = [r for r in results if not r.ok]
+    assert [r.subject for r in bad] == ["e"]
+    assert bad[0].detail.startswith("twist derivation: curve epsilon: ")
+    assert "chords cross" in bad[0].detail
