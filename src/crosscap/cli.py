@@ -3,10 +3,10 @@
 ``crosscap`` exposes the package as six subcommands:
 
 * ``verify-theorem`` - the staged identity suite over the registered
-  twists: registry validation, twist-table invariants, the key
-  conjugation, the generation certificate for ``f``, optional extra
-  certificates, and homology smoke tests.  Exit 0 iff every mandatory
-  stage passes.
+  twists: registry validation, the twist relations and fixed curves,
+  the key conjugation, the generation certificate for ``f``, optional
+  extra certificates, and homology smoke tests.  Exit 0 iff every
+  mandatory stage passes.
 * ``relation`` - compare two twist expressions (EQUAL/UNEQUAL).
 * ``apply-curve`` - image of a registered curve under an expression.
 * ``homology`` - the integral matrix an expression induces.
@@ -14,10 +14,10 @@
 * ``validate-data`` - integrity checks for external data files.
 
 Data files are resolved per genus: an explicit ``--registry`` /
-``--twist-table`` / ``--certificates`` path wins, then a file in
-``$MCG_DATA_DIR``, and finally the built-in constructions.  Structured
-output (``--format structured``) is line-oriented ``key=value`` and
-byte-stable for fixed inputs.
+``--certificates`` path wins, then a file in ``$MCG_DATA_DIR``, and
+finally the built-in constructions.  Twists are always derived from the
+registry's layouts.  Structured output (``--format structured``) is
+line-oriented ``key=value`` and byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
@@ -44,13 +44,9 @@ from crosscap.surface import (
     x0_names,
 )
 from crosscap.twists import (
-    AutomorphismError,
     CertificateError,
     ExpressionError,
-    TwistTableError,
     apply_to_curve,
-    attach_tables,
-    audit_tables,
     check_certificate,
     derive_generator,
     equal,
@@ -59,7 +55,6 @@ from crosscap.twists import (
     fixing_suite,
     generator_names,
     parse_certificates,
-    parse_twist_tables,
     relation_suite,
     standard_certificates,
     verify_key_conjugation,
@@ -70,7 +65,6 @@ DATA_DIR_ENV = "MCG_DATA_DIR"
 
 _DATA_FILES = {
     "registry": "registry_g{genus}.txt",
-    "twists": "twists_g{genus}.txt",
     "certificates": "certificates_g{genus}.txt",
 }
 
@@ -123,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output style (structured = line-oriented key=value)",
     )
     common.add_argument("--registry", metavar="PATH", help="curve registry file")
-    common.add_argument("--twist-table", metavar="PATH", help="twist table file")
     common.add_argument("--certificates", metavar="PATH", help="certificate file")
     common.add_argument(
         "--seed", type=int, default=0, help="seed for randomized property checks"
@@ -226,25 +219,15 @@ def _load_registry(args) -> tuple[Registry, str]:
         raise _WorldError(f"registry: {exc}") from exc
 
 
-def _load_generators(args, registry: Registry) -> tuple[dict, str]:
-    try:
-        source, text = _locate_data("twists", args.genus, args.twist_table)
-    except OSError as exc:
-        raise _WorldError(f"twist table: {exc}") from exc
-    if text is None:
-        generators = {}
-        for rec in registry:
-            try:
-                gen = derive_generator(registry, rec.name)
-            except ValueError as exc:
-                raise _WorldError(f"twist derivation: curve {rec.name}: {exc}") from exc
-            generators[gen.name] = gen
-        return generators, source
-    try:
-        tables = parse_twist_tables(text, args.genus)
-        return attach_tables(registry, tables), source
-    except (TwistTableError, AutomorphismError) as exc:
-        raise _WorldError(f"twist table: {exc}") from exc
+def _load_generators(registry: Registry) -> dict:
+    generators = {}
+    for rec in registry:
+        try:
+            gen = derive_generator(registry, rec.name)
+        except ValueError as exc:
+            raise _WorldError(f"twist derivation: curve {rec.name}: {exc}") from exc
+        generators[gen.name] = gen
+    return generators
 
 
 def _load_certificates(args) -> tuple[dict, str]:
@@ -303,6 +286,15 @@ class _StageLog:
         return 0 if ok else 1
 
 
+def _certificate_fault(cert, generators: dict, genus: int) -> str | None:
+    """Why a certificate fails to check, or None when it holds."""
+    try:
+        result = check_certificate(cert, generators, genus)
+    except CertificateError as exc:
+        return str(exc)
+    return None if result.ok else result.diagnostic
+
+
 def _cmd_verify_theorem(args) -> int:
     _note_boundary_model(args)
     log = _StageLog(args.fmt)
@@ -326,15 +318,13 @@ def _cmd_verify_theorem(args) -> int:
         f"{len(registry)} curves, {len(report.results)} checks",
     )
 
-    # stage 2: twist tables satisfy the defining identities
+    # stage 2: the derived twists satisfy the defining identities
     try:
-        generators, source = _load_generators(args, registry)
+        generators = _load_generators(registry)
     except _WorldError as exc:
         log.record("twist-suite", "FAIL", str(exc))
         return log.finish(args.genus, args.n)
     checks = fixing_suite(registry, generators) + relation_suite(registry, generators)
-    if source != "derived":
-        checks = audit_tables(registry, generators) + checks
     bad = [c for c in checks if not c.ok]
     if bad:
         log.record(
@@ -365,13 +355,9 @@ def _cmd_verify_theorem(args) -> int:
                 return log.finish(args.genus, args.n)
             log.record(stage, "SKIPPED", "no certificate provided")
             continue
-        try:
-            result = check_certificate(cert, generators, args.genus)
-        except CertificateError as exc:
-            log.record(stage, "FAIL", str(exc))
-            return log.finish(args.genus, args.n)
-        if not result.ok:
-            log.record(stage, "FAIL", result.diagnostic)
+        fault = _certificate_fault(cert, generators, args.genus)
+        if fault:
+            log.record(stage, "FAIL", fault)
             return log.finish(args.genus, args.n)
         log.record(stage, "PASS", f"expression stays inside {', '.join(cert.allowed)}")
 
@@ -410,7 +396,7 @@ def _cmd_verify_theorem(args) -> int:
 
 def _cmd_relation(args) -> int:
     registry, _ = _load_registry(args)
-    generators, _ = _load_generators(args, registry)
+    generators = _load_generators(registry)
     try:
         lhs = evaluate(args.lhs, generators, args.genus)
         rhs = evaluate(args.rhs, generators, args.genus)
@@ -430,7 +416,7 @@ def _cmd_relation(args) -> int:
 
 def _cmd_apply_curve(args) -> int:
     registry, _ = _load_registry(args)
-    generators, _ = _load_generators(args, registry)
+    generators = _load_generators(registry)
     try:
         image = apply_to_curve(registry, generators, args.expression, args.curve)
     except ExpressionError as exc:
@@ -445,7 +431,7 @@ def _cmd_apply_curve(args) -> int:
 
 def _cmd_homology(args) -> int:
     registry, _ = _load_registry(args)
-    generators, _ = _load_generators(args, registry)
+    generators = _load_generators(registry)
     try:
         auto = evaluate(args.expression, generators, args.genus)
     except ExpressionError as exc:
@@ -479,7 +465,7 @@ def _cmd_complement(args) -> int:
 def _cmd_validate_data(args) -> int:
     rows: list[tuple[str, str, str]] = []  # (check, status, detail)
 
-    registry = None
+    registry = generators = None
     try:
         registry, _ = _load_registry(args)
         report = validate_registry(registry)
@@ -495,18 +481,8 @@ def _cmd_validate_data(args) -> int:
 
     if registry is not None:
         try:
-            generators, source = _load_generators(args, registry)
-            audit = audit_tables(registry, generators) if source != "derived" else []
-            bad = [c for c in audit if not c.ok]
-            if bad:
-                rows.append(("twist-tables", "FAIL", bad[0].detail))
-            else:
-                detail = (
-                    f"{len(audit)} tables match the derived twists"
-                    if audit
-                    else "derived in memory"
-                )
-                rows.append(("twist-tables", "PASS", detail))
+            generators = _load_generators(registry)
+            rows.append(("twist-tables", "PASS", "derived in memory"))
         except _WorldError as exc:
             rows.append(("twist-tables", "FAIL", str(exc)))
     else:
@@ -514,9 +490,19 @@ def _cmd_validate_data(args) -> int:
 
     try:
         certificates, _ = _load_certificates(args)
-        rows.append(("certificates", "PASS", f"targets: {', '.join(sorted(certificates))}"))
     except _WorldError as exc:
         rows.append(("certificates", "FAIL", str(exc)))
+    else:
+        fault = None
+        if generators is not None and "f" not in certificates:
+            fault = "no certificate for f"
+        elif generators is not None:
+            faults = (_certificate_fault(c, generators, args.genus) for c in certificates.values())
+            fault = next(filter(None, faults), None)
+        if fault:
+            rows.append(("certificates", "FAIL", fault))
+        else:
+            rows.append(("certificates", "PASS", f"targets: {', '.join(sorted(certificates))}"))
 
     ok = all(status == "PASS" for _, status, _ in rows)
     if args.fmt == "structured":

@@ -243,7 +243,7 @@ class Registry:
         return self._geometries[rec.name]
 
     def replaced(self, record: CurveRecord) -> "Registry":
-        """A copy with one record swapped out (used by audits and tests)."""
+        """A copy with one record swapped out (used by tests)."""
         if record.name not in self._records:
             raise UnknownCurveError(f"curve {record.name!r} is not registered")
         records = dict(self._records)

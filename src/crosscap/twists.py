@@ -6,8 +6,7 @@ surface; here a class is an :class:`Automorphism` storing the images of
 against each other at construction time.  Twist generators are named
 ``a1 .. a{g-1}`` (the chain), ``b``, ``c``, ``e``, ``f`` and ``y2``,
 matching the registered curves alpha_i, beta, gamma, epsilon, zeta and
-psi.  Generators are either derived from the registered layouts or
-loaded from twist-table files and audited against the derivation.
+psi.  Generators are derived from the registered layouts.
 
 Everything downstream (relation checking, certificates, the CLI) speaks
 in terms of generator expressions such as ``"a3^-1 b a3"`` — whitespace
@@ -37,10 +36,6 @@ class AutomorphismError(ValueError):
 
 class ExpressionError(ValueError):
     """A generator expression that does not parse."""
-
-
-class TwistTableError(ValueError):
-    """A twist-table file with bad grammar or unsound contents."""
 
 
 class CertificateError(ValueError):
@@ -433,171 +428,7 @@ def write_certificates(
     Path(path).write_text(certificates_text(certificates), encoding="utf-8")
 
 
-# -- twist-table files -------------------------------------------------------
-
-_TABLE_LINE_RE = re.compile(r"x(\d+)\s*(->|<-)\s*(.+)$")
-
-
-def tables_text(generators: Mapping[str, TwistGenerator], genus: int) -> str:
-    """Serialise generator tables: per block, g '->' lines then g '<-' lines."""
-    lines = [f"# twist tables, genus {genus}"]
-    for name, gen in generators.items():
-        lines.append(f"[{name}]")
-        for i, w in enumerate(gen.auto.images, start=1):
-            lines.append(f"x{i} -> {w}")
-        for i, w in enumerate(gen.auto.inverse_images, start=1):
-            lines.append(f"x{i} <- {w}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_twist_tables(
-    text: str, genus: int
-) -> dict[str, tuple[tuple[Word, ...], tuple[Word, ...]]]:
-    """Parse raw table blocks; soundness is checked when attaching to a registry."""
-    blocks: dict[str, dict[tuple[str, int], Word]] = {}
-    current: str | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise TwistTableError(f"line {line_no}: unterminated block header")
-            name = line[1:-1].strip()
-            if not name:
-                raise TwistTableError(f"line {line_no}: empty block header")
-            if name in blocks:
-                raise TwistTableError(f"line {line_no}: duplicate block [{name}]")
-            blocks[name] = {}
-            current = name
-            continue
-        if current is None:
-            raise TwistTableError(
-                f"line {line_no}: image line before any [generator] header"
-            )
-        m = _TABLE_LINE_RE.match(line)
-        if m is None:
-            raise TwistTableError(
-                f"line {line_no}: expected 'x<i> -> <word>' or 'x<i> <- <word>'"
-            )
-        i = int(m.group(1))
-        if not (1 <= i <= genus):
-            raise TwistTableError(
-                f"line {line_no}: generator x{i} out of range for genus {genus}"
-            )
-        try:
-            word = Word.parse(m.group(3), genus)
-        except ValueError as exc:
-            raise TwistTableError(f"line {line_no}: {exc}") from None
-        key = (m.group(2), i)
-        if key in blocks[current]:
-            raise TwistTableError(
-                f"line {line_no}: duplicate {m.group(2)} line for x{i} in [{current}]"
-            )
-        blocks[current][key] = word
-    tables: dict[str, tuple[tuple[Word, ...], tuple[Word, ...]]] = {}
-    for name, entries in blocks.items():
-        for i in range(1, genus + 1):
-            for direction in ("->", "<-"):
-                if (direction, i) not in entries:
-                    raise TwistTableError(
-                        f"block [{name}] is missing the '{direction}' line for x{i}"
-                    )
-        images = tuple(entries[("->", i)] for i in range(1, genus + 1))
-        inverses = tuple(entries[("<-", i)] for i in range(1, genus + 1))
-        tables[name] = (images, inverses)
-    return tables
-
-
-def attach_tables(
-    registry: Registry,
-    tables: Mapping[str, tuple[tuple[Word, ...], tuple[Word, ...]]],
-) -> dict[str, TwistGenerator]:
-    """Bind parsed tables to registered curves, verifying invertibility.
-
-    Every registered curve needs a table: a run that used a partial one
-    would stop at the first expression naming a missing generator.
-    """
-    gens: dict[str, TwistGenerator] = {}
-    for name, (images, inverses) in tables.items():
-        curve_name = curve_for_generator(name)
-        if curve_name is None:
-            raise TwistTableError(f"[{name}] is not a recognised generator name")
-        try:
-            rec = registry.curve(curve_name)
-        except UnknownCurveError as exc:
-            raise TwistTableError(f"[{name}]: {exc}") from None
-        try:
-            auto = Automorphism(registry.spec.genus, images, inverses)
-        except AutomorphismError as exc:
-            raise TwistTableError(f"twist table [{name}] is unsound: {exc}") from None
-        gens[name] = TwistGenerator(name, rec, auto)
-    missing = [
-        gen for gen in map(generator_for_curve, registry.names()) if gen not in gens
-    ]
-    if missing:
-        raise TwistTableError(
-            "the table lacks generators for registered curves: "
-            + ", ".join(f"[{gen}]" for gen in missing)
-        )
-    return gens
-
-
-def load_twist_tables(
-    registry: Registry, path: str | Path
-) -> dict[str, TwistGenerator]:
-    text = Path(path).read_text(encoding="utf-8")
-    return attach_tables(registry, parse_twist_tables(text, registry.spec.genus))
-
-
-def write_twist_tables(
-    generators: Mapping[str, TwistGenerator], genus: int, path: str | Path
-) -> None:
-    Path(path).write_text(tables_text(generators, genus), encoding="utf-8")
-
-
 # -- invariant suites --------------------------------------------------------
-
-
-def audit_tables(
-    registry: Registry, generators: Mapping[str, TwistGenerator]
-) -> list[CheckResult]:
-    """Compare loaded tables against twists derived from the layouts.
-
-    This is the tripwire for tables regenerated with a flipped arrow tag
-    (or otherwise edited): the derivation is the ground truth.
-    """
-    results: list[CheckResult] = []
-    for name, gen in generators.items():
-        try:
-            derived = derive_generator(registry, gen.curve.name)
-        except ValueError as exc:
-            results.append(
-                CheckResult(
-                    "table-audit",
-                    name,
-                    False,
-                    f"twist derivation: curve {gen.curve.name}: {exc}",
-                )
-            )
-            continue
-        if equal(gen.auto, derived.auto):
-            results.append(
-                CheckResult("table-audit", name, True, "matches derived twist")
-            )
-        else:
-            diff = first_difference(gen.auto, derived.auto)
-            results.append(
-                CheckResult(
-                    "table-audit",
-                    name,
-                    False,
-                    f"table disagrees with the twist derived from "
-                    f"{gen.curve.name}'s layout (first difference at {diff}); "
-                    f"was an arrow flipped without regenerating?",
-                )
-            )
-    return results
 
 
 def _braid_holds(p: Automorphism, q: Automorphism) -> bool:

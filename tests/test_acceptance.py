@@ -27,11 +27,10 @@ from crosscap.surface import (
 )
 from crosscap.twists import (
     CertificateError,
-    TwistGenerator,
-    audit_tables,
     check_certificate,
     derive_generators,
     evaluate,
+    relation_suite,
     standard_certificates,
     verify_key_conjugation,
 )
@@ -213,7 +212,7 @@ def test_conjugacy_agrees_with_brute_force_on_500_random_pairs():
 
 
 def test_deliberate_corruptions_are_detected_by_name():
-    """Swapped curve words, a flipped twist-table arrow, and a bogus
+    """Swapped curve words, a flipped arrow in a registry, and a bogus
     certificate are each caught by the matching validator, with a
     diagnostic naming the culprit."""
     registry = standard_registry(SurfaceSpec(4, 1))
@@ -231,14 +230,14 @@ def test_deliberate_corruptions_are_detected_by_name():
     named = [f for f in report.failures() if f.subject in ("alpha_1", "alpha_2")]
     assert named, [f"{f.check} {f.subject}" for f in report.failures()]
 
-    # flip one twist's direction as a stale regenerated table would
-    flipped = dict(generators)
-    b = flipped["b"]
-    flipped["b"] = TwistGenerator(b.name, b.curve, b.auto.inverse())
-    audit = audit_tables(registry, flipped)
-    bad = [c for c in audit if not c.ok]
-    assert [c.subject for c in bad] == ["b"]
-    assert "arrow flipped" in bad[0].detail
+    # flip one curve's arrow: its derived twist becomes the inverse one,
+    # which no longer braids with its neighbour on the chain
+    flipped = registry.replaced(
+        type(a1)(name=a1.name, word=a1.word, events=a1.events, arrow=-a1.arrow)
+    )
+    relations = relation_suite(flipped, derive_generators(flipped))
+    bad = [f"{c.check} {c.subject}" for c in relations if not c.ok]
+    assert "braid a1~a2" in bad, bad
 
     # a certificate whose expression evaluates to the wrong map
     certificate = standard_certificates(4)["f"]

@@ -11,7 +11,6 @@ import pytest
 import crosscap
 from crosscap.cli import DATA_DIR_ENV, main
 from crosscap.surface import SurfaceSpec, registry_text, standard_registry
-from crosscap.twists import TwistGenerator, derive_generators, tables_text
 
 F_EXPRESSION = "a3^-1 a2^-1 b a1^-1 a2^-1 a3^-1 e^-1 a3 a2 a1 b^-1 a2 a3"
 
@@ -68,46 +67,21 @@ def test_closed_surface_runs_note_the_capping(capsys):
     assert "caps the free side with a disk" in err
 
 
-def test_garbage_twist_table_fails_at_the_twist_stage(tmp_path, capsys):
-    bad = tmp_path / "corrupted.tbl"
-    bad.write_text("[a1]\nx1 -> x1 x9\n", encoding="utf-8")
-    code, out, _ = run(
-        capsys,
-        "verify-theorem", "--genus", "6", "--n", "1", "--twist-table", str(bad),
-    )
-    assert code == 1
-    assert "[PASS] registry-validation" in out
-    assert "[FAIL] twist-suite: twist table:" in out
-    assert "verify-theorem: FAIL at stage twist-suite (genus 6, n 1)" in out
-
-
-def test_flipped_arrow_table_is_caught_by_the_audit(tmp_path, capsys):
-    reg = standard_registry(SurfaceSpec(4, 1))
-    gens = derive_generators(reg)
-    b = gens["b"]
-    gens["b"] = TwistGenerator(b.name, b.curve, b.auto.inverse())
-    table = tmp_path / "flipped.tbl"
-    table.write_text(tables_text(gens, 4), encoding="utf-8")
-    code, out, _ = run(
-        capsys,
-        "verify-theorem", "--genus", "4", "--n", "1", "--twist-table", str(table),
-    )
-    assert code == 1
-    assert "table-audit b" in out
-    assert "was an arrow flipped without regenerating?" in out
-    assert "FAIL at stage twist-suite" in out
-
-
-def test_flipped_zeta_arrow_in_a_registry_fails_the_key_conjugation(tmp_path, capsys):
-    # zeta's arrow is pinned only by the key conjugation; a registry that
-    # flips it must fail there, with no repair and no note
+def zeta_arrow_flipped(path):
+    """Write the genus-4 registry with zeta's arrow flipped to ``path``."""
     text = registry_text(standard_registry(SurfaceSpec(4, 1)))
     lines = text.splitlines()
     (row,) = [i for i, line in enumerate(lines) if line.startswith("zeta |")]
     assert lines[row].endswith("| -1")
     lines[row] = lines[row][: -len("-1")] + "+1"
-    flipped = tmp_path / "registry.txt"
-    flipped.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def test_flipped_zeta_arrow_in_a_registry_fails_the_key_conjugation(tmp_path, capsys):
+    # zeta's arrow is pinned only by the key conjugation; a registry that
+    # flips it must fail there, with no repair and no note
+    flipped = zeta_arrow_flipped(tmp_path / "registry.txt")
     code, out, err = run(
         capsys,
         "verify-theorem", "--genus", "4", "--n", "1", "--registry", str(flipped),
@@ -153,46 +127,22 @@ def test_a_registry_curve_that_cannot_be_twisted_is_named(
 
 
 @pytest.mark.parametrize(
-    "command, want_line",
+    "argv",
     [
-        ("validate-data", "[FAIL] twist-tables: twist derivation: curve epsilon:"),
-        # registry validation rejects the crossing chords before the audit
-        ("verify-theorem", "FAIL at stage registry-validation"),
+        ("verify-theorem",),
+        ("relation", "a1", "a1"),
+        ("apply-curve", "a1", "alpha_1"),
+        ("homology", "a1"),
+        ("validate-data",),
     ],
+    ids=lambda argv: argv[0],
 )
-def test_a_loaded_table_for_a_curve_that_cannot_be_twisted_fails(
-    tmp_path, capsys, command, want_line
-):
-    table = tmp_path / "twists.tbl"
-    reg = standard_registry(SurfaceSpec(4, 1))
-    table.write_text(tables_text(derive_generators(reg), 4), encoding="utf-8")
-    code, out, _ = run(
-        capsys, command, "--genus", "4", "--n", "1",
-        "--registry", str(epsilon_with_crossing_chords(tmp_path)),
-        "--twist-table", str(table),
-    )
-    assert code == 1
-    assert want_line in out
-
-
-@pytest.mark.parametrize(
-    "command, want_line",
-    [
-        ("validate-data", "[FAIL] twist-tables: twist table: the table lacks"),
-        ("verify-theorem", "FAIL at stage twist-suite"),
-    ],
-)
-def test_an_empty_twist_table_names_the_missing_generators(
-    tmp_path, capsys, command, want_line
-):
-    empty = tmp_path / "empty.tbl"
-    empty.write_text("", encoding="utf-8")
-    code, out, _ = run(
-        capsys, command, "--genus", "4", "--n", "1", "--twist-table", str(empty)
-    )
-    assert code == 1
-    assert want_line in out
-    assert "[a1], [a2], [a3], [b], [c], [e], [f], [y2]" in out
+def test_a_twist_table_option_is_a_usage_error(capsys, argv):
+    # twists come from the registry's layouts only; no table file is read
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--genus", "4", "--twist-table", "twists.txt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --twist-table" in capsys.readouterr().err
 
 
 def test_missing_explicit_registry_fails_its_stage(capsys):
@@ -351,15 +301,18 @@ def test_complement_text_report_totals_the_surface(capsys):
 # -- validate-data ----------------------------------------------------------
 
 
-def test_validate_data_passes_on_shipped_files(capsys):
-    code, out, _ = run(
-        capsys, "validate-data", "--genus", "5", "--format", "structured"
-    )
-    assert code == 0
-    assert "check=registry status=PASS" in out
-    assert "check=twist-tables status=PASS" in out
-    assert "check=certificates status=PASS" in out
-    assert out.splitlines()[-1] == "result=PASS"
+def test_validate_data_passes_on_derived_data(capsys):
+    argv = ("validate-data", "--genus", "5", "--format", "structured")
+    code1, out1, _ = run(capsys, *argv)
+    code2, out2, _ = run(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert out1.splitlines() == [
+        "check=registry status=PASS",
+        "check=twist-tables status=PASS",
+        "check=certificates status=PASS",
+        "result=PASS",
+    ]
 
 
 def test_validate_data_flags_a_broken_certificate_file(tmp_path, capsys):
@@ -373,20 +326,55 @@ def test_validate_data_flags_a_broken_certificate_file(tmp_path, capsys):
     assert "validate-data: FAIL" in out
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",  # no certificate for f
+        "f | a1,a2 | a1 e a2\n",  # leaves its allowed set
+        "f | a1,a2,a3,b,e | a1\n",  # the wrong map
+    ],
+    ids=["empty", "outside-allowed-set", "wrong-map"],
+)
+def test_validate_data_rejects_certificates_that_verify_theorem_rejects(
+    tmp_path, capsys, text
+):
+    certs = tmp_path / "certs.txt"
+    certs.write_text(text, encoding="utf-8")
+    argv = ("--genus", "4", "--n", "1", "--certificates", str(certs))
+    code, out, _ = run(capsys, "verify-theorem", *argv)
+    assert code == 1
+    (failure,) = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failure.startswith("[FAIL] certificate-f: ")
+    diagnostic = failure[len("[FAIL] certificate-f: "):]
+    code, out, _ = run(capsys, "validate-data", *argv)
+    assert code == 1
+    assert f"[FAIL] certificates: {diagnostic}\n" in out
+    assert out.splitlines()[-1] == "validate-data: FAIL"
+
+
 # -- data resolution ---------------------------------------------------------
 
 
 def test_env_data_dir_wins_over_derivation(tmp_path, monkeypatch, capsys):
-    generators = derive_generators(standard_registry(SurfaceSpec(4, 1)))
-    text = tables_text(generators, 4).replace(
-        "[a1]\nx1 -> x1 x1 x2", "[a1]\nx1 -> x2 x1 x1"
-    )
-    assert "x2 x1 x1" in text
-    (tmp_path / "twists_g4.txt").write_text(text, encoding="utf-8")
+    zeta_arrow_flipped(tmp_path / "registry_g4.txt")
     monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
     code, out, _ = run(capsys, "verify-theorem", "--genus", "4", "--n", "1")
     assert code == 1
-    assert "FAIL at stage twist-suite" in out
+    assert "FAIL at stage key-conjugation" in out
+
+
+def test_explicit_registry_wins_over_env_data_dir(tmp_path, monkeypatch, capsys):
+    env_dir = tmp_path / "env"
+    env_dir.mkdir()
+    zeta_arrow_flipped(env_dir / "registry_g4.txt")
+    monkeypatch.setenv(DATA_DIR_ENV, str(env_dir))
+    standard = tmp_path / "registry.txt"
+    standard.write_text(registry_text(standard_registry(SurfaceSpec(4, 1))), encoding="utf-8")
+    code, out, _ = run(
+        capsys, "verify-theorem", "--genus", "4", "--n", "1", "--registry", str(standard)
+    )
+    assert code == 0
+    assert out.rstrip().endswith("verify-theorem: PASS (genus 4, n 1)")
 
 
 def test_genus_without_data_files_derives_in_memory(capsys):

@@ -1,10 +1,10 @@
 """Data files written from the constructions read back to the same objects.
 
-Registry, twist-table and certificate files are how external data enters
-the engine (``--registry``, ``--twist-table``, ``--certificates`` and
-``$MCG_DATA_DIR``).  These tests take each file kind through the round
-trip a user's file goes through: write the text, parse it, and run the
-check the command line runs on it.
+Registry and certificate files are how external data enters the engine
+(``--registry``, ``--certificates`` and ``$MCG_DATA_DIR``); twists are
+always derived from the registry.  These tests take each file kind
+through the round trip a user's file goes through: write the text, parse
+it, and run the check the command line runs on it.
 """
 
 from functools import lru_cache
@@ -20,14 +20,11 @@ from crosscap.surface import (
     validate_registry,
 )
 from crosscap.twists import (
-    attach_tables,
     certificates_text,
     check_certificate,
     derive_generators,
     parse_certificates,
-    parse_twist_tables,
     standard_certificates,
-    tables_text,
 )
 
 GENERA = range(4, 11)
@@ -49,14 +46,6 @@ def test_registry_file_matches_the_construction(genus):
 
 
 @pytest.mark.parametrize("genus", GENERA)
-def test_twist_file_matches_the_derivation(genus):
-    registry, generators = derived(genus)
-    text = tables_text(generators, genus)
-    attached = attach_tables(registry, parse_twist_tables(text, genus))
-    assert tables_text(attached, genus) == text
-
-
-@pytest.mark.parametrize("genus", GENERA)
 def test_certificate_file_matches_the_construction(genus):
     _, generators = derived(genus)
     certificates = standard_certificates(genus)
@@ -67,13 +56,12 @@ def test_certificate_file_matches_the_construction(genus):
 
 def test_written_files_load_and_validate_end_to_end(tmp_path, monkeypatch, capsys):
     """Write the genus-7 files into ``$MCG_DATA_DIR`` and run the command
-    line on them: the tables are audited against the derivation and every
-    stage passes."""
+    line on them: the certificate is checked against the twists derived
+    from the loaded registry and every stage passes."""
     genus = 7
-    registry, generators = derived(genus)
+    registry, _ = derived(genus)
     files = {
         "registry": registry_text(registry),
-        "twists": tables_text(generators, genus),
         "certificates": certificates_text(standard_certificates(genus)),
     }
     for kind, text in files.items():
@@ -82,7 +70,7 @@ def test_written_files_load_and_validate_end_to_end(tmp_path, monkeypatch, capsy
 
     assert main(["validate-data", "--genus", str(genus)]) == 0
     out = capsys.readouterr().out
-    assert f"[PASS] twist-tables: {len(generators)} tables match the derived twists" in out
+    assert "[PASS] certificates: targets: f" in out
 
     assert main(["verify-theorem", "--genus", str(genus), "--n", "1"]) == 0
     out = capsys.readouterr().out

@@ -2,12 +2,7 @@
 
 import pytest
 
-from crosscap.surface import (
-    SurfaceSpec,
-    parse_registry,
-    registry_text,
-    standard_registry,
-)
+from crosscap.surface import SurfaceSpec, standard_registry
 from crosscap.twists import (
     Automorphism,
     AutomorphismError,
@@ -16,10 +11,7 @@ from crosscap.twists import (
     ExpressionError,
     PHI_EXPRESSION,
     TwistGenerator,
-    TwistTableError,
     apply_to_curve,
-    attach_tables,
-    audit_tables,
     check_certificate,
     curve_for_generator,
     derive_generator,
@@ -30,14 +22,10 @@ from crosscap.twists import (
     fixing_suite,
     generator_for_curve,
     generator_names,
-    load_twist_tables,
     parse_expression,
-    parse_twist_tables,
     relation_suite,
     standard_certificates,
-    tables_text,
     verify_key_conjugation,
-    write_twist_tables,
 )
 from crosscap.words import CyclicWord, Word
 
@@ -226,107 +214,3 @@ def test_certificate_unknown_target(world4):
     with pytest.raises(CertificateError, match="q9"):
         check_certificate(stray, gens, 4)
 
-
-# -- twist-table files -------------------------------------------------------
-
-
-def test_tables_round_trip_through_text(world4):
-    reg, gens = world4
-    parsed = parse_twist_tables(tables_text(gens, 4), 4)
-    attached = attach_tables(reg, parsed)
-    for name in gens:
-        assert attached[name].auto.images == gens[name].auto.images
-
-
-def test_tables_round_trip_through_file(tmp_path, world4):
-    reg, gens = world4
-    path = tmp_path / "tables.txt"
-    write_twist_tables(gens, 4, path)
-    loaded = load_twist_tables(reg, path)
-    assert set(loaded) == set(gens)
-    assert equal(loaded["f"].auto, gens["f"].auto)
-
-
-@pytest.mark.parametrize(
-    "mangle, fragment",
-    [
-        (lambda t: t.replace("[a1]", "[a1]\n[a1]", 1), "duplicate"),
-        (lambda t: t.replace("x1 -> x1 x1 x2", "", 1), "x1"),
-    ],
-)
-def test_table_grammar_errors(world4, mangle, fragment):
-    _, gens = world4
-    text = mangle(tables_text(gens, 4))
-    with pytest.raises(TwistTableError, match=fragment):
-        parse_twist_tables(text, 4)
-
-
-def test_unknown_block_names_are_rejected_at_attach(world4):
-    """Parsing is name-agnostic; attaching demands a registered curve."""
-    reg, gens = world4
-    text = tables_text(gens, 4).replace("[a1]", "[q3]", 1)
-    tables = parse_twist_tables(text, 4)
-    with pytest.raises(TwistTableError, match="q3"):
-        attach_tables(reg, tables)
-
-
-def test_attach_rejects_tables_for_unregistered_curves():
-    reg3 = standard_registry(SurfaceSpec(3, 1))
-    reg4 = standard_registry(SurfaceSpec(4, 1))
-    gens4 = derive_generators(reg4)
-    tables = {
-        name: (gen.auto.images, gen.auto.inverse_images)
-        for name, gen in gens4.items()
-    }
-    with pytest.raises((TwistTableError, AutomorphismError)):
-        attach_tables(reg3, tables)
-
-
-def test_attach_rejects_corrupted_images(world4):
-    reg, gens = world4
-    tables = {
-        "a1": (gens["a2"].auto.images, gens["a1"].auto.inverse_images),
-    }
-    with pytest.raises((TwistTableError, AutomorphismError)):
-        attach_tables(reg, tables)
-
-
-def test_attach_names_the_generators_a_partial_table_lacks(world4):
-    reg, gens = world4
-    tables = {
-        name: (gen.auto.images, gen.auto.inverse_images)
-        for name, gen in gens.items()
-        if name not in ("b", "y2")
-    }
-    with pytest.raises(TwistTableError, match=r"lacks .*: \[b\], \[y2\]$"):
-        attach_tables(reg, tables)
-
-
-def test_audit_catches_a_silently_inverted_table(world4):
-    reg, gens = world4
-    flipped = dict(gens)
-    flipped["b"] = TwistGenerator("b", gens["b"].curve, gens["b"].auto.inverse())
-    results = audit_tables(reg, flipped)
-    bad = [r for r in results if not r.ok]
-    assert len(bad) == 1
-    assert bad[0].subject == "b"
-    assert "arrow" in bad[0].detail
-
-
-def test_audit_is_clean_on_derived_tables(world4):
-    reg, gens = world4
-    assert all(r.ok for r in audit_tables(reg, gens))
-
-
-def test_audit_names_a_curve_that_cannot_be_twisted(world4):
-    reg, gens = world4
-    lines = registry_text(reg).splitlines()
-    (row,) = [i for i, line in enumerate(lines) if line.startswith("epsilon |")]
-    name, word, _, arrow = lines[row].split(" | ")
-    lines[row] = " | ".join((name, word, "A1-,A4-,A2-,A3-", arrow))
-    crossing = parse_registry(reg.spec, "\n".join(lines))
-    results = audit_tables(crossing, gens)
-    bad = [r for r in results if not r.ok]
-    assert [r.subject for r in bad] == ["e"]
-    assert bad[0].detail.startswith("twist derivation: curve epsilon: ")
-    assert "chords cross" in bad[0].detail
