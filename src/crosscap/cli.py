@@ -48,7 +48,7 @@ from crosscap.twists import (
     ExpressionError,
     apply_to_curve,
     check_certificate,
-    derive_generator,
+    derive_generators,
     equal,
     evaluate,
     first_difference,
@@ -220,14 +220,10 @@ def _load_registry(args) -> tuple[Registry, str]:
 
 
 def _load_generators(registry: Registry) -> dict:
-    generators = {}
-    for rec in registry:
-        try:
-            gen = derive_generator(registry, rec.name)
-        except ValueError as exc:
-            raise _WorldError(f"twist derivation: curve {rec.name}: {exc}") from exc
-        generators[gen.name] = gen
-    return generators
+    try:
+        return derive_generators(registry)
+    except ValueError as exc:
+        raise _WorldError(f"twist derivation: {exc}") from exc
 
 
 def _load_certificates(args) -> tuple[dict, str]:

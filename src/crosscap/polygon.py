@@ -337,6 +337,13 @@ def twist_based_loop(
 ) -> list[Event]:
     """Image of a based loop under the Dehn twist along `curve`."""
     _check_twistable(curve, arrow)
+    return _twist_based_loop(curve, arrow, events)
+
+
+def _twist_based_loop(
+    curve: CurveGeometry, arrow: int, events: Sequence[Event]
+) -> list[Event]:
+    # the caller has run _check_twistable(curve, arrow)
     new_events: list[Event] = []
     prev = _ANCHOR
     for ev in events:
@@ -373,13 +380,14 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     whose class is (x₁²⋯x_{i-1}²) x_i (x₁²⋯x_{i-1}²)⁻¹; images of the
     x_i themselves follow by the triangular recursion.
     """
+    _check_twistable(curve, arrow)
     genus = curve.genus
     forbidden = curve.params()
     images: list[Word] = []
     shell = Word(genus)  # image of x₁²⋯x_{i-1}²
     for i in range(1, genus + 1):
         (tau,) = fresh_params(1, forbidden)
-        spliced = twist_based_loop(curve, arrow, [Event(i, True, tau)])
+        spliced = _twist_based_loop(curve, arrow, [Event(i, True, tau)])
         h_i = spell_based_loop(genus, spliced)
         x_i = shell.inverse() * h_i * shell
         images.append(x_i)
@@ -392,9 +400,17 @@ def apply_images(images: Sequence[Word], word: Word) -> Word:
 
     Accumulates into one list with inline cancellation rather than
     repeated ``Word`` multiplication, so the cost is linear in the total
-    number of substituted letters.
+    number of substituted letters.  Raises ValueError unless there is one
+    image per generator and every image has the word's genus.
     """
     genus = word.genus
+    if len(images) != genus:
+        raise ValueError(f"cannot apply {len(images)} images to a word of genus {genus}")
+    for image in images:
+        if image.genus != genus:
+            raise ValueError(
+                f"cannot apply images of genus {image.genus} to a word of genus {genus}"
+            )
     table: dict[int, tuple[int, ...]] = {}
     out: list[int] = []
     push, pop = out.append, out.pop
@@ -409,4 +425,5 @@ def apply_images(images: Sequence[Word], word: Word) -> Word:
                 pop()
             else:
                 push(t)
-    return Word(genus, tuple(out))
+    # image letters are valid for the genus and the stack leaves no pair to cancel
+    return Word._trusted(genus, tuple(out))

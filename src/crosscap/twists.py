@@ -147,8 +147,6 @@ _GENERATOR_FOR_CURVE = {
     "zeta": "f",
     "psi": "y2",
 }
-_CURVE_FOR_GENERATOR = {v: k for k, v in _GENERATOR_FOR_CURVE.items()}
-_CHAIN_GEN_RE = re.compile(r"a([1-9]\d*)$")
 
 
 def generator_for_curve(curve_name: str) -> str:
@@ -159,13 +157,6 @@ def generator_for_curve(curve_name: str) -> str:
     if gen is None:
         raise UnknownCurveError(f"no generator letter for curve {curve_name!r}")
     return gen
-
-
-def curve_for_generator(gen_name: str) -> str | None:
-    m = _CHAIN_GEN_RE.match(gen_name)
-    if m:
-        return f"alpha_{m.group(1)}"
-    return _CURVE_FOR_GENERATOR.get(gen_name)
 
 
 def generator_names(genus: int) -> tuple[str, ...]:
@@ -198,9 +189,17 @@ def derive_generator(registry: Registry, curve_name: str) -> TwistGenerator:
 
 
 def derive_generators(registry: Registry) -> dict[str, TwistGenerator]:
+    """Every registered curve's twist generator, keyed by generator name.
+
+    A curve whose twist cannot be derived raises ValueError naming it:
+    ``curve <name>: <reason>``.
+    """
     gens: dict[str, TwistGenerator] = {}
     for rec in registry:
-        gen = derive_generator(registry, rec.name)
+        try:
+            gen = derive_generator(registry, rec.name)
+        except ValueError as exc:
+            raise ValueError(f"curve {rec.name}: {exc}") from exc
         gens[gen.name] = gen
     return gens
 
@@ -431,12 +430,22 @@ def write_certificates(
 # -- invariant suites --------------------------------------------------------
 
 
+def _compose(outer: Sequence[Word], inner: Sequence[Word]) -> tuple[Word, ...]:
+    """Images of outer∘inner (inner acts first), given both maps' images.
+
+    The relation checks compare images only, as `equal` does, so they
+    skip the inverse images that `Automorphism.after` would compose.
+    """
+    return tuple(apply_images(outer, w) for w in inner)
+
+
 def _braid_holds(p: Automorphism, q: Automorphism) -> bool:
-    return equal(p.after(q).after(p), q.after(p).after(q))
+    pqp = _compose(_compose(p.images, q.images), p.images)
+    return pqp == _compose(_compose(q.images, p.images), q.images)
 
 
 def _commute_holds(p: Automorphism, q: Automorphism) -> bool:
-    return equal(p.after(q), q.after(p))
+    return _compose(p.images, q.images) == _compose(q.images, p.images)
 
 
 def relation_suite(

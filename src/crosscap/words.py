@@ -62,6 +62,15 @@ class Word:
                 )
         object.__setattr__(self, "letters", _reduce(letters))
 
+    @classmethod
+    def _trusted(cls, genus: int, letters: tuple[int, ...]) -> "Word":
+        """A word whose letters are known to be valid for `genus` and freely
+        reduced; nothing is checked, so callers must guarantee both."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "genus", genus)
+        object.__setattr__(word, "letters", letters)
+        return word
+
     # -- basic protocol ------------------------------------------------
 
     def __len__(self) -> int:
@@ -93,10 +102,15 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         self._check_compatible(other)
-        return Word(self.genus, self.letters + other.letters)
+        # both factors are reduced, so cancellation happens only at the seam
+        left, right = self.letters, other.letters
+        n, cut = len(left), 0
+        while cut < n and cut < len(right) and left[n - 1 - cut] == -right[cut]:
+            cut += 1
+        return Word._trusted(self.genus, left[: n - cut] + right[cut:])
 
     def inverse(self) -> "Word":
-        return Word(self.genus, tuple(-s for s in reversed(self.letters)))
+        return Word._trusted(self.genus, tuple(-s for s in reversed(self.letters)))
 
     def __pow__(self, n: int) -> "Word":
         if not isinstance(n, int):
@@ -181,21 +195,21 @@ def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    # Duval's Lyndon factorisation of letters + letters (J. Algorithms 4,
+    # 1983), in _letter_key order: the least rotation starts where the
+    # last Lyndon factor that begins in the first copy begins.  Linear time.
     n = len(letters)
-    if n == 0:
-        return letters
-    keys = [_letter_key(s) for s in letters]
-    best = 0
-    for cand in range(1, n):
-        for t in range(n):
-            a = keys[(cand + t) % n]
-            b = keys[(best + t) % n]
-            if a < b:
-                best = cand
-                break
-            if a > b:
-                break
-    return letters[best:] + letters[:best]
+    keys = [_letter_key(s) for s in letters] * 2
+    i = start = 0
+    while i < n:
+        start = i
+        j, k = i + 1, i
+        while j < 2 * n and keys[k] <= keys[j]:
+            k = i if keys[k] < keys[j] else k + 1
+            j += 1
+        while i <= k:
+            i += j - k
+    return letters[start:] + letters[:start]
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,28 @@ def test_verify_theorem_structured_output_is_byte_stable(capsys):
     assert lines[-1] == "result=PASS"
 
 
+@pytest.mark.parametrize(
+    "genus, curves, checks, identities",
+    [(4, 8, 42, 31), (10, 14, 111, 103), (20, 24, 306, 308)],
+)
+def test_verify_theorem_text_verdict_is_pinned(capsys, genus, curves, checks, identities):
+    # the counts pin how many checks run: a dropped check must not PASS
+    allowed = ", ".join([f"a{i}" for i in range(1, genus)] + ["b", "e"])
+    code, out, err = run(capsys, "verify-theorem", "--genus", str(genus), "--n", "1")
+    assert code == 0
+    assert err == ""
+    assert out == (
+        f"[PASS] registry-validation: {curves} curves, {checks} checks\n"
+        f"[PASS] twist-suite: {identities} identities\n"
+        "[PASS] key-conjugation: curve clause and twist clause hold\n"
+        f"[PASS] certificate-f: expression stays inside {allowed}\n"
+        "[SKIP] certificate-c: no certificate provided\n"
+        "[SKIP] certificate-y2: no certificate provided\n"
+        "[PASS] homology-smoke: determinants are units; products match\n"
+        f"verify-theorem: PASS (genus {genus}, n 1)\n"
+    )
+
+
 def test_verify_theorem_needs_genus_four(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-theorem", "--genus", "3", "--n", "1"])

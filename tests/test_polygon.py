@@ -126,24 +126,37 @@ def test_shared_endpoint_parameters_are_degenerate():
 def test_one_sided_curve_rejected_for_twisting():
     c = CurveGeometry(2, [Event(1, True, F(1, 2))])
     assert not c.is_two_sided()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot twist along a one-sided curve$"):
         twist_based_loop(c, 1, [Event(2, True, F(1, 4))])
+    with pytest.raises(ValueError, match="^cannot twist along a one-sided curve$"):
+        twist_images(c, 1)
 
 
 def test_self_crossing_curve_rejected_for_twisting():
     c = CurveGeometry(3, [Event(1, True, F(1, 3)), Event(2, False, F(2, 3))])
     assert c.is_two_sided() and c.self_crossing_count() == 1
-    with pytest.raises(ValueError, match="chords cross"):
-        twist_images(c, 1)
-    with pytest.raises(ValueError, match="chords cross"):
-        twist_cyclic(c, 1, alpha(3, 2))
+    text = (
+        "cannot twist along a curve whose chords cross (1 self-crossings): "
+        "detours are ordered only along an embedded curve"
+    )
+    for twist in (
+        lambda: twist_images(c, 1),
+        lambda: twist_images(c, -1),
+        lambda: twist_based_loop(c, 1, [Event(2, True, F(1, 4))]),
+        lambda: twist_cyclic(c, 1, alpha(3, 2)),
+    ):
+        with pytest.raises(ValueError) as exc:
+            twist()
+        assert str(exc.value) == text
 
 
 def test_bad_arrow_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^twist arrow must be"):
         twist_based_loop(alpha(2, 1), 0, [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^twist arrow must be"):
         twist_cyclic(alpha(2, 1), 2, alpha(2, 1))
+    with pytest.raises(ValueError, match="^twist arrow must be"):
+        twist_images(alpha(2, 1), 0)
 
 
 # -- fresh parameters -------------------------------------------------------
@@ -173,6 +186,18 @@ def test_refresh_events_preserves_class():
 def test_chain_twist_images_on_two_crosscaps():
     images = twist_images(alpha(2, 1), 1)
     assert images == [w("x1 x1 x2", 2), w("x2^-1 x1^-1 x2", 2)]
+
+
+def test_apply_images_rejects_images_of_another_genus():
+    word = w("x1 x2", 2)
+    with pytest.raises(ValueError, match="images of genus 3 to a word of genus 2"):
+        apply_images([w("x1", 3), w("x2", 3)], word)
+    with pytest.raises(ValueError, match="images of genus 3 to a word of genus 2"):
+        apply_images([w("x1", 2), w("x2", 3)], word)
+    with pytest.raises(ValueError, match="1 images to a word of genus 2"):
+        apply_images([w("x1", 2)], word)
+    with pytest.raises(ValueError, match="3 images to a word of genus 2"):
+        apply_images([w("x1", 2), w("x2", 2), w("x1", 2)], word)
 
 
 def test_twists_fix_the_boundary_word():

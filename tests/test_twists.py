@@ -2,7 +2,7 @@
 
 import pytest
 
-from crosscap.surface import SurfaceSpec, standard_registry
+from crosscap.surface import SurfaceSpec, parse_registry, registry_text, standard_registry
 from crosscap.twists import (
     Automorphism,
     AutomorphismError,
@@ -13,7 +13,6 @@ from crosscap.twists import (
     TwistGenerator,
     apply_to_curve,
     check_certificate,
-    curve_for_generator,
     derive_generator,
     derive_generators,
     equal,
@@ -26,6 +25,8 @@ from crosscap.twists import (
     relation_suite,
     standard_certificates,
     verify_key_conjugation,
+    _braid_holds,
+    _commute_holds,
 )
 from crosscap.words import CyclicWord, Word
 
@@ -67,7 +68,6 @@ def test_the_smallest_twist_is_pinned():
 def test_generator_curve_naming():
     assert generator_for_curve("alpha_3") == "a3"
     assert generator_for_curve("zeta") == "f"
-    assert curve_for_generator("y2") == "psi"
     assert generator_names(4) == ("a1", "a2", "a3", "b", "c", "e", "f", "y2")
     assert generator_names(3) == ("a1", "a2")
 
@@ -138,6 +138,39 @@ def test_relation_and_fixing_suites_are_clean(genus):
     gens = derive_generators(reg)
     for result in fixing_suite(reg, gens) + relation_suite(reg, gens):
         assert result.ok, result.format()
+
+
+def test_derive_generators_names_a_curve_that_cannot_be_twisted():
+    # this ordering of epsilon's crossings gives chords that cross
+    lines = registry_text(standard_registry(SurfaceSpec(4, 1))).splitlines()
+    (row,) = [i for i, line in enumerate(lines) if line.startswith("epsilon |")]
+    name, word, _, arrow = lines[row].split(" | ")
+    lines[row] = " | ".join((name, word, "A1-,A4-,A2-,A3-", arrow))
+    reg = parse_registry(SurfaceSpec(4, 1), "\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        derive_generators(reg)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"curve epsilon: {exc.value.__cause__}"
+    assert str(exc.value).startswith(
+        "curve epsilon: cannot twist along a curve whose chords cross ("
+    )
+
+
+@pytest.mark.parametrize("genus", [4, 5, 6, 7])
+def test_relation_checks_equal_their_definitions(genus):
+    """The image-only checks agree with composing whole automorphisms,
+    on pairs where the relation holds and on pairs where it fails."""
+    gens = derive_generators(standard_registry(SurfaceSpec(genus, 1)))
+    autos = [gen.auto for gen in gens.values()]
+    outcomes = set()
+    for p in autos:
+        for q in autos:
+            commute = equal(p.after(q), q.after(p))
+            braid = equal(p.after(q).after(p), q.after(p).after(q))
+            assert _commute_holds(p, q) == commute
+            assert _braid_holds(p, q) == braid
+            outcomes |= {("commute", commute), ("braid", braid)}
+    assert outcomes == {(kind, ok) for kind in ("commute", "braid") for ok in (True, False)}
 
 
 def test_relation_suite_braids_chain_with_beta_from_genus_five():

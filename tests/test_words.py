@@ -43,6 +43,14 @@ def test_parse_rejects_garbage():
         Word(0, ())
 
 
+@pytest.mark.parametrize(
+    "letters", [(0,), (4,), (-4,), (1, 4, -1), (1.0,), ("x1",), (None,)], ids=repr
+)
+def test_the_constructor_rejects_every_invalid_letter(letters):
+    with pytest.raises(ValueError, match="is not valid for genus 3"):
+        Word(3, letters)
+
+
 def test_parse_exponents_and_identity_token():
     assert Word.parse("x1^2 x2^-2", 3).letters == (1, 1, -2, -2)
     assert Word.parse("1", 3) == Word.identity(3)
