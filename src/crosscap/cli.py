@@ -528,9 +528,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.genus < 2:
         parser.error(f"--genus must be at least 2, got {args.genus}")
-    if args.command == "verify-theorem" and args.genus < MIN_RICH_GENUS:
+    if args.command in ("verify-theorem", "validate-data") and args.genus < MIN_RICH_GENUS:
         parser.error(
-            f"verify-theorem needs --genus >= {MIN_RICH_GENUS} "
+            f"{args.command} needs --genus >= {MIN_RICH_GENUS} "
             f"(the twist family below that is too small), got {args.genus}"
         )
     try:

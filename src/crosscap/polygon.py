@@ -24,6 +24,18 @@ no arithmetic is done on them:
   glued sides, and loop words are read off from one marker per side,
   placed just after the side's start corner.
 
+Since only order matters, the hot paths compare integers, not
+``Fraction`` coordinates.  An operation ranks the distinct side
+parameters it involves, counting from 1, and gives the coordinate
+``(side - 1) + t`` the key ``(side - 1) * w + rank(t)``, where ``w`` is
+the number of parameters plus 1.  Keys sort exactly as the coordinates
+do, two endpoints share a key exactly when they share a coordinate, and
+the anchor 0 stays below every key.  Each operation builds one rank
+table: ``self_crossing_count`` over the curve's parameters,
+``crossing_count`` over both curves', and ``twist_images`` over the
+curve's and its based loops'.  A shared endpoint is still reported by
+its coordinate, not its key.
+
 Dehn twists act by splicing the twisting curve's event cycle into a
 target's event sequence at every chord crossing.  The detour direction
 accounts for the orientation reversal that each crosscap passage
@@ -34,23 +46,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from itertools import combinations, product
+from typing import Callable, Iterable, Sequence
 
 from crosscap.words import Word
 
-#: A chord as its (tail, head) boundary coordinates.
-Chord = tuple[Fraction, Fraction]
+#: A chord as its (tail, head) boundary coordinates, or their integer keys.
+Chord = tuple[Fraction, Fraction] | tuple[int, int]
 
 #: Based loops start and end at an anchor just inside the polygon, a hair
 #: counterclockwise of the vertex v.  Only the order of coordinates
 #: matters, and every event coordinate lies strictly inside a side, so
-#: coordinate 0 stands for that anchor: it sorts below every endpoint.
-_ANCHOR = Fraction(0)
+#: coordinate 0 stands for that anchor: it sorts below every endpoint
+#: and below every key.
+_ANCHOR = 0
 
 
 class DegeneratePositionError(Exception):
     """Two chords share an endpoint coordinate, so whether they cross is
     not defined.  Give the events distinct parameters (refresh_events)."""
+
+
+class _SharedEndpoint(DegeneratePositionError):
+    # carries the endpoint, so that a keyed caller can name its coordinate
+    def __init__(self, endpoint: Fraction | int) -> None:
+        super().__init__(f"two chords share the endpoint coordinate {endpoint}")
+        self.endpoint = endpoint
 
 
 @dataclass(frozen=True, order=True)
@@ -119,7 +140,7 @@ def parse_event_token(token: str, genus: int, t: Fraction) -> Event:
 # -- endpoint order --------------------------------------------------------
 
 
-def _on_arc(lo: Fraction, hi: Fraction, c: Fraction) -> bool:
+def _on_arc(lo: Fraction | int, hi: Fraction | int, c: Fraction | int) -> bool:
     """Is c on the open counterclockwise boundary arc from lo to hi?"""
     if lo < hi:
         return lo < c < hi
@@ -130,10 +151,42 @@ def _crosses(p: Chord, q: Chord) -> bool:
     """Do two chords cross?  They do exactly when their endpoints interleave."""
     for c in p:
         if c in q:
-            raise DegeneratePositionError(
-                f"two chords share the endpoint coordinate {c}"
-            )
+            raise _SharedEndpoint(c)
     return _on_arc(p[0], p[1], q[0]) != _on_arc(p[0], p[1], q[1])
+
+
+class _Keys:
+    """Integer keys that sort as the boundary coordinates on the sides do.
+
+    The parameter t of side s gets ``(s - 1) * width + rank(t)``; see the
+    module docstring.
+    """
+
+    def __init__(self, params: Iterable[Fraction]) -> None:
+        self.params = sorted(set(params))
+        self.rank = {t: r for r, t in enumerate(self.params, start=1)}
+        self.width = len(self.params) + 1
+
+    def key(self, side: int, t: Fraction) -> int:
+        return (side - 1) * self.width + self.rank[t]
+
+    def coordinate(self, key: int) -> Fraction:
+        below, r = divmod(key, self.width)
+        return below + self.params[r - 1]
+
+    def chords(self, curve: "CurveGeometry") -> list[Chord]:
+        """The curve's chords, endpoint for endpoint, as keys."""
+        outs = [self.key(ev.out_side, ev.t) for ev in curve.events]
+        hits = [self.key(ev.hit_side, ev.t) for ev in curve.events]
+        return list(zip(outs, hits[1:] + hits[:1]))
+
+    def count_crossings(self, pairs: Iterable[tuple[Chord, Chord]]) -> int:
+        """How many of the keyed chord pairs cross; a shared endpoint is
+        reported by its coordinate, not its key."""
+        try:
+            return sum(_crosses(p, q) for p, q in pairs)
+        except _SharedEndpoint as exc:
+            raise _SharedEndpoint(self.coordinate(exc.endpoint)) from None
 
 
 # -- spelling --------------------------------------------------------------
@@ -213,12 +266,8 @@ class CurveGeometry:
         return len(self.events) % 2 == 0
 
     def self_crossing_count(self) -> int:
-        chords = self.chords
-        return sum(
-            _crosses(chords[i], chords[j])
-            for i in range(len(chords))
-            for j in range(i + 1, len(chords))
-        )
+        keys = _Keys(self.params())
+        return keys.count_crossings(combinations(keys.chords(self), 2))
 
     def spelled(self) -> Word:
         return spell_cyclic(self.genus, self.events)
@@ -228,7 +277,8 @@ def crossing_count(a: CurveGeometry, b: CurveGeometry) -> int:
     """Number of transverse chord crossings between two curve systems."""
     if a.genus != b.genus:
         raise ValueError("curves live on different surfaces")
-    return sum(_crosses(p, q) for p in a.chords for q in b.chords)
+    keys = _Keys(a.params() | b.params())
+    return keys.count_crossings(product(keys.chords(a), keys.chords(b)))
 
 
 # -- fresh parameters ------------------------------------------------------
@@ -295,7 +345,7 @@ def _crossings_along(chord: Chord, chords: Sequence[Chord]) -> list[tuple[int, i
     `chord` to its right.
     """
     tail, head = chord
-    hits: list[tuple[bool, Fraction, int, int]] = []
+    hits: list[tuple[bool, Fraction | int, int, int]] = []
     for k, q in enumerate(chords):
         if not _crosses(chord, q):
             continue
@@ -308,9 +358,12 @@ def _crossings_along(chord: Chord, chords: Sequence[Chord]) -> list[tuple[int, i
 
 
 def _detour_sequences(
-    curve: CurveGeometry, arrow: int, chord: Chord
+    curve: CurveGeometry, arrow: int, chord: Chord, chords: Sequence[Chord]
 ) -> list[list[Event]]:
     """Detours (in order) that twisting along `curve` inserts on one chord.
+
+    `chords` are the curve's chords in the same terms as `chord`: both
+    coordinates or both keys from one table.
 
     Each crossing with curve chord k contributes one full copy of the
     curve's event cycle; the splice direction is
@@ -322,7 +375,7 @@ def _detour_sequences(
     """
     m = len(curve.events)
     sequences: list[list[Event]] = []
-    for k, sigma in _crossings_along(chord, curve.chords):
+    for k, sigma in _crossings_along(chord, chords):
         d = -arrow * (1 if k % 2 == 0 else -1) * sigma
         if d > 0:
             seq = [curve.events[(k + 1 + i) % m] for i in range(m)]
@@ -337,21 +390,30 @@ def twist_based_loop(
 ) -> list[Event]:
     """Image of a based loop under the Dehn twist along `curve`."""
     _check_twistable(curve, arrow)
-    return _twist_based_loop(curve, arrow, events)
+    return _twist_based_loop(curve, arrow, events, curve.chords, _coordinate)
+
+
+def _coordinate(side: int, t: Fraction) -> Fraction:
+    return side - 1 + t
 
 
 def _twist_based_loop(
-    curve: CurveGeometry, arrow: int, events: Sequence[Event]
+    curve: CurveGeometry,
+    arrow: int,
+    events: Sequence[Event],
+    chords: Sequence[Chord],
+    place: Callable[[int, Fraction], Fraction | int],
 ) -> list[Event]:
-    # the caller has run _check_twistable(curve, arrow)
+    # The caller has run _check_twistable(curve, arrow).  `place` puts a
+    # point of the loop in the terms of the curve's `chords`.
     new_events: list[Event] = []
     prev = _ANCHOR
     for ev in events:
-        for seq in _detour_sequences(curve, arrow, (prev, ev.hit_coord)):
+        for seq in _detour_sequences(curve, arrow, (prev, place(ev.hit_side, ev.t)), chords):
             new_events.extend(seq)
         new_events.append(ev)
-        prev = ev.out_coord
-    for seq in _detour_sequences(curve, arrow, (prev, _ANCHOR)):
+        prev = place(ev.out_side, ev.t)
+    for seq in _detour_sequences(curve, arrow, (prev, _ANCHOR), chords):
         new_events.extend(seq)
     return new_events
 
@@ -368,7 +430,7 @@ def twist_cyclic(
     new_events: list[Event] = []
     for j, ev in enumerate(target.events):
         new_events.append(ev)
-        for seq in _detour_sequences(curve, arrow, target.chords[j]):
+        for seq in _detour_sequences(curve, arrow, target.chords[j], curve.chords):
             new_events.extend(seq)
     return new_events
 
@@ -383,11 +445,14 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     _check_twistable(curve, arrow)
     genus = curve.genus
     forbidden = curve.params()
+    # the based loop through crosscap i crosses its pair at parameter taus[i-1]
+    taus = [fresh_params(1, forbidden)[0] for _ in range(genus)]
+    keys = _Keys(forbidden.union(taus))
+    chords = keys.chords(curve)
     images: list[Word] = []
     shell = Word(genus)  # image of x₁²⋯x_{i-1}²
-    for i in range(1, genus + 1):
-        (tau,) = fresh_params(1, forbidden)
-        spliced = _twist_based_loop(curve, arrow, [Event(i, True, tau)])
+    for i, tau in enumerate(taus, start=1):
+        spliced = _twist_based_loop(curve, arrow, [Event(i, True, tau)], chords, keys.key)
         h_i = spell_based_loop(genus, spliced)
         x_i = shell.inverse() * h_i * shell
         images.append(x_i)

@@ -112,13 +112,31 @@ class Automorphism:
             raise ValueError(
                 f"cannot compose automorphisms of genus {self.genus} and {other.genus}"
             )
-        images = tuple(self.apply(w) for w in other.images)
-        inverse_images = tuple(other.inverse_apply(w) for w in self.inverse_images)
+        images = _compose(self.images, other.images)
+        inverse_images = _compose(other.inverse_images, self.inverse_images)
         return Automorphism(self.genus, images, inverse_images, verify=False)
 
     def fixes_boundary(self) -> bool:
         delta = boundary_word(self.genus)
         return self.apply(delta) == delta
+
+
+def _compose(outer: Sequence[Word], inner: Sequence[Word]) -> tuple[Word, ...]:
+    """Images of outer∘inner (inner acts first), given both maps' images.
+
+    Most twist images are a bare generator x_j, whose image under outer
+    is outer's j-th image itself; only the other words are substituted.
+    The outer images must have the inner words' genus, as an
+    Automorphism's have.  The relation checks compare images only, as
+    `equal` does, so they skip the inverse images that
+    `Automorphism.after` also composes.
+    """
+    return tuple(
+        outer[w.letters[0] - 1]
+        if len(w.letters) == 1 and w.letters[0] > 0
+        else apply_images(outer, w)
+        for w in inner
+    )
 
 
 def equal(p: Automorphism, q: Automorphism) -> bool:
@@ -428,15 +446,6 @@ def write_certificates(
 
 
 # -- invariant suites --------------------------------------------------------
-
-
-def _compose(outer: Sequence[Word], inner: Sequence[Word]) -> tuple[Word, ...]:
-    """Images of outer∘inner (inner acts first), given both maps' images.
-
-    The relation checks compare images only, as `equal` does, so they
-    skip the inverse images that `Automorphism.after` would compose.
-    """
-    return tuple(apply_images(outer, w) for w in inner)
 
 
 def _braid_holds(p: Automorphism, q: Automorphism) -> bool:

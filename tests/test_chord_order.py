@@ -6,20 +6,30 @@ cut complex decides its crossings the same way.  This module keeps an
 exact rational reference: random coordinates are placed on the unit
 circle as rational points, and each answer is checked against the
 segment crossing parameter and the determinant sign computed there.
+The integer keys that stand in for coordinates are checked against the
+coordinates themselves.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from crosscap.polygon import (  # noqa: E402
+    _ANCHOR,
+    CurveGeometry,
     DegeneratePositionError,
+    Event,
+    _coordinate,
     _crosses,
     _crossings_along,
+    _Keys,
+    _twist_based_loop,
+    crossing_count,
 )
 
 Point = tuple[Fraction, Fraction]
@@ -200,3 +210,81 @@ def test_order_and_sign_along_a_chord_match_the_rational_ones(drawn, flips):
         if (hit := rational_crossing(genus, target, q)) is not None
     )
     assert _crossings_along(target, chords) == [(k, sign) for _, k, sign in expected]
+
+
+# -- integer keys against the coordinates --------------------------------------
+
+
+def _event_at(genus, c):
+    """The crossing event whose hit coordinate is c, or None when c is a
+    corner or lies on the boundary side."""
+    below, t = divmod(c, 1)
+    if t == 0 or below >= 2 * genus:
+        return None
+    side = below + 1
+    return Event((side + 1) // 2, side % 2 == 0, t)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DegeneratePositionError as exc:
+        return f"degenerate: {exc}"
+
+
+def _event_systems(drawn, split):
+    """Two curves from the drawn coordinates; equal parameters on the two
+    copies of one pair make shared endpoints, i.e. degenerate positions."""
+    genus, values = drawn
+    events = [ev for c in values if (ev := _event_at(genus, c)) is not None]
+    assume(len(events) >= 2)
+    split = min(split, len(events) - 1)
+    return (
+        CurveGeometry(genus, events[:split]),
+        CurveGeometry(genus, events[split:]),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinates(8), st.integers(min_value=1, max_value=7))
+@example((2, [Fraction(5, 2), Fraction(1, 3), Fraction(7, 2)]), 2)  # shares 7/2
+def test_keyed_counts_match_the_coordinate_counts(drawn, split):
+    a, b = _event_systems(drawn, split)
+    assert _outcome(crossing_count, a, b) == _outcome(
+        lambda: sum(_crosses(p, q) for p in a.chords for q in b.chords)
+    )
+    for curve in (a, b):
+        assert _outcome(curve.self_crossing_count) == _outcome(
+            lambda: sum(_crosses(p, q) for p, q in combinations(curve.chords, 2))
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinates(8), st.integers(min_value=1, max_value=7))
+def test_keyed_order_along_a_chord_matches_the_coordinate_order(drawn, split):
+    a, b = _event_systems(drawn, split)
+    keys = _Keys(a.params() | b.params())
+    first = b.events[0]
+    targets = list(zip(b.chords, keys.chords(b))) + [
+        ((_ANCHOR, first.hit_coord), (_ANCHOR, keys.key(first.hit_side, first.t)))
+    ]
+    for exact, keyed in targets:
+        want = _outcome(_crossings_along, exact, a.chords)
+        got = _outcome(_crossings_along, keyed, keys.chords(a))
+        if isinstance(want, str):
+            assert isinstance(got, str)
+        else:
+            assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinates(8), st.integers(min_value=1, max_value=7), st.sampled_from([1, -1]))
+def test_keyed_splices_match_the_coordinate_ones(drawn, split, arrow):
+    curve, loop = _event_systems(drawn, split)
+    keys = _Keys(curve.params() | loop.params())
+    exact = _outcome(_twist_based_loop, curve, arrow, loop.events, curve.chords, _coordinate)
+    keyed = _outcome(_twist_based_loop, curve, arrow, loop.events, keys.chords(curve), keys.key)
+    if isinstance(exact, str):
+        assert isinstance(keyed, str)
+    else:
+        assert keyed == exact

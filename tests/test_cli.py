@@ -83,6 +83,17 @@ def test_verify_theorem_needs_genus_four(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("genus", ["2", "3"])
+def test_validate_data_needs_genus_four(capsys, genus):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate-data", "--genus", genus, "--n", "1"])
+    assert exc.value.code == 2
+    assert (
+        f"validate-data needs --genus >= 4 (the twist family below that is "
+        f"too small), got {genus}"
+    ) in capsys.readouterr().err
+
+
 def test_closed_surface_runs_note_the_capping(capsys):
     code, _, err = run(capsys, "verify-theorem", "--genus", "4", "--n", "0")
     assert code == 0
@@ -125,6 +136,48 @@ def epsilon_with_crossing_chords(tmp_path):
     bad = tmp_path / "registry.txt"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return bad
+
+
+def chain_on_one_fallback_parameter(tmp_path):
+    """A genus-4 registry file whose alpha_1 and alpha_2 both cross pair 2
+    once, so both land on the same fallback parameter there."""
+    text = registry_text(standard_registry(SurfaceSpec(4, 1)))
+    lines = text.splitlines()
+    for row, line in enumerate(lines):
+        name, *rest = line.split(" | ")
+        coords = {"alpha_1": "A1-,A2-", "alpha_2": "A2-,A3-"}.get(name)
+        if coords is not None:
+            lines[row] = " | ".join((name, rest[0], coords, rest[2]))
+    path = tmp_path / "registry.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, want",
+    [
+        (
+            "verify-theorem",
+            "[FAIL] registry-validation: intersection alpha_1~alpha_2: degenerate: "
+            "two chords share the endpoint coordinate 113/40\n"
+            "verify-theorem: FAIL at stage registry-validation (genus 4, n 1)\n",
+        ),
+        (
+            "validate-data",
+            "[FAIL] registry: intersection alpha_1~alpha_2: degenerate: "
+            "two chords share the endpoint coordinate 113/40\n",
+        ),
+    ],
+)
+def test_a_degenerate_position_names_its_coordinate(tmp_path, capsys, command, want):
+    registry = chain_on_one_fallback_parameter(tmp_path)
+    code, out, _ = run(
+        capsys, command, "--genus", "4", "--n", "1", "--registry", str(registry)
+    )
+    assert code == 1
+    assert out.startswith(want)
+    if command == "verify-theorem":
+        assert out == want
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """Curve registry: construction, validation, and the file format."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
-from crosscap.polygon import Event
+from crosscap.polygon import Event, crossing_count
 from crosscap.surface import (
     CappingPolicyError,
     CurveRecord,
@@ -237,3 +238,67 @@ def test_event_ordering_is_the_registry_contract():
         for name in reg.names():
             rec = reg.curve(name)
             assert rec.cyclic_class() == CyclicWord.of(reg.geometry(name).spelled())
+
+
+# -- the crossing-count matrix -------------------------------------------------
+
+# Nonzero chord crossing counts between the standard layouts; every other
+# pair is disjoint.  These are counts of the layouts as placed, not
+# geometric intersection numbers: alpha_1/epsilon, alpha_1/zeta,
+# alpha_2/zeta, beta/epsilon, beta/zeta and epsilon/zeta are not in
+# minimal position.
+_CROSSINGS_G4 = {
+    ("alpha_1", "alpha_2"): 1,
+    ("alpha_1", "epsilon"): 2,
+    ("alpha_1", "zeta"): 3,
+    ("alpha_2", "alpha_3"): 1,
+    ("alpha_2", "epsilon"): 1,
+    ("alpha_2", "zeta"): 5,
+    ("alpha_2", "psi"): 2,
+    ("alpha_3", "epsilon"): 2,
+    ("alpha_3", "zeta"): 1,
+    ("beta", "epsilon"): 4,
+    ("beta", "zeta"): 4,
+    ("beta", "psi"): 2,
+    ("epsilon", "zeta"): 7,
+    ("epsilon", "psi"): 2,
+    ("zeta", "psi"): 2,
+}
+_CROSSINGS_G6 = {
+    **_CROSSINGS_G4,
+    ("alpha_3", "alpha_4"): 1,
+    ("alpha_4", "alpha_5"): 1,
+    ("alpha_4", "beta"): 1,
+    ("alpha_4", "gamma"): 2,
+    ("alpha_4", "epsilon"): 2,
+    ("alpha_4", "zeta"): 3,
+}
+
+#: sha256 over the lines "<genus> <a> <b> <count>\n" of every pair, for
+#: g = 4..20 and 30
+_CROSSINGS_DIGEST = "923df7ffa7939bd8fff51b1212cea0fe0523b28adc36c46aa50830468e66345a"
+
+
+def _crossing_matrix(genus):
+    registry = standard_registry(SurfaceSpec(genus, 1))
+    names = registry.names()
+    return {
+        (a, b): crossing_count(registry.geometry(a), registry.geometry(b))
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    }
+
+
+@pytest.mark.parametrize("genus, nonzero", [(4, _CROSSINGS_G4), (6, _CROSSINGS_G6)])
+def test_standard_crossing_counts_are_pinned(genus, nonzero):
+    matrix = _crossing_matrix(genus)
+    assert set(nonzero) <= set(matrix)
+    assert matrix == {pair: nonzero.get(pair, 0) for pair in matrix}
+
+
+def test_standard_crossing_counts_digest_is_pinned():
+    digest = hashlib.sha256()
+    for genus in [*range(4, 21), 30]:
+        for (a, b), count in _crossing_matrix(genus).items():
+            digest.update(f"{genus} {a} {b} {count}\n".encode())
+    assert digest.hexdigest() == _CROSSINGS_DIGEST

@@ -2,6 +2,7 @@
 
 import pytest
 
+from crosscap.polygon import apply_images
 from crosscap.surface import SurfaceSpec, parse_registry, registry_text, standard_registry
 from crosscap.twists import (
     Automorphism,
@@ -83,6 +84,27 @@ def test_composition_applies_rightmost_first(world4):
     a1, a2 = gens["a1"].auto, gens["a2"].auto
     w = Word.parse("x3", 4)
     assert a1.after(a2).apply(w) == a1.apply(a2.apply(w))
+
+
+def test_composition_substitutes_every_image():
+    """Images that are a bare generator are composed by lookup; the result
+    is what substituting every image gives, on both sides."""
+    gens = derive_generators(standard_registry(SurfaceSpec(5, 1)))
+    autos = [gen.auto for gen in gens.values()]
+    autos += [auto.inverse() for auto in autos]
+    bare = [w for auto in autos for w in auto.images if len(w) == 1 and w.letters[0] > 0]
+    assert bare and len(bare) < 5 * len(autos)
+    # x_i -> x_i^-1 has images of length one that are not bare generators
+    inverted = tuple(Word(5, (-i,)) for i in range(1, 6))
+    autos.append(Automorphism(5, inverted, inverted))
+    for p in autos:
+        for q in autos:
+            pq = p.after(q)
+            assert pq.images == tuple(apply_images(p.images, w) for w in q.images)
+            assert pq.inverse_images == tuple(
+                apply_images(q.inverse_images, w) for w in p.inverse_images
+            )
+            pq.verify_sound()
 
 
 def test_inverse_swaps_directions(world4):
