@@ -18,23 +18,26 @@ Everything is computed from the order of the chord endpoints on the
 boundary, with no points: each chord is drawn along the boundary
 interval between its ends, so which chords cross, where the crossings
 sit along each chord and the rotation at every vertex are comparisons
-of coordinates and integer ranks.  Faces come from a half-edge walk of
-that drawing, and the side gluings are matched interval-by-interval
-(the two copies of a crosscap side are subdivided at identical
-parameters, one per crossing event).
+of endpoint positions and integer ranks.  The complex runs on integer
+keys, not ``Fraction`` coordinates: one ``polygon._Keys`` table per cut,
+over the selected curves' side parameters, keys every chord endpoint,
+and polygon corner ``c`` gets the key ``c * width``, so keys sort as
+the coordinates do.  Faces come from a half-edge walk of that drawing,
+and the side gluings are matched interval-by-interval (the two copies
+of a crosscap side are subdivided at identical parameters, one per
+crossing event, so at identical parameter ranks).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from crosscap.polygon import (
     CurveGeometry,
     DegeneratePositionError,
     _crosses,
+    _Keys,
     crossing_count,
 )
 from crosscap.surface import Registry, SurfaceSpec
@@ -212,8 +215,9 @@ class _CutComplex:
         self.spec = spec
         self.curves = curves
         g = spec.genus
-        self._build_vertices(g)
+        self.keys = _Keys(ev.t for _, geom in curves for ev in geom.events)
         self._build_chords()
+        self._build_vertices(g)
         self._build_crossings()
         self._build_edges(g)
         self._build_faces()
@@ -222,28 +226,31 @@ class _CutComplex:
 
     # -- the drawing -----------------------------------------------------
 
+    def _build_chords(self) -> None:
+        # each curve's chords as keys, and one entry per chord: (curve
+        # index, chord index, tail key, head key); chord k follows
+        # crossing k.
+        self.curve_chords = [self.keys.chords(geom) for _, geom in self.curves]
+        self.chords: list[tuple[int, int, int, int]] = [
+            (ci, k, tail, head)
+            for ci, chords in enumerate(self.curve_chords)
+            for k, (tail, head) in enumerate(chords)
+        ]
+
     def _build_vertices(self, g: int) -> None:
         # boundary vertices: the polygon corners, then the chord ends
-        self.coord_vid: dict[Fraction, int] = {
-            Fraction(corner): corner for corner in range(0, 2 * g + 1)
+        w = self.keys.width
+        self.coord_vid: dict[int, int] = {
+            corner * w: corner for corner in range(0, 2 * g + 1)
         }
-        for _, geom in self.curves:
-            for chord in geom.chords:
-                for coord in chord:
-                    if coord in self.coord_vid:
-                        raise DegeneratePositionError(
-                            f"two curve endpoints share boundary coordinate {coord}"
-                        )
-                    self.coord_vid[coord] = len(self.coord_vid)
-
-    def _build_chords(self) -> None:
-        # one entry per chord: (curve index, chord index, tail coordinate,
-        # head coordinate); chord k follows crossing k.
-        self.chords: list[tuple[int, int, Fraction, Fraction]] = [
-            (ci, k, tail, head)
-            for ci, (_, geom) in enumerate(self.curves)
-            for k, (tail, head) in enumerate(geom.chords)
-        ]
+        for _, _, tail, head in self.chords:
+            for key in (tail, head):
+                if key in self.coord_vid:
+                    raise DegeneratePositionError(
+                        "two curve endpoints share boundary coordinate "
+                        f"{self.keys.coordinate(key)}"
+                    )
+                self.coord_vid[key] = len(self.coord_vid)
 
     def _build_crossings(self) -> None:
         # Each chord is drawn along the boundary interval between its
@@ -252,10 +259,13 @@ class _CutComplex:
         # chords run shallower, so nested or disjoint intervals never
         # meet, and chords whose ends interleave cross exactly once,
         # where the deeper one's end inside the shallower one's interval
-        # comes down through it.  A crossing's place on a chord is the
-        # key (0, depth) on the way down, (1, x) along and (2, -depth) on
-        # the way up, counted from the lower end, and negated when the
-        # tail is the upper end, so keys ascend from tail to head.
+        # comes down through it.  Depth ranks the intervals by their key
+        # length: keys keep strict nesting, and no two endpoints share a
+        # key, which is all the drawing needs.  A crossing's place on a
+        # chord is the key (0, depth) on the way down, (1, x) along and
+        # (2, -depth) on the way up, counted from the lower end, and
+        # negated when the tail is the upper end, so keys ascend from
+        # tail to head.
         n_chords = len(self.chords)
         spans = [sorted(chord[2:]) for chord in self.chords]  # [lower, upper]
         ranked = sorted(
@@ -281,7 +291,9 @@ class _CutComplex:
                 }
                 for c in (i, j):
                     if self.chords[c][2] > self.chords[c][3]:
-                        key[c] = tuple(-v for v in key[c])
+                        # a literal, not tuple() of a generator, whose
+                        # resized tuples pile up in CPython's free lists
+                        key[c] = (-key[c][0], -key[c][1])
                 vid = len(self.coord_vid) + len(self.crossings)
                 self.splits[i].append((key[i], vid))
                 self.splits[j].append((key[j], vid))
@@ -289,24 +301,27 @@ class _CutComplex:
 
     def _build_edges(self, g: int) -> None:
         # edges: ("arc", u, v, side, t0, t1) with u -> v counterclockwise,
-        # or ("chord", u, v, chord index).  Half-edge 2e is u -> v.
+        # or ("chord", u, v, chord index).  Half-edge 2e is u -> v.  An
+        # arc's t0 and t1 are parameter ranks along its side: 0 at the
+        # start corner, w at the end corner.
         self.edges: list[tuple] = []
+        w = self.keys.width
         coords = sorted(self.coord_vid)
         K = len(coords)
         for idx in range(K):
             a = coords[idx]
             if idx < K - 1:
                 b = coords[idx + 1]
-                side = math.floor(a) + 1
-                t0, t1 = a - (side - 1), b - (side - 1)
+                side = a // w + 1
+                t0, t1 = a - (side - 1) * w, b - (side - 1) * w
             else:
                 # the wrap arc is exactly the free side: no curve touches it
-                if a != 2 * g:
+                if a != 2 * g * w:
                     raise DegeneratePositionError(
                         "a curve endpoint landed on the free side"
                     )
                 b = coords[0]
-                side, t0, t1 = 2 * g + 1, Fraction(0), Fraction(1)
+                side, t0, t1 = 2 * g + 1, 0, w
             self.edges.append(
                 ("arc", self.coord_vid[a], self.coord_vid[b], side, t0, t1)
             )
@@ -329,7 +344,7 @@ class _CutComplex:
         e = self.edges[he >> 1]
         return e[2] if he & 1 == 0 else e[1]
 
-    def _he_rank(self, he: int) -> Fraction | int:
+    def _he_rank(self, he: int) -> int:
         # Half-edges leave a boundary vertex in the order counterclockwise
         # arc, chord, clockwise arc.  The four leaving a crossing reach
         # four boundary points without meeting one another, so they leave
@@ -398,7 +413,9 @@ class _CutComplex:
     # -- gluing ----------------------------------------------------------
 
     def _build_pairings(self, g: int) -> None:
-        arc_slot: dict[tuple[int, Fraction, Fraction], int] = {}
+        # keyed by (side, t0, t1); both copies of a side carry the same
+        # parameter ranks, so their intervals match exactly
+        arc_slot: dict[tuple[int, int, int], int] = {}
         for h, fi in self.face_of.items():
             if fi == self.outer:
                 continue
@@ -425,7 +442,7 @@ class _CutComplex:
                 self.pairings.append(
                     (arc_slot[(side_a, t0, t1)], arc_slot[(side_b, t0, t1)], 1)
                 )
-        free_slot = arc_slot[(2 * g + 1, Fraction(0), Fraction(1))]
+        free_slot = arc_slot[(2 * g + 1, 0, self.keys.width)]
         self.cap = self.spec.boundary == 0
         if self.cap:
             self.prev_in_face[_CAP_SLOT] = _CAP_SLOT
@@ -573,11 +590,11 @@ class _CutComplex:
                 stations.setdefault(ci, []).append((k, key, rid))
         edges: list[tuple[int, int, int]] = []  # (rid_from, rid_to, parity)
         # (edge id, end) -> the boundary point the strand end heads for
-        end_coord: dict[tuple[int, int], Fraction] = {}
+        end_coord: dict[tuple[int, int], int] = {}
         ends_at: dict[int, list[tuple[int, int]]] = {}  # rid -> ends
         for ci, sts in stations.items():
             sts.sort()
-            chords = self.curves[ci][1].chords
+            chords = self.curve_chords[ci]
             m = len(chords)
             n = len(sts)
             for q in range(n):

@@ -32,9 +32,10 @@ the number of parameters plus 1.  Keys sort exactly as the coordinates
 do, two endpoints share a key exactly when they share a coordinate, and
 the anchor 0 stays below every key.  Each operation builds one rank
 table: ``self_crossing_count`` over the curve's parameters,
-``crossing_count`` over both curves', and ``twist_images`` over the
-curve's and its based loops'.  A shared endpoint is still reported by
-its coordinate, not its key.
+``crossing_count`` over both curves', ``twist_images`` over the
+curve's and its based loops', and the cut complex of
+``cutting.cut_along`` over the selected curves'.  A shared endpoint is
+still reported by its coordinate, not its key.
 
 Dehn twists act by splicing the twisting curve's event cycle into a
 target's event sequence at every chord crossing.  The detour direction

@@ -264,7 +264,9 @@ def x0_names(genus: int) -> tuple[str, ...]:
     """The generating set X0: the full chain plus beta and epsilon."""
     if genus < MIN_RICH_GENUS:
         raise ValueError(f"the X0 curve set needs genus >= 4, got {genus}")
-    return tuple(f"alpha_{i}" for i in range(1, genus)) + ("beta", "epsilon")
+    # from a list, not a generator: tuple() of a generator builds and
+    # resizes tuples that then pile up in CPython's free lists
+    return tuple([f"alpha_{i}" for i in range(1, genus)] + ["beta", "epsilon"])
 
 
 def boundary_word(spec: SurfaceSpec) -> Word:

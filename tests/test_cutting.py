@@ -16,6 +16,7 @@ from crosscap.polygon import (
     DegeneratePositionError,
     Event,
     _crosses,
+    crossing_count,
     spell_cyclic,
 )
 from crosscap.surface import (
@@ -247,6 +248,36 @@ def test_random_curve_systems_cut_consistently():
     check()
 
 
+def test_registry_ribbons_total_minus_the_pairwise_crossings():
+    """On any subset of a standard registry, the neighbourhood pieces'
+    Euler characteristics sum to minus the pairwise crossing counts, which
+    polygon computes on its own, apart from the cut complex."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def cuts(draw):
+        genus = draw(st.integers(min_value=4, max_value=12))
+        boundary = draw(st.sampled_from([0, 1]))
+        reg = registry(genus, boundary)
+        names = draw(st.lists(st.sampled_from(reg.names()), unique=True))
+        return reg, names
+
+    @settings(max_examples=120, deadline=None)
+    @given(cuts())
+    def check(drawn):
+        reg, names = drawn
+        rep = cut_along(reg, names)
+        ribbons = [
+            c.euler_characteristic for c in rep.components if c.kind == "neighbourhood"
+        ]
+        geoms = [reg.geometry(name) for name in names]
+        crossings = sum(crossing_count(a, b) for a, b in combinations(geoms, 2))
+        assert sum(ribbons) == -crossings
+
+    check()
+
+
 # -- selection handling ------------------------------------------------------
 
 
@@ -350,5 +381,7 @@ def test_curves_sharing_an_endpoint_are_rejected():
         events=events,
         arrow=1,
     )
-    with pytest.raises(DegeneratePositionError, match="share boundary coordinate"):
+    with pytest.raises(DegeneratePositionError) as excinfo:
         cut_along(reg.replaced(clashing), ["alpha_2", "alpha_3"])
+    # named by its coordinate 4 + 1/3 on side 5, not by an internal key
+    assert str(excinfo.value) == "two curve endpoints share boundary coordinate 13/3"
