@@ -2,12 +2,13 @@
 
 The package models a compact non-orientable surface of genus ``g`` (a
 connected sum of ``g`` projective planes, with zero or one boundary
-circles), curves on it in exact rational coordinates, and the Dehn
-twists those curves support.  Everything downstream -- twist actions on
-the fundamental group, homology matrices, cut-and-check Euler
-characteristic arguments -- is derived from that one combinatorial
-model, so the separate layers can be played off against each other in
-tests.
+circles), curves on it as cycles of crossings with the crosscap sides,
+placed by integer side parameters whose order is all that counts, and
+the Dehn twists those curves support.  Everything downstream -- twist
+actions on the fundamental group, homology matrices, cut-and-check
+Euler characteristic arguments -- is derived from that one
+combinatorial model, so the separate layers can be played off against
+each other in tests.
 """
 
 from crosscap.cutting import ComplementReport, ComponentReport, cut_along, intersection_number

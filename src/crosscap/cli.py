@@ -31,6 +31,7 @@ from typing import Callable, Sequence
 
 from crosscap.cutting import cut_along
 from crosscap.homology import abelianize
+from crosscap.polygon import DegeneratePositionError
 from crosscap.surface import (
     MIN_RICH_GENUS,
     Registry,
@@ -393,12 +394,8 @@ def _cmd_verify_theorem(args) -> int:
 def _cmd_relation(args) -> int:
     registry, _ = _load_registry(args)
     generators = _load_generators(registry)
-    try:
-        lhs = evaluate(args.lhs, generators, args.genus)
-        rhs = evaluate(args.rhs, generators, args.genus)
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    lhs = evaluate(args.lhs, generators, args.genus)
+    rhs = evaluate(args.rhs, generators, args.genus)
     if equal(lhs, rhs):
         print("result=EQUAL" if args.fmt == "structured" else "EQUAL")
         return 0
@@ -413,11 +410,7 @@ def _cmd_relation(args) -> int:
 def _cmd_apply_curve(args) -> int:
     registry, _ = _load_registry(args)
     generators = _load_generators(registry)
-    try:
-        image = apply_to_curve(registry, generators, args.expression, args.curve)
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    image = apply_to_curve(registry, generators, args.expression, args.curve)
     if args.fmt == "structured":
         print(f"class={_spelled(image.letters, ',')}")
     else:
@@ -428,11 +421,7 @@ def _cmd_apply_curve(args) -> int:
 def _cmd_homology(args) -> int:
     registry, _ = _load_registry(args)
     generators = _load_generators(registry)
-    try:
-        auto = evaluate(args.expression, generators, args.genus)
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    auto = evaluate(args.expression, generators, args.genus)
     matrix = abelianize(auto)
     if args.fmt == "structured":
         print(f"matrix={matrix.structured()}")
@@ -535,10 +524,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     try:
         return _COMMANDS[args.command](args)
-    except _WorldError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownCurveError as exc:
+    except (_WorldError, UnknownCurveError, ExpressionError, DegeneratePositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,14 +18,12 @@ Everything is computed from the order of the chord endpoints on the
 boundary, with no points: each chord is drawn along the boundary
 interval between its ends, so which chords cross, where the crossings
 sit along each chord and the rotation at every vertex are comparisons
-of endpoint positions and integer ranks.  The complex runs on integer
-keys, not ``Fraction`` coordinates: one ``polygon._Keys`` table per cut,
-over the selected curves' side parameters, keys every chord endpoint,
-and polygon corner ``c`` gets the key ``c * width``, so keys sort as
-the coordinates do.  Faces come from a half-edge walk of that drawing,
-and the side gluings are matched interval-by-interval (the two copies
-of a crosscap side are subdivided at identical parameters, one per
-crossing event, so at identical parameter ranks).
+of endpoint positions and integer ranks.  The complex reads each
+curve's chords as ``polygon`` keys them, and polygon corner ``c`` gets
+the key ``c * SIDE``, so keys sort as the coordinates do.  Faces come
+from a half-edge walk of that drawing, and the side gluings are matched
+interval-by-interval (the two copies of a crosscap side are subdivided
+at identical parameters, one per crossing event).
 """
 
 from __future__ import annotations
@@ -34,10 +32,11 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from crosscap.polygon import (
+    SIDE,
     CurveGeometry,
     DegeneratePositionError,
+    _coordinate_text,
     _crosses,
-    _Keys,
     crossing_count,
 )
 from crosscap.surface import Registry, SurfaceSpec
@@ -92,10 +91,6 @@ class ComplementReport:
     @property
     def total_euler(self) -> int:
         return sum(c.euler_characteristic for c in self.components)
-
-    @property
-    def has_non_disk(self) -> bool:
-        return any(not c.is_disk for c in self.components)
 
     def non_disk_complement_pieces(self) -> tuple[ComponentReport, ...]:
         return tuple(
@@ -215,7 +210,6 @@ class _CutComplex:
         self.spec = spec
         self.curves = curves
         g = spec.genus
-        self.keys = _Keys(ev.t for _, geom in curves for ev in geom.events)
         self._build_chords()
         self._build_vertices(g)
         self._build_crossings()
@@ -227,10 +221,9 @@ class _CutComplex:
     # -- the drawing -----------------------------------------------------
 
     def _build_chords(self) -> None:
-        # each curve's chords as keys, and one entry per chord: (curve
-        # index, chord index, tail key, head key); chord k follows
-        # crossing k.
-        self.curve_chords = [self.keys.chords(geom) for _, geom in self.curves]
+        # each curve's chords, and one entry per chord: (curve index,
+        # chord index, tail key, head key); chord k follows crossing k.
+        self.curve_chords = [geom.chords for _, geom in self.curves]
         self.chords: list[tuple[int, int, int, int]] = [
             (ci, k, tail, head)
             for ci, chords in enumerate(self.curve_chords)
@@ -239,16 +232,15 @@ class _CutComplex:
 
     def _build_vertices(self, g: int) -> None:
         # boundary vertices: the polygon corners, then the chord ends
-        w = self.keys.width
         self.coord_vid: dict[int, int] = {
-            corner * w: corner for corner in range(0, 2 * g + 1)
+            corner * SIDE: corner for corner in range(0, 2 * g + 1)
         }
         for _, _, tail, head in self.chords:
             for key in (tail, head):
                 if key in self.coord_vid:
                     raise DegeneratePositionError(
                         "two curve endpoints share boundary coordinate "
-                        f"{self.keys.coordinate(key)}"
+                        f"{_coordinate_text(key)}"
                     )
                 self.coord_vid[key] = len(self.coord_vid)
 
@@ -302,10 +294,10 @@ class _CutComplex:
     def _build_edges(self, g: int) -> None:
         # edges: ("arc", u, v, side, t0, t1) with u -> v counterclockwise,
         # or ("chord", u, v, chord index).  Half-edge 2e is u -> v.  An
-        # arc's t0 and t1 are parameter ranks along its side: 0 at the
-        # start corner, w at the end corner.
+        # arc's t0 and t1 are parameters along its side: 0 at the start
+        # corner, w = SIDE at the end corner.
         self.edges: list[tuple] = []
-        w = self.keys.width
+        w = SIDE
         coords = sorted(self.coord_vid)
         K = len(coords)
         for idx in range(K):
@@ -414,7 +406,7 @@ class _CutComplex:
 
     def _build_pairings(self, g: int) -> None:
         # keyed by (side, t0, t1); both copies of a side carry the same
-        # parameter ranks, so their intervals match exactly
+        # parameters, so their intervals match exactly
         arc_slot: dict[tuple[int, int, int], int] = {}
         for h, fi in self.face_of.items():
             if fi == self.outer:
@@ -442,7 +434,7 @@ class _CutComplex:
                 self.pairings.append(
                     (arc_slot[(side_a, t0, t1)], arc_slot[(side_b, t0, t1)], 1)
                 )
-        free_slot = arc_slot[(2 * g + 1, 0, self.keys.width)]
+        free_slot = arc_slot[(2 * g + 1, 0, SIDE)]
         self.cap = self.spec.boundary == 0
         if self.cap:
             self.prev_in_face[_CAP_SLOT] = _CAP_SLOT

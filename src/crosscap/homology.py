@@ -45,9 +45,6 @@ class HomologyMatrix:
             ),
         )
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.rows[i][j] for i in range(self.genus))
-
     def __mul__(self, other: "HomologyMatrix") -> "HomologyMatrix":
         if not isinstance(other, HomologyMatrix):
             return NotImplemented

@@ -10,9 +10,8 @@ on the boundary, and the fundamental group is free on the glued edges
 
 Curves and based loops are stored as sequences of crossing events with
 the glued sides; between crossings they run along chords of the disk,
-each given by its two boundary coordinates.  Everything here depends
-only on the cyclic order of those coordinates, so no point is built and
-no arithmetic is done on them:
+each given by its two boundary endpoints.  Everything here depends only
+on the cyclic order of those endpoints, so no point is built:
 
 * two chords cross exactly when their endpoints interleave;
 * the chords of an embedded curve do not cross one another, so those
@@ -24,18 +23,15 @@ no arithmetic is done on them:
   glued sides, and loop words are read off from one marker per side,
   placed just after the side's start corner.
 
-Since only order matters, the hot paths compare integers, not
-``Fraction`` coordinates.  An operation ranks the distinct side
-parameters it involves, counting from 1, and gives the coordinate
-``(side - 1) + t`` the key ``(side - 1) * w + rank(t)``, where ``w`` is
-the number of parameters plus 1.  Keys sort exactly as the coordinates
-do, two endpoints share a key exactly when they share a coordinate, and
-the anchor 0 stays below every key.  Each operation builds one rank
-table: ``self_crossing_count`` over the curve's parameters,
-``crossing_count`` over both curves', ``twist_images`` over the
-curve's and its based loops', and the cut complex of
-``cutting.cut_along`` over the selected curves'.  A shared endpoint is
-still reported by its coordinate, not its key.
+A side parameter is an integer ``t`` with ``0 < t < SIDE``: the point
+``t`` of side ``k`` has the boundary coordinate ``(k - 1) + t / SIDE``
+and the integer key ``(k - 1) * SIDE + t``.  Keys sort exactly as the
+coordinates do, two endpoints share a key exactly when they share a
+coordinate, and the anchor 0 stays below every key, so every
+comparison is one of integers.  A :class:`CurveGeometry` builds its
+chords as key pairs once, and crossings, twists and the cut complex of
+``cutting`` all read them.  A shared endpoint is still reported by its
+coordinate, not its key.
 
 Dehn twists act by splicing the twisting curve's event cycle into a
 target's event sequence at every chord crossing.  The detour direction
@@ -46,20 +42,24 @@ inflicts on the plane frame.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from crosscap.words import Word
 
-#: A chord as its (tail, head) boundary coordinates, or their integer keys.
-Chord = tuple[Fraction, Fraction] | tuple[int, int]
+#: The side parameters' grid: a side holds the parameters 1 .. SIDE - 1.
+#: 3840 = 2**8 * 3 * 5, so every frozen layout parameter of ``surface``
+#: (thirds and 256ths) and every one-crossing fallback parameter lies on
+#: it exactly, and keys stay below 2**30 up to genus 139,000.
+SIDE = 3840
+
+#: A chord as the keys of its (tail, head) endpoints.
+Chord = tuple[int, int]
 
 #: Based loops start and end at an anchor just inside the polygon, a hair
-#: counterclockwise of the vertex v.  Only the order of coordinates
-#: matters, and every event coordinate lies strictly inside a side, so
-#: coordinate 0 stands for that anchor: it sorts below every endpoint
-#: and below every key.
+#: counterclockwise of the vertex v.  Only the order of keys matters, and
+#: every event lies strictly inside a side, so key 0 stands for that
+#: anchor: it sorts below every endpoint.
 _ANCHOR = 0
 
 
@@ -68,11 +68,11 @@ class DegeneratePositionError(Exception):
     not defined.  Give the events distinct parameters (refresh_events)."""
 
 
-class _SharedEndpoint(DegeneratePositionError):
-    # carries the endpoint, so that a keyed caller can name its coordinate
-    def __init__(self, endpoint: Fraction | int) -> None:
-        super().__init__(f"two chords share the endpoint coordinate {endpoint}")
-        self.endpoint = endpoint
+def _coordinate_text(key: int) -> str:
+    """The boundary coordinate of a key as an exact fraction, for messages."""
+    from fractions import Fraction  # imported on demand: only messages need it
+
+    return str(Fraction(key, SIDE))
 
 
 @dataclass(frozen=True, order=True)
@@ -82,20 +82,21 @@ class Event:
     ``hit_b`` tells which copy the traversal runs into: ``True`` means
     the curve arrives on copy b (side ``2*pair``) and emerges on copy a,
     spelling a conjugate of ``+x_pair``; ``False`` is the reverse
-    passage.  ``t`` is the exact side parameter in (0, 1).
+    passage.  ``t`` is the side parameter, an integer in (0, SIDE).
     """
 
     pair: int
     hit_b: bool
-    t: Fraction
+    t: int
 
     def __post_init__(self) -> None:
         if self.pair < 1:
             raise ValueError(f"crosscap index must be >= 1, got {self.pair}")
-        t = Fraction(self.t)
-        if not (0 < t < 1):
-            raise ValueError(f"event parameter must lie strictly in (0,1), got {t}")
-        object.__setattr__(self, "t", t)
+        if type(self.t) is not int or not 0 < self.t < SIDE:
+            raise ValueError(
+                f"event parameter must be an integer strictly between 0 and "
+                f"{SIDE}, got {self.t!r}"
+            )
 
     @property
     def hit_side(self) -> int:
@@ -106,25 +107,25 @@ class Event:
         return 2 * self.pair - 1 if self.hit_b else 2 * self.pair
 
     @property
-    def hit_coord(self) -> Fraction:
-        return self.hit_side - 1 + self.t
+    def hit_key(self) -> int:
+        return (self.hit_side - 1) * SIDE + self.t
 
     @property
-    def out_coord(self) -> Fraction:
-        return self.out_side - 1 + self.t
+    def out_key(self) -> int:
+        return (self.out_side - 1) * SIDE + self.t
 
     def flipped(self) -> "Event":
         """The same crossing traversed backwards."""
         return Event(self.pair, not self.hit_b, self.t)
 
-    def with_t(self, t: Fraction) -> "Event":
+    def with_t(self, t: int) -> "Event":
         return Event(self.pair, self.hit_b, t)
 
     def token(self) -> str:
         return f"A{self.pair}{'+' if self.hit_b else '-'}"
 
 
-def parse_event_token(token: str, genus: int, t: Fraction) -> Event:
+def parse_event_token(token: str, genus: int, t: int) -> Event:
     """Build an Event from a normal-coordinate token ``A<i>+`` / ``A<i>-``."""
     tok = token.strip()
     if len(tok) < 3 or tok[0] != "A" or tok[-1] not in "+-":
@@ -141,7 +142,7 @@ def parse_event_token(token: str, genus: int, t: Fraction) -> Event:
 # -- endpoint order --------------------------------------------------------
 
 
-def _on_arc(lo: Fraction | int, hi: Fraction | int, c: Fraction | int) -> bool:
+def _on_arc(lo: int, hi: int, c: int) -> bool:
     """Is c on the open counterclockwise boundary arc from lo to hi?"""
     if lo < hi:
         return lo < c < hi
@@ -152,42 +153,10 @@ def _crosses(p: Chord, q: Chord) -> bool:
     """Do two chords cross?  They do exactly when their endpoints interleave."""
     for c in p:
         if c in q:
-            raise _SharedEndpoint(c)
+            raise DegeneratePositionError(
+                f"two chords share the endpoint coordinate {_coordinate_text(c)}"
+            )
     return _on_arc(p[0], p[1], q[0]) != _on_arc(p[0], p[1], q[1])
-
-
-class _Keys:
-    """Integer keys that sort as the boundary coordinates on the sides do.
-
-    The parameter t of side s gets ``(s - 1) * width + rank(t)``; see the
-    module docstring.
-    """
-
-    def __init__(self, params: Iterable[Fraction]) -> None:
-        self.params = sorted(set(params))
-        self.rank = {t: r for r, t in enumerate(self.params, start=1)}
-        self.width = len(self.params) + 1
-
-    def key(self, side: int, t: Fraction) -> int:
-        return (side - 1) * self.width + self.rank[t]
-
-    def coordinate(self, key: int) -> Fraction:
-        below, r = divmod(key, self.width)
-        return below + self.params[r - 1]
-
-    def chords(self, curve: "CurveGeometry") -> list[Chord]:
-        """The curve's chords, endpoint for endpoint, as keys."""
-        outs = [self.key(ev.out_side, ev.t) for ev in curve.events]
-        hits = [self.key(ev.hit_side, ev.t) for ev in curve.events]
-        return list(zip(outs, hits[1:] + hits[:1]))
-
-    def count_crossings(self, pairs: Iterable[tuple[Chord, Chord]]) -> int:
-        """How many of the keyed chord pairs cross; a shared endpoint is
-        reported by its coordinate, not its key."""
-        try:
-            return sum(_crosses(p, q) for p, q in pairs)
-        except _SharedEndpoint as exc:
-            raise _SharedEndpoint(self.coordinate(exc.endpoint)) from None
 
 
 # -- spelling --------------------------------------------------------------
@@ -240,8 +209,8 @@ def spell_cyclic(genus: int, events: Sequence[Event]) -> Word:
 class CurveGeometry:
     """A closed curve realized as chords between its crossing events.
 
-    chord k runs from event k's emergence coordinate to event k+1's hit
-    coordinate (indices cyclic), so chord k follows crossing k.
+    chord k runs from event k's emergence key to event k+1's hit key
+    (indices cyclic), so chord k follows crossing k.
     """
 
     def __init__(self, genus: int, events: Sequence[Event]):
@@ -256,19 +225,18 @@ class CurveGeometry:
         self.events: tuple[Event, ...] = tuple(events)
         m = len(self.events)
         self.chords: list[Chord] = [
-            (self.events[k].out_coord, self.events[(k + 1) % m].hit_coord)
+            (self.events[k].out_key, self.events[(k + 1) % m].hit_key)
             for k in range(m)
         ]
 
-    def params(self) -> set[Fraction]:
+    def params(self) -> set[int]:
         return {ev.t for ev in self.events}
 
     def is_two_sided(self) -> bool:
         return len(self.events) % 2 == 0
 
     def self_crossing_count(self) -> int:
-        keys = _Keys(self.params())
-        return keys.count_crossings(combinations(keys.chords(self), 2))
+        return sum(_crosses(p, q) for p, q in combinations(self.chords, 2))
 
     def spelled(self) -> Word:
         return spell_cyclic(self.genus, self.events)
@@ -278,37 +246,32 @@ def crossing_count(a: CurveGeometry, b: CurveGeometry) -> int:
     """Number of transverse chord crossings between two curve systems."""
     if a.genus != b.genus:
         raise ValueError("curves live on different surfaces")
-    keys = _Keys(a.params() | b.params())
-    return keys.count_crossings(product(keys.chords(a), keys.chords(b)))
+    return sum(_crosses(p, q) for p, q in product(a.chords, b.chords))
 
 
 # -- fresh parameters ------------------------------------------------------
 
 
-def fresh_params(m: int, forbidden: Iterable[Fraction]) -> list[Fraction]:
-    """Deterministic distinct parameters in (0,1) avoiding `forbidden`.
+def fresh_params(m: int, forbidden: Iterable[int]) -> list[int]:
+    """Deterministic distinct parameters in (0, SIDE) avoiding `forbidden`.
 
-    Evenly spaced base points are nudged by an exact epsilon small
-    enough that no nudge can reach the next base point.
+    Evenly spaced base points, each moved up by 1 until it is free.
     """
-    if m == 0:
-        return []
-    avoid = set(Fraction(f) for f in forbidden)
-    max_den = max((f.denominator for f in avoid), default=1)
-    eps = Fraction(1, 4 * m * (max_den + 1) * (len(avoid) + 2))
-    out: list[Fraction] = []
+    taken = set(forbidden)
+    out: list[int] = []
     for j in range(m):
-        q = Fraction(2 * j + 1, 2 * m)
-        while q in avoid or q in out:
-            q += eps
-        if not (0 < q < 1):
-            raise DegeneratePositionError("fresh parameter escaped (0,1)")
+        q = (2 * j + 1) * SIDE // (2 * m)
+        while q in taken:
+            q += 1
+        if not 0 < q < SIDE:
+            raise DegeneratePositionError(f"fresh parameter escaped (0, {SIDE})")
+        taken.add(q)
         out.append(q)
     return out
 
 
 def refresh_events(
-    genus: int, events: Sequence[Event], forbidden: Iterable[Fraction]
+    genus: int, events: Sequence[Event], forbidden: Iterable[int]
 ) -> list[Event]:
     """Reassign distinct parameters to an event sequence.
 
@@ -346,7 +309,7 @@ def _crossings_along(chord: Chord, chords: Sequence[Chord]) -> list[tuple[int, i
     `chord` to its right.
     """
     tail, head = chord
-    hits: list[tuple[bool, Fraction | int, int, int]] = []
+    hits: list[tuple[bool, int, int, int]] = []
     for k, q in enumerate(chords):
         if not _crosses(chord, q):
             continue
@@ -359,12 +322,9 @@ def _crossings_along(chord: Chord, chords: Sequence[Chord]) -> list[tuple[int, i
 
 
 def _detour_sequences(
-    curve: CurveGeometry, arrow: int, chord: Chord, chords: Sequence[Chord]
+    curve: CurveGeometry, arrow: int, chord: Chord
 ) -> list[list[Event]]:
     """Detours (in order) that twisting along `curve` inserts on one chord.
-
-    `chords` are the curve's chords in the same terms as `chord`: both
-    coordinates or both keys from one table.
 
     Each crossing with curve chord k contributes one full copy of the
     curve's event cycle; the splice direction is
@@ -376,7 +336,7 @@ def _detour_sequences(
     """
     m = len(curve.events)
     sequences: list[list[Event]] = []
-    for k, sigma in _crossings_along(chord, chords):
+    for k, sigma in _crossings_along(chord, curve.chords):
         d = -arrow * (1 if k % 2 == 0 else -1) * sigma
         if d > 0:
             seq = [curve.events[(k + 1 + i) % m] for i in range(m)]
@@ -391,30 +351,21 @@ def twist_based_loop(
 ) -> list[Event]:
     """Image of a based loop under the Dehn twist along `curve`."""
     _check_twistable(curve, arrow)
-    return _twist_based_loop(curve, arrow, events, curve.chords, _coordinate)
-
-
-def _coordinate(side: int, t: Fraction) -> Fraction:
-    return side - 1 + t
+    return _twist_based_loop(curve, arrow, events)
 
 
 def _twist_based_loop(
-    curve: CurveGeometry,
-    arrow: int,
-    events: Sequence[Event],
-    chords: Sequence[Chord],
-    place: Callable[[int, Fraction], Fraction | int],
+    curve: CurveGeometry, arrow: int, events: Sequence[Event]
 ) -> list[Event]:
-    # The caller has run _check_twistable(curve, arrow).  `place` puts a
-    # point of the loop in the terms of the curve's `chords`.
+    # The caller has run _check_twistable(curve, arrow).
     new_events: list[Event] = []
     prev = _ANCHOR
     for ev in events:
-        for seq in _detour_sequences(curve, arrow, (prev, place(ev.hit_side, ev.t)), chords):
+        for seq in _detour_sequences(curve, arrow, (prev, ev.hit_key)):
             new_events.extend(seq)
         new_events.append(ev)
-        prev = place(ev.out_side, ev.t)
-    for seq in _detour_sequences(curve, arrow, (prev, _ANCHOR), chords):
+        prev = ev.out_key
+    for seq in _detour_sequences(curve, arrow, (prev, _ANCHOR)):
         new_events.extend(seq)
     return new_events
 
@@ -431,7 +382,7 @@ def twist_cyclic(
     new_events: list[Event] = []
     for j, ev in enumerate(target.events):
         new_events.append(ev)
-        for seq in _detour_sequences(curve, arrow, target.chords[j], curve.chords):
+        for seq in _detour_sequences(curve, arrow, target.chords[j]):
             new_events.extend(seq)
     return new_events
 
@@ -448,12 +399,10 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     forbidden = curve.params()
     # the based loop through crosscap i crosses its pair at parameter taus[i-1]
     taus = [fresh_params(1, forbidden)[0] for _ in range(genus)]
-    keys = _Keys(forbidden.union(taus))
-    chords = keys.chords(curve)
     images: list[Word] = []
     shell = Word(genus)  # image of x₁²⋯x_{i-1}²
     for i, tau in enumerate(taus, start=1):
-        spliced = _twist_based_loop(curve, arrow, [Event(i, True, tau)], chords, keys.key)
+        spliced = _twist_based_loop(curve, arrow, [Event(i, True, tau)])
         h_i = spell_based_loop(genus, spliced)
         x_i = shell.inverse() * h_i * shell
         images.append(x_i)

@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from crosscap.polygon import (
+    SIDE,
     CurveGeometry,
     DegeneratePositionError,
     Event,
@@ -117,47 +117,55 @@ class CurveRecord:
 
 # -- frozen layouts ----------------------------------------------------------
 
-_F = Fraction
+
+def _grid(num: int, den: int) -> int:
+    """The side parameter num/den on the grid of polygon.SIDE; it must lie
+    on the grid exactly, or the layout would not be the one frozen."""
+    t, rest = divmod(num * SIDE, den)
+    if rest:
+        raise ValueError(f"layout parameter {num}/{den} is not on the grid 1/{SIDE}")
+    return t
+
 
 _BETA_EVENTS = (
-    Event(4, True, _F(9, 16)),
-    Event(3, True, _F(1, 2)),
-    Event(2, True, _F(7, 16)),
-    Event(1, True, _F(3, 8)),
+    Event(4, True, _grid(9, 16)),
+    Event(3, True, _grid(1, 2)),
+    Event(2, True, _grid(7, 16)),
+    Event(1, True, _grid(3, 8)),
 )
 
 _EPSILON_EVENTS = (
-    Event(1, False, _F(5, 32)),
-    Event(2, False, _F(5, 32)),
-    Event(4, False, _F(5, 32)),
-    Event(4, False, _F(13, 32)),
+    Event(1, False, _grid(5, 32)),
+    Event(2, False, _grid(5, 32)),
+    Event(4, False, _grid(5, 32)),
+    Event(4, False, _grid(13, 32)),
 )
 
 _ZETA_EVENTS = (
-    Event(2, True, _F(11, 256)),
-    Event(3, False, _F(75, 256)),
-    Event(4, True, _F(75, 256)),
-    Event(3, True, _F(139, 256)),
-    Event(4, True, _F(139, 256)),
-    Event(4, True, _F(11, 256)),
-    Event(3, True, _F(203, 256)),
-    Event(3, True, _F(11, 256)),
+    Event(2, True, _grid(11, 256)),
+    Event(3, False, _grid(75, 256)),
+    Event(4, True, _grid(75, 256)),
+    Event(3, True, _grid(139, 256)),
+    Event(4, True, _grid(139, 256)),
+    Event(4, True, _grid(11, 256)),
+    Event(3, True, _grid(203, 256)),
+    Event(3, True, _grid(11, 256)),
 )
 
 _PSI_EVENTS = (
-    Event(1, False, _F(1, 64)),
-    Event(1, False, _F(63, 64)),
-    Event(2, False, _F(1, 64)),
-    Event(2, False, _F(63, 64)),
+    Event(1, False, _grid(1, 64)),
+    Event(1, False, _grid(63, 64)),
+    Event(2, False, _grid(1, 64)),
+    Event(2, False, _grid(63, 64)),
 )
 
 _GAMMA_EVENTS = tuple(
-    Event(i, False, t) for i in (1, 2, 3, 4) for t in (_F(1, 128), _F(127, 128))
+    Event(i, False, t) for i in (1, 2, 3, 4) for t in (_grid(1, 128), _grid(127, 128))
 )
 
 
 def _chain_events(i: int) -> tuple[Event, ...]:
-    return (Event(i, True, _F(2, 3)), Event(i + 1, True, _F(1, 3)))
+    return (Event(i, True, _grid(2, 3)), Event(i + 1, True, _grid(1, 3)))
 
 
 def _frozen_layouts(genus: int) -> dict[str, tuple[tuple[Event, ...], int]]:
@@ -300,19 +308,21 @@ def write_registry(registry: Registry, path: str | Path) -> None:
     Path(path).write_text(registry_text(registry), encoding="utf-8")
 
 
-def _fallback_params(token_pairs: Sequence[tuple[int, bool]]) -> list[Fraction]:
+def _fallback_params(token_pairs: Sequence[tuple[int, bool]]) -> list[int]:
     # Parameters for curves with no frozen layout: the k-th crossing of
     # pair p lands in (0.7, 0.95), a zone no shipped layout uses, so a
     # foreign curve can still be measured against the standard ones.
+    # They order as 7/10 + (2j+1)/(8m) would for up to 16 crossings of
+    # one pair.
     mult: dict[int, int] = {}
     for pair, _ in token_pairs:
         mult[pair] = mult.get(pair, 0) + 1
     seen: dict[int, int] = {}
-    out: list[Fraction] = []
+    out: list[int] = []
     for pair, _ in token_pairs:
         j = seen.get(pair, 0)
         seen[pair] = j + 1
-        out.append(Fraction(7, 10) + Fraction(2 * j + 1, 8 * mult[pair]))
+        out.append(7 * SIDE // 10 + (2 * j + 1) * SIDE // (8 * mult[pair]))
     return out
 
 
@@ -320,7 +330,7 @@ def _events_for(
     genus: int, name: str, tokens: Sequence[str], line_no: int
 ) -> tuple[Event, ...]:
     try:
-        shaped = [parse_event_token(tok, genus, Fraction(1, 2)) for tok in tokens]
+        shaped = [parse_event_token(tok, genus, SIDE // 2) for tok in tokens]
     except ValueError as exc:
         raise RegistryFormatError(f"line {line_no}: {exc}") from None
     frozen = _frozen_layouts(genus).get(name)

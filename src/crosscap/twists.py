@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import InitVar, dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from crosscap.polygon import DegeneratePositionError, apply_images, crossing_count, twist_images
@@ -433,16 +432,6 @@ def parse_certificates(text: str) -> dict[str, Certificate]:
             raise CertificateError(f"line {line_no}: empty allowed set")
         certs[target] = Certificate(target, allowed, expression)
     return certs
-
-
-def load_certificates(path: str | Path) -> dict[str, Certificate]:
-    return parse_certificates(Path(path).read_text(encoding="utf-8"))
-
-
-def write_certificates(
-    certificates: Mapping[str, Certificate], path: str | Path
-) -> None:
-    Path(path).write_text(certificates_text(certificates), encoding="utf-8")
 
 
 # -- invariant suites --------------------------------------------------------

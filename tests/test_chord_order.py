@@ -1,17 +1,16 @@
 """The order-based chord tests agree with exact rational circle geometry.
 
 The twist engine decides crossings, their order along a chord and
-their signs from the cyclic order of boundary coordinates alone, and the
-cut complex decides its crossings the same way.  This module keeps an
-exact rational reference: random coordinates are placed on the unit
-circle as rational points, and each answer is checked against the
-segment crossing parameter and the determinant sign computed there.
-The integer keys that stand in for coordinates are checked against the
-coordinates themselves.
+their signs from the cyclic order of endpoint keys alone, and the cut
+complex decides its crossings the same way.  This module keeps an exact
+rational reference: random keys are read as the boundary coordinates
+``key / SIDE`` and placed on the unit circle as rational points, and
+each answer is checked against the segment crossing parameter and the
+determinant sign computed there.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -21,14 +20,12 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 
 from crosscap.polygon import (  # noqa: E402
     _ANCHOR,
+    SIDE,
     CurveGeometry,
     DegeneratePositionError,
     Event,
-    _coordinate,
     _crosses,
     _crossings_along,
-    _Keys,
-    _twist_based_loop,
     crossing_count,
 )
 
@@ -138,24 +135,28 @@ def test_circle_point_rejects_out_of_range():
 
 
 @st.composite
-def coordinates(draw, count):
-    """A genus and `count` distinct boundary coordinates in [0, 2g+1)."""
+def keys(draw, count):
+    """A genus and `count` distinct keys in (0, (2g+1) * SIDE).
+
+    The keys are multiples of a drawn step, coarse or 1, so that coarse
+    draws often put equal parameters on both copies of a pair.
+    """
     genus = draw(st.integers(min_value=2, max_value=6))
-    top = 2 * genus + 1
-    denominator = draw(st.integers(min_value=3, max_value=12))
-    numerators = draw(
+    top = (2 * genus + 1) * SIDE
+    step = draw(st.sampled_from([1] + [SIDE // d for d in (3, 4, 5, 6, 8, 10, 12)]))
+    multiples = draw(
         st.lists(
-            st.integers(min_value=0, max_value=top * denominator - 1),
+            st.integers(min_value=1, max_value=top // step - 1),
             min_size=count,
             max_size=count,
             unique=True,
         )
     )
-    return genus, [Fraction(n, denominator) for n in numerators]
+    return genus, [n * step for n in multiples]
 
 
 def points(genus, chord):
-    return tuple(_circle_point(genus, c) for c in chord)
+    return tuple(_circle_point(genus, Fraction(key, SIDE)) for key in chord)
 
 
 def rational_crossing(genus, p, q):
@@ -168,8 +169,37 @@ def rational_crossing(genus, p, q):
     return s, 1 if _det(_sub(q2, q1), _sub(p2, p1)) > 0 else -1
 
 
+def rational_count(genus, pairs):
+    """How many of the chord pairs cross; a shared endpoint raises."""
+    return sum(rational_crossing(genus, p, q) is not None for p, q in pairs)
+
+
+def rational_order(genus, target, chords):
+    """(index, sign) of each chord crossing `target`, in the order of the
+    crossing points from its tail to its head."""
+    expected = sorted(
+        (hit[0], k, hit[1])
+        for k, q in enumerate(chords)
+        if (hit := rational_crossing(genus, target, q)) is not None
+    )
+    return [(k, sign) for _, k, sign in expected]
+
+
+def non_crossing(values, flips):
+    """Chords from consecutive pairs of `values`, each reversed where its
+    flip says, keeping only those that cross none kept before, as the
+    chords of an embedded curve cross none of one another."""
+    chords = []
+    for i, flip in enumerate(flips):
+        chord = (values[2 * i], values[2 * i + 1])
+        chord = chord[::-1] if flip else chord
+        if not any(_crosses(chord, kept) for kept in chords):
+            chords.append(chord)
+    return chords
+
+
 @settings(max_examples=300, deadline=None)
-@given(coordinates(4))
+@given(keys(4))
 def test_interleaving_is_the_rational_crossing_test(drawn):
     genus, (a, b, c, d) = drawn
     p, q = (a, b), (c, d)
@@ -178,7 +208,7 @@ def test_interleaving_is_the_rational_crossing_test(drawn):
 
 
 @settings(max_examples=100, deadline=None)
-@given(coordinates(3), st.integers(min_value=0, max_value=3))
+@given(keys(3), st.integers(min_value=0, max_value=3))
 def test_a_shared_endpoint_is_degenerate_in_both_tests(drawn, which):
     genus, (a, b, c) = drawn
     p = (a, b)
@@ -191,34 +221,38 @@ def test_a_shared_endpoint_is_degenerate_in_both_tests(drawn, which):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    coordinates(14),
+    keys(14),
     st.lists(st.booleans(), min_size=6, max_size=6),
 )
 def test_order_and_sign_along_a_chord_match_the_rational_ones(drawn, flips):
     genus, values = drawn
     target = (values[0], values[1])
-    # mutually non-crossing chords, as on an embedded curve
-    chords = []
-    for i, flip in enumerate(flips):
-        chord = (values[2 * i + 2], values[2 * i + 3])
-        chord = chord[::-1] if flip else chord
-        if not any(_crosses(chord, kept) for kept in chords):
-            chords.append(chord)
-    expected = sorted(
-        (hit[0], k, hit[1])
-        for k, q in enumerate(chords)
-        if (hit := rational_crossing(genus, target, q)) is not None
-    )
-    assert _crossings_along(target, chords) == [(k, sign) for _, k, sign in expected]
+    chords = non_crossing(values[2:], flips)
+    assert _crossings_along(target, chords) == rational_order(genus, target, chords)
 
 
-# -- integer keys against the coordinates --------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(
+    keys(13),
+    st.lists(st.booleans(), min_size=6, max_size=6),
+)
+def test_order_and_sign_along_a_chord_from_the_anchor_match_the_rational_ones(
+    drawn, flips
+):
+    # a based loop's first and last chords run from and to the anchor
+    genus, values = drawn
+    chords = non_crossing(values[1:], flips)
+    for target in ((_ANCHOR, values[0]), (values[0], _ANCHOR)):
+        assert _crossings_along(target, chords) == rational_order(genus, target, chords)
 
 
-def _event_at(genus, c):
-    """The crossing event whose hit coordinate is c, or None when c is a
-    corner or lies on the boundary side."""
-    below, t = divmod(c, 1)
+# -- curves against the reference -----------------------------------------------
+
+
+def _event_at(genus, key):
+    """The crossing event whose hit key is `key`, or None when the key
+    is a corner or lies on the boundary side."""
+    below, t = divmod(key, SIDE)
     if t == 0 or below >= 2 * genus:
         return None
     side = below + 1
@@ -228,63 +262,44 @@ def _event_at(genus, c):
 def _outcome(f, *args):
     try:
         return f(*args)
-    except DegeneratePositionError as exc:
-        return f"degenerate: {exc}"
+    except DegeneratePositionError:
+        return "degenerate"
 
 
 def _event_systems(drawn, split):
-    """Two curves from the drawn coordinates; equal parameters on the two
-    copies of one pair make shared endpoints, i.e. degenerate positions."""
+    """Two curves from the drawn keys; equal parameters on the two copies
+    of one pair make shared endpoints, i.e. degenerate positions.  A
+    chord from a crossing straight back through it has no length, and
+    the rational reference cannot place it, so none is drawn."""
     genus, values = drawn
-    events = [ev for c in values if (ev := _event_at(genus, c)) is not None]
+    events = [ev for key in values if (ev := _event_at(genus, key)) is not None]
     assume(len(events) >= 2)
     split = min(split, len(events) - 1)
-    return (
+    curves = (
         CurveGeometry(genus, events[:split]),
         CurveGeometry(genus, events[split:]),
     )
+    assume(all(tail != head for curve in curves for tail, head in curve.chords))
+    return curves
 
 
 @settings(max_examples=300, deadline=None)
-@given(coordinates(8), st.integers(min_value=1, max_value=7))
-@example((2, [Fraction(5, 2), Fraction(1, 3), Fraction(7, 2)]), 2)  # shares 7/2
-def test_keyed_counts_match_the_coordinate_counts(drawn, split):
+@given(keys(8), st.integers(min_value=1, max_value=7))
+@example((2, [5 * SIDE // 2, SIDE // 3, 7 * SIDE // 2]), 2)  # shares 7/2
+def test_crossing_count_is_the_rational_count(drawn, split):
     a, b = _event_systems(drawn, split)
-    assert _outcome(crossing_count, a, b) == _outcome(
-        lambda: sum(_crosses(p, q) for p in a.chords for q in b.chords)
-    )
+    want = _outcome(rational_count, a.genus, product(a.chords, b.chords))
+    assert _outcome(crossing_count, a, b) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys(8), st.integers(min_value=1, max_value=7))
+@example(  # the first curve crosses pair 1 at 1/2 both ways
+    (2, [3 * SIDE // 2, 3 * SIDE + SIDE // 3, SIDE // 2, 3 * SIDE + SIDE // 5, 2 * SIDE + SIDE // 4]),
+    4,
+)
+def test_self_crossing_count_is_the_rational_count(drawn, split):
+    a, b = _event_systems(drawn, split)
     for curve in (a, b):
-        assert _outcome(curve.self_crossing_count) == _outcome(
-            lambda: sum(_crosses(p, q) for p, q in combinations(curve.chords, 2))
-        )
-
-
-@settings(max_examples=300, deadline=None)
-@given(coordinates(8), st.integers(min_value=1, max_value=7))
-def test_keyed_order_along_a_chord_matches_the_coordinate_order(drawn, split):
-    a, b = _event_systems(drawn, split)
-    keys = _Keys(a.params() | b.params())
-    first = b.events[0]
-    targets = list(zip(b.chords, keys.chords(b))) + [
-        ((_ANCHOR, first.hit_coord), (_ANCHOR, keys.key(first.hit_side, first.t)))
-    ]
-    for exact, keyed in targets:
-        want = _outcome(_crossings_along, exact, a.chords)
-        got = _outcome(_crossings_along, keyed, keys.chords(a))
-        if isinstance(want, str):
-            assert isinstance(got, str)
-        else:
-            assert got == want
-
-
-@settings(max_examples=200, deadline=None)
-@given(coordinates(8), st.integers(min_value=1, max_value=7), st.sampled_from([1, -1]))
-def test_keyed_splices_match_the_coordinate_ones(drawn, split, arrow):
-    curve, loop = _event_systems(drawn, split)
-    keys = _Keys(curve.params() | loop.params())
-    exact = _outcome(_twist_based_loop, curve, arrow, loop.events, curve.chords, _coordinate)
-    keyed = _outcome(_twist_based_loop, curve, arrow, loop.events, keys.chords(curve), keys.key)
-    if isinstance(exact, str):
-        assert isinstance(keyed, str)
-    else:
-        assert keyed == exact
+        want = _outcome(rational_count, curve.genus, combinations(curve.chords, 2))
+        assert _outcome(curve.self_crossing_count) == want

@@ -180,6 +180,15 @@ def test_a_degenerate_position_names_its_coordinate(tmp_path, capsys, command, w
         assert out == want
 
 
+def test_complement_names_a_shared_endpoint(tmp_path, capsys):
+    registry = chain_on_one_fallback_parameter(tmp_path)
+    got = run(
+        capsys, "complement", "--genus", "4", "--n", "1", "--registry", str(registry),
+        "--curves", "alpha_1,alpha_2",
+    )
+    assert got == (2, "", "error: two curve endpoints share boundary coordinate 153/40\n")
+
+
 @pytest.mark.parametrize(
     "argv, want_code, want_line",
     [
@@ -263,6 +272,13 @@ def test_relation_parse_errors_exit_two(capsys):
 
 
 # -- apply-curve and homology ---------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [("apply-curve", "q7", "alpha_1"), ("homology", "a1 q7")])
+def test_expression_parse_errors_exit_two(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--genus", "4", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: token ") and "unknown generator 'q7'" in err
 
 
 def test_apply_curve_fixes_the_twisting_curve(capsys):

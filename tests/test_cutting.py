@@ -1,6 +1,5 @@
 """Cutting the surface along curve systems: components, Euler counts, ribbons."""
 
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -12,6 +11,7 @@ from crosscap.cutting import (
     intersection_number,
 )
 from crosscap.polygon import (
+    SIDE,
     CurveGeometry,
     DegeneratePositionError,
     Event,
@@ -201,7 +201,7 @@ def test_random_curve_systems_cut_consistently():
         params = iter(
             draw(
                 st.lists(
-                    st.integers(min_value=1, max_value=999),
+                    st.integers(min_value=1, max_value=SIDE - 1),
                     min_size=sum(lengths),
                     max_size=sum(lengths),
                     unique=True,
@@ -213,7 +213,7 @@ def test_random_curve_systems_cut_consistently():
                 Event(
                     draw(st.integers(min_value=1, max_value=genus)),
                     draw(st.booleans()),
-                    Fraction(next(params), 1000),
+                    next(params),
                 )
                 for _ in range(m)
             ]
@@ -374,7 +374,7 @@ def test_empty_selection_text_says_nothing():
 
 def test_curves_sharing_an_endpoint_are_rejected():
     reg = registry(4)
-    events = (Event(3, True, Fraction(1, 3)), Event(4, True, Fraction(1, 3)))
+    events = (Event(3, True, SIDE // 3), Event(4, True, SIDE // 3))
     clashing = CurveRecord(
         name="alpha_3",
         word=spell_cyclic(4, events),

@@ -1,8 +1,10 @@
-from fractions import Fraction as F
+import re
+from fractions import Fraction
 
 import pytest
 
 from crosscap.polygon import (
+    SIDE,
     CurveGeometry,
     DegeneratePositionError,
     Event,
@@ -16,6 +18,7 @@ from crosscap.polygon import (
     twist_cyclic,
     twist_images,
 )
+from crosscap.surface import _grid as grid
 from crosscap.words import CyclicWord, Word, boundary_word
 
 
@@ -25,7 +28,7 @@ def w(text, genus):
 
 def alpha(genus, i):
     # chain curve through crosscaps i and i+1
-    return CurveGeometry(genus, [Event(i, True, F(2, 3)), Event(i + 1, True, F(1, 3))])
+    return CurveGeometry(genus, [Event(i, True, grid(2, 3)), Event(i + 1, True, grid(1, 3))])
 
 
 def compose(outer, inner):
@@ -45,15 +48,14 @@ def shell_word(genus, i):
 
 def test_event_validation():
     with pytest.raises(ValueError):
-        Event(0, True, F(1, 2))
-    with pytest.raises(ValueError):
-        Event(1, True, F(0))
-    with pytest.raises(ValueError):
-        Event(1, True, F(3, 2))
-    ev = Event(2, True, F(1, 3))
+        Event(0, True, grid(1, 2))
+    for bad in (0, SIDE, -1, Fraction(1, 2), 1.0 * grid(1, 2), True):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            Event(1, True, bad)
+    ev = Event(2, True, grid(1, 3))
     assert ev.hit_side == 4 and ev.out_side == 3
-    assert ev.hit_coord == F(10, 3) and ev.out_coord == F(7, 3)
-    assert ev.flipped() == Event(2, False, F(1, 3))
+    assert ev.hit_key == 3 * SIDE + grid(1, 3) and ev.out_key == 2 * SIDE + grid(1, 3)
+    assert ev.flipped() == Event(2, False, grid(1, 3))
     assert ev.token() == "A2+" and ev.flipped().token() == "A2-"
 
 
@@ -69,9 +71,9 @@ def test_elementary_loops_spell_shell_conjugates():
         for i in range(1, genus + 1):
             shell = shell_word(genus, i)
             xi = Word.generator(genus, i)
-            got = spell_based_loop(genus, [Event(i, True, F(1, 2))])
+            got = spell_based_loop(genus, [Event(i, True, grid(1, 2))])
             assert got == shell * xi * shell.inverse()
-            got_rev = spell_based_loop(genus, [Event(i, False, F(1, 2))])
+            got_rev = spell_based_loop(genus, [Event(i, False, grid(1, 2))])
             assert got_rev == shell * xi.inverse() * shell.inverse()
 
 
@@ -82,13 +84,13 @@ def test_chain_curve_spells_adjacent_generator_pair():
 
 
 def test_spelling_independent_of_event_parameters():
-    for t1, t2 in ((F(1, 5), F(4, 5)), (F(9, 10), F(1, 10)), (F(1, 2), F(1, 3))):
+    for t1, t2 in ((grid(1, 5), grid(4, 5)), (grid(9, 10), grid(1, 10)), (grid(1, 2), grid(1, 3))):
         c = CurveGeometry(3, [Event(1, True, t1), Event(2, True, t2)])
         assert CyclicWord.of(c.spelled()) == CyclicWord.of(w("x1 x2", 3))
 
 
 def test_cyclic_spelling_is_rotation_invariant():
-    events = [Event(1, True, F(1, 3)), Event(2, False, F(1, 2)), Event(2, True, F(3, 4)), Event(1, False, F(2, 3))]
+    events = [Event(1, True, grid(1, 3)), Event(2, False, grid(1, 2)), Event(2, True, grid(3, 4)), Event(1, False, grid(2, 3))]
     base = CyclicWord.of(spell_cyclic(4, events))
     for r in range(1, 4):
         rotated = events[r:] + events[:r]
@@ -118,22 +120,22 @@ def test_distant_chain_curves_are_disjoint():
 
 def test_shared_endpoint_parameters_are_degenerate():
     a = alpha(2, 1)
-    b = CurveGeometry(2, [Event(1, True, F(2, 3)), Event(2, True, F(2, 3))])
+    b = CurveGeometry(2, [Event(1, True, grid(2, 3)), Event(2, True, grid(2, 3))])
     with pytest.raises(DegeneratePositionError):
         crossing_count(a, b)
 
 
 def test_one_sided_curve_rejected_for_twisting():
-    c = CurveGeometry(2, [Event(1, True, F(1, 2))])
+    c = CurveGeometry(2, [Event(1, True, grid(1, 2))])
     assert not c.is_two_sided()
     with pytest.raises(ValueError, match="^cannot twist along a one-sided curve$"):
-        twist_based_loop(c, 1, [Event(2, True, F(1, 4))])
+        twist_based_loop(c, 1, [Event(2, True, grid(1, 4))])
     with pytest.raises(ValueError, match="^cannot twist along a one-sided curve$"):
         twist_images(c, 1)
 
 
 def test_self_crossing_curve_rejected_for_twisting():
-    c = CurveGeometry(3, [Event(1, True, F(1, 3)), Event(2, False, F(2, 3))])
+    c = CurveGeometry(3, [Event(1, True, grid(1, 3)), Event(2, False, grid(2, 3))])
     assert c.is_two_sided() and c.self_crossing_count() == 1
     text = (
         "cannot twist along a curve whose chords cross (1 self-crossings): "
@@ -142,7 +144,7 @@ def test_self_crossing_curve_rejected_for_twisting():
     for twist in (
         lambda: twist_images(c, 1),
         lambda: twist_images(c, -1),
-        lambda: twist_based_loop(c, 1, [Event(2, True, F(1, 4))]),
+        lambda: twist_based_loop(c, 1, [Event(2, True, grid(1, 4))]),
         lambda: twist_cyclic(c, 1, alpha(3, 2)),
     ):
         with pytest.raises(ValueError) as exc:
@@ -163,18 +165,21 @@ def test_bad_arrow_rejected():
 
 
 def test_fresh_params_avoid_forbidden_and_stay_distinct():
-    avoid = {F(1, 3), F(2, 3), F(1, 2)}
+    # the second base point, 3/12, and the value after it are taken
+    avoid = {grid(1, 3), grid(2, 3), grid(1, 2), grid(3, 12), grid(3, 12) + 1}
     got = fresh_params(6, avoid)
     assert len(set(got)) == 6
-    assert all(0 < q < 1 for q in got)
+    assert all(0 < q < SIDE for q in got)
     assert not set(got) & avoid
     assert got == sorted(got)
+    assert got[1] == grid(3, 12) + 2
     assert fresh_params(6, avoid) == got  # deterministic
+    assert fresh_params(1, {grid(1, 2)}) == [grid(1, 2) + 1]
 
 
 def test_refresh_events_preserves_class():
     c = alpha(3, 1)
-    fresh = refresh_events(3, c.events, {F(1, 2)})
+    fresh = refresh_events(3, c.events, {grid(1, 2)})
     assert [ev.token() for ev in fresh] == [ev.token() for ev in c.events]
     d = CurveGeometry(3, fresh)
     assert CyclicWord.of(d.spelled()) == CyclicWord.of(c.spelled())
@@ -251,7 +256,7 @@ def test_geometric_and_algebraic_images_agree():
     for target_events in (
         alpha(genus, 1).events,
         alpha(genus, 2).events,
-        (Event(1, True, F(1, 5)), Event(3, False, F(2, 5))),
+        (Event(1, True, grid(1, 5)), Event(3, False, grid(2, 5))),
     ):
         fresh = refresh_events(genus, target_events, twisting.params())
         target = CurveGeometry(genus, fresh)

@@ -2,11 +2,13 @@
 
 import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from crosscap.polygon import Event, crossing_count
+from crosscap.polygon import SIDE, Event, crossing_count
 from crosscap.surface import (
+    MIN_RICH_GENUS,
     CappingPolicyError,
     CurveRecord,
     RegistryFormatError,
@@ -21,6 +23,9 @@ from crosscap.surface import (
     validate_registry,
     write_registry,
     x0_names,
+    _fallback_params,
+    _frozen_layouts,
+    _grid,
 )
 from crosscap.words import CyclicWord, Word
 
@@ -210,10 +215,30 @@ def test_foreign_coordinates_get_fresh_parameters():
     rec = reg.curve("alpha_1")
     assert [e.pair for e in rec.events] == [2, 3]
     for event in rec.events:
-        assert Fraction(7, 10) < event.t < Fraction(19, 20)
+        assert Fraction(7, 10) < Fraction(event.t, SIDE) < Fraction(19, 20)
     geom = reg.geometry("alpha_1")
     assert geom.self_crossing_count() == 0
     assert geom.spelled().letters == (2, 3) or geom.spelled().letters == (-3, -2)
+
+
+def test_fallback_parameters_order_as_the_rational_ones():
+    """Up to 16 crossings of one pair, the grid fallback parameters sort
+    among themselves and against every frozen parameter exactly as the
+    rational 7/10 + (2j+1)/(8m) they stand for."""
+    frozen = {ev.t for events, _ in _frozen_layouts(MIN_RICH_GENUS).values() for ev in events}
+    # (exact value, grid parameter); a frozen parameter is exact on the grid
+    values = [(Fraction(t, SIDE), t) for t in frozen]
+    for m in range(1, 17):
+        params = _fallback_params([(1, True)] * m)
+        values += [(Fraction(7, 10) + Fraction(2 * j + 1, 8 * m), t) for j, t in enumerate(params)]
+    for (x, s), (y, t) in combinations(values, 2):
+        assert (x < y, x == y) == (s < t, s == t), (x, y)
+
+
+def test_a_layout_parameter_off_the_grid_is_an_error():
+    assert Fraction(_grid(203, 256), SIDE) == Fraction(203, 256)
+    with pytest.raises(ValueError, match="1/7 is not on the grid"):
+        _grid(1, 7)
 
 
 def test_frozen_coordinates_survive_the_round_trip_exactly():
