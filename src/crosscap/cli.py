@@ -70,20 +70,32 @@ _DATA_FILES = {
 }
 
 
+def _read_data(kind: str, path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise _WorldError(f"{kind}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _WorldError(
+            f"{kind}: {path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
+
+
 def _locate_data(kind: str, genus: int, explicit: str | None) -> tuple[str, str | None]:
     """Return (source label, file text or None).
 
     ``None`` text means: no file anywhere, fall back to the built-in
-    construction.  An explicit path that does not exist is an error.
+    construction.  An explicit path that does not exist, or a file that
+    cannot be read as UTF-8 text, is a ``_WorldError`` naming ``kind``.
     """
     if explicit is not None:
-        return "file", Path(explicit).read_text(encoding="utf-8")
+        return "file", _read_data(kind, Path(explicit))
     name = _DATA_FILES[kind].format(genus=genus)
     env_dir = os.environ.get(DATA_DIR_ENV)
     if env_dir:
         candidate = Path(env_dir) / name
         if candidate.is_file():
-            return "env", candidate.read_text(encoding="utf-8")
+            return "env", _read_data(kind, candidate)
     return "derived", None
 
 
@@ -207,10 +219,7 @@ class _WorldError(Exception):
 
 
 def _load_registry(args) -> tuple[Registry, str]:
-    try:
-        source, text = _locate_data("registry", args.genus, args.registry)
-    except OSError as exc:
-        raise _WorldError(f"registry: {exc}") from exc
+    source, text = _locate_data("registry", args.genus, args.registry)
     spec = SurfaceSpec(args.genus, args.n)
     if text is None:
         return standard_registry(spec), source
@@ -228,10 +237,7 @@ def _load_generators(registry: Registry) -> dict:
 
 
 def _load_certificates(args) -> tuple[dict, str]:
-    try:
-        source, text = _locate_data("certificates", args.genus, args.certificates)
-    except OSError as exc:
-        raise _WorldError(f"certificates: {exc}") from exc
+    source, text = _locate_data("certificates", args.genus, args.certificates)
     if text is None:
         return standard_certificates(args.genus), source
     try:

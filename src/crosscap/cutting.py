@@ -20,8 +20,17 @@ interval between its ends, so which chords cross, where the crossings
 sit along each chord and the rotation at every vertex are comparisons
 of endpoint positions and integer ranks.  The complex reads each
 curve's chords as ``polygon`` keys them, and polygon corner ``c`` gets
-the key ``c * SIDE``, so keys sort as the coordinates do.  Faces come
-from a half-edge walk of that drawing, and the side gluings are matched
+the key ``c * SIDE``, so keys sort as the coordinates do.
+
+Every object of the complex is a dense integer id: vertices, half-edges
+``0..2E-1`` (``h ^ 1`` reverses ``h``), faces ``0..F-1``, curves,
+crossings and strand ends.  The capping disk of a closed surface is one
+more face, ``F``, with one slot, ``2E``.  Tables are lists indexed by
+id.  One orbit walk (``_orbits``) finds both the faces, as cycles of
+half-edges, and the boundary of the curves' neighbourhood, as cycles of
+strands; one union-find with a Z/2 weight (``_UnionFind``) merges faces
+into pieces and tells their orientability, and serves plainly for
+corners, circles and curves.  The side gluings are matched
 interval-by-interval (the two copies of a crosscap side are subdivided
 at identical parameters, one per crossing event).
 """
@@ -29,7 +38,7 @@ at identical parameters, one per crossing event).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from crosscap.polygon import (
     SIDE,
@@ -43,10 +52,14 @@ from crosscap.surface import Registry, SurfaceSpec
 
 
 def intersection_number(registry: Registry, u: str, v: str) -> int:
-    """Transverse crossing count of two registered curves.
+    """Crossings of two registered curves as they are drawn.
 
-    A curve meets a parallel push-off of itself nowhere (all registered
-    curves are two-sided), so ``u == v`` gives 0.
+    This counts the crossings of the registered chord layouts, which is
+    an upper bound on the geometric intersection number and not always
+    equal to it: the layouts are not in minimal position, so
+    ``alpha_1`` and ``epsilon`` give 2, though they can be drawn
+    disjoint.  A curve meets a parallel push-off of itself nowhere (all
+    registered curves are two-sided), so ``u == v`` gives 0.
     """
     ru = registry.curve(u)
     rv = registry.curve(v)
@@ -117,82 +130,90 @@ class ComplementReport:
         return "\n".join(lines)
 
 
-# -- small union-find helpers ------------------------------------------------
+# -- one union-find and one orbit walk ---------------------------------------
 
 
 class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
+    """Union-find on the ids 0..n-1 with a Z/2 weight per id.
 
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-class _ParityUnionFind:
-    """Union-find with a Z/2 weight per element; odd cycles are recorded.
-
-    The weight of an element is its parity relative to its root; a
-    union that closes a cycle of odd total parity marks the class as
-    contradictory, which is exactly non-orientability for us.
+    An id's weight is its parity relative to its root; a union that
+    closes a cycle of odd total parity marks the class as contradictory,
+    which is exactly non-orientability for us.  Unions of parity 0 never
+    do, so the same class serves as a plain union-find.
     """
 
-    def __init__(self) -> None:
-        self.parent: dict = {}
-        self.parity: dict = {}
-        self.bad: set = set()
+    def __init__(self, n: int) -> None:
+        self.parent = list(range(n))
+        self.parity = [0] * n
+        self.bad = [False] * n
 
-    def add(self, x) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.parity[x] = 0
-
-    def find(self, x) -> tuple:
-        self.add(x)
+    def find(self, x: int) -> tuple[int, int]:
+        parent, parity = self.parent, self.parity
         chain = []
-        root = x
-        while self.parent[root] != root:
-            chain.append(root)
-            root = self.parent[root]
+        while parent[x] != x:
+            chain.append(x)
+            x = parent[x]
         p = 0
         for node in reversed(chain):
-            p ^= self.parity[node]
-            self.parent[node] = root
-            self.parity[node] = p
-        return root, self.parity[x]
+            p ^= parity[node]
+            parent[node] = x
+            parity[node] = p
+        return x, p
 
-    def union(self, a, b, parity: int) -> None:
+    def union(self, a: int, b: int, parity: int = 0) -> None:
         ra, pa = self.find(a)
         rb, pb = self.find(b)
         if ra == rb:
-            if (pa ^ pb) != parity:
-                self.bad.add(ra)
+            if pa ^ pb != parity:
+                self.bad[ra] = True
             return
         self.parent[rb] = ra
         self.parity[rb] = pa ^ pb ^ parity
-        if rb in self.bad:
-            self.bad.discard(rb)
-            self.bad.add(ra)
+        self.bad[ra] = self.bad[ra] or self.bad[rb]
 
-    def contradictory(self, x) -> bool:
-        return self.find(x)[0] in self.bad
+    def contradictory(self, x: int) -> bool:
+        return self.bad[self.find(x)[0]]
 
 
-_CAP_SLOT = -1
-_CAP_FACE = -1
+def _rotation(
+    at: list[int], n: int, rank: Callable[[int], int]
+) -> tuple[list[list[int]], list[int]]:
+    """The ring of ends at each of the vertices 0..n-1, and each end's place.
+
+    End ``h`` sits at vertex ``at[h]``; each ring is sorted by ``rank``.
+    """
+    rings: list[list[int]] = [[] for _ in range(n)]
+    for h, v in enumerate(at):
+        rings[v].append(h)
+    place = [0] * len(at)
+    for ring in rings:
+        ring.sort(key=rank)
+        for i, h in enumerate(ring):
+            place[h] = i
+    return rings, place
+
+
+def _orbits(n: int, step: Callable[[int], int]) -> list[list[int]]:
+    """The cycles of the permutation ``step`` of the states 0..n-1.
+
+    Each cycle starts at its least state, and the cycles come in the
+    order of those states.
+    """
+    seen = bytearray(n)
+    cycles = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle = []
+        state = start
+        while not seen[state]:
+            seen[state] = 1
+            cycle.append(state)
+            state = step(state)
+        if state != start:
+            raise RuntimeError("walk did not close; rotation is corrupt")
+        cycles.append(cycle)
+    return cycles
 
 
 class _CutComplex:
@@ -263,10 +284,10 @@ class _CutComplex:
         ranked = sorted(
             range(n_chords), key=lambda i: (spans[i][1] - spans[i][0], spans[i][0])
         )
-        depth = {i: r for r, i in enumerate(ranked)}
-        self.splits: dict[int, list[tuple[tuple, int]]] = {
-            i: [] for i in range(n_chords)
-        }
+        depth = [0] * n_chords
+        for r, i in enumerate(ranked):
+            depth[i] = r
+        self.splits: list[list[tuple[tuple, int]]] = [[] for _ in range(n_chords)]
         # (vertex, chord a, key on a, chord b, key on b)
         self.crossings: list[tuple[int, int, tuple, int, tuple]] = []
         for i in range(n_chords):
@@ -293,9 +314,10 @@ class _CutComplex:
 
     def _build_edges(self, g: int) -> None:
         # edges: ("arc", u, v, side, t0, t1) with u -> v counterclockwise,
-        # or ("chord", u, v, chord index).  Half-edge 2e is u -> v.  An
-        # arc's t0 and t1 are parameters along its side: 0 at the start
-        # corner, w = SIDE at the end corner.
+        # or ("chord", u, v, chord index).  Half-edge 2e is u -> v and
+        # 2e + 1 is v -> u; tail[h] is the vertex h leaves.  An arc's t0
+        # and t1 are parameters along its side: 0 at the start corner,
+        # w = SIDE at the end corner.
         self.edges: list[tuple] = []
         w = SIDE
         coords = sorted(self.coord_vid)
@@ -325,16 +347,9 @@ class _CutComplex:
             )
             for r in range(len(chain) - 1):
                 self.edges.append(("chord", chain[r], chain[r + 1], i))
+        self.tail = [v for e in self.edges for v in (e[1], e[2])]
 
     # -- the half-edge walk --------------------------------------------
-
-    def _he_tail(self, he: int) -> int:
-        e = self.edges[he >> 1]
-        return e[1] if he & 1 == 0 else e[2]
-
-    def _he_head(self, he: int) -> int:
-        e = self.edges[he >> 1]
-        return e[2] if he & 1 == 0 else e[1]
 
     def _he_rank(self, he: int) -> int:
         # Half-edges leave a boundary vertex in the order counterclockwise
@@ -344,44 +359,28 @@ class _CutComplex:
         e = self.edges[he >> 1]
         if e[0] == "arc":
             return 2 * (he & 1)
-        if self._he_tail(he) < len(self.coord_vid):
+        if self.tail[he] < len(self.coord_vid):
             return 1
         _, _, tail, head = self.chords[e[3]]
         return tail if he & 1 else head
 
     def _build_faces(self) -> None:
-        incident: dict[int, list[int]] = {}
-        for eidx in range(len(self.edges)):
-            incident.setdefault(self._he_tail(2 * eidx), []).append(2 * eidx)
-            incident.setdefault(self._he_tail(2 * eidx + 1), []).append(2 * eidx + 1)
-        self.rotation: dict[int, list[int]] = {}
-        self.rot_pos: dict[int, int] = {}
-        for vid, hes in incident.items():
-            ordered = sorted(hes, key=self._he_rank)
-            self.rotation[vid] = ordered
-            for i, h in enumerate(ordered):
-                self.rot_pos[h] = i
+        tail = self.tail
+        rotation, rot_pos = _rotation(
+            tail, len(self.coord_vid) + len(self.crossings), self._he_rank
+        )
 
         def next_he(h: int) -> int:
-            w = self._he_head(h)
-            ring = self.rotation[w]
-            i = self.rot_pos[h ^ 1]
-            return ring[(i - 1) % len(ring)]
+            # at h's head, the half-edge before h's reverse
+            return rotation[tail[h ^ 1]][rot_pos[h ^ 1] - 1]
 
-        self.face_of: dict[int, int] = {}
-        self.faces: list[list[int]] = []
-        for h in range(2 * len(self.edges)):
-            if h in self.face_of:
-                continue
-            cycle = []
-            cur = h
-            while cur not in self.face_of:
-                self.face_of[cur] = len(self.faces)
-                cycle.append(cur)
-                cur = next_he(cur)
-            if cur != h:
-                raise RuntimeError("face walk did not close; rotation is corrupt")
-            self.faces.append(cycle)
+        self.faces = _orbits(len(tail), next_he)
+        self.face_of = [0] * len(tail)
+        self.prev_in_face = [0] * len(tail)
+        for fi, cycle in enumerate(self.faces):
+            for i, h in enumerate(cycle):
+                self.face_of[h] = fi
+                self.prev_in_face[h] = cycle[i - 1]
         # the outer face is the one walking the circle clockwise
         outer = None
         for fi, cycle in enumerate(self.faces):
@@ -395,144 +394,114 @@ class _CutComplex:
         if outer is None:
             raise RuntimeError("no outer face found")
         self.outer = outer
-        self.prev_in_face: dict[int, int] = {}
-        for fi, cycle in enumerate(self.faces):
-            if fi == outer:
-                continue
-            for i, h in enumerate(cycle):
-                self.prev_in_face[h] = cycle[i - 1]
 
     # -- gluing ----------------------------------------------------------
 
     def _build_pairings(self, g: int) -> None:
-        # keyed by (side, t0, t1); both copies of a side carry the same
+        # the counterclockwise arcs of the interior faces by side, as
+        # (t0, t1, slot); both copies of a side carry the same
         # parameters, so their intervals match exactly
-        arc_slot: dict[tuple[int, int, int], int] = {}
-        for h, fi in self.face_of.items():
-            if fi == self.outer:
-                continue
+        by_side: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * g + 2)]
+        for h, fi in enumerate(self.face_of):
             e = self.edges[h >> 1]
-            if e[0] != "arc":
+            if fi == self.outer or e[0] != "arc":
                 continue
             if h & 1:
                 raise RuntimeError("interior face contains a clockwise arc")
-            arc_slot[(e[3], e[4], e[5])] = h
+            by_side[e[3]].append((e[4], e[5], h))
         self.pairings: list[tuple[int, int, int]] = []
         for pair in range(1, g + 1):
             side_a, side_b = 2 * pair - 1, 2 * pair
-            ivals_a = sorted(
-                (t0, t1) for (s, t0, t1) in arc_slot if s == side_a
-            )
-            ivals_b = sorted(
-                (t0, t1) for (s, t0, t1) in arc_slot if s == side_b
-            )
-            if ivals_a != ivals_b:
+            arcs_a, arcs_b = sorted(by_side[side_a]), sorted(by_side[side_b])
+            if [a[:2] for a in arcs_a] != [b[:2] for b in arcs_b]:
                 raise RuntimeError(
                     f"glued sides {side_a}/{side_b} subdivide differently"
                 )
-            for t0, t1 in ivals_a:
-                self.pairings.append(
-                    (arc_slot[(side_a, t0, t1)], arc_slot[(side_b, t0, t1)], 1)
-                )
-        free_slot = arc_slot[(2 * g + 1, 0, SIDE)]
+            self.pairings += [(a[2], b[2], 1) for a, b in zip(arcs_a, arcs_b)]
+        # the capping disk is face F with the one slot 2E, glued to the
+        # free side without a flip
         self.cap = self.spec.boundary == 0
         if self.cap:
-            self.prev_in_face[_CAP_SLOT] = _CAP_SLOT
-            self.face_of[_CAP_SLOT] = _CAP_FACE
-            self.pairings.append((free_slot, _CAP_SLOT, 0))
+            cap_slot = len(self.face_of)
+            self.face_of.append(len(self.faces))
+            self.prev_in_face.append(cap_slot)
+            ((_, _, free_slot),) = by_side[2 * g + 1]
+            self.pairings.append((free_slot, cap_slot, 0))
 
     # -- bookkeeping -------------------------------------------------------
 
     def _account(self) -> None:
-        face_uf = _ParityUnionFind()
-        corner_uf = _UnionFind()
-        interior_faces = [
-            fi for fi in range(len(self.faces)) if fi != self.outer
-        ]
-        if self.cap:
-            interior_faces.append(_CAP_FACE)
-        for fi in interior_faces:
-            face_uf.add(fi)
-        slots = [
-            h for h, fi in self.face_of.items() if fi != self.outer
-        ]
-        for s in slots:
-            corner_uf.add(s)
-        paired: set[int] = set()
+        # ids: faces 0..F (F is the cap) and slots 0..2E (2E is the cap)
+        face_of, prev = self.face_of, self.prev_in_face
+        n_faces, n_slots = len(self.faces) + self.cap, len(face_of)
+        face_uf = _UnionFind(n_faces)
+        corner_uf = _UnionFind(n_slots)
+        paired = bytearray(n_slots)
         for sa, sb, flip in self.pairings:
-            face_uf.union(self.face_of[sa], self.face_of[sb], flip)
+            face_uf.union(face_of[sa], face_of[sb], flip)
             if flip:
                 corner_uf.union(sa, sb)
-                corner_uf.union(self.prev_in_face[sa], self.prev_in_face[sb])
+                corner_uf.union(prev[sa], prev[sb])
             else:
-                corner_uf.union(sa, self.prev_in_face[sb])
-                corner_uf.union(sb, self.prev_in_face[sa])
-            paired.update((sa, sb))
-        self.boundary_slots = [s for s in slots if s not in paired]
+                corner_uf.union(sa, prev[sb])
+                corner_uf.union(sb, prev[sa])
+            paired[sa] = paired[sb] = 1
+        slots = [s for s in range(n_slots) if face_of[s] != self.outer]
+        boundary_slots = [s for s in slots if not paired[s]]
 
-        comp_of: dict[int, int] = {}
-        for fi in interior_faces:
-            comp_of[fi] = face_uf.find(fi)[0]
-        self.n_faces: dict[int, int] = {}
-        for fi in interior_faces:
-            self.n_faces[comp_of[fi]] = self.n_faces.get(comp_of[fi], 0) + 1
-        self.n_edges: dict[int, int] = {}
-        for sa, sb, _ in self.pairings:
-            c = comp_of[self.face_of[sa]]
-            self.n_edges[c] = self.n_edges.get(c, 0) + 1
-        for s in self.boundary_slots:
-            c = comp_of[self.face_of[s]]
-            self.n_edges[c] = self.n_edges.get(c, 0) + 1
-        self.n_vertices: dict[int, int] = {}
-        corner_comp: dict[int, int] = {}
-        for s in slots + ([_CAP_SLOT] if self.cap else []):
-            root = corner_uf.find(s)
-            c = comp_of[self.face_of[s]]
-            if root in corner_comp and corner_comp[root] != c:
+        # per component, indexed by its root face
+        interior = [fi for fi in range(n_faces) if fi != self.outer]
+        comp_of = [face_uf.find(fi)[0] for fi in range(n_faces)]
+        faces, edges, vertices, circles = ([0] * n_faces for _ in range(4))
+        for fi in interior:
+            faces[comp_of[fi]] += 1
+        for s, _, _ in self.pairings:
+            edges[comp_of[face_of[s]]] += 1
+        for s in boundary_slots:
+            edges[comp_of[face_of[s]]] += 1
+        corner_comp = [-1] * n_slots
+        for s in slots:
+            root = corner_uf.find(s)[0]
+            c = comp_of[face_of[s]]
+            if corner_comp[root] == -1:
+                corner_comp[root] = c
+                vertices[c] += 1
+            elif corner_comp[root] != c:
                 raise RuntimeError("a vertex class straddles two components")
-            corner_comp[root] = c
-        for root, c in corner_comp.items():
-            self.n_vertices[c] = self.n_vertices.get(c, 0) + 1
 
         # boundary circles: the boundary corner classes form a 2-regular
-        # multigraph whose components are the circles
-        circle_uf = _UnionFind()
-        degree: dict[int, int] = {}
-        for s in self.boundary_slots:
-            a = corner_uf.find(self.prev_in_face[s])
-            b = corner_uf.find(s)
-            circle_uf.union(a, b)
-            degree[a] = degree.get(a, 0) + 1
-            degree[b] = degree.get(b, 0) + 1
-        if any(d != 2 for d in degree.values()):
+        # multigraph whose components are the circles; the corner classes
+        # are final, so joining them in corner_uf leaves one class per circle
+        ends = [
+            (corner_uf.find(prev[s])[0], corner_uf.find(s)[0]) for s in boundary_slots
+        ]
+        degree = [0] * n_slots
+        for a, b in ends:
+            degree[a] += 1
+            degree[b] += 1
+        if any(degree[a] != 2 or degree[b] != 2 for a, b in ends):
             raise RuntimeError("cut boundary is not a union of circles")
-        circle_slots: dict[int, list[int]] = {}
-        for s in self.boundary_slots:
-            root = circle_uf.find(corner_uf.find(s))
-            circle_slots.setdefault(root, []).append(s)
-        self.n_circles: dict[int, int] = {}
-        self.cut_circle_count = 0
-        for root, members in circle_slots.items():
-            c = comp_of[self.face_of[members[0]]]
-            self.n_circles[c] = self.n_circles.get(c, 0) + 1
-            if any(self.edges[s >> 1][0] == "chord" for s in members):
-                self.cut_circle_count += 1
+        for a, b in ends:
+            corner_uf.union(a, b)
+        met, cut = bytearray(n_slots), bytearray(n_slots)
+        for s in boundary_slots:
+            root = corner_uf.find(s)[0]
+            if not met[root]:
+                met[root] = 1
+                circles[comp_of[face_of[s]]] += 1
+            if self.edges[s >> 1][0] == "chord":
+                cut[root] = 1
+        self.cut_circle_count = sum(cut)
 
-        self.components: list[ComponentReport] = []
-        for c in sorted(set(comp_of.values())):
-            chi = (
-                self.n_vertices.get(c, 0)
-                - self.n_edges.get(c, 0)
-                + self.n_faces.get(c, 0)
+        self.components: list[ComponentReport] = [
+            ComponentReport(
+                kind="complement",
+                euler_characteristic=vertices[c] - edges[c] + faces[c],
+                boundary_circles=circles[c],
+                orientable=not face_uf.contradictory(c),
             )
-            self.components.append(
-                ComponentReport(
-                    kind="complement",
-                    euler_characteristic=chi,
-                    boundary_circles=self.n_circles.get(c, 0),
-                    orientable=not face_uf.contradictory(c),
-                )
-            )
+            for c in sorted({comp_of[fi] for fi in interior})
+        ]
 
     # -- ribbon pieces -----------------------------------------------------
 
@@ -544,20 +513,18 @@ class _CutComplex:
         ribbon whose boundary is traced strand by strand, with one side
         swap per crosscap passage.
         """
-        curve_uf = _UnionFind()
-        for ci in range(len(self.curves)):
-            curve_uf.add(ci)
+        n_curves = len(self.curves)
+        curve_uf = _UnionFind(n_curves)
+        crossed = bytearray(n_curves)
         for _, i, _, j, _ in self.crossings:
-            curve_uf.union(self.chords[i][0], self.chords[j][0])
+            ci, cj = self.chords[i][0], self.chords[j][0]
+            curve_uf.union(ci, cj)
+            crossed[ci] = crossed[cj] = 1
 
         out: list[ComponentReport] = []
         ribbon_circles = 0
-        crossing_curves = set()
-        for _, i, _, j, _ in self.crossings:
-            crossing_curves.add(self.chords[i][0])
-            crossing_curves.add(self.chords[j][0])
         for ci, (_, geom) in enumerate(self.curves):
-            if ci in crossing_curves:
+            if crossed[ci]:
                 continue
             m = len(geom.events)
             circles = 2 if m % 2 == 0 else 1
@@ -575,16 +542,20 @@ class _CutComplex:
             return out
 
         # stations along each curve: (local chord index, key, crossing id)
-        stations: dict[int, list[tuple[int, tuple, int]]] = {}
-        for rid, (vid, i, s, j, u) in enumerate(self.crossings):
+        stations: list[list[tuple[int, tuple, int]]] = [[] for _ in range(n_curves)]
+        for rid, (_, i, s, j, u) in enumerate(self.crossings):
             for chord_idx, key in ((i, s), (j, u)):
                 ci, k, *_ = self.chords[chord_idx]
-                stations.setdefault(ci, []).append((k, key, rid))
-        edges: list[tuple[int, int, int]] = []  # (rid_from, rid_to, parity)
-        # (edge id, end) -> the boundary point the strand end heads for
-        end_coord: dict[tuple[int, int], int] = {}
-        ends_at: dict[int, list[tuple[int, int]]] = {}  # rid -> ends
-        for ci, sts in stations.items():
+                stations[ci].append((k, key, rid))
+        # strand e runs between consecutive stations of curve
+        # strand_curve[e] and swaps sides strand_parity[e] times; its
+        # ends are 2e, at the station it starts from, and 2e + 1, at the
+        # next one
+        strand_curve: list[int] = []
+        strand_parity: list[int] = []
+        end_rid: list[int] = []  # the crossing at each strand end
+        end_coord: list[int] = []  # the boundary point each end heads for
+        for ci, sts in enumerate(stations):
             sts.sort()
             chords = self.curve_chords[ci]
             m = len(chords)
@@ -593,73 +564,49 @@ class _CutComplex:
                 k1, _, r1 = sts[q]
                 k2, _, r2 = sts[(q + 1) % n]
                 delta = k2 - k1 if q + 1 < n else (k2 + m - k1)
-                eid = len(edges)
-                edges.append((r1, r2, delta % 2))
-                end_coord[(eid, 0)] = chords[k1][1]
-                end_coord[(eid, 1)] = chords[k2][0]
-                ends_at.setdefault(r1, []).append((eid, 0))
-                ends_at.setdefault(r2, []).append((eid, 1))
+                strand_curve.append(ci)
+                strand_parity.append(delta % 2)
+                end_rid += (r1, r2)
+                end_coord += (chords[k1][1], chords[k2][0])
 
         # strand ends leave a crossing in the order of the boundary points
         # they head for, as the half-edges do
-        rotation: dict[int, list[tuple[int, int]]] = {}
-        rot_pos: dict[tuple[int, int], int] = {}
-        for rid, ends in ends_at.items():
-            if len(ends) != 4:
-                raise RuntimeError("a crossing without four strand ends")
-            ordered = sorted(ends, key=end_coord.__getitem__)
-            rotation[rid] = ordered
-            for i, end in enumerate(ordered):
-                rot_pos[end] = i
+        rotation, rot_pos = _rotation(
+            end_rid, len(self.crossings), end_coord.__getitem__
+        )
+        if any(len(ring) != 4 for ring in rotation):
+            raise RuntimeError("a crossing without four strand ends")
 
-        vertex_uf = _ParityUnionFind()
-        comp_cross: dict[int, int] = {}
-        comp_orient_bad: set[int] = set()
-        for rid, (vid, i, _, j, _) in enumerate(self.crossings):
-            c = curve_uf.find(self.chords[i][0])
-            comp_cross[c] = comp_cross.get(c, 0) + 1
-        for eid, (r1, r2, parity) in enumerate(edges):
-            vertex_uf.union(r1, r2, parity)
-        for rid in range(len(self.crossings)):
+        vertex_uf = _UnionFind(len(self.crossings))
+        for e, parity in enumerate(strand_parity):
+            vertex_uf.union(end_rid[2 * e], end_rid[2 * e + 1], parity)
+        comp_cross = [0] * n_curves
+        comp_orient_bad = bytearray(n_curves)
+        for rid, (_, i, _, _, _) in enumerate(self.crossings):
+            c = curve_uf.find(self.chords[i][0])[0]
+            comp_cross[c] += 1
             if vertex_uf.contradictory(rid):
-                c = curve_uf.find(self.chords[self.crossings[rid][1]][0])
-                comp_orient_bad.add(c)
+                comp_orient_bad[c] = 1
 
-        # strand tracing: state = (edge, departing end, side); a side is
+        # strand tracing: state = 2 * (departing end) + side; a side is
         # 0 for the strand on the left of travel, swapped by each
         # crosscap passage; corners keep the side, left turns to the
         # rotation predecessor and right to the successor.
-        def next_state(state: tuple[int, int, int]) -> tuple[int, int, int]:
-            eid, end, side = state
-            r_to = edges[eid][1 - end]
-            side2 = side ^ edges[eid][2]
-            arrive = (eid, 1 - end)
-            ring = rotation[r_to]
+        def next_state(state: int) -> int:
+            arrive = (state >> 1) ^ 1
+            side = (state & 1) ^ strand_parity[arrive >> 1]
+            ring = rotation[end_rid[arrive]]
             i = rot_pos[arrive]
-            nxt = ring[(i - 1) % 4] if side2 == 0 else ring[(i + 1) % 4]
-            return (nxt[0], nxt[1], side2)
+            return 2 * (ring[(i + 1) % 4] if side else ring[i - 1]) + side
 
-        seen: set[tuple[int, int, int]] = set()
-        orbit_count: dict[int, int] = {}
-        for eid in range(len(edges)):
-            for end in (0, 1):
-                for side in (0, 1):
-                    state = (eid, end, side)
-                    if state in seen:
-                        continue
-                    comp = curve_uf.find(
-                        self.chords[self.crossings[edges[eid][0]][1]][0]
-                    )
-                    cur = state
-                    while cur not in seen:
-                        seen.add(cur)
-                        cur = next_state(cur)
-                    if cur != state:
-                        raise RuntimeError("strand walk did not close")
-                    orbit_count[comp] = orbit_count.get(comp, 0) + 1
+        orbit_count = [0] * n_curves
+        for cycle in _orbits(2 * len(end_rid), next_state):
+            orbit_count[curve_uf.find(strand_curve[cycle[0] >> 2])[0]] += 1
 
-        for comp, crossings in sorted(comp_cross.items()):
-            orbits = orbit_count.get(comp, 0)
+        for comp, crossings in enumerate(comp_cross):
+            if not crossings:
+                continue
+            orbits = orbit_count[comp]
             if orbits % 2 != 0:
                 raise RuntimeError("odd strand orbit count")
             circles = orbits // 2
@@ -669,7 +616,7 @@ class _CutComplex:
                     kind="neighbourhood",
                     euler_characteristic=-crossings,
                     boundary_circles=circles,
-                    orientable=comp not in comp_orient_bad,
+                    orientable=not comp_orient_bad[comp],
                 )
             )
         self._check_ribbon_circles(ribbon_circles)

@@ -1,5 +1,7 @@
 """End-to-end command-line behaviour, driven through ``main(argv)``."""
 
+import contextlib
+import io
 import os
 import shutil
 import subprocess
@@ -237,6 +239,63 @@ def test_missing_explicit_registry_fails_its_stage(capsys):
     )
     assert code == 1
     assert "[FAIL] registry-validation: registry:" in out
+
+
+def not_utf8(path):
+    path.write_bytes(b"\xff" + registry_text(standard_registry(SurfaceSpec(4, 1))).encode())
+    return path
+
+
+@pytest.mark.parametrize(
+    "option, argv, code, want",
+    [
+        ("--registry", ["verify-theorem"], 1, "[FAIL] registry-validation: registry: "),
+        ("--certificates", ["verify-theorem"], 1, "[FAIL] certificate-f: certificates: "),
+        ("--registry", ["validate-data"], 1, "[FAIL] registry: registry: "),
+        ("--certificates", ["validate-data"], 1, "[FAIL] certificates: certificates: "),
+        ("--registry", ["relation", "a1", "a2"], 2, "error: registry: "),
+        ("--registry", ["apply-curve", "a1", "alpha_1"], 2, "error: registry: "),
+        ("--registry", ["homology", "a1"], 2, "error: registry: "),
+        ("--registry", ["complement", "--curves", "X0"], 2, "error: registry: "),
+    ],
+)
+def test_a_data_file_that_is_not_utf8_is_named(tmp_path, capsys, option, argv, code, want):
+    bad = not_utf8(tmp_path / "bad.txt")
+    got, out, err = run(capsys, *argv, "--genus", "4", "--n", "1", option, str(bad))
+    assert got == code
+    assert f"{want}{bad} is not UTF-8 text (byte 0: invalid start byte)\n" in out + err
+
+
+def test_a_data_dir_file_that_is_not_utf8_is_named(tmp_path, monkeypatch, capsys):
+    bad = not_utf8(tmp_path / "registry_g4.txt")
+    monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
+    code, out, err = run(capsys, "relation", "--genus", "4", "a1", "a2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: registry: {bad} is not UTF-8 text (byte 0: invalid start byte)\n"
+
+
+def test_random_data_files_never_raise_out_of_main(tmp_path):
+    """Whatever bytes a registry or certificate file holds, every command
+    reports the fault and exits 1 or 2; nothing escapes ``main``."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    path = tmp_path / "data.txt"
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.binary(max_size=200),
+        st.sampled_from(["--registry", "--certificates"]),
+        st.sampled_from([["verify-theorem"], ["validate-data"], ["relation", "a1", "a2"]]),
+    )
+    def check(data, option, argv):
+        path.write_bytes(data)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--genus", "4", option, str(path)])
+        assert code in (1, 2)
+
+    check()
 
 
 # -- relation ------------------------------------------------------------
@@ -480,6 +539,26 @@ def test_genus_below_two_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["complement", "--curves", "", "--genus", "1"])
     assert exc.value.code == 2
+
+
+def test_importing_the_cli_loads_no_exact_number_modules():
+    """``fractions`` and ``decimal`` cost start-up time on every run; the
+    CLI imports them only when a message needs one."""
+    package_root = str(Path(crosscap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, crosscap.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # -- console script -----------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from crosscap.cutting import (
     ComponentReport,
     _CutComplex,
+    _UnionFind,
     cut_along,
     intersection_number,
 )
@@ -274,6 +275,61 @@ def test_registry_ribbons_total_minus_the_pairwise_crossings():
         geoms = [reg.geometry(name) for name in names]
         crossings = sum(crossing_count(a, b) for a, b in combinations(geoms, 2))
         assert sum(ribbons) == -crossings
+
+    check()
+
+
+def test_union_find_classes_and_parities_match_a_breadth_first_search():
+    """On random multigraphs with 0/1 edge weights, the classes are the
+    connected components, a class is contradictory exactly when its
+    component cannot be 2-coloured by the weights, and otherwise the
+    parities are such a colouring.  Faces, corners, circles, curves and
+    crossings all go through this one union-find."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def graphs(draw):
+        n = draw(st.integers(min_value=1, max_value=12))
+        ends = st.integers(min_value=0, max_value=n - 1)
+        edges = draw(st.lists(st.tuples(ends, ends, st.integers(0, 1)), max_size=20))
+        return n, edges
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs())
+    def check(graph):
+        n, edges = graph
+        uf = _UnionFind(n)
+        for a, b, w in edges:
+            uf.union(a, b, w)
+        adjacent = [[] for _ in range(n)]
+        for a, b, w in edges:
+            adjacent[a].append((b, w))
+            adjacent[b].append((a, w))
+        component = [-1] * n
+        colour = [0] * n
+        odd = set()
+        for start in range(n):
+            if component[start] != -1:
+                continue
+            component[start] = start
+            queue = [start]
+            for x in queue:
+                for y, w in adjacent[x]:
+                    if component[y] == -1:
+                        component[y] = start
+                        colour[y] = colour[x] ^ w
+                        queue.append(y)
+                    elif colour[y] != colour[x] ^ w:
+                        odd.add(start)
+        for x in range(n):
+            for y in range(n):
+                same = uf.find(x)[0] == uf.find(y)[0]
+                assert same == (component[x] == component[y])
+            assert uf.contradictory(x) == (component[x] in odd)
+        for a, b, w in edges:
+            if component[a] not in odd:
+                assert uf.find(a)[1] ^ uf.find(b)[1] == w
 
     check()
 
