@@ -50,15 +50,17 @@ class HomologyMatrix:
             return NotImplemented
         if other.genus != self.genus:
             raise ValueError("matrix sizes differ")
-        g = self.genus
-        rows = tuple(
-            tuple(
-                sum(self.rows[i][k] * other.rows[k][j] for k in range(g))
-                for j in range(g)
-            )
-            for i in range(g)
-        )
-        return HomologyMatrix(g, rows)
+        # row i of the product is the sum of a * (row k of other) over the
+        # entries a = self[i][k]; twist matrices are near the identity, so
+        # most entries are zero and are skipped
+        rows = []
+        for row in self.rows:
+            acc = [0] * self.genus
+            for a, other_row in zip(row, other.rows):
+                if a:
+                    acc = [s + a * b for s, b in zip(acc, other_row)]
+            rows.append(acc)
+        return HomologyMatrix(self.genus, tuple(rows))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.genus:
@@ -69,7 +71,13 @@ class HomologyMatrix:
         )
 
     def det(self) -> int:
-        """Exact integer determinant (fraction-free elimination)."""
+        """Exact integer determinant (fraction-free Bareiss elimination).
+
+        Step k replaces row i by (m[i] * pivot - m[i][k] * m[k]) / prev.
+        A row with m[i][k] == 0 when pivot == prev comes out unchanged,
+        so it is skipped.  Twist matrices are near the identity: most
+        rows below a pivot of 1 are skipped, and the result is the same.
+        """
         n = self.genus
         m = [list(r) for r in self.rows]
         sign = 1
@@ -83,11 +91,14 @@ class HomologyMatrix:
                         break
                 else:
                     return 0
+            pivot = m[k][k]
             for i in range(k + 1, n):
+                if m[i][k] == 0 and pivot == prev:
+                    continue
                 for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+                    m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
                 m[i][k] = 0
-            prev = m[k][k]
+            prev = pivot
         return sign * m[n - 1][n - 1]
 
     def mod2(self) -> "Mod2Matrix":
@@ -165,10 +176,13 @@ class Mod2Matrix:
 
 def abelianize(auto: Automorphism) -> HomologyMatrix:
     """Integer homology matrix of an automorphism (columns = images)."""
-    g = auto.genus
-    cols = [auto.images[j].exponent_vector() for j in range(g)]
-    rows = tuple(tuple(cols[j][i] for j in range(g)) for i in range(g))
-    return HomologyMatrix(g, rows)
+    return images_matrix(auto.genus, auto.images)
+
+
+def images_matrix(genus: int, images: Sequence[Word]) -> HomologyMatrix:
+    """Integer homology matrix of the map sending x_j to images[j - 1]."""
+    cols = [w.exponent_vector() for w in images]
+    return HomologyMatrix(genus, tuple(zip(*cols)))
 
 
 def mod2_class(word: Word) -> tuple[int, ...]:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from crosscap.words import Word
+from crosscap.words import Word, _reduce
 
 #: The side parameters' grid: a side holds the parameters 1 .. SIDE - 1.
 #: 3840 = 2**8 * 3 * 5, so every frozen layout parameter of ``surface``
@@ -162,7 +162,7 @@ def _crosses(p: Chord, q: Chord) -> bool:
 # -- spelling --------------------------------------------------------------
 
 
-def _spell_walks(genus: int, walks: Iterable[tuple[int, int]]) -> Word:
+def _walk_letters(walks: Iterable[tuple[int, int]]) -> list[int]:
     # Each glued side k carries one marker just after its start corner
     # k-1, so a point of side k (or the vertex, for k = 0) has k markers
     # below it.  A walk between two such marker counts a < b spells the
@@ -174,7 +174,15 @@ def _spell_walks(genus: int, walks: Iterable[tuple[int, int]]) -> Word:
             letters += [k // 2 + 1 for k in range(a, b)]
         else:
             letters += [-(k // 2 + 1) for k in range(a - 1, b - 1, -1)]
-    return Word(genus, tuple(letters))
+    return letters
+
+
+def _based_loop_letters(events: Sequence[Event]) -> list[int]:
+    stops = [0]
+    for ev in events:
+        stops += [ev.hit_side, ev.out_side]
+    stops.append(0)
+    return _walk_letters(zip(stops[::2], stops[1::2]))
 
 
 def spell_based_loop(genus: int, events: Sequence[Event]) -> Word:
@@ -183,11 +191,7 @@ def spell_based_loop(genus: int, events: Sequence[Event]) -> Word:
     The loop starts and ends at the vertex (anchored just inside the
     polygon), visiting the events in order.
     """
-    stops = [0]
-    for ev in events:
-        stops += [ev.hit_side, ev.out_side]
-    stops.append(0)
-    return _spell_walks(genus, zip(stops[::2], stops[1::2]))
+    return Word(genus, tuple(_based_loop_letters(events)))
 
 
 def spell_cyclic(genus: int, events: Sequence[Event]) -> Word:
@@ -197,10 +201,8 @@ def spell_cyclic(genus: int, events: Sequence[Event]) -> Word:
     only its conjugacy class (CyclicWord) is meaningful.
     """
     m = len(events)
-    return _spell_walks(
-        genus,
-        ((ev.out_side, events[(j + 1) % m].hit_side) for j, ev in enumerate(events)),
-    )
+    walks = ((ev.out_side, events[(j + 1) % m].hit_side) for j, ev in enumerate(events))
+    return Word(genus, tuple(_walk_letters(walks)))
 
 
 # -- chord systems ---------------------------------------------------------
@@ -391,8 +393,17 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     """Generator images under the Dehn twist along `curve`.
 
     The twist acts on the based elementary loop through crosscap i,
-    whose class is (x₁²⋯x_{i-1}²) x_i (x₁²⋯x_{i-1}²)⁻¹; images of the
-    x_i themselves follow by the triangular recursion.
+    whose class is P x_i P⁻¹ with P = x₁²⋯x_{i-1}²; images of the x_i
+    themselves follow by the triangular recursion
+    x_i ↦ S⁻¹ t(P x_i P⁻¹) S, where the shell S is the image of P.
+
+    Shortcut: when the loop through crosscap i picks up no detour and
+    the shell S is still P itself, x_i ↦ P⁻¹ (P x_i P⁻¹) P = x_i exactly,
+    and nothing is spelled.  A twist moves only the crosscaps its curve
+    passes near, and past them the shell returns to P, so most images
+    take this path.  (On every embedded curve tried, a loop with no
+    detour found S = P; the shell test keeps the shortcut exact by
+    algebra alone, without that geometric fact.)
     """
     _check_twistable(curve, arrow)
     genus = curve.genus
@@ -400,13 +411,21 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     # the based loop through crosscap i crosses its pair at parameter taus[i-1]
     taus = [fresh_params(1, forbidden)[0] for _ in range(genus)]
     images: list[Word] = []
-    shell = Word(genus)  # image of x₁²⋯x_{i-1}²
+    square: tuple[int, ...] = ()  # the letters of P = x₁²⋯x_{i-1}²
+    shell = Word(genus)  # S, the image of P
     for i, tau in enumerate(taus, start=1):
         spliced = _twist_based_loop(curve, arrow, [Event(i, True, tau)])
-        h_i = spell_based_loop(genus, spliced)
-        x_i = shell.inverse() * h_i * shell
+        if len(spliced) == 1 and shell.letters == square:
+            x_i = Word._trusted(genus, (i,))
+            shell = Word._trusted(genus, square + (i, i))
+        else:
+            # sides of crosscaps <= genus spell valid letters, and _reduce
+            # frees S⁻¹ h_i S of cancelling pairs in one pass
+            h_i = tuple(_based_loop_letters(spliced))
+            x_i = Word._trusted(genus, _reduce(shell.inverse().letters + h_i + shell.letters))
+            shell = shell * x_i * x_i
         images.append(x_i)
-        shell = shell * x_i * x_i
+        square += (i, i)
     return images
 
 

@@ -86,7 +86,7 @@ class Automorphism:
         """
         for i in range(self.genus):
             xi = Word(self.genus, (i + 1,))
-            if apply_images(self.images, self.inverse_images[i]) != xi:
+            if _image_of(self.images, self.inverse_images[i]) != xi:
                 raise AutomorphismError(
                     f"images do not undo the inverse map at x{i + 1}"
                 )
@@ -111,8 +111,8 @@ class Automorphism:
             raise ValueError(
                 f"cannot compose automorphisms of genus {self.genus} and {other.genus}"
             )
-        images = _compose(self.images, other.images)
-        inverse_images = _compose(other.inverse_images, self.inverse_images)
+        images = compose_images(self.images, other.images)
+        inverse_images = compose_images(other.inverse_images, self.inverse_images)
         return Automorphism(self.genus, images, inverse_images, verify=False)
 
     def fixes_boundary(self) -> bool:
@@ -120,22 +120,25 @@ class Automorphism:
         return self.apply(delta) == delta
 
 
-def _compose(outer: Sequence[Word], inner: Sequence[Word]) -> tuple[Word, ...]:
+def _image_of(outer: Sequence[Word], w: Word) -> Word:
+    """The image under outer of one word; a bare generator x_j is looked up."""
+    letters = w.letters
+    if len(letters) == 1 and letters[0] > 0:
+        return outer[letters[0] - 1]
+    return apply_images(outer, w)
+
+
+def compose_images(outer: Sequence[Word], inner: Sequence[Word]) -> tuple[Word, ...]:
     """Images of outer∘inner (inner acts first), given both maps' images.
 
     Most twist images are a bare generator x_j, whose image under outer
     is outer's j-th image itself; only the other words are substituted.
     The outer images must have the inner words' genus, as an
-    Automorphism's have.  The relation checks compare images only, as
-    `equal` does, so they skip the inverse images that
-    `Automorphism.after` also composes.
+    Automorphism's have.  Checks that compare images only, as `equal`
+    does, use this instead of `Automorphism.after`, which also composes
+    the inverse images.
     """
-    return tuple(
-        outer[w.letters[0] - 1]
-        if len(w.letters) == 1 and w.letters[0] > 0
-        else apply_images(outer, w)
-        for w in inner
-    )
+    return tuple(_image_of(outer, w) for w in inner)
 
 
 def equal(p: Automorphism, q: Automorphism) -> bool:
@@ -437,13 +440,30 @@ def parse_certificates(text: str) -> dict[str, Certificate]:
 # -- invariant suites --------------------------------------------------------
 
 
+def _moved_by_either(p: Automorphism, q: Automorphism) -> list[int]:
+    """Indices j at which p or q moves the generator x_{j+1}."""
+    return [
+        j
+        for j, (u, v) in enumerate(zip(p.images, q.images))
+        if u.letters != (j + 1,) or v.letters != (j + 1,)
+    ]
+
+
 def _braid_holds(p: Automorphism, q: Automorphism) -> bool:
-    pqp = _compose(_compose(p.images, q.images), p.images)
-    return pqp == _compose(_compose(q.images, p.images), q.images)
+    """pqp = qpq, compared only where p or q moves a generator: where both
+    fix x_j, both composites fix it too."""
+    a, b = p.images, q.images
+    return all(
+        _image_of(a, _image_of(b, a[j])) == _image_of(b, _image_of(a, b[j]))
+        for j in _moved_by_either(p, q)
+    )
 
 
 def _commute_holds(p: Automorphism, q: Automorphism) -> bool:
-    return _compose(p.images, q.images) == _compose(q.images, p.images)
+    """pq = qp, compared only where p or q moves a generator, as in
+    :func:`_braid_holds`."""
+    a, b = p.images, q.images
+    return all(_image_of(a, b[j]) == _image_of(b, a[j]) for j in _moved_by_either(p, q))
 
 
 def relation_suite(
@@ -454,6 +474,11 @@ def relation_suite(
     Which pairs commute is decided by measuring crossing numbers of the
     registered layouts, not by a hard-coded list: disjoint twists must
     commute, crossing-once neighbours must braid.
+
+    Each relation compares the two composites' images only at the
+    generators x_j that one of the pair moves.  The comparison is still
+    exact: if both maps fix x_j, every composite of them fixes x_j, so
+    the two sides agree there.
     """
     results: list[CheckResult] = []
     g = registry.spec.genus

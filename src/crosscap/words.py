@@ -17,6 +17,10 @@ from typing import Iterable, Iterator
 
 _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
 
+#: The most letters :meth:`Word.parse` expands a text into.  A token
+#: ``x1^k`` spells k letters, so the bound is checked before they are built.
+MAX_PARSED_LETTERS = 100_000
+
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     out: list[int] = []
@@ -154,7 +158,9 @@ class Word:
 
         The token ``1`` denotes the identity and may appear alone or
         mixed into a longer word.  Raises :class:`ValueError` on any
-        token that does not match ``x<i>`` or ``x<i>^<k>``.
+        token that does not match ``x<i>`` or ``x<i>^<k>``, and on a token
+        that would take the word past ``MAX_PARSED_LETTERS`` letters
+        before reduction.
         """
         letters: list[int] = []
         for tok in text.split():
@@ -164,11 +170,22 @@ class Word:
             if m is None:
                 raise ValueError(f"cannot parse word token {tok!r}")
             idx = int(m.group(1))
-            exp = int(m.group(2)) if m.group(2) is not None else 1
             if idx < 1 or idx > genus:
                 raise ValueError(
                     f"generator x{idx} out of range for genus {genus}"
                 )
+            exp_text = m.group(2) or "1"
+            # more digits than the bound has means past it: never convert those
+            digits = exp_text.lstrip("-").lstrip("0")
+            if (
+                len(digits) > len(str(MAX_PARSED_LETTERS))
+                or len(letters) + abs(int(exp_text)) > MAX_PARSED_LETTERS
+            ):
+                raise ValueError(
+                    f"word token {tok!r} takes the word past "
+                    f"{MAX_PARSED_LETTERS} letters"
+                )
+            exp = int(exp_text)
             letters.extend([idx if exp > 0 else -idx] * abs(exp))
         return cls(genus, tuple(letters))
 

@@ -13,6 +13,7 @@ import pytest
 import crosscap
 from crosscap.cli import DATA_DIR_ENV, main
 from crosscap.surface import SurfaceSpec, registry_text, standard_registry
+from crosscap.words import MAX_PARSED_LETTERS
 
 F_EXPRESSION = "a3^-1 a2^-1 b a1^-1 a2^-1 a3^-1 e^-1 a3 a2 a1 b^-1 a2 a3"
 
@@ -239,6 +240,29 @@ def test_missing_explicit_registry_fails_its_stage(capsys):
     )
     assert code == 1
     assert "[FAIL] registry-validation: registry:" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["verify-theorem"], 1, "[FAIL] registry-validation: registry: "),
+        (["relation", "a1", "a2"], 2, "error: registry: "),
+    ],
+)
+def test_a_registry_word_past_the_letter_bound_is_named(tmp_path, capsys, argv, code, prefix):
+    lines = registry_text(standard_registry(SurfaceSpec(4, 1))).splitlines()
+    (row,) = [i for i, line in enumerate(lines) if line.startswith("beta |")]
+    name, _, coords, arrow = lines[row].split(" | ")
+    k = MAX_PARSED_LETTERS + 1
+    lines[row] = " | ".join((name, f"x1^{k}", coords, arrow))
+    path = tmp_path / "registry.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got, out, err = run(capsys, *argv, "--genus", "4", "--n", "1", "--registry", str(path))
+    assert got == code
+    assert (
+        f"{prefix}line {row + 1}: word token 'x1^{k}' takes the word past "
+        f"{MAX_PARSED_LETTERS} letters\n"
+    ) in out + err
 
 
 def not_utf8(path):

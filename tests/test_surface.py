@@ -27,7 +27,7 @@ from crosscap.surface import (
     _frozen_layouts,
     _grid,
 )
-from crosscap.words import CyclicWord, Word
+from crosscap.words import MAX_PARSED_LETTERS, CyclicWord, Word
 
 
 def test_surface_spec_invariants():
@@ -198,6 +198,16 @@ def test_parse_registry_rejects_bad_lines(line, fragment):
     with pytest.raises(RegistryFormatError, match="line 1") as err:
         parse_registry(SurfaceSpec(3, 1), line + "\n")
     assert fragment in str(err.value)
+
+
+def test_a_registry_word_past_the_letter_bound_names_its_line():
+    k = MAX_PARSED_LETTERS + 1
+    text = f"alpha_1 | x1 x2 | A1+,A2+ | +1\nalpha_2 | x2^{k} | A2+,A3+ | +1\n"
+    with pytest.raises(RegistryFormatError) as err:
+        parse_registry(SurfaceSpec(3, 1), text)
+    assert str(err.value) == (
+        f"line 2: word token 'x2^{k}' takes the word past {MAX_PARSED_LETTERS} letters"
+    )
 
 
 def test_parse_registry_rejects_duplicates():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from crosscap.words import CyclicWord, Word, boundary_word, is_conjugate
+from crosscap.words import MAX_PARSED_LETTERS, CyclicWord, Word, boundary_word, is_conjugate
 
 
 def w(text, genus=3):
@@ -55,6 +55,35 @@ def test_parse_exponents_and_identity_token():
     assert Word.parse("x1^2 x2^-2", 3).letters == (1, 1, -2, -2)
     assert Word.parse("1", 3) == Word.identity(3)
     assert Word.parse("x1 1 x2", 3).letters == (1, 2)
+
+
+def test_parse_expands_up_to_the_letter_bound():
+    assert len(Word.parse(f"x1^{MAX_PARSED_LETTERS}", 3)) == MAX_PARSED_LETTERS
+    assert Word.parse("x1^0000002 x2^-0", 3).letters == (1, 1)
+    half = MAX_PARSED_LETTERS // 2
+    assert len(Word.parse(f"x1^{half} x2^-{MAX_PARSED_LETTERS - half}", 3)) == MAX_PARSED_LETTERS
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        (f"x1^{MAX_PARSED_LETTERS + 1}", f"x1^{MAX_PARSED_LETTERS + 1}"),
+        (f"x2^-{MAX_PARSED_LETTERS + 1}", f"x2^-{MAX_PARSED_LETTERS + 1}"),
+        (f"x1^{MAX_PARSED_LETTERS} x2", "x2"),
+        (f"x1^{MAX_PARSED_LETTERS // 2} x1^-{MAX_PARSED_LETTERS // 2 + 1}",
+         f"x1^-{MAX_PARSED_LETTERS // 2 + 1}"),
+        # more digits than int() converts: refused before any conversion
+        ("x3^" + "9" * 5000, "x3^" + "9" * 5000),
+    ],
+)
+def test_parse_refuses_a_token_past_the_letter_bound(text, token):
+    # the running total counts letters before reduction: x1^k x1^-k is
+    # refused past the bound even though it reduces to the identity
+    with pytest.raises(ValueError) as err:
+        Word.parse(text, 3)
+    assert str(err.value) == (
+        f"word token {token!r} takes the word past {MAX_PARSED_LETTERS} letters"
+    )
 
 
 def test_str_round_trip():
