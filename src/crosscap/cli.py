@@ -33,6 +33,7 @@ from crosscap.cutting import cut_along
 from crosscap.homology import abelianize, images_matrix
 from crosscap.polygon import DegeneratePositionError
 from crosscap.surface import (
+    MAX_GENUS,
     MIN_RICH_GENUS,
     Registry,
     RegistryFormatError,
@@ -115,7 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Twist computations on non-orientable surfaces.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--genus", type=int, required=True, help="crosscap genus g >= 2")
+    common.add_argument(
+        "--genus", type=int, required=True, help=f"crosscap genus, 2 <= g <= {MAX_GENUS}"
+    )
     common.add_argument(
         "--n",
         type=int,
@@ -526,6 +529,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.genus < 2:
         parser.error(f"--genus must be at least 2, got {args.genus}")
+    try:
+        SurfaceSpec(args.genus, args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command in ("verify-theorem", "validate-data") and args.genus < MIN_RICH_GENUS:
         parser.error(
             f"{args.command} needs --genus >= {MIN_RICH_GENUS} "

@@ -37,7 +37,6 @@ at identical parameters, one per crossing event).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from crosscap.polygon import (
@@ -49,6 +48,7 @@ from crosscap.polygon import (
     crossing_count,
 )
 from crosscap.surface import Registry, SurfaceSpec
+from crosscap.words import Record
 
 
 def intersection_number(registry: Registry, u: str, v: str) -> int:
@@ -68,14 +68,18 @@ def intersection_number(registry: Registry, u: str, v: str) -> int:
     return crossing_count(registry.geometry(ru.name), registry.geometry(rv.name))
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(Record):
     """One piece of the cut surface."""
 
-    kind: str  # "complement" or "neighbourhood"
-    euler_characteristic: int
-    boundary_circles: int
-    orientable: bool
+    __slots__ = ("kind", "euler_characteristic", "boundary_circles", "orientable")
+
+    def __init__(
+        self, kind: str, euler_characteristic: int, boundary_circles: int, orientable: bool
+    ) -> None:
+        object.__setattr__(self, "kind", kind)  # "complement" or "neighbourhood"
+        object.__setattr__(self, "euler_characteristic", euler_characteristic)
+        object.__setattr__(self, "boundary_circles", boundary_circles)
+        object.__setattr__(self, "orientable", orientable)
 
     @property
     def is_disk(self) -> bool:
@@ -94,12 +98,20 @@ class ComponentReport:
         )
 
 
-@dataclass(frozen=True)
-class ComplementReport:
-    genus: int
-    boundary: int
-    curve_names: tuple[str, ...]
-    components: tuple[ComponentReport, ...]
+class ComplementReport(Record):
+    __slots__ = ("genus", "boundary", "curve_names", "components")
+
+    def __init__(
+        self,
+        genus: int,
+        boundary: int,
+        curve_names: tuple[str, ...],
+        components: tuple[ComponentReport, ...],
+    ) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary", boundary)
+        object.__setattr__(self, "curve_names", curve_names)
+        object.__setattr__(self, "components", components)
 
     @property
     def total_euler(self) -> int:

@@ -11,11 +11,10 @@ used as cheap independent cross-checks on the exact word-level engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from crosscap.twists import Automorphism
-from crosscap.words import Word
+from crosscap.words import Record, Word
 
 
 def _check_square(genus: int, rows: tuple[tuple[int, ...], ...]) -> None:
@@ -23,16 +22,15 @@ def _check_square(genus: int, rows: tuple[tuple[int, ...], ...]) -> None:
         raise ValueError(f"expected a {genus}x{genus} matrix")
 
 
-@dataclass(frozen=True)
-class HomologyMatrix:
+class HomologyMatrix(Record):
     """Integer matrix of a map on H1(N; Z), columns indexed by x1..xg."""
 
-    genus: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("genus", "rows")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(e) for e in r) for r in self.rows)
-        _check_square(self.genus, rows)
+    def __init__(self, genus: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(int(e) for e in r) for r in rows)
+        _check_square(genus, rows)
+        object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -117,16 +115,15 @@ class HomologyMatrix:
         )
 
 
-@dataclass(frozen=True)
-class Mod2Matrix:
+class Mod2Matrix(Record):
     """Matrix of a map on H1(N; Z/2) in the crosscap basis."""
 
-    genus: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("genus", "rows")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(int(e) % 2 for e in r) for r in self.rows)
-        _check_square(self.genus, rows)
+    def __init__(self, genus: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(int(e) % 2 for e in r) for r in rows)
+        _check_square(genus, rows)
+        object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "rows", rows)
 
     @classmethod

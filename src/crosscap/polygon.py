@@ -41,11 +41,10 @@ inflicts on the plane frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from crosscap.words import Word, _reduce
+from crosscap.words import Record, Word, _reduce
 
 #: The side parameters' grid: a side holds the parameters 1 .. SIDE - 1.
 #: 3840 = 2**8 * 3 * 5, so every frozen layout parameter of ``surface``
@@ -75,8 +74,7 @@ def _coordinate_text(key: int) -> str:
     return str(Fraction(key, SIDE))
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(Record):
     """One transverse crossing of a glued side pair.
 
     ``hit_b`` tells which copy the traversal runs into: ``True`` means
@@ -85,18 +83,19 @@ class Event:
     passage.  ``t`` is the side parameter, an integer in (0, SIDE).
     """
 
-    pair: int
-    hit_b: bool
-    t: int
+    __slots__ = ("pair", "hit_b", "t")
 
-    def __post_init__(self) -> None:
-        if self.pair < 1:
-            raise ValueError(f"crosscap index must be >= 1, got {self.pair}")
-        if type(self.t) is not int or not 0 < self.t < SIDE:
+    def __init__(self, pair: int, hit_b: bool, t: int) -> None:
+        if pair < 1:
+            raise ValueError(f"crosscap index must be >= 1, got {pair}")
+        if type(t) is not int or not 0 < t < SIDE:
             raise ValueError(
                 f"event parameter must be an integer strictly between 0 and "
-                f"{SIDE}, got {self.t!r}"
+                f"{SIDE}, got {t!r}"
             )
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "hit_b", hit_b)
+        object.__setattr__(self, "t", t)
 
     @property
     def hit_side(self) -> int:

@@ -16,7 +16,6 @@ separated, exponents limited to ``^-1``, leftmost factor applied last.
 from __future__ import annotations
 
 import re
-from dataclasses import InitVar, dataclass
 from typing import Iterable, Mapping, Sequence
 
 from crosscap.polygon import DegeneratePositionError, apply_images, crossing_count, twist_images
@@ -26,7 +25,7 @@ from crosscap.surface import (
     Registry,
     UnknownCurveError,
 )
-from crosscap.words import CyclicWord, Word, boundary_word
+from crosscap.words import CyclicWord, Record, Word, boundary_word
 
 
 class AutomorphismError(ValueError):
@@ -41,8 +40,7 @@ class CertificateError(ValueError):
     """A certificate that is malformed or steps outside its allowed set."""
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     """An exact automorphism of the free group on ``x1 .. xg``.
 
     Constructing one from raw tables verifies that ``images`` and
@@ -54,24 +52,30 @@ class Automorphism:
     already supplies.  ``verify_sound`` re-runs the check on demand.
     """
 
-    genus: int
-    images: tuple[Word, ...]
-    inverse_images: tuple[Word, ...]
-    verify: InitVar[bool] = True
+    __slots__ = ("genus", "images", "inverse_images")
 
-    def __post_init__(self, verify: bool) -> None:
-        if self.genus < 1:
-            raise ValueError(f"genus must be positive, got {self.genus}")
-        for side, words in (("images", self.images), ("inverse images", self.inverse_images)):
-            if len(words) != self.genus:
+    def __init__(
+        self,
+        genus: int,
+        images: tuple[Word, ...],
+        inverse_images: tuple[Word, ...],
+        verify: bool = True,
+    ) -> None:
+        if genus < 1:
+            raise ValueError(f"genus must be positive, got {genus}")
+        for side, words in (("images", images), ("inverse images", inverse_images)):
+            if len(words) != genus:
                 raise AutomorphismError(
-                    f"expected {self.genus} {side}, got {len(words)}"
+                    f"expected {genus} {side}, got {len(words)}"
                 )
             for w in words:
-                if w.genus != self.genus:
+                if w.genus != genus:
                     raise AutomorphismError(
-                        f"{side} contain a word of genus {w.genus}, expected {self.genus}"
+                        f"{side} contain a word of genus {w.genus}, expected {genus}"
                     )
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "inverse_images", inverse_images)
         if verify:
             self.verify_sound()
 
@@ -186,13 +190,15 @@ def generator_names(genus: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class TwistGenerator:
+class TwistGenerator(Record):
     """A named twist: the curve it twists along and its automorphism."""
 
-    name: str
-    curve: CurveRecord
-    auto: Automorphism
+    __slots__ = ("name", "curve", "auto")
+
+    def __init__(self, name: str, curve: CurveRecord, auto: Automorphism) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "auto", auto)
 
 
 def derive_generator(registry: Registry, curve_name: str) -> TwistGenerator:
@@ -293,11 +299,15 @@ ZETA_CERTIFICATE_EXPRESSION = (
 )
 
 
-@dataclass(frozen=True)
-class KeyConjugationReport:
-    curve_clause_ok: bool
-    twist_clause_ok: bool
-    diagnostics: tuple[str, ...]
+class KeyConjugationReport(Record):
+    __slots__ = ("curve_clause_ok", "twist_clause_ok", "diagnostics")
+
+    def __init__(
+        self, curve_clause_ok: bool, twist_clause_ok: bool, diagnostics: tuple[str, ...]
+    ) -> None:
+        object.__setattr__(self, "curve_clause_ok", curve_clause_ok)
+        object.__setattr__(self, "twist_clause_ok", twist_clause_ok)
+        object.__setattr__(self, "diagnostics", diagnostics)
 
     @property
     def ok(self) -> bool:
@@ -338,20 +348,24 @@ def verify_key_conjugation(
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A claim that a target twist is a word in an allowed generator set."""
 
-    target: str
-    allowed: tuple[str, ...]
-    expression: str
+    __slots__ = ("target", "allowed", "expression")
+
+    def __init__(self, target: str, allowed: tuple[str, ...], expression: str) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "allowed", allowed)
+        object.__setattr__(self, "expression", expression)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    target: str
-    ok: bool
-    diagnostic: str = ""
+class CertificateReport(Record):
+    __slots__ = ("target", "ok", "diagnostic")
+
+    def __init__(self, target: str, ok: bool, diagnostic: str = "") -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "diagnostic", diagnostic)
 
 
 def check_certificate(

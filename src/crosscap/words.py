@@ -12,7 +12,6 @@ free homotopy class of loops needs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
@@ -20,6 +19,41 @@ _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
 #: The most letters :meth:`Word.parse` expands a text into.  A token
 #: ``x1^k`` spells k letters, so the bound is checked before they are built.
 MAX_PARSED_LETTERS = 100_000
+
+
+class Record:
+    """Base of the package's immutable records.
+
+    A record names its fields in ``__slots__`` and sets them in
+    ``__init__`` through ``object.__setattr__``; afterwards, assigning or
+    deleting an attribute raises ``AttributeError``.  Equality, hash and
+    repr run over the fields in ``__slots__`` order: a record equals only
+    a record of its own class with equal fields, and hashes as the tuple
+    of its fields.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -42,8 +76,7 @@ def letter_str(s: int) -> str:
     return f"x{s}" if s > 0 else f"x{-s}^-1"
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A freely reduced word in the free group on ``x1 .. x<genus>``.
 
     Instances are immutable and hashable.  Multiplication concatenates
@@ -51,19 +84,19 @@ class Word:
     identity and prints as ``"1"``.
     """
 
-    genus: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("genus", "letters")
 
-    def __post_init__(self) -> None:
-        if self.genus < 1:
-            raise ValueError(f"genus must be a positive integer, got {self.genus}")
-        letters = tuple(self.letters)
+    def __init__(self, genus: int, letters: tuple[int, ...] = ()) -> None:
+        if genus < 1:
+            raise ValueError(f"genus must be a positive integer, got {genus}")
+        letters = tuple(letters)
         for s in letters:
-            if not isinstance(s, int) or s == 0 or abs(s) > self.genus:
+            if not isinstance(s, int) or s == 0 or abs(s) > genus:
                 raise ValueError(
-                    f"letter {s!r} is not valid for genus {self.genus} "
-                    f"(expected nonzero integers with |letter| <= {self.genus})"
+                    f"letter {s!r} is not valid for genus {genus} "
+                    f"(expected nonzero integers with |letter| <= {genus})"
                 )
+        object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "letters", _reduce(letters))
 
     @classmethod
@@ -229,8 +262,7 @@ def _least_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
     return letters[start:] + letters[:start]
 
 
-@dataclass(frozen=True)
-class CyclicWord:
+class CyclicWord(Record):
     """Canonical form of a conjugacy class in the free group.
 
     Two words are conjugate iff their cyclic reductions are rotations
@@ -239,8 +271,12 @@ class CyclicWord:
     whatever letters are passed in.
     """
 
-    genus: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ("genus", "letters")
+
+    def __init__(self, genus: int, letters: tuple[int, ...] = ()) -> None:
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()  # a method of its own: perfbench times it by name
 
     def __post_init__(self) -> None:
         word = Word(self.genus, tuple(self.letters))  # validates + reduces

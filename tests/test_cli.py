@@ -12,7 +12,7 @@ import pytest
 
 import crosscap
 from crosscap.cli import DATA_DIR_ENV, main
-from crosscap.surface import SurfaceSpec, registry_text, standard_registry
+from crosscap.surface import MAX_GENUS, SurfaceSpec, registry_text, standard_registry
 from crosscap.words import MAX_PARSED_LETTERS
 
 F_EXPRESSION = "a3^-1 a2^-1 b a1^-1 a2^-1 a3^-1 e^-1 a3 a2 a1 b^-1 a2 a3"
@@ -565,6 +565,16 @@ def test_genus_below_two_is_a_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["verify-theorem"], ["complement", "--curves", "X0"]])
+def test_genus_past_the_bound_is_a_usage_error(capsys, command):
+    genus = MAX_GENUS + 1
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--genus", str(genus), "--n", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: genus {genus} is above the bound MAX_GENUS = {MAX_GENUS}\n")
+
+
 def test_importing_the_cli_loads_no_exact_number_modules():
     """``fractions`` and ``decimal`` cost start-up time on every run; the
     CLI imports them only when a message needs one."""
@@ -575,6 +585,28 @@ def test_importing_the_cli_loads_no_exact_number_modules():
             "-c",
             "import sys, crosscap.cli; "
             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """The records are plain slotted classes: ``dataclasses`` would pull in
+    ``inspect`` and its own imports at every start.  ``-S`` keeps site
+    hooks from loading either module first."""
+    package_root = str(Path(crosscap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import crosscap.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,

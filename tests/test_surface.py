@@ -8,6 +8,7 @@ import pytest
 
 from crosscap.polygon import SIDE, Event, crossing_count
 from crosscap.surface import (
+    MAX_GENUS,
     MIN_RICH_GENUS,
     CappingPolicyError,
     CurveRecord,
@@ -38,6 +39,17 @@ def test_surface_spec_invariants():
         SurfaceSpec(1, 1)
     with pytest.raises(ValueError):
         SurfaceSpec(4, 2)
+
+
+def test_surface_spec_bounds_the_genus():
+    # the pinned twist corpus runs up to genus 30, the benchmark ladder to 20
+    assert MAX_GENUS >= 30
+    assert SurfaceSpec(MAX_GENUS, 1).genus == MAX_GENUS
+    with pytest.raises(ValueError) as exc:
+        SurfaceSpec(MAX_GENUS + 1, 0)
+    assert str(exc.value) == (
+        f"genus {MAX_GENUS + 1} is above the bound MAX_GENUS = {MAX_GENUS}"
+    )
 
 
 @pytest.mark.parametrize(
