@@ -40,6 +40,7 @@ from crosscap.surface import (
     SurfaceSpec,
     UnknownCurveError,
     canonical_curve_name,
+    chain_index,
     parse_registry,
     standard_registry,
     validate_registry,
@@ -56,7 +57,6 @@ from crosscap.twists import (
     evaluate,
     first_difference,
     fixing_suite,
-    generator_names,
     parse_certificates,
     relation_suite,
     standard_certificates,
@@ -192,20 +192,13 @@ def _expand_curve_list(spec_text: str, genus: int) -> list[str]:
             continue
         if ".." in token:
             lo_text, _, hi_text = token.partition("..")
-            lo = canonical_curve_name(lo_text)
-            hi = canonical_curve_name(hi_text)
-            if (
-                lo is None
-                or hi is None
-                or not lo.startswith("alpha_")
-                or not hi.startswith("alpha_")
-            ):
+            lo = chain_index(canonical_curve_name(lo_text) or "")
+            hi = chain_index(canonical_curve_name(hi_text) or "")
+            if lo is None or hi is None:
                 raise UnknownCurveError(f"bad range {token!r}: use alphaI..alphaJ")
-            lo_i = int(lo.split("_")[1])
-            hi_i = int(hi.split("_")[1])
-            if lo_i > hi_i:
+            if lo > hi:
                 raise UnknownCurveError(f"bad range {token!r}: empty")
-            for i in range(lo_i, hi_i + 1):
+            for i in range(lo, hi + 1):
                 push(f"alpha_{i}")
             continue
         canon = canonical_curve_name(token)
@@ -527,8 +520,6 @@ _COMMANDS: dict[str, Callable] = {
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.genus < 2:
-        parser.error(f"--genus must be at least 2, got {args.genus}")
     try:
         SurfaceSpec(args.genus, args.n)
     except ValueError as exc:

@@ -69,17 +69,9 @@ def intersection_number(registry: Registry, u: str, v: str) -> int:
 
 
 class ComponentReport(Record):
-    """One piece of the cut surface."""
+    """One piece of the cut surface; ``kind`` is "complement" or "neighbourhood"."""
 
     __slots__ = ("kind", "euler_characteristic", "boundary_circles", "orientable")
-
-    def __init__(
-        self, kind: str, euler_characteristic: int, boundary_circles: int, orientable: bool
-    ) -> None:
-        object.__setattr__(self, "kind", kind)  # "complement" or "neighbourhood"
-        object.__setattr__(self, "euler_characteristic", euler_characteristic)
-        object.__setattr__(self, "boundary_circles", boundary_circles)
-        object.__setattr__(self, "orientable", orientable)
 
     @property
     def is_disk(self) -> bool:
@@ -100,18 +92,6 @@ class ComponentReport(Record):
 
 class ComplementReport(Record):
     __slots__ = ("genus", "boundary", "curve_names", "components")
-
-    def __init__(
-        self,
-        genus: int,
-        boundary: int,
-        curve_names: tuple[str, ...],
-        components: tuple[ComponentReport, ...],
-    ) -> None:
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", boundary)
-        object.__setattr__(self, "curve_names", curve_names)
-        object.__setattr__(self, "components", components)
 
     @property
     def total_euler(self) -> int:
@@ -148,7 +128,7 @@ class ComplementReport(Record):
 class _UnionFind:
     """Union-find on the ids 0..n-1 with a Z/2 weight per id.
 
-    An id's weight is its parity relative to its root; a union that
+    An id's weight is its parity relative to its parent; a union that
     closes a cycle of odd total parity marks the class as contradictory,
     which is exactly non-orientability for us.  Unions of parity 0 never
     do, so the same class serves as a plain union-find.
@@ -160,16 +140,16 @@ class _UnionFind:
         self.bad = [False] * n
 
     def find(self, x: int) -> tuple[int, int]:
+        # path halving: each id on the way is hung from its grandparent and
+        # adds its old parent's weight to its own (a root's weight is 0)
         parent, parity = self.parent, self.parity
-        chain = []
-        while parent[x] != x:
-            chain.append(x)
-            x = parent[x]
         p = 0
-        for node in reversed(chain):
-            p ^= parity[node]
-            parent[node] = x
-            parity[node] = p
+        while parent[x] != x:
+            up = parent[x]
+            parity[x] ^= parity[up]
+            parent[x] = parent[up]
+            p ^= parity[x]
+            x = parent[x]
         return x, p
 
     def union(self, a: int, b: int, parity: int = 0) -> None:

@@ -30,8 +30,15 @@ class HomologyMatrix(Record):
     def __init__(self, genus: int, rows: tuple[tuple[int, ...], ...]) -> None:
         rows = tuple(tuple(int(e) for e in r) for r in rows)
         _check_square(genus, rows)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(genus, rows)
+
+    @classmethod
+    def _trusted(cls, genus: int, rows: tuple[tuple[int, ...], ...]) -> "HomologyMatrix":
+        """Rows that are tuples of ints already, as built here: only the shape is checked."""
+        _check_square(genus, rows)
+        matrix = object.__new__(cls)
+        Record.__init__(matrix, genus, rows)
+        return matrix
 
     @classmethod
     def identity(cls, genus: int) -> "HomologyMatrix":
@@ -57,8 +64,8 @@ class HomologyMatrix(Record):
             for a, other_row in zip(row, other.rows):
                 if a:
                     acc = [s + a * b for s, b in zip(acc, other_row)]
-            rows.append(acc)
-        return HomologyMatrix(self.genus, tuple(rows))
+            rows.append(tuple(acc))
+        return HomologyMatrix._trusted(self.genus, tuple(rows))
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         if len(vector) != self.genus:
@@ -123,8 +130,7 @@ class Mod2Matrix(Record):
     def __init__(self, genus: int, rows: tuple[tuple[int, ...], ...]) -> None:
         rows = tuple(tuple(int(e) % 2 for e in r) for r in rows)
         _check_square(genus, rows)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "rows", rows)
+        super().__init__(genus, rows)
 
     @classmethod
     def identity(cls, genus: int) -> "Mod2Matrix":
@@ -179,7 +185,7 @@ def abelianize(auto: Automorphism) -> HomologyMatrix:
 def images_matrix(genus: int, images: Sequence[Word]) -> HomologyMatrix:
     """Integer homology matrix of the map sending x_j to images[j - 1]."""
     cols = [w.exponent_vector() for w in images]
-    return HomologyMatrix(genus, tuple(zip(*cols)))
+    return HomologyMatrix._trusted(genus, tuple(zip(*cols)))
 
 
 def mod2_class(word: Word) -> tuple[int, ...]:

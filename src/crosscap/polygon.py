@@ -93,9 +93,7 @@ class Event(Record):
                 f"event parameter must be an integer strictly between 0 and "
                 f"{SIDE}, got {t!r}"
             )
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "hit_b", hit_b)
-        object.__setattr__(self, "t", t)
+        super().__init__(pair, hit_b, t)
 
     @property
     def hit_side(self) -> int:

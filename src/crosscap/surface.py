@@ -70,20 +70,31 @@ class SurfaceSpec(Record):
             raise ValueError(
                 f"only 0 or 1 boundary circles are supported, got {boundary}"
             )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary", boundary)
+        super().__init__(genus, boundary)
 
     @property
     def euler_characteristic(self) -> int:
         return 2 - self.genus - self.boundary
 
 
+def chain_index(name: str) -> int | None:
+    """The ``i`` of the chain curve ``alpha_i`` (or ``alphai``); None for other names."""
+    m = _CHAIN_NAME_RE.match(name)
+    return int(m.group(1)) if m else None
+
+
+def standard_curve_names(genus: int) -> tuple[str, ...]:
+    """The names of the standard curves at this genus, in registry order."""
+    chain = [f"alpha_{i}" for i in range(1, genus)]
+    return tuple(chain + list(_SPORADIC_NAMES) if genus >= MIN_RICH_GENUS else chain)
+
+
 def canonical_curve_name(name: str) -> str | None:
     """Normalise a curve name (``alpha3`` -> ``alpha_3``); None if unknown."""
     text = name.strip().lower()
-    m = _CHAIN_NAME_RE.match(text)
-    if m:
-        return f"alpha_{int(m.group(1))}"
+    i = chain_index(text)
+    if i is not None:
+        return f"alpha_{i}"
     if text in _SPORADIC_NAMES:
         return text
     return None
@@ -99,10 +110,7 @@ class CurveRecord(Record):
             raise ValueError(f"twist arrow must be +1 or -1, got {arrow}")
         if not events:
             raise ValueError(f"curve {name!r} has no crossing events")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "events", events)
-        object.__setattr__(self, "arrow", arrow)
+        super().__init__(name, word, events, arrow)
 
     @property
     def genus(self) -> int:
@@ -191,10 +199,8 @@ def _frozen_layouts(genus: int) -> dict[str, tuple[tuple[Event, ...], int]]:
 
 
 def _required_genus(name: str) -> int:
-    m = _CHAIN_NAME_RE.match(name)
-    if m:
-        return int(m.group(1)) + 1
-    return MIN_RICH_GENUS
+    i = chain_index(name)
+    return MIN_RICH_GENUS if i is None else i + 1
 
 
 class Registry:
@@ -402,10 +408,7 @@ class CheckResult(Record):
     __slots__ = ("check", "subject", "ok", "detail")
 
     def __init__(self, check: str, subject: str, ok: bool, detail: str = "") -> None:
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
+        super().__init__(check, subject, ok, detail)
 
     def format(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -415,9 +418,6 @@ class CheckResult(Record):
 
 class RegistryReport(Record):
     __slots__ = ("results",)
-
-    def __init__(self, results: tuple[CheckResult, ...]) -> None:
-        object.__setattr__(self, "results", results)
 
     @property
     def ok(self) -> bool:
@@ -431,19 +431,11 @@ class RegistryReport(Record):
 
 
 def _expected_mod2_class(name: str, genus: int) -> tuple[int, ...] | None:
-    """Mod-2 homology pinned by the standard picture (chain and beta only)."""
-    m = _CHAIN_NAME_RE.match(name)
-    if m:
-        i = int(m.group(1))
-        vec = [0] * genus
-        vec[i - 1] = 1
-        vec[i] = 1
-        return tuple(vec)
-    if name == "beta":
-        vec = [0] * genus
-        vec[0] = vec[1] = vec[2] = vec[3] = 1
-        return tuple(vec)
-    return None
+    """Mod-2 homology pinned by the standard picture (chain and beta only):
+    alpha_i is x_i + x_{i+1}, and beta is x1 + x2 + x3 + x4."""
+    i = chain_index(name)
+    ones = (i, i + 1) if i is not None else (1, 2, 3, 4) if name == "beta" else None
+    return None if ones is None else tuple(int(k in ones) for k in range(1, genus + 1))
 
 
 def _bigon_positions(events: Sequence[Event]) -> list[int]:
@@ -538,7 +530,7 @@ def _measured(registry: Registry, a: str, b: str) -> int:
 
 def _intersection_pattern(registry: Registry) -> list[CheckResult]:
     g = registry.spec.genus
-    chain = [f"alpha_{i}" for i in range(1, g) if f"alpha_{i}" in registry]
+    chain = [i for i in range(1, g) if f"alpha_{i}" in registry]
     results: list[CheckResult] = []
 
     def expect(a: str, b: str, want: int) -> None:
@@ -557,13 +549,10 @@ def _intersection_pattern(registry: Registry) -> list[CheckResult]:
                 CheckResult("intersection", f"{a}~{b}", False, f"degenerate: {exc}")
             )
 
-    for i, a in enumerate(chain):
-        for b in chain[i + 1 :]:
-            ia = int(a.rsplit("_", 1)[1])
-            ib = int(b.rsplit("_", 1)[1])
-            expect(a, b, 1 if abs(ia - ib) == 1 else 0)
+    for n, i in enumerate(chain):
+        for j in chain[n + 1 :]:
+            expect(f"alpha_{i}", f"alpha_{j}", 1 if j - i == 1 else 0)
     if "beta" in registry:
-        for a in chain:
-            i = int(a.rsplit("_", 1)[1])
-            expect("beta", a, 1 if i == 4 else 0)
+        for i in chain:
+            expect("beta", f"alpha_{i}", 1 if i == 4 else 0)
     return results

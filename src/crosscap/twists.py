@@ -21,9 +21,11 @@ from typing import Iterable, Mapping, Sequence
 from crosscap.polygon import DegeneratePositionError, apply_images, crossing_count, twist_images
 from crosscap.surface import (
     CheckResult,
-    CurveRecord,
     Registry,
     UnknownCurveError,
+    chain_index,
+    standard_curve_names,
+    x0_names,
 )
 from crosscap.words import CyclicWord, Record, Word, boundary_word
 
@@ -73,9 +75,7 @@ class Automorphism(Record):
                     raise AutomorphismError(
                         f"{side} contain a word of genus {w.genus}, expected {genus}"
                     )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "inverse_images", inverse_images)
+        super().__init__(genus, images, inverse_images)
         if verify:
             self.verify_sound()
 
@@ -174,9 +174,9 @@ _GENERATOR_FOR_CURVE = {
 
 
 def generator_for_curve(curve_name: str) -> str:
-    m = re.match(r"alpha_([1-9]\d*)$", curve_name)
-    if m:
-        return f"a{m.group(1)}"
+    i = chain_index(curve_name)
+    if i is not None:
+        return f"a{i}"
     gen = _GENERATOR_FOR_CURVE.get(curve_name)
     if gen is None:
         raise UnknownCurveError(f"no generator letter for curve {curve_name!r}")
@@ -184,21 +184,14 @@ def generator_for_curve(curve_name: str) -> str:
 
 
 def generator_names(genus: int) -> tuple[str, ...]:
-    names = [f"a{i}" for i in range(1, genus)]
-    if genus >= 4:
-        names += ["b", "c", "e", "f", "y2"]
-    return tuple(names)
+    return tuple([generator_for_curve(name) for name in standard_curve_names(genus)])
 
 
 class TwistGenerator(Record):
-    """A named twist: the curve it twists along and its automorphism."""
+    """A named twist: ``curve``, the CurveRecord it twists along, and
+    ``auto``, its Automorphism."""
 
     __slots__ = ("name", "curve", "auto")
-
-    def __init__(self, name: str, curve: CurveRecord, auto: Automorphism) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "auto", auto)
 
 
 def derive_generator(registry: Registry, curve_name: str) -> TwistGenerator:
@@ -302,13 +295,6 @@ ZETA_CERTIFICATE_EXPRESSION = (
 class KeyConjugationReport(Record):
     __slots__ = ("curve_clause_ok", "twist_clause_ok", "diagnostics")
 
-    def __init__(
-        self, curve_clause_ok: bool, twist_clause_ok: bool, diagnostics: tuple[str, ...]
-    ) -> None:
-        object.__setattr__(self, "curve_clause_ok", curve_clause_ok)
-        object.__setattr__(self, "twist_clause_ok", twist_clause_ok)
-        object.__setattr__(self, "diagnostics", diagnostics)
-
     @property
     def ok(self) -> bool:
         return self.curve_clause_ok and self.twist_clause_ok
@@ -353,19 +339,12 @@ class Certificate(Record):
 
     __slots__ = ("target", "allowed", "expression")
 
-    def __init__(self, target: str, allowed: tuple[str, ...], expression: str) -> None:
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "allowed", allowed)
-        object.__setattr__(self, "expression", expression)
-
 
 class CertificateReport(Record):
     __slots__ = ("target", "ok", "diagnostic")
 
     def __init__(self, target: str, ok: bool, diagnostic: str = "") -> None:
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "diagnostic", diagnostic)
+        super().__init__(target, ok, diagnostic)
 
 
 def check_certificate(
@@ -413,7 +392,7 @@ def standard_certificates(genus: int) -> dict[str, Certificate]:
     """The shipped certificates: f as a product over the chain, b and e."""
     if genus < 4:
         raise ValueError(f"certificates need genus >= 4, got {genus}")
-    allowed = tuple(f"a{i}" for i in range(1, genus)) + ("b", "e")
+    allowed = tuple([generator_for_curve(name) for name in x0_names(genus)])
     return {
         "f": Certificate("f", allowed, ZETA_CERTIFICATE_EXPRESSION),
     }

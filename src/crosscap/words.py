@@ -24,15 +24,30 @@ MAX_PARSED_LETTERS = 100_000
 class Record:
     """Base of the package's immutable records.
 
-    A record names its fields in ``__slots__`` and sets them in
-    ``__init__`` through ``object.__setattr__``; afterwards, assigning or
-    deleting an attribute raises ``AttributeError``.  Equality, hash and
-    repr run over the fields in ``__slots__`` order: a record equals only
-    a record of its own class with equal fields, and hashes as the tuple
-    of its fields.
+    A record names its fields once, in ``__slots__``.  The constructor
+    takes them by position, then by keyword, and raises ``TypeError`` when
+    one is missing, given twice or unknown; a record that checks its values
+    does so in its own ``__init__`` and then calls this one.  Afterwards,
+    assigning or deleting an attribute raises ``AttributeError``.
+    Equality, hash and repr run over the fields in ``__slots__`` order: a
+    record equals only a record of its own class with equal fields, and
+    hashes as the tuple of its fields.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values: object, **fields: object) -> None:
+        names = self.__slots__
+        if fields or len(values) != len(names):
+            rest = names[len(values) :]
+            if len(values) > len(names) or fields.keys() != set(rest):
+                raise TypeError(
+                    f"{self.__class__.__qualname__}() takes the fields {', '.join(names)}; "
+                    f"got {len(values)} by position and {', '.join(fields) or 'none'} by keyword"
+                )
+            values += tuple([fields[name] for name in rest])
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -96,8 +111,7 @@ class Word(Record):
                     f"letter {s!r} is not valid for genus {genus} "
                     f"(expected nonzero integers with |letter| <= {genus})"
                 )
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "letters", _reduce(letters))
+        super().__init__(genus, _reduce(letters))
 
     @classmethod
     def _trusted(cls, genus: int, letters: tuple[int, ...]) -> "Word":
@@ -274,8 +288,7 @@ class CyclicWord(Record):
     __slots__ = ("genus", "letters")
 
     def __init__(self, genus: int, letters: tuple[int, ...] = ()) -> None:
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "letters", letters)
+        super().__init__(genus, letters)
         self.__post_init__()  # a method of its own: perfbench times it by name
 
     def __post_init__(self) -> None:

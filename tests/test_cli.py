@@ -559,10 +559,11 @@ def test_genus_without_data_files_derives_in_memory(capsys):
     assert "derived in memory" in out
 
 
-def test_genus_below_two_is_a_usage_error():
+def test_genus_below_two_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["complement", "--curves", "", "--genus", "1"])
     assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: genus must be at least 2, got 1\n")
 
 
 @pytest.mark.parametrize("command", [["verify-theorem"], ["complement", "--curves", "X0"]])

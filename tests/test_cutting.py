@@ -334,6 +334,52 @@ def test_union_find_classes_and_parities_match_a_breadth_first_search():
     check()
 
 
+def test_union_find_matches_a_walk_without_compression():
+    """Unions and finds in any order give the roots, parities and
+    contradictions of the same unions over parent links that finds never
+    shorten: path halving moves links, not roots."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def steps(draw):
+        n = draw(st.integers(min_value=1, max_value=16))
+        ids = st.integers(min_value=0, max_value=n - 1)
+        step = st.tuples(st.booleans(), ids, ids, st.integers(0, 1))
+        return n, draw(st.lists(step, max_size=40))
+
+    @settings(max_examples=300, deadline=None)
+    @given(steps())
+    def check(case):
+        n, steps = case
+        uf = _UnionFind(n)
+        parent, weight, bad = list(range(n)), [0] * n, [False] * n
+
+        def walk(x):
+            p = 0
+            while parent[x] != x:
+                p ^= weight[x]
+                x = parent[x]
+            return x, p
+
+        for is_union, a, b, w in steps:
+            if not is_union:
+                assert uf.find(a) == walk(a)
+                continue
+            uf.union(a, b, w)
+            (ra, pa), (rb, pb) = walk(a), walk(b)
+            if ra == rb:
+                bad[ra] = bad[ra] or pa ^ pb != w
+            else:
+                parent[rb], weight[rb] = ra, pa ^ pb ^ w
+                bad[ra] = bad[ra] or bad[rb]
+        for x in range(n):
+            assert uf.find(x) == walk(x)
+            assert uf.contradictory(x) == bad[walk(x)[0]]
+
+    check()
+
+
 # -- selection handling ------------------------------------------------------
 
 

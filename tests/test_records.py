@@ -4,7 +4,9 @@ Each record is compared with a ``dataclasses`` twin that has its fields:
 equality, inequality and hash must agree with the twin's on pairs of
 equal and unequal records, and so must repr where the record has no
 repr of its own.  Assigning or deleting an attribute must raise
-``AttributeError``.
+``AttributeError``.  A record builds alike from its fields by position
+and by keyword, and a missing, doubled, extra or unknown field raises
+``TypeError`` naming the class.
 """
 
 import dataclasses
@@ -172,11 +174,16 @@ def values(record, fields):
     return tuple(getattr(record, name) for name in fields)
 
 
+def arguments(record, fields):
+    """The positional arguments that build `record` again."""
+    if isinstance(record, Automorphism):
+        return values(record, fields) + (False,)
+    return values(record, fields)
+
+
 def rebuilt(record, fields):
     """An equal record, built again from the fields of `record`."""
-    if isinstance(record, Automorphism):
-        return Automorphism(*values(record, fields), verify=False)
-    return type(record)(*values(record, fields))
+    return type(record)(*arguments(record, fields))
 
 
 def test_every_record_is_listed():
@@ -220,6 +227,64 @@ def test_records_refuse_assignment_and_deletion(cls, fields, instances, own_repr
             getattr(record, name)
 
     check()
+
+
+def keywords(record, fields, start=0):
+    """The keyword arguments that build `record` again from ``fields[start:]``."""
+    named = {name: getattr(record, name) for name in fields[start:]}
+    if isinstance(record, Automorphism):
+        named["verify"] = False
+    return named
+
+
+@pytest.mark.parametrize("cls, fields, instances, own_repr", RECORDS, ids=IDS)
+def test_records_build_alike_by_position_and_by_keyword(cls, fields, instances, own_repr):
+    @settings(max_examples=20, deadline=None)
+    @given(record=instances)
+    def check(record):
+        by_keyword = cls(**keywords(record, fields))
+        assert by_keyword == cls(*arguments(record, fields)) == record
+        assert hash(by_keyword) == hash(record)
+        assert cls(getattr(record, fields[0]), **keywords(record, fields, 1)) == record
+
+    check()
+
+
+@pytest.mark.parametrize("cls, fields, instances, own_repr", RECORDS, ids=IDS)
+def test_records_refuse_missing_doubled_extra_and_unknown_fields(
+    cls, fields, instances, own_repr
+):
+    @settings(max_examples=5, deadline=None)
+    @given(record=instances)
+    def check(record):
+        args = arguments(record, fields)
+        wrong_calls = [
+            lambda: cls(**keywords(record, fields, 1)),  # missing
+            lambda: cls(*args, **{fields[0]: args[0]}),  # doubled
+            lambda: cls(*args, None),  # extra
+            lambda: cls(*args, colour=None),  # unknown
+        ]
+        for call in wrong_calls:
+            with pytest.raises(TypeError, match=cls.__name__) as exc:
+                call()
+            if "__init__" not in vars(cls):
+                assert all(name in str(exc.value) for name in fields)
+
+    check()
+
+
+def test_records_that_only_store_fields_take_the_base_constructor():
+    bare = {cls.__name__ for cls, *_ in RECORDS if "__init__" not in vars(cls)}
+    assert bare == {
+        "TwistGenerator",
+        "KeyConjugationReport",
+        "Certificate",
+        "RegistryReport",
+        "ComponentReport",
+        "ComplementReport",
+    }
+    with pytest.raises(TypeError, match=r"^Certificate\(\) takes the fields target, allowed, "):
+        Certificate("f", ("a1",))
 
 
 def test_records_of_different_classes_with_equal_fields_differ():

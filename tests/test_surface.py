@@ -17,6 +17,7 @@ from crosscap.surface import (
     UnknownCurveError,
     boundary_word,
     canonical_curve_name,
+    chain_index,
     load_registry,
     parse_registry,
     registry_text,
@@ -67,6 +68,7 @@ def test_surface_spec_bounds_the_genus():
 )
 def test_canonical_curve_names(raw, canon):
     assert canonical_curve_name(raw) == canon
+    assert chain_index(raw) == (int(canon[6:]) if canon and canon.startswith("alpha") else None)
 
 
 def test_small_genus_registry_has_only_the_chain():

@@ -71,6 +71,11 @@ def test_generator_curve_naming():
     assert generator_for_curve("zeta") == "f"
     assert generator_names(4) == ("a1", "a2", "a3", "b", "c", "e", "f", "y2")
     assert generator_names(3) == ("a1", "a2")
+    assert generator_for_curve("alpha_12") == "a12"
+    for genus in range(2, 9):
+        names = standard_registry(SurfaceSpec(genus, 1)).names()
+        assert generator_names(genus) == tuple(generator_for_curve(n) for n in names)
+    assert standard_certificates(6)["f"].allowed == ("a1", "a2", "a3", "a4", "a5", "b", "e")
 
 
 def test_derived_generators_fix_the_boundary(world4):
