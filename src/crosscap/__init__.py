@@ -11,7 +11,6 @@ combinatorial model, so the separate layers can be played off against
 each other in tests.
 """
 
-from crosscap.cutting import ComplementReport, ComponentReport, cut_along, intersection_number
 from crosscap.homology import HomologyMatrix, Mod2Matrix, abelianize, mod2_class
 from crosscap.surface import (
     CurveRecord,
@@ -38,6 +37,19 @@ from crosscap.twists import (
 from crosscap.words import CyclicWord, Word, boundary_word, is_conjugate
 
 __version__ = "0.1.0"
+
+# The cut complex is imported on first use, so that commands which never
+# cut (verify-theorem among them) neither compile nor load it.
+_FROM_CUTTING = ("ComplementReport", "ComponentReport", "cut_along", "intersection_number")
+
+
+def __getattr__(name: str):
+    if name in _FROM_CUTTING:
+        from crosscap import cutting
+
+        return getattr(cutting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Automorphism",

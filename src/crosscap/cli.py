@@ -29,7 +29,6 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from crosscap.cutting import cut_along
 from crosscap.homology import abelianize, images_matrix
 from crosscap.polygon import DegeneratePositionError
 from crosscap.surface import (
@@ -436,6 +435,9 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_complement(args) -> int:
+    # imported here, so that no other command loads the cut complex
+    from crosscap.cutting import cut_along
+
     registry, _ = _load_registry(args)
     names = _expand_curve_list(args.curves, args.genus)
     if args.drop is not None:
@@ -530,10 +532,20 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"(the twist family below that is too small), got {args.genus}"
         )
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        # a reader that closed stdout shows here, not in the flush at exit
+        sys.stdout.flush()
+        return status
     except (_WorldError, UnknownCurveError, ExpressionError, DegeneratePositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Stop quietly, as a program killed by SIGPIPE would.  What is
+        # still buffered goes to os.devnull, so the flush at exit cannot
+        # fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
 
 
 if __name__ == "__main__":

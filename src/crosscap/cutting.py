@@ -20,31 +20,35 @@ interval between its ends, so which chords cross, where the crossings
 sit along each chord and the rotation at every vertex are comparisons
 of endpoint positions and integer ranks.  The complex reads each
 curve's chords as ``polygon`` keys them, and polygon corner ``c`` gets
-the key ``c * SIDE``, so keys sort as the coordinates do.
+the key ``c * SIDE``, so keys sort as the coordinates do.  The crossing
+pairs come from one sweep over the endpoints in key order (Bentley and
+Ottmann, IEEE Trans. Comput. C-28, 1979): when a chord closes, the
+chords that opened after it and are still open are exactly those that
+cross it, so no pair of chords is tested.
 
 Every object of the complex is a dense integer id: vertices, half-edges
 ``0..2E-1`` (``h ^ 1`` reverses ``h``), faces ``0..F-1``, curves,
 crossings and strand ends.  The capping disk of a closed surface is one
 more face, ``F``, with one slot, ``2E``.  Tables are lists indexed by
-id.  One orbit walk (``_orbits``) finds both the faces, as cycles of
-half-edges, and the boundary of the curves' neighbourhood, as cycles of
-strands; one union-find with a Z/2 weight (``_UnionFind``) merges faces
-into pieces and tells their orientability, and serves plainly for
-corners, circles and curves.  The side gluings are matched
-interval-by-interval (the two copies of a crosscap side are subdivided
-at identical parameters, one per crossing event).
+id.  One orbit walk over a successor list (``_orbits``) finds both the
+faces, as cycles of half-edges, and the boundary of the curves'
+neighbourhood, as cycles of strands; one union-find with a Z/2 weight
+(``_UnionFind``) merges faces into pieces and tells their
+orientability, and serves plainly for corners, circles and curves.
+The side gluings are matched interval-by-interval (the two copies of a
+crosscap side are subdivided at identical parameters, one per crossing
+event).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from crosscap.polygon import (
     SIDE,
     CurveGeometry,
     DegeneratePositionError,
     _coordinate_text,
-    _crosses,
     crossing_count,
 )
 from crosscap.surface import Registry, SurfaceSpec
@@ -152,6 +156,20 @@ class _UnionFind:
             x = parent[x]
         return x, p
 
+    def roots(self) -> list[int]:
+        """The root of every id, in one pass.
+
+        Each id is hung from its root on the way, its weight summed
+        along, so that the parents are the roots.
+        """
+        parent, parity = self.parent, self.parity
+        for x in range(len(parent)):
+            up = parent[x]
+            while parent[up] != up:
+                parity[x] ^= parity[up]
+                up = parent[x] = parent[up]
+        return parent[:]
+
     def union(self, a: int, b: int, parity: int = 0) -> None:
         ra, pa = self.find(a)
         rb, pb = self.find(b)
@@ -168,29 +186,30 @@ class _UnionFind:
 
 
 def _rotation(
-    at: list[int], n: int, rank: Callable[[int], int]
+    at: list[int], n: int, rank: list[int]
 ) -> tuple[list[list[int]], list[int]]:
     """The ring of ends at each of the vertices 0..n-1, and each end's place.
 
-    End ``h`` sits at vertex ``at[h]``; each ring is sorted by ``rank``.
+    End ``h`` sits at vertex ``at[h]``; each ring is sorted by ``rank[h]``.
     """
     rings: list[list[int]] = [[] for _ in range(n)]
     for h, v in enumerate(at):
         rings[v].append(h)
     place = [0] * len(at)
     for ring in rings:
-        ring.sort(key=rank)
+        ring.sort(key=rank.__getitem__)
         for i, h in enumerate(ring):
             place[h] = i
     return rings, place
 
 
-def _orbits(n: int, step: Callable[[int], int]) -> list[list[int]]:
+def _orbits(step: list[int]) -> list[list[int]]:
     """The cycles of the permutation ``step`` of the states 0..n-1.
 
     Each cycle starts at its least state, and the cycles come in the
     order of those states.
     """
+    n = len(step)
     seen = bytearray(n)
     cycles = []
     for start in range(n):
@@ -201,7 +220,7 @@ def _orbits(n: int, step: Callable[[int], int]) -> list[list[int]]:
         while not seen[state]:
             seen[state] = 1
             cycle.append(state)
-            state = step(state)
+            state = step[state]
         if state != start:
             raise RuntimeError("walk did not close; rotation is corrupt")
         cycles.append(cycle)
@@ -271,6 +290,17 @@ class _CutComplex:
         # (2, -depth) on the way up, counted from the lower end, and
         # negated when the tail is the upper end, so keys ascend from
         # tail to head.
+        #
+        # The crossing pairs come from one sweep over the 2C endpoints in
+        # key order, with the open chords listed in the order they
+        # opened.  When chord a closes, the chords listed after it opened
+        # inside its interval and close outside it, so they are exactly
+        # the chords whose ends interleave with a's; those listed before
+        # it contain its interval.  Each crossing is reported once, when
+        # the first of its two chords closes.  For C chords and K
+        # crossings that is one sort and K steps, not C(C - 1)/2 pair
+        # tests; only the list's own index and delete, in compiled code,
+        # also pass over the chords that contain the closing one.
         n_chords = len(self.chords)
         spans = [sorted(chord[2:]) for chord in self.chords]  # [lower, upper]
         ranked = sorted(
@@ -279,30 +309,38 @@ class _CutComplex:
         depth = [0] * n_chords
         for r, i in enumerate(ranked):
             depth[i] = r
+        tail_above = [tail > head for _, _, tail, head in self.chords]
         self.splits: list[list[tuple[tuple, int]]] = [[] for _ in range(n_chords)]
         # (vertex, chord a, key on a, chord b, key on b)
         self.crossings: list[tuple[int, int, tuple, int, tuple]] = []
-        for i in range(n_chords):
-            for j in range(i + 1, n_chords):
-                if not _crosses(self.chords[i][2:], self.chords[j][2:]):
-                    continue
-                shallow, deep = sorted((i, j), key=depth.__getitem__)
-                lo, hi = spans[shallow]
-                x = next(c for c in spans[deep] if lo < c < hi)
-                d = depth[shallow]
-                key = {
-                    shallow: (1, x),
-                    deep: (0, d) if x == spans[deep][0] else (2, -d),
-                }
-                for c in (i, j):
-                    if self.chords[c][2] > self.chords[c][3]:
-                        # a literal, not tuple() of a generator, whose
-                        # resized tuples pile up in CPython's free lists
-                        key[c] = (-key[c][0], -key[c][1])
+        # end 2i is chord i's lower end and 2i + 1 its upper end
+        ends = sorted(range(2 * n_chords), key=lambda e: spans[e >> 1][e & 1])
+        opened: list[int] = []
+        for e in ends:
+            a = e >> 1
+            if not e & 1:
+                opened.append(a)
+                continue
+            at = opened.index(a)
+            for b in opened[at + 1 :]:
+                # lower a < lower b < upper a < upper b: the deeper
+                # chord's end inside the shallower one's interval is b's
+                # lower end or a's upper end
+                if depth[a] < depth[b]:
+                    key_a, key_b = (1, spans[b][0]), (0, depth[a])
+                else:
+                    key_a, key_b = (2, -depth[b]), (1, spans[a][1])
+                # literals, not tuple() of a generator, whose resized
+                # tuples pile up in CPython's free lists
+                if tail_above[a]:
+                    key_a = (-key_a[0], -key_a[1])
+                if tail_above[b]:
+                    key_b = (-key_b[0], -key_b[1])
                 vid = len(self.coord_vid) + len(self.crossings)
-                self.splits[i].append((key[i], vid))
-                self.splits[j].append((key[j], vid))
-                self.crossings.append((vid, i, key[i], j, key[j]))
+                self.splits[a].append((key_a, vid))
+                self.splits[b].append((key_b, vid))
+                self.crossings.append((vid, a, key_a, b, key_b))
+            del opened[at]
 
     def _build_edges(self, g: int) -> None:
         # edges: ("arc", u, v, side, t0, t1) with u -> v counterclockwise,
@@ -310,6 +348,12 @@ class _CutComplex:
         # 2e + 1 is v -> u; tail[h] is the vertex h leaves.  An arc's t0
         # and t1 are parameters along its side: 0 at the start corner,
         # w = SIDE at the end corner.
+        #
+        # he_rank[h] orders the half-edges that leave h's tail.  They leave a
+        # boundary vertex in the order counterclockwise arc, chord,
+        # clockwise arc (ranks 0, 1, 2).  The four leaving a crossing
+        # reach four boundary points without meeting one another, so they
+        # leave in the order of those points' keys.
         self.edges: list[tuple] = []
         w = SIDE
         coords = sorted(self.coord_vid)
@@ -331,42 +375,31 @@ class _CutComplex:
             self.edges.append(
                 ("arc", self.coord_vid[a], self.coord_vid[b], side, t0, t1)
             )
+        rank = [0, 2] * K
         for i, (_, _, tail, head) in enumerate(self.chords):
             chain = (
                 [self.coord_vid[tail]]
                 + [vid for _, vid in sorted(self.splits[i])]
                 + [self.coord_vid[head]]
             )
-            for r in range(len(chain) - 1):
+            last = len(chain) - 2
+            for r in range(last + 1):
                 self.edges.append(("chord", chain[r], chain[r + 1], i))
+                rank += (1 if r == 0 else head, 1 if r == last else tail)
         self.tail = [v for e in self.edges for v in (e[1], e[2])]
+        self.he_rank = rank
 
     # -- the half-edge walk --------------------------------------------
-
-    def _he_rank(self, he: int) -> int:
-        # Half-edges leave a boundary vertex in the order counterclockwise
-        # arc, chord, clockwise arc.  The four leaving a crossing reach
-        # four boundary points without meeting one another, so they leave
-        # in the order of those points.
-        e = self.edges[he >> 1]
-        if e[0] == "arc":
-            return 2 * (he & 1)
-        if self.tail[he] < len(self.coord_vid):
-            return 1
-        _, _, tail, head = self.chords[e[3]]
-        return tail if he & 1 else head
 
     def _build_faces(self) -> None:
         tail = self.tail
         rotation, rot_pos = _rotation(
-            tail, len(self.coord_vid) + len(self.crossings), self._he_rank
+            tail, len(self.coord_vid) + len(self.crossings), self.he_rank
         )
 
-        def next_he(h: int) -> int:
-            # at h's head, the half-edge before h's reverse
-            return rotation[tail[h ^ 1]][rot_pos[h ^ 1] - 1]
-
-        self.faces = _orbits(len(tail), next_he)
+        # after h, at h's head, the half-edge before h's reverse
+        next_he = [rotation[tail[h ^ 1]][rot_pos[h ^ 1] - 1] for h in range(len(tail))]
+        self.faces = _orbits(next_he)
         self.face_of = [0] * len(tail)
         self.prev_in_face = [0] * len(tail)
         for fi, cycle in enumerate(self.faces):
@@ -443,7 +476,7 @@ class _CutComplex:
 
         # per component, indexed by its root face
         interior = [fi for fi in range(n_faces) if fi != self.outer]
-        comp_of = [face_uf.find(fi)[0] for fi in range(n_faces)]
+        comp_of = face_uf.roots()
         faces, edges, vertices, circles = ([0] * n_faces for _ in range(4))
         for fi in interior:
             faces[comp_of[fi]] += 1
@@ -451,9 +484,10 @@ class _CutComplex:
             edges[comp_of[face_of[s]]] += 1
         for s in boundary_slots:
             edges[comp_of[face_of[s]]] += 1
+        corner = corner_uf.roots()
         corner_comp = [-1] * n_slots
         for s in slots:
-            root = corner_uf.find(s)[0]
+            root = corner[s]
             c = comp_of[face_of[s]]
             if corner_comp[root] == -1:
                 corner_comp[root] = c
@@ -464,9 +498,7 @@ class _CutComplex:
         # boundary circles: the boundary corner classes form a 2-regular
         # multigraph whose components are the circles; the corner classes
         # are final, so joining them in corner_uf leaves one class per circle
-        ends = [
-            (corner_uf.find(prev[s])[0], corner_uf.find(s)[0]) for s in boundary_slots
-        ]
+        ends = [(corner[prev[s]], corner[s]) for s in boundary_slots]
         degree = [0] * n_slots
         for a, b in ends:
             degree[a] += 1
@@ -475,9 +507,10 @@ class _CutComplex:
             raise RuntimeError("cut boundary is not a union of circles")
         for a, b in ends:
             corner_uf.union(a, b)
+        circle = corner_uf.roots()
         met, cut = bytearray(n_slots), bytearray(n_slots)
         for s in boundary_slots:
-            root = corner_uf.find(s)[0]
+            root = circle[s]
             if not met[root]:
                 met[root] = 1
                 circles[comp_of[face_of[s]]] += 1
@@ -564,7 +597,7 @@ class _CutComplex:
         # strand ends leave a crossing in the order of the boundary points
         # they head for, as the half-edges do
         rotation, rot_pos = _rotation(
-            end_rid, len(self.crossings), end_coord.__getitem__
+            end_rid, len(self.crossings), end_coord
         )
         if any(len(ring) != 4 for ring in rotation):
             raise RuntimeError("a crossing without four strand ends")
@@ -572,10 +605,11 @@ class _CutComplex:
         vertex_uf = _UnionFind(len(self.crossings))
         for e, parity in enumerate(strand_parity):
             vertex_uf.union(end_rid[2 * e], end_rid[2 * e + 1], parity)
+        curve_comp = curve_uf.roots()
         comp_cross = [0] * n_curves
         comp_orient_bad = bytearray(n_curves)
         for rid, (_, i, _, _, _) in enumerate(self.crossings):
-            c = curve_uf.find(self.chords[i][0])[0]
+            c = curve_comp[self.chords[i][0]]
             comp_cross[c] += 1
             if vertex_uf.contradictory(rid):
                 comp_orient_bad[c] = 1
@@ -584,16 +618,17 @@ class _CutComplex:
         # 0 for the strand on the left of travel, swapped by each
         # crosscap passage; corners keep the side, left turns to the
         # rotation predecessor and right to the successor.
-        def next_state(state: int) -> int:
+        next_state: list[int] = []
+        for state in range(2 * len(end_rid)):
             arrive = (state >> 1) ^ 1
             side = (state & 1) ^ strand_parity[arrive >> 1]
             ring = rotation[end_rid[arrive]]
             i = rot_pos[arrive]
-            return 2 * (ring[(i + 1) % 4] if side else ring[i - 1]) + side
+            next_state.append(2 * (ring[(i + 1) % 4] if side else ring[i - 1]) + side)
 
         orbit_count = [0] * n_curves
-        for cycle in _orbits(2 * len(end_rid), next_state):
-            orbit_count[curve_uf.find(strand_curve[cycle[0] >> 2])[0]] += 1
+        for cycle in _orbits(next_state):
+            orbit_count[curve_comp[strand_curve[cycle[0] >> 2]]] += 1
 
         for comp, crossings in enumerate(comp_cross):
             if not crossings:

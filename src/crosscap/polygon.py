@@ -41,6 +41,7 @@ inflicts on the plane frame.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
@@ -400,18 +401,34 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     passes near, and past them the shell returns to P, so most images
     take this path.  (On every embedded curve tried, a loop with no
     detour found S = P; the shell test keeps the shortcut exact by
-    algebra alone, without that geometric fact.)
+    algebra alone, without that geometric fact.)  Whether any curve
+    chord crosses the loop at all takes two bisections of the curve's
+    sorted chord ends, so such a loop is never scanned chord by chord.
     """
     _check_twistable(curve, arrow)
     genus = curve.genus
     forbidden = curve.params()
     # the based loop through crosscap i crosses its pair at parameter taus[i-1]
     taus = [fresh_params(1, forbidden)[0] for _ in range(genus)]
+    # The loop runs along the chords (anchor, hit key) and (out key,
+    # anchor), and the anchor lies below every key, so a curve chord
+    # crosses the one through key k exactly when its lower end is below
+    # k and its upper end above: there are bisect(lows, k) - bisect(highs,
+    # k) such chords.  A loop that no chord crosses picks up no detour.
+    lows = sorted(min(chord) for chord in curve.chords)
+    highs = sorted(max(chord) for chord in curve.chords)
     images: list[Word] = []
     square: tuple[int, ...] = ()  # the letters of P = x₁²⋯x_{i-1}²
     shell = Word(genus)  # S, the image of P
     for i, tau in enumerate(taus, start=1):
-        spliced = _twist_based_loop(curve, arrow, [Event(i, True, tau)])
+        loop = Event(i, True, tau)
+        if any(
+            bisect_left(lows, k) != bisect_left(highs, k)
+            for k in (loop.hit_key, loop.out_key)
+        ):
+            spliced = _twist_based_loop(curve, arrow, [loop])
+        else:
+            spliced = [loop]
         if len(spliced) == 1 and shell.letters == square:
             x_i = Word._trusted(genus, (i,))
             shell = Word._trusted(genus, square + (i, i))
@@ -432,23 +449,26 @@ def apply_images(images: Sequence[Word], word: Word) -> Word:
     Accumulates into one list with inline cancellation rather than
     repeated ``Word`` multiplication, so the cost is linear in the total
     number of substituted letters.  Raises ValueError unless there is one
-    image per generator and every image has the word's genus.
+    image per generator, or when an image it substitutes has another
+    genus than the word.  Images the word does not use are not checked,
+    so a short word costs no O(g) pass; ``Automorphism`` checks all of
+    its images once, when it is built.
     """
     genus = word.genus
     if len(images) != genus:
         raise ValueError(f"cannot apply {len(images)} images to a word of genus {genus}")
-    for image in images:
-        if image.genus != genus:
-            raise ValueError(
-                f"cannot apply images of genus {image.genus} to a word of genus {genus}"
-            )
     table: dict[int, tuple[int, ...]] = {}
     out: list[int] = []
     push, pop = out.append, out.pop
     for s in word:
         img = table.get(s)
         if img is None:
-            base = images[abs(s) - 1].letters
+            image = images[abs(s) - 1]
+            if image.genus != genus:
+                raise ValueError(
+                    f"cannot apply images of genus {image.genus} to a word of genus {genus}"
+                )
+            base = image.letters
             img = base if s > 0 else tuple(-t for t in reversed(base))
             table[s] = img
         for t in img:

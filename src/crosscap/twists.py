@@ -89,7 +89,7 @@ class Automorphism(Record):
         first generator that fails.
         """
         for i in range(self.genus):
-            xi = Word(self.genus, (i + 1,))
+            xi = Word._trusted(self.genus, (i + 1,))
             if _image_of(self.images, self.inverse_images[i]) != xi:
                 raise AutomorphismError(
                     f"images do not undo the inverse map at x{i + 1}"
@@ -97,7 +97,7 @@ class Automorphism(Record):
 
     @classmethod
     def identity(cls, genus: int) -> "Automorphism":
-        gens = tuple(Word(genus, (i,)) for i in range(1, genus + 1))
+        gens = tuple(Word._trusted(genus, (i,)) for i in range(1, genus + 1))
         return cls(genus, gens, gens, verify=False)
 
     def apply(self, word: Word) -> Word:

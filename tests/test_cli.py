@@ -618,6 +618,62 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_leaves_the_cut_complex_unloaded():
+    """Only ``complement`` cuts, so ``crosscap.cutting`` is loaded on first
+    use: by that command, or by the package names taken from it."""
+    package_root = str(Path(crosscap.__file__).resolve().parents[1])
+    script = (
+        "import crosscap.cli, sys\n"
+        "print('crosscap.cutting' in sys.modules)\n"
+        "import crosscap\n"
+        "print(crosscap.cut_along is crosscap.cutting.cut_along)\n"
+        "names = ('ComplementReport', 'ComponentReport', 'intersection_number')\n"
+        "print(all(getattr(crosscap, n) is getattr(crosscap.cutting, n) for n in names))\n"
+        "print(hasattr(crosscap, 'cutting_along'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "False"]
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_closed_stdout_exits_quietly_with_the_sigpipe_status(unbuffered):
+    """A reader that closes the pipe at once (``| head -0``) ends the run
+    with 128 + SIGPIPE and no traceback, whether stdout is buffered or
+    not."""
+    package_root = str(Path(crosscap.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [
+            sys.executable,
+            "-m",
+            "crosscap.cli",
+            "complement",
+            "--genus",
+            "4",
+            "--n",
+            "1",
+            "--curves",
+            "X0",
+            "--drop",
+            "alpha_2",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": package_root, "PYTHONUNBUFFERED": unbuffered},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err, err.decode()
+    assert b"BrokenPipeError" not in err, err.decode()
+    assert proc.returncode == 141
+
+
 # -- console script -----------------------------------------------------------
 
 

@@ -184,13 +184,11 @@ def test_an_isolated_two_sided_curve_gets_an_annulus_neighbourhood():
     assert pieces_of(ribbons) == [(0, 2, True), (0, 2, True)]
 
 
-def test_random_curve_systems_cut_consistently():
-    """On random systems of 1-4 curves, one-sided and self-crossing ones
-    included, the complex passes its own integrity checks, the pieces
-    add up to the surface, the ribbons to minus the crossings, and
-    neither the order of the curves nor their direction matters."""
-    pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+def curve_systems():
+    """A ``hypothesis`` strategy: a surface and 1-4 curves on it as event
+    lists, one-sided and self-crossing ones included, with distinct
+    parameters throughout."""
+    from hypothesis import strategies as st
 
     @st.composite
     def systems(draw):
@@ -222,18 +220,32 @@ def test_random_curve_systems_cut_consistently():
         ]
         return SurfaceSpec(genus, boundary), curves
 
+    return systems()
+
+
+def cut_complex(spec, curves):
+    return _CutComplex(
+        spec, [(f"c{i}", CurveGeometry(spec.genus, evs)) for i, evs in enumerate(curves)]
+    )
+
+
+def test_random_curve_systems_cut_consistently():
+    """On random systems of 1-4 curves, one-sided and self-crossing ones
+    included, the complex passes its own integrity checks, the pieces
+    add up to the surface, the ribbons to minus the crossings, and
+    neither the order of the curves nor their direction matters."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
     def cut(spec, curves):
-        complex_ = _CutComplex(
-            spec,
-            [(f"c{i}", CurveGeometry(spec.genus, evs)) for i, evs in enumerate(curves)],
-        )
+        complex_ = cut_complex(spec, curves)
         return sorted(
             (c.kind, c.euler_characteristic, c.boundary_circles, c.orientable)
             for c in complex_.components + complex_.ribbons()
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(systems())
+    @given(curve_systems())
     def check(drawn):
         spec, curves = drawn
         parts = cut(spec, curves)
@@ -245,6 +257,30 @@ def test_random_curve_systems_cut_consistently():
         assert cut(spec, curves[::-1]) == parts
         backwards = [[ev.flipped() for ev in reversed(evs)] for evs in curves]
         assert cut(spec, backwards) == parts
+
+    check()
+
+
+def test_the_endpoint_sweep_reports_every_crossing_pair_once():
+    """The crossings of the cut complex come from one sweep over the
+    chord endpoints; on random systems, self-crossing curves included,
+    they are the chord pairs that the pair test finds, each once."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve_systems())
+    def check(drawn):
+        complex_ = cut_complex(*drawn)
+        chords = [chord[2:] for chord in complex_.chords]
+        swept = [frozenset((i, j)) for _, i, _, j, _ in complex_.crossings]
+        pairs = {
+            frozenset((i, j))
+            for i, j in combinations(range(len(chords)), 2)
+            if _crosses(chords[i], chords[j])
+        }
+        assert len(set(swept)) == len(swept)
+        assert set(swept) == pairs
 
     check()
 

@@ -205,6 +205,16 @@ def test_apply_images_rejects_images_of_another_genus():
         apply_images([w("x1", 2), w("x2", 2), w("x1", 2)], word)
 
 
+def test_apply_images_checks_each_image_it_substitutes():
+    """An image's genus is checked when the word first substitutes it,
+    for either sign of its letter; an image the word never uses is not
+    read, so a short word costs no pass over all the images."""
+    images = [w("x1", 2), w("x2", 3)]
+    with pytest.raises(ValueError, match="images of genus 3 to a word of genus 2"):
+        apply_images(images, w("x1 x2^-1", 2))
+    assert apply_images(images, w("x1^-1 x1^-1", 2)) == w("x1^-1 x1^-1", 2)
+
+
 def test_twists_fix_the_boundary_word():
     for genus in (2, 3, 4):
         delta = boundary_word(genus)
