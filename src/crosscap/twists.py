@@ -2,11 +2,14 @@
 
 A mapping class acts on the free fundamental group of the bordered
 surface; here a class is an :class:`Automorphism` storing the images of
-``x1 .. xg`` together with the images under the inverse map, verified
-against each other at construction time.  Twist generators are named
-``a1 .. a{g-1}`` (the chain), ``b``, ``c``, ``e``, ``f`` and ``y2``,
-matching the registered curves alpha_i, beta, gamma, epsilon, zeta and
-psi.  Generators are derived from the registered layouts.
+``x1 .. xg``, and nothing else.  A free group is Hopfian, so a map is an
+automorphism exactly when its images generate the group;
+:meth:`Automorphism.verify_sound` decides that by Stallings folding.
+Twist generators are named ``a1 .. a{g-1}`` (the chain), ``b``, ``c``,
+``e``, ``f`` and ``y2``, matching the registered curves alpha_i, beta,
+gamma, epsilon, zeta and psi.  Generators are derived from the
+registered layouts, each together with its inverse, the twist with the
+opposite arrow.
 
 Everything downstream (relation checking, certificates, the CLI) speaks
 in terms of generator expressions such as ``"a3^-1 b a3"`` — whitespace
@@ -31,7 +34,8 @@ from crosscap.words import CyclicWord, Record, Word, boundary_word
 
 
 class AutomorphismError(ValueError):
-    """Image and inverse-image tables that do not invert each other."""
+    """Images that do not define an automorphism: their number or genus is
+    wrong, or they do not generate the free group."""
 
 
 class ExpressionError(ValueError):
@@ -43,81 +47,65 @@ class CertificateError(ValueError):
 
 
 class Automorphism(Record):
-    """An exact automorphism of the free group on ``x1 .. xg``.
+    """An endomorphism of the free group on ``x1 .. xg``, given by the
+    images of the generators.
 
-    Constructing one from raw tables verifies that ``images`` and
-    ``inverse_images`` compose to the identity in both orders, so
-    unsound data cannot enter the engine silently.  Operations that
-    preserve soundness by algebra alone (identity, inversion,
-    composition) skip the re-check: products of long expressions would
-    otherwise cost quadratic time for a proof the group structure
-    already supplies.  ``verify_sound`` re-runs the check on demand.
+    Construction checks the shape only: one image per generator, each of
+    the map's genus.  Composites of automorphisms are automorphisms by
+    algebra alone, so nothing more is checked when maps are built from
+    derived twists; :meth:`verify_sound` decides soundness on demand.
     """
 
-    __slots__ = ("genus", "images", "inverse_images")
+    __slots__ = ("genus", "images")
 
-    def __init__(
-        self,
-        genus: int,
-        images: tuple[Word, ...],
-        inverse_images: tuple[Word, ...],
-        verify: bool = True,
-    ) -> None:
+    def __init__(self, genus: int, images: tuple[Word, ...]) -> None:
         if genus < 1:
             raise ValueError(f"genus must be positive, got {genus}")
-        for side, words in (("images", images), ("inverse images", inverse_images)):
-            if len(words) != genus:
+        if len(images) != genus:
+            raise AutomorphismError(f"expected {genus} images, got {len(images)}")
+        for w in images:
+            if w.genus != genus:
                 raise AutomorphismError(
-                    f"expected {genus} {side}, got {len(words)}"
+                    f"images contain a word of genus {w.genus}, expected {genus}"
                 )
-            for w in words:
-                if w.genus != genus:
-                    raise AutomorphismError(
-                        f"{side} contain a word of genus {w.genus}, expected {genus}"
-                    )
-        super().__init__(genus, images, inverse_images)
-        if verify:
-            self.verify_sound()
+        super().__init__(genus, images)
 
     def verify_sound(self) -> None:
-        """Check images∘inverse_images = identity on every generator.
+        """Raise AutomorphismError unless the images generate the free group,
+        which makes the map an automorphism (free groups are Hopfian).
 
-        One direction is enough: it makes the map a surjective
-        endomorphism of a free group, and free groups are Hopfian, so
-        the map is an automorphism and the other composition is forced
-        to be the identity as well.  Raises AutomorphismError naming the
-        first generator that fails.
+        The images are folded (Stallings, Invent. Math. 71, 1983) in time
+        close to linear in their letters, and none is substituted into
+        another.  The error names the folded graph's vertex count and the
+        generators missing from the images' span.
         """
-        for i in range(self.genus):
-            xi = Word._trusted(self.genus, (i + 1,))
-            if _image_of(self.images, self.inverse_images[i]) != xi:
-                raise AutomorphismError(
-                    f"images do not undo the inverse map at x{i + 1}"
-                )
+        vertices, missing = _fold(self.images)
+        if missing:
+            raise AutomorphismError(
+                f"images do not generate the free group: they fold to {vertices} "
+                f"{'vertex' if vertices == 1 else 'vertices'}, and "
+                f"{', '.join(f'x{i}' for i in missing)} "
+                f"{'is' if len(missing) == 1 else 'are'} not in their span"
+            )
 
     @classmethod
     def identity(cls, genus: int) -> "Automorphism":
-        gens = tuple(Word._trusted(genus, (i,)) for i in range(1, genus + 1))
-        return cls(genus, gens, gens, verify=False)
+        return cls(genus, tuple(Word._trusted(genus, (i,)) for i in range(1, genus + 1)))
 
     def apply(self, word: Word) -> Word:
         return apply_images(self.images, word)
 
-    def inverse_apply(self, word: Word) -> Word:
-        return apply_images(self.inverse_images, word)
-
-    def inverse(self) -> "Automorphism":
-        return Automorphism(self.genus, self.inverse_images, self.images, verify=False)
-
     def after(self, other: "Automorphism") -> "Automorphism":
-        """The composite self∘other (other acts first)."""
+        """The composite self∘other (other acts first).
+
+        Most twist images are a bare generator x_j, whose image under self
+        is self's j-th image itself; only the other words are substituted.
+        """
         if other.genus != self.genus:
             raise ValueError(
                 f"cannot compose automorphisms of genus {self.genus} and {other.genus}"
             )
-        images = compose_images(self.images, other.images)
-        inverse_images = compose_images(other.inverse_images, self.inverse_images)
-        return Automorphism(self.genus, images, inverse_images, verify=False)
+        return Automorphism(self.genus, tuple(_image_of(self.images, w) for w in other.images))
 
     def fixes_boundary(self) -> bool:
         delta = boundary_word(self.genus)
@@ -132,17 +120,77 @@ def _image_of(outer: Sequence[Word], w: Word) -> Word:
     return apply_images(outer, w)
 
 
-def compose_images(outer: Sequence[Word], inner: Sequence[Word]) -> tuple[Word, ...]:
-    """Images of outer∘inner (inner acts first), given both maps' images.
+def _fold(images: Sequence[Word]) -> tuple[int, list[int]]:
+    """Fold the images, spelled as loops at one base vertex: the vertex
+    count of the folded graph, and the i for which x_i is not a loop at the
+    base, that is, not in the images' span.
 
-    Most twist images are a bare generator x_j, whose image under outer
-    is outer's j-th image itself; only the other words are substituted.
-    The outer images must have the inner words' genus, as an
-    Automorphism's have.  Checks that compare images only, as `equal`
-    does, use this instead of `Automorphism.after`, which also composes
-    the inverse images.
+    Each vertex keeps one edge per signed label, ``out[v][s]``, with the
+    reverse edge ``out[w][-s]`` alongside; merged vertices hang in a
+    union-find.  The graph stays folded after each image: the image is
+    read from the base forwards and backwards as far as edges go, only the
+    unread middle gets new vertices, and when nothing is left unread its
+    two ends merge, folding on until no vertex has two edges with one label.
     """
-    return tuple(_image_of(outer, w) for w in inner)
+    parent = [0]
+    out: list[dict[int, int]] = [{}]
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for image in images:
+        letters = image.letters
+        u, i = find(0), 0
+        for s in letters:
+            t = out[u].get(s)
+            if t is None:
+                break
+            u, i = find(t), i + 1
+        v, j = find(0), len(letters)
+        while j > i:
+            t = out[v].get(-letters[j - 1])
+            if t is None:
+                break
+            v, j = find(t), j - 1
+        if i < j:
+            for s in letters[i : j - 1]:
+                w = len(parent)
+                parent.append(w)
+                out.append({-s: u})
+                out[u][s] = w
+                u = w
+            s = letters[j - 1]
+            t = out[v].get(-s)
+            if t is None:
+                out[u][s] = v
+                out[v][-s] = u
+                continue
+            # the first new edge gave v this label: the image is not
+            # cyclically reduced, and its ends fold together
+            v = t
+        pending = [(u, v)]
+        while pending:
+            a, b = pending.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            if len(out[a]) > len(out[b]):
+                a, b = b, a
+            parent[a] = b
+            into = out[b]
+            for s, t in out[a].items():
+                if s in into:
+                    pending.append((t, into[s]))
+                else:
+                    into[s] = t
+            out[a] = {}
+    base = find(0)
+    loops = out[base]
+    missing = [i for i in range(1, len(images) + 1) if i not in loops or find(loops[i]) != base]
+    vertices = sum(1 for v, p in enumerate(parent) if v == p)
+    return vertices, missing
 
 
 def equal(p: Automorphism, q: Automorphism) -> bool:
@@ -188,23 +236,31 @@ def generator_names(genus: int) -> tuple[str, ...]:
 
 
 class TwistGenerator(Record):
-    """A named twist: ``curve``, the CurveRecord it twists along, and
-    ``auto``, its Automorphism."""
+    """A named twist: ``curve``, the CurveRecord it twists along, ``auto``,
+    its Automorphism, and ``inverse``, the twist with the opposite arrow."""
 
-    __slots__ = ("name", "curve", "auto")
+    __slots__ = ("name", "curve", "auto", "inverse")
 
 
 def derive_generator(registry: Registry, curve_name: str) -> TwistGenerator:
-    """Build one twist generator from the registered chord layout."""
+    """Build one twist generator and its inverse from the registered chord
+    layout.
+
+    The twist composed with its inverse must send every ``x_i`` to
+    ``x_i``.  That one direction makes the twist onto, so it is an
+    automorphism (free groups are Hopfian), and ``inverse`` is its
+    inverse.  Raises AutomorphismError naming the first generator that
+    fails.
+    """
     rec = registry.curve(curve_name)
     geom = registry.geometry(curve_name)
-    images = tuple(twist_images(geom, rec.arrow))
-    inverse_images = tuple(twist_images(geom, -rec.arrow))
-    return TwistGenerator(
-        name=generator_for_curve(rec.name),
-        curve=rec,
-        auto=Automorphism(registry.spec.genus, images, inverse_images),
-    )
+    genus = registry.spec.genus
+    auto = Automorphism(genus, tuple(twist_images(geom, rec.arrow)))
+    inverse = Automorphism(genus, tuple(twist_images(geom, -rec.arrow)))
+    diff = first_difference(auto.after(inverse), Automorphism.identity(genus))
+    if diff is not None:
+        raise AutomorphismError(f"the twist does not undo its inverse at {diff}")
+    return TwistGenerator(generator_for_curve(rec.name), rec, auto, inverse)
 
 
 def derive_generators(registry: Registry) -> dict[str, TwistGenerator]:
@@ -265,8 +321,8 @@ def evaluate(
         expression = parse_expression(expression, generators.keys())
     acc = Automorphism.identity(genus)
     for name, exp in expression:
-        auto = generators[name].auto
-        acc = acc.after(auto if exp > 0 else auto.inverse())
+        gen = generators[name]
+        acc = acc.after(gen.auto if exp > 0 else gen.inverse)
     return acc
 
 

@@ -288,17 +288,21 @@ class CyclicWord(Record):
     __slots__ = ("genus", "letters")
 
     def __init__(self, genus: int, letters: tuple[int, ...] = ()) -> None:
-        super().__init__(genus, letters)
+        super().__init__(genus, Word(genus, letters).letters)  # validates + reduces
         self.__post_init__()  # a method of its own: perfbench times it by name
 
     def __post_init__(self) -> None:
-        word = Word(self.genus, tuple(self.letters))  # validates + reduces
-        canon = _least_rotation(_cyclic_reduce(word.letters))
-        object.__setattr__(self, "letters", canon)
+        """Canonicalise ``letters``, which must already be freely reduced."""
+        object.__setattr__(self, "letters", _least_rotation(_cyclic_reduce(self.letters)))
 
     @classmethod
     def of(cls, word: Word) -> "CyclicWord":
-        return cls(word.genus, word.letters)
+        """The class of a word, whose letters are valid and reduced already."""
+        cyclic = object.__new__(cls)
+        object.__setattr__(cyclic, "genus", word.genus)
+        object.__setattr__(cyclic, "letters", word.letters)
+        cyclic.__post_init__()
+        return cyclic
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -312,7 +316,7 @@ class CyclicWord(Record):
         return f"CyclicWord(genus={self.genus}, {str(self)!r})"
 
     def inverse(self) -> "CyclicWord":
-        return CyclicWord(self.genus, tuple(-s for s in reversed(self.letters)))
+        return CyclicWord.of(Word._trusted(self.genus, tuple(-s for s in reversed(self.letters))))
 
     def unoriented(self) -> "CyclicWord":
         """Canonical form of the pair {class, inverse class}.
@@ -326,7 +330,7 @@ class CyclicWord(Record):
         return self if keys_self <= keys_inv else inv
 
     def exponent_vector(self) -> tuple[int, ...]:
-        return Word(self.genus, self.letters).exponent_vector()
+        return Word._trusted(self.genus, self.letters).exponent_vector()
 
 
 def is_conjugate(u: Word, v: Word) -> bool:

@@ -26,6 +26,8 @@ from crosscap.surface import (
     x0_names,
 )
 from crosscap.twists import (
+    Automorphism,
+    AutomorphismError,
     CertificateError,
     check_certificate,
     derive_generators,
@@ -34,7 +36,7 @@ from crosscap.twists import (
     standard_certificates,
     verify_key_conjugation,
 )
-from crosscap.words import is_conjugate
+from crosscap.words import Word, is_conjugate
 
 GENERA = range(4, 11)
 
@@ -53,6 +55,14 @@ def worlds():
 def random_expression(rng, names, max_len):
     length = rng.randint(1, max_len)
     return tuple((rng.choice(names), rng.choice((1, -1))) for _ in range(length))
+
+
+def mutants(auto):
+    """Three maps that are not onto, whatever ``auto`` is: x1's image
+    squared, x1 sent where x2 goes, and x1 sent to the identity."""
+    genus, images = auto.genus, auto.images
+    for first in (images[0] * images[0], images[1], Word(genus)):
+        yield Automorphism(genus, (first,) + images[1:])
 
 
 def test_key_conjugation_holds_at_every_genus(worlds):
@@ -84,18 +94,21 @@ def test_the_generation_certificate_verifies_at_every_genus(worlds):
 
 
 def test_every_evaluated_twist_expression_is_sound(worlds):
-    """Registered twists and 200 seeded random expressions (length up to
-    10) all fix the boundary word and invert exactly."""
+    """Registered twists, their inverses and 200 seeded random expressions
+    (length up to 10) all fix the boundary word, and their images generate
+    the free group, so each is an automorphism.  Three mutants of each
+    expression, none of them onto, are rejected."""
     genus = 4
     _, generators = worlds[genus]
     failures = []
     for name, gen in sorted(generators.items()):
-        if not gen.auto.fixes_boundary():
-            failures.append(f"{name}: boundary moved")
-        try:
-            gen.auto.verify_sound()
-        except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
-            failures.append(f"{name}: {exc}")
+        for label, auto in ((name, gen.auto), (f"{name}^-1", gen.inverse)):
+            if not auto.fixes_boundary():
+                failures.append(f"{label}: boundary moved")
+            try:
+                auto.verify_sound()
+            except Exception as exc:  # noqa: BLE001 - recorded, not swallowed
+                failures.append(f"{label}: {exc}")
     rng = random.Random(1729)
     names = sorted(generators)
     for index in range(200):
@@ -107,6 +120,12 @@ def test_every_evaluated_twist_expression_is_sound(worlds):
             auto.verify_sound()
         except Exception as exc:  # noqa: BLE001
             failures.append(f"expression {index}: {exc}")
+        for kind, mutant in zip(("squared", "x1 as x2", "x1 killed"), mutants(auto)):
+            try:
+                mutant.verify_sound()
+            except AutomorphismError:
+                continue
+            failures.append(f"expression {index}: mutant {kind} passed")
     assert failures == []
 
 

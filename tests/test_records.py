@@ -30,7 +30,6 @@ from crosscap.surface import (  # noqa: E402
 )
 from crosscap.twists import (  # noqa: E402
     Automorphism,
-    AutomorphismError,
     Certificate,
     CertificateReport,
     KeyConjugationReport,
@@ -73,9 +72,9 @@ def matrices(cls):
 
 
 def automorphisms(genus):
-    # unsound tables are fine here: only equality and hashing are compared
+    # unsound images are fine here: only equality and hashing are compared
     images = st.lists(words(genus), min_size=genus, max_size=genus).map(tuple)
-    return st.builds(Automorphism, st.just(genus), images, images, st.just(False))
+    return st.builds(Automorphism, st.just(genus), images)
 
 
 @lru_cache(maxsize=None)
@@ -90,6 +89,7 @@ def twist_generators():
         st.sampled_from(("a1", "a2")),
         pick.map(lambda g: g.curve),
         pick.map(lambda g: g.auto),
+        pick.map(lambda g: g.inverse),
     )
 
 
@@ -123,11 +123,11 @@ RECORDS = [
     (RegistryReport, ("results",), registry_reports, False),
     (
         Automorphism,
-        ("genus", "images", "inverse_images"),
+        ("genus", "images"),
         st.integers(1, 2).flatmap(automorphisms),
         False,
     ),
-    (TwistGenerator, ("name", "curve", "auto"), twist_generators(), False),
+    (TwistGenerator, ("name", "curve", "auto", "inverse"), twist_generators(), False),
     (
         KeyConjugationReport,
         ("curve_clause_ok", "twist_clause_ok", "diagnostics"),
@@ -174,16 +174,9 @@ def values(record, fields):
     return tuple(getattr(record, name) for name in fields)
 
 
-def arguments(record, fields):
-    """The positional arguments that build `record` again."""
-    if isinstance(record, Automorphism):
-        return values(record, fields) + (False,)
-    return values(record, fields)
-
-
 def rebuilt(record, fields):
     """An equal record, built again from the fields of `record`."""
-    return type(record)(*arguments(record, fields))
+    return type(record)(*values(record, fields))
 
 
 def test_every_record_is_listed():
@@ -231,10 +224,7 @@ def test_records_refuse_assignment_and_deletion(cls, fields, instances, own_repr
 
 def keywords(record, fields, start=0):
     """The keyword arguments that build `record` again from ``fields[start:]``."""
-    named = {name: getattr(record, name) for name in fields[start:]}
-    if isinstance(record, Automorphism):
-        named["verify"] = False
-    return named
+    return {name: getattr(record, name) for name in fields[start:]}
 
 
 @pytest.mark.parametrize("cls, fields, instances, own_repr", RECORDS, ids=IDS)
@@ -243,7 +233,7 @@ def test_records_build_alike_by_position_and_by_keyword(cls, fields, instances, 
     @given(record=instances)
     def check(record):
         by_keyword = cls(**keywords(record, fields))
-        assert by_keyword == cls(*arguments(record, fields)) == record
+        assert by_keyword == cls(*values(record, fields)) == record
         assert hash(by_keyword) == hash(record)
         assert cls(getattr(record, fields[0]), **keywords(record, fields, 1)) == record
 
@@ -257,7 +247,7 @@ def test_records_refuse_missing_doubled_extra_and_unknown_fields(
     @settings(max_examples=5, deadline=None)
     @given(record=instances)
     def check(record):
-        args = arguments(record, fields)
+        args = values(record, fields)
         wrong_calls = [
             lambda: cls(**keywords(record, fields, 1)),  # missing
             lambda: cls(*args, **{fields[0]: args[0]}),  # doubled
@@ -290,20 +280,3 @@ def test_records_that_only_store_fields_take_the_base_constructor():
 def test_records_of_different_classes_with_equal_fields_differ():
     assert Word(2, (1, 2)) != CyclicWord(2, (1, 2))
     assert CheckResult("a", "b", True) != CertificateReport("a", "b", True)
-
-
-def test_automorphism_verify_false_skips_verify_sound(monkeypatch):
-    calls = []
-    monkeypatch.setattr(Automorphism, "verify_sound", lambda self: calls.append(self))
-    x1, x2 = Word(2, (1,)), Word(2, (2,))
-    Automorphism(2, (x2, x1), (x1, x2), verify=False)
-    assert calls == []
-    auto = Automorphism(2, (x2, x1), (x1, x2))
-    assert calls == [auto]
-
-
-def test_automorphism_verifies_by_default():
-    x1, x2 = Word(2, (1,)), Word(2, (2,))
-    with pytest.raises(AutomorphismError):
-        Automorphism(2, (x2, x1), (x1, x2))
-    assert Automorphism(2, (x2, x1), (x1, x2), verify=False).images == (x2, x1)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from crosscap.polygon import apply_images
+from crosscap import twists
+from crosscap.polygon import apply_images, twist_images
 from crosscap.surface import SurfaceSpec, parse_registry, registry_text, standard_registry
 from crosscap.twists import (
     Automorphism,
@@ -42,15 +43,21 @@ def test_identity_automorphism():
     one = Automorphism.identity(3)
     w = Word.parse("x1 x2^-1 x3", 3)
     assert one.apply(w) == w
-    assert one.inverse_apply(w) == w
 
 
-def test_construction_rejects_unsound_inverse():
-    """images and inverse_images must really undo each other."""
-    images = (Word.parse("x2", 2), Word.parse("x1", 2))
-    bogus = (Word.parse("x1", 2), Word.parse("x2", 2))  # claims identity
-    with pytest.raises(AutomorphismError, match="x1"):
-        Automorphism(2, images, bogus)
+def test_derive_generators_rejects_an_inverse_that_does_not_undo_the_twist(monkeypatch):
+    """The flipped-arrow twist must undo the twist; a curve whose inverse
+    does not is named."""
+    reg = standard_registry(SurfaceSpec(4, 1))
+
+    def one_arrow(geom, arrow):
+        return twist_images(geom, abs(arrow))  # both arrows give the same twist
+
+    monkeypatch.setattr(twists, "twist_images", one_arrow)
+    with pytest.raises(ValueError) as exc:
+        derive_generators(reg)
+    assert isinstance(exc.value.__cause__, AutomorphismError)
+    assert str(exc.value) == "curve alpha_1: the twist does not undo its inverse at x1"
 
 
 def test_the_smallest_twist_is_pinned():
@@ -62,7 +69,7 @@ def test_the_smallest_twist_is_pinned():
         Word.parse("x1 x1 x2", 2),
         Word.parse("x2^-1 x1^-1 x2", 2),
     )
-    round_trip = gen.auto.inverse().apply(gen.auto.apply(Word.parse("x1 x2", 2)))
+    round_trip = gen.inverse.apply(gen.auto.apply(Word.parse("x1 x2", 2)))
     assert round_trip == Word.parse("x1 x2", 2)
 
 
@@ -93,31 +100,27 @@ def test_composition_applies_rightmost_first(world4):
 
 def test_composition_substitutes_every_image():
     """Images that are a bare generator are composed by lookup; the result
-    is what substituting every image gives, on both sides."""
+    is what substituting every image gives."""
     gens = derive_generators(standard_registry(SurfaceSpec(5, 1)))
-    autos = [gen.auto for gen in gens.values()]
-    autos += [auto.inverse() for auto in autos]
+    autos = [gen.auto for gen in gens.values()] + [gen.inverse for gen in gens.values()]
     bare = [w for auto in autos for w in auto.images if len(w) == 1 and w.letters[0] > 0]
     assert bare and len(bare) < 5 * len(autos)
     # x_i -> x_i^-1 has images of length one that are not bare generators
-    inverted = tuple(Word(5, (-i,)) for i in range(1, 6))
-    autos.append(Automorphism(5, inverted, inverted))
+    autos.append(Automorphism(5, tuple(Word(5, (-i,)) for i in range(1, 6))))
     for p in autos:
         for q in autos:
             pq = p.after(q)
             assert pq.images == tuple(apply_images(p.images, w) for w in q.images)
-            assert pq.inverse_images == tuple(
-                apply_images(q.inverse_images, w) for w in p.inverse_images
-            )
             pq.verify_sound()
 
 
-def test_inverse_swaps_directions(world4):
-    _, gens = world4
-    b = gens["b"].auto
-    w = Word.parse("x1 x4^-1", 4)
-    assert b.inverse().apply(w) == b.inverse_apply(w)
-    assert equal(b.after(b.inverse()), Automorphism.identity(4))
+@pytest.mark.parametrize("genus", range(4, 11))
+def test_a_generator_after_its_inverse_is_the_identity(genus):
+    gens = derive_generators(standard_registry(SurfaceSpec(genus, 1)))
+    identity = Automorphism.identity(genus)
+    for name in gens:
+        assert equal(evaluate(f"{name}^-1 {name}", gens, genus), identity), name
+        assert equal(evaluate(f"{name} {name}^-1", gens, genus), identity), name
 
 
 def test_parse_expression_grammar():
@@ -236,7 +239,7 @@ def test_key_conjugation_holds(genus):
 def test_key_conjugation_diagnostics_name_the_failure(world4):
     reg, gens = world4
     broken = dict(gens)
-    broken["f"] = TwistGenerator("f", gens["f"].curve, gens["a1"].auto)
+    broken["f"] = TwistGenerator("f", gens["f"].curve, gens["a1"].auto, gens["a1"].inverse)
     report = verify_key_conjugation(reg, broken)
     assert not report.ok
     assert any("x" in d for d in report.diagnostics)
