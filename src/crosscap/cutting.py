@@ -30,14 +30,32 @@ Every object of the complex is a dense integer id: vertices, half-edges
 ``0..2E-1`` (``h ^ 1`` reverses ``h``), faces ``0..F-1``, curves,
 crossings and strand ends.  The capping disk of a closed surface is one
 more face, ``F``, with one slot, ``2E``.  Tables are lists indexed by
-id.  One orbit walk over a successor list (``_orbits``) finds both the
+id.
+
+* The ``K`` boundary vertices, polygon corners and chord ends, are
+  numbered ``0..K-1`` in key order, so arc ``e`` runs from vertex ``e``
+  to ``e + 1`` (the last one, back to vertex 0, is the free side).
+* Half-edges ``2e`` and ``2e + 1`` are arc ``e`` counterclockwise and
+  clockwise; the chords' segments follow, so a half-edge is a chord
+  side exactly when it is at least ``2K``.
+* Faces are the orbits of the rotation at each vertex composed with
+  ``h ^ 1`` (Lando and Zvonkin, *Graphs on Surfaces and Their
+  Applications*, 2004).  The rotation at a boundary vertex is always
+  counterclockwise arc, chord, clockwise arc, and the one at a crossing
+  is the key order of the four chord ends, which the sweep knows; so
+  every face successor is written down directly and nothing is sorted.
+  The clockwise arcs make up the outer face.
+* The side gluings pair the counterclockwise arcs of two sides in key
+  order (the two copies of a crosscap side are subdivided at identical
+  parameters, one per crossing event).  So the slots of the interior
+  faces, and which of them stay unpaired as cut boundary, are known by
+  construction.
+
+One orbit walk over a successor list (``_orbits``) finds both the
 faces, as cycles of half-edges, and the boundary of the curves'
 neighbourhood, as cycles of strands; one union-find with a Z/2 weight
 (``_UnionFind``) merges faces into pieces and tells their
 orientability, and serves plainly for corners, circles and curves.
-The side gluings are matched interval-by-interval (the two copies of a
-crosscap side are subdivided at identical parameters, one per crossing
-event).
 """
 
 from __future__ import annotations
@@ -171,36 +189,33 @@ class _UnionFind:
         return parent[:]
 
     def union(self, a: int, b: int, parity: int = 0) -> None:
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
+        # the two finds, inlined: this is the complex's innermost loop
+        parent, weight = self.parent, self.parity
+        pa = 0
+        while parent[a] != a:
+            up = parent[a]
+            weight[a] ^= weight[up]
+            pa ^= weight[a]
+            parent[a] = up = parent[up]
+            a = up
+        pb = 0
+        while parent[b] != b:
+            up = parent[b]
+            weight[b] ^= weight[up]
+            pb ^= weight[b]
+            parent[b] = up = parent[up]
+            b = up
+        if a == b:
             if pa ^ pb != parity:
-                self.bad[ra] = True
+                self.bad[a] = True
             return
-        self.parent[rb] = ra
-        self.parity[rb] = pa ^ pb ^ parity
-        self.bad[ra] = self.bad[ra] or self.bad[rb]
+        parent[b] = a
+        weight[b] = pa ^ pb ^ parity
+        if self.bad[b]:
+            self.bad[a] = True
 
     def contradictory(self, x: int) -> bool:
         return self.bad[self.find(x)[0]]
-
-
-def _rotation(
-    at: list[int], n: int, rank: list[int]
-) -> tuple[list[list[int]], list[int]]:
-    """The ring of ends at each of the vertices 0..n-1, and each end's place.
-
-    End ``h`` sits at vertex ``at[h]``; each ring is sorted by ``rank[h]``.
-    """
-    rings: list[list[int]] = [[] for _ in range(n)]
-    for h, v in enumerate(at):
-        rings[v].append(h)
-    place = [0] * len(at)
-    for ring in rings:
-        ring.sort(key=rank.__getitem__)
-        for i, h in enumerate(ring):
-            place[h] = i
-    return rings, place
 
 
 def _orbits(step: list[int]) -> list[list[int]]:
@@ -245,7 +260,6 @@ class _CutComplex:
         self._build_chords()
         self._build_vertices(g)
         self._build_crossings()
-        self._build_edges(g)
         self._build_faces()
         self._build_pairings(g)
         self._account()
@@ -263,18 +277,27 @@ class _CutComplex:
         ]
 
     def _build_vertices(self, g: int) -> None:
-        # boundary vertices: the polygon corners, then the chord ends
-        self.coord_vid: dict[int, int] = {
-            corner * SIDE: corner for corner in range(0, 2 * g + 1)
-        }
-        for _, _, tail, head in self.chords:
-            for key in (tail, head):
-                if key in self.coord_vid:
+        # boundary vertices: the polygon corners and the chord ends,
+        # numbered in key order; vertex_of maps a key to its number
+        keys = [corner * SIDE for corner in range(0, 2 * g + 1)]
+        for chords in self.curve_chords:
+            for chord in chords:
+                keys += chord
+        self.coords = sorted(keys)
+        self.vertex_of = dict(zip(self.coords, range(len(keys))))
+        if len(self.vertex_of) < len(keys):
+            seen: set[int] = set()
+            for key in keys:
+                if key in seen:
                     raise DegeneratePositionError(
                         "two curve endpoints share boundary coordinate "
                         f"{_coordinate_text(key)}"
                     )
-                self.coord_vid[key] = len(self.coord_vid)
+                seen.add(key)
+        # the arc from the last vertex round to vertex 0 is exactly the
+        # free side: no curve touches it
+        if self.coords[-1] != 2 * g * SIDE:
+            raise DegeneratePositionError("a curve endpoint landed on the free side")
 
     def _build_crossings(self) -> None:
         # Each chord is drawn along the boundary interval between its
@@ -292,15 +315,16 @@ class _CutComplex:
         # tail to head.
         #
         # The crossing pairs come from one sweep over the 2C endpoints in
-        # key order, with the open chords listed in the order they
-        # opened.  When chord a closes, the chords listed after it opened
-        # inside its interval and close outside it, so they are exactly
-        # the chords whose ends interleave with a's; those listed before
-        # it contain its interval.  Each crossing is reported once, when
-        # the first of its two chords closes.  For C chords and K
-        # crossings that is one sort and K steps, not C(C - 1)/2 pair
-        # tests; only the list's own index and delete, in compiled code,
-        # also pass over the chords that contain the closing one.
+        # key order, that is over the boundary vertices, with the open
+        # chords listed in the order they opened.  When chord a closes,
+        # the chords listed after it opened inside its interval and close
+        # outside it, so they are exactly the chords whose ends interleave
+        # with a's; those listed before it contain its interval.  Each
+        # crossing is reported once, when the first of its two chords
+        # closes.  For C chords and X crossings that is X steps, not
+        # C(C - 1)/2 pair tests; only the list's own index and delete, in
+        # compiled code, also pass over the chords that contain the
+        # closing one.
         n_chords = len(self.chords)
         spans = [sorted(chord[2:]) for chord in self.chords]  # [lower, upper]
         ranked = sorted(
@@ -310,13 +334,22 @@ class _CutComplex:
         for r, i in enumerate(ranked):
             depth[i] = r
         tail_above = [tail > head for _, _, tail, head in self.chords]
+        # per chord, (key on the chord, ring place) of each crossing on
+        # it, sorted along the chord once the sweep is done
         self.splits: list[list[tuple[tuple, int]]] = [[] for _ in range(n_chords)]
-        # (vertex, chord a, key on a, chord b, key on b)
-        self.crossings: list[tuple[int, int, tuple, int, tuple]] = []
-        # end 2i is chord i's lower end and 2i + 1 its upper end
-        ends = sorted(range(2 * n_chords), key=lambda e: spans[e >> 1][e & 1])
+        # (chord a, key on a, chord b, key on b), a the chord that closes first
+        self.crossings: list[tuple[int, tuple, int, tuple]] = []
+        # the chord end at each boundary vertex: 2i is chord i's lower end
+        # and 2i + 1 its upper end; corners keep -1
+        end_at = [-1] * len(self.coords)
+        vertex_of = self.vertex_of
+        for i, (lower, upper) in enumerate(spans):
+            end_at[vertex_of[lower]] = 2 * i
+            end_at[vertex_of[upper]] = 2 * i + 1
         opened: list[int] = []
-        for e in ends:
+        for e in end_at:
+            if e < 0:
+                continue
             a = e >> 1
             if not e & 1:
                 opened.append(a)
@@ -336,122 +369,95 @@ class _CutComplex:
                     key_a = (-key_a[0], -key_a[1])
                 if tail_above[b]:
                     key_b = (-key_b[0], -key_b[1])
-                vid = len(self.coord_vid) + len(self.crossings)
-                self.splits[a].append((key_a, vid))
-                self.splits[b].append((key_b, vid))
-                self.crossings.append((vid, a, key_a, b, key_b))
+                # The four half-edges leaving crossing r head for a's
+                # lower end, b's lower end, a's upper end and b's upper
+                # end: that is the key order of those ends, so it is the
+                # rotation at r, and they take the ring places 4r to
+                # 4r + 3.  A split records the place of the one that
+                # leaves towards its chord's head; place ^ 2 leaves
+                # towards the tail.
+                place = 4 * len(self.crossings)
+                self.splits[a].append((key_a, place if tail_above[a] else place + 2))
+                self.splits[b].append((key_b, place + 1 if tail_above[b] else place + 3))
+                self.crossings.append((a, key_a, b, key_b))
             del opened[at]
-
-    def _build_edges(self, g: int) -> None:
-        # edges: ("arc", u, v, side, t0, t1) with u -> v counterclockwise,
-        # or ("chord", u, v, chord index).  Half-edge 2e is u -> v and
-        # 2e + 1 is v -> u; tail[h] is the vertex h leaves.  An arc's t0
-        # and t1 are parameters along its side: 0 at the start corner,
-        # w = SIDE at the end corner.
-        #
-        # he_rank[h] orders the half-edges that leave h's tail.  They leave a
-        # boundary vertex in the order counterclockwise arc, chord,
-        # clockwise arc (ranks 0, 1, 2).  The four leaving a crossing
-        # reach four boundary points without meeting one another, so they
-        # leave in the order of those points' keys.
-        self.edges: list[tuple] = []
-        w = SIDE
-        coords = sorted(self.coord_vid)
-        K = len(coords)
-        for idx in range(K):
-            a = coords[idx]
-            if idx < K - 1:
-                b = coords[idx + 1]
-                side = a // w + 1
-                t0, t1 = a - (side - 1) * w, b - (side - 1) * w
-            else:
-                # the wrap arc is exactly the free side: no curve touches it
-                if a != 2 * g * w:
-                    raise DegeneratePositionError(
-                        "a curve endpoint landed on the free side"
-                    )
-                b = coords[0]
-                side, t0, t1 = 2 * g + 1, 0, w
-            self.edges.append(
-                ("arc", self.coord_vid[a], self.coord_vid[b], side, t0, t1)
-            )
-        rank = [0, 2] * K
-        for i, (_, _, tail, head) in enumerate(self.chords):
-            chain = (
-                [self.coord_vid[tail]]
-                + [vid for _, vid in sorted(self.splits[i])]
-                + [self.coord_vid[head]]
-            )
-            last = len(chain) - 2
-            for r in range(last + 1):
-                self.edges.append(("chord", chain[r], chain[r + 1], i))
-                rank += (1 if r == 0 else head, 1 if r == last else tail)
-        self.tail = [v for e in self.edges for v in (e[1], e[2])]
-        self.he_rank = rank
+        for splits in self.splits:
+            splits.sort()
 
     # -- the half-edge walk --------------------------------------------
 
     def _build_faces(self) -> None:
-        tail = self.tail
-        rotation, rot_pos = _rotation(
-            tail, len(self.coord_vid) + len(self.crossings), self.he_rank
-        )
+        # The face after half-edge h into vertex x leaves x just before
+        # h's reverse in the rotation at x.  So a ccw arc into x goes on
+        # along x's chord, or along arc 2x at a corner; a chord into x
+        # goes on along 2x; a cw arc goes on along the cw arc before it;
+        # and at a crossing, the ring place before.  Chord segments are
+        # numbered chord by chord from the tail, 2s towards the head.
+        K = len(self.coords)
+        vertex_of = self.vertex_of
+        succ = [0] * (2 * (K + len(self.chords) + 2 * len(self.crossings)))
+        after_ccw = list(range(0, 2 * K, 2))  # after a ccw arc into each vertex
+        ring = [0] * (4 * len(self.crossings))
+        h = 2 * K
+        for (_, _, tail, head), splits in zip(self.chords, self.splits):
+            x = vertex_of[tail]
+            after_ccw[x] = h
+            succ[h + 1] = 2 * x
+            for _, place in splits:
+                ring[place ^ 2] = h + 1
+                h += 2
+                ring[place] = h
+            x = vertex_of[head]
+            after_ccw[x] = h + 1
+            succ[h] = 2 * x
+            h += 2
+        succ[0 : 2 * K : 2] = after_ccw[1:] + after_ccw[:1]
+        succ[1 : 2 * K : 2] = [2 * K - 1, *range(1, 2 * K - 2, 2)]
+        for c in range(0, len(ring), 4):
+            r0, r1, r2, r3 = ring[c : c + 4]
+            succ[r0 ^ 1] = r3
+            succ[r1 ^ 1] = r0
+            succ[r2 ^ 1] = r1
+            succ[r3 ^ 1] = r2
+        self.next_he = succ
 
-        # after h, at h's head, the half-edge before h's reverse
-        next_he = [rotation[tail[h ^ 1]][rot_pos[h ^ 1] - 1] for h in range(len(tail))]
-        self.faces = _orbits(next_he)
-        self.face_of = [0] * len(tail)
-        self.prev_in_face = [0] * len(tail)
+        self.faces = _orbits(succ)
+        self.face_of = [0] * len(succ)
+        self.prev_in_face = [0] * len(succ)
         for fi, cycle in enumerate(self.faces):
             for i, h in enumerate(cycle):
                 self.face_of[h] = fi
                 self.prev_in_face[h] = cycle[i - 1]
-        # the outer face is the one walking the circle clockwise
-        outer = None
-        for fi, cycle in enumerate(self.faces):
-            cw_arcs = [
-                h for h in cycle if self.edges[h >> 1][0] == "arc" and (h & 1)
-            ]
-            if cw_arcs:
-                if outer is not None or len(cw_arcs) != len(cycle):
-                    raise RuntimeError("outer face is not the full clockwise circle")
-                outer = fi
-        if outer is None:
-            raise RuntimeError("no outer face found")
-        self.outer = outer
+        # the outer face walks the circle clockwise
+        self.outer = self.face_of[1]
+        if len(self.faces[self.outer]) != K:
+            raise RuntimeError("outer face is not the full clockwise circle")
 
     # -- gluing ----------------------------------------------------------
 
     def _build_pairings(self, g: int) -> None:
-        # the counterclockwise arcs of the interior faces by side, as
-        # (t0, t1, slot); both copies of a side carry the same
-        # parameters, so their intervals match exactly
-        by_side: list[list[tuple[int, int, int]]] = [[] for _ in range(2 * g + 2)]
-        for h, fi in enumerate(self.face_of):
-            e = self.edges[h >> 1]
-            if fi == self.outer or e[0] != "arc":
-                continue
-            if h & 1:
-                raise RuntimeError("interior face contains a clockwise arc")
-            by_side[e[3]].append((e[4], e[5], h))
-        self.pairings: list[tuple[int, int, int]] = []
+        # Side s is cut into the arcs from corner s - 1 to corner s, in
+        # key order.  Both copies of a side carry the same parameters, so
+        # their arcs match one to one; glued_a[i] and glued_b[i] are the
+        # counterclockwise slots of one matched pair.
+        coords, vertex_of = self.coords, self.vertex_of
+        corner = [vertex_of[c * SIDE] for c in range(2 * g + 1)]
+        self.glued_a: list[int] = []
+        self.glued_b: list[int] = []
         for pair in range(1, g + 1):
-            side_a, side_b = 2 * pair - 1, 2 * pair
-            arcs_a, arcs_b = sorted(by_side[side_a]), sorted(by_side[side_b])
-            if [a[:2] for a in arcs_a] != [b[:2] for b in arcs_b]:
+            va, vb, vc = corner[2 * pair - 2], corner[2 * pair - 1], corner[2 * pair]
+            if [key + SIDE for key in coords[va:vb]] != coords[vb:vc]:
                 raise RuntimeError(
-                    f"glued sides {side_a}/{side_b} subdivide differently"
+                    f"glued sides {2 * pair - 1}/{2 * pair} subdivide differently"
                 )
-            self.pairings += [(a[2], b[2], 1) for a, b in zip(arcs_a, arcs_b)]
+            self.glued_a += range(2 * va, 2 * vb, 2)
+            self.glued_b += range(2 * vb, 2 * vc, 2)
         # the capping disk is face F with the one slot 2E, glued to the
-        # free side without a flip
+        # free side, the last arc, without a flip
         self.cap = self.spec.boundary == 0
         if self.cap:
-            cap_slot = len(self.face_of)
             self.face_of.append(len(self.faces))
-            self.prev_in_face.append(cap_slot)
-            ((_, _, free_slot),) = by_side[2 * g + 1]
-            self.pairings.append((free_slot, cap_slot, 0))
+            self.prev_in_face.append(len(self.next_he))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -459,36 +465,46 @@ class _CutComplex:
         # ids: faces 0..F (F is the cap) and slots 0..2E (2E is the cap)
         face_of, prev = self.face_of, self.prev_in_face
         n_faces, n_slots = len(self.faces) + self.cap, len(face_of)
+        cap = len(self.next_he)
+        first_chord = 2 * len(self.coords)
+        free = first_chord - 2
         face_uf = _UnionFind(n_faces)
         corner_uf = _UnionFind(n_slots)
-        paired = bytearray(n_slots)
-        for sa, sb, flip in self.pairings:
-            face_uf.union(face_of[sa], face_of[sb], flip)
-            if flip:
-                corner_uf.union(sa, sb)
-                corner_uf.union(prev[sa], prev[sb])
-            else:
-                corner_uf.union(sa, prev[sb])
-                corner_uf.union(sb, prev[sa])
-            paired[sa] = paired[sb] = 1
-        slots = [s for s in range(n_slots) if face_of[s] != self.outer]
-        boundary_slots = [s for s in slots if not paired[s]]
+        join_faces, join_corners = face_uf.union, corner_uf.union
+        for sa, sb in zip(self.glued_a, self.glued_b):
+            join_faces(face_of[sa], face_of[sb], 1)
+            join_corners(sa, sb)
+            join_corners(prev[sa], prev[sb])
+        if self.cap:
+            join_faces(face_of[free], face_of[cap], 0)
+            join_corners(free, cap)
+            join_corners(cap, prev[free])
+        # the interior slots are the ccw arcs, the chord sides and the
+        # cap slot; those left unpaired are the chord sides, and the free
+        # side when nothing caps it
+        slots = [*range(0, first_chord, 2), *range(first_chord, n_slots)]
+        boundary_slots = [*range(first_chord, cap)]
+        if not self.cap:
+            boundary_slots.append(free)
 
         # per component, indexed by its root face
         interior = [fi for fi in range(n_faces) if fi != self.outer]
         comp_of = face_uf.roots()
+        slot_comp = [comp_of[fi] for fi in face_of]
         faces, edges, vertices, circles = ([0] * n_faces for _ in range(4))
         for fi in interior:
             faces[comp_of[fi]] += 1
-        for s, _, _ in self.pairings:
-            edges[comp_of[face_of[s]]] += 1
+        for s in self.glued_a:
+            edges[slot_comp[s]] += 1
+        if self.cap:
+            edges[slot_comp[free]] += 1
         for s in boundary_slots:
-            edges[comp_of[face_of[s]]] += 1
+            edges[slot_comp[s]] += 1
         corner = corner_uf.roots()
         corner_comp = [-1] * n_slots
         for s in slots:
             root = corner[s]
-            c = comp_of[face_of[s]]
+            c = slot_comp[s]
             if corner_comp[root] == -1:
                 corner_comp[root] = c
                 vertices[c] += 1
@@ -506,17 +522,13 @@ class _CutComplex:
         if any(degree[a] != 2 or degree[b] != 2 for a, b in ends):
             raise RuntimeError("cut boundary is not a union of circles")
         for a, b in ends:
-            corner_uf.union(a, b)
+            join_corners(a, b)
         circle = corner_uf.roots()
-        met, cut = bytearray(n_slots), bytearray(n_slots)
-        for s in boundary_slots:
-            root = circle[s]
-            if not met[root]:
-                met[root] = 1
-                circles[comp_of[face_of[s]]] += 1
-            if self.edges[s >> 1][0] == "chord":
-                cut[root] = 1
-        self.cut_circle_count = sum(cut)
+        # a circle lies in one piece: count it at one of its slots
+        for s in {circle[s]: s for s in boundary_slots}.values():
+            circles[slot_comp[s]] += 1
+        # a cut circle is one along a chord side
+        self.cut_circle_count = len({circle[s] for s in range(first_chord, cap)})
 
         self.components: list[ComponentReport] = [
             ComponentReport(
@@ -541,7 +553,7 @@ class _CutComplex:
         n_curves = len(self.curves)
         curve_uf = _UnionFind(n_curves)
         crossed = bytearray(n_curves)
-        for _, i, _, j, _ in self.crossings:
+        for i, _, j, _ in self.crossings:
             ci, cj = self.chords[i][0], self.chords[j][0]
             curve_uf.union(ci, cj)
             crossed[ci] = crossed[cj] = 1
@@ -566,49 +578,43 @@ class _CutComplex:
             self._check_ribbon_circles(ribbon_circles)
             return out
 
-        # stations along each curve: (local chord index, key, crossing id)
-        stations: list[list[tuple[int, tuple, int]]] = [[] for _ in range(n_curves)]
-        for rid, (_, i, s, j, u) in enumerate(self.crossings):
-            for chord_idx, key in ((i, s), (j, u)):
-                ci, k, *_ = self.chords[chord_idx]
-                stations[ci].append((k, key, rid))
+        # stations along each curve, in order: (local chord index, ring
+        # place towards the chord's head); chords come curve by curve in
+        # order, and the splits of each are sorted along it
+        stations: list[list[tuple[int, int]]] = [[] for _ in range(n_curves)]
+        for (ci, k, _, _), splits in zip(self.chords, self.splits):
+            for _, place in splits:
+                stations[ci].append((k, place))
         # strand e runs between consecutive stations of curve
         # strand_curve[e] and swaps sides strand_parity[e] times; its
         # ends are 2e, at the station it starts from, and 2e + 1, at the
-        # next one
+        # next one.  An end takes the ring place of the half-edge it runs
+        # along, so the ring of crossing r holds the ends at 4r to 4r + 3
+        # in rotation order.
         strand_curve: list[int] = []
         strand_parity: list[int] = []
-        end_rid: list[int] = []  # the crossing at each strand end
-        end_coord: list[int] = []  # the boundary point each end heads for
+        end_place: list[int] = []
         for ci, sts in enumerate(stations):
-            sts.sort()
-            chords = self.curve_chords[ci]
-            m = len(chords)
+            m = len(self.curve_chords[ci])
             n = len(sts)
             for q in range(n):
-                k1, _, r1 = sts[q]
-                k2, _, r2 = sts[(q + 1) % n]
+                k1, p1 = sts[q]
+                k2, p2 = sts[(q + 1) % n]
                 delta = k2 - k1 if q + 1 < n else (k2 + m - k1)
                 strand_curve.append(ci)
                 strand_parity.append(delta % 2)
-                end_rid += (r1, r2)
-                end_coord += (chords[k1][1], chords[k2][0])
-
-        # strand ends leave a crossing in the order of the boundary points
-        # they head for, as the half-edges do
-        rotation, rot_pos = _rotation(
-            end_rid, len(self.crossings), end_coord
-        )
-        if any(len(ring) != 4 for ring in rotation):
-            raise RuntimeError("a crossing without four strand ends")
+                end_place += (p1, p2 ^ 2)
+        end_of_place = [0] * len(end_place)
+        for end, place in enumerate(end_place):
+            end_of_place[place] = end
 
         vertex_uf = _UnionFind(len(self.crossings))
         for e, parity in enumerate(strand_parity):
-            vertex_uf.union(end_rid[2 * e], end_rid[2 * e + 1], parity)
+            vertex_uf.union(end_place[2 * e] >> 2, end_place[2 * e + 1] >> 2, parity)
         curve_comp = curve_uf.roots()
         comp_cross = [0] * n_curves
         comp_orient_bad = bytearray(n_curves)
-        for rid, (_, i, _, _, _) in enumerate(self.crossings):
+        for rid, (i, _, _, _) in enumerate(self.crossings):
             c = curve_comp[self.chords[i][0]]
             comp_cross[c] += 1
             if vertex_uf.contradictory(rid):
@@ -619,12 +625,12 @@ class _CutComplex:
         # crosscap passage; corners keep the side, left turns to the
         # rotation predecessor and right to the successor.
         next_state: list[int] = []
-        for state in range(2 * len(end_rid)):
+        for state in range(2 * len(end_place)):
             arrive = (state >> 1) ^ 1
             side = (state & 1) ^ strand_parity[arrive >> 1]
-            ring = rotation[end_rid[arrive]]
-            i = rot_pos[arrive]
-            next_state.append(2 * (ring[(i + 1) % 4] if side else ring[i - 1]) + side)
+            place = end_place[arrive]
+            turn = place + 1 if side else place - 1
+            next_state.append(2 * end_of_place[(place & ~3) | (turn & 3)] + side)
 
         orbit_count = [0] * n_curves
         for cycle in _orbits(next_state):
@@ -669,11 +675,7 @@ def cut_along(registry: Registry, names: Iterable[str]) -> ComplementReport:
     and always sum to the Euler characteristic of the surface.
     """
     spec = registry.spec
-    selected: list[str] = []
-    for raw in names:
-        rec = registry.curve(raw)
-        if rec.name not in selected:
-            selected.append(rec.name)
+    selected = {registry.curve(raw).name for raw in names}
     ordered = [n for n in registry.names() if n in selected]
     complex_ = _CutComplex(
         spec, [(n, registry.geometry(n)) for n in ordered]

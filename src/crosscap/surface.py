@@ -216,6 +216,13 @@ class Registry:
                 )
         self.spec = spec
         self._records: dict[str, CurveRecord] = dict(records)
+        # the keys that are already canonical names, looked up as given
+        self._exact = {
+            name: rec
+            for name, rec in self._records.items()
+            if canonical_curve_name(name) == name
+        }
+        # filled by geometry() under a record's name, which is always in _exact
         self._geometries: dict[str, CurveGeometry] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -237,6 +244,9 @@ class Registry:
         return tuple(self._records)
 
     def curve(self, name: str) -> CurveRecord:
+        rec = self._exact.get(name)
+        if rec is not None:
+            return rec
         canon = canonical_curve_name(name)
         if canon is None:
             raise UnknownCurveError(
@@ -257,10 +267,13 @@ class Registry:
         return rec
 
     def geometry(self, name: str) -> CurveGeometry:
-        rec = self.curve(name)
-        if rec.name not in self._geometries:
-            self._geometries[rec.name] = rec.geometry()
-        return self._geometries[rec.name]
+        geom = self._geometries.get(name)
+        if geom is None:
+            rec = self.curve(name)
+            if rec.name not in self._geometries:
+                self._geometries[rec.name] = rec.geometry()
+            geom = self._geometries[rec.name]
+        return geom
 
     def replaced(self, record: CurveRecord) -> "Registry":
         """A copy with one record swapped out (used by tests)."""

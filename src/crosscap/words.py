@@ -49,16 +49,18 @@ class Record:
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
-
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        # field by field, as tuples compare, without building the tuples
+        for name in self.__slots__:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine is not theirs and not mine == theirs:
+                return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple([getattr(self, name) for name in self.__slots__]))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

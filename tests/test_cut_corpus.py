@@ -33,6 +33,14 @@ CORPUS_DIGESTS = {
     14: "11458184538934a8c3a1b0535d29aad94ca5e5df22932193d2f36dfa6097ce95",
     15: "47f9487960d742b3c861d722eef58b095ab478a9d0ce9aea6879052fabe081e4",
     16: "89867eddbddc0d6c9db4880cb27b87ee1a5e71a27739683653493ff66e7ea579",
+    17: "ad9d53febc89cd8ff28670fd9e33c0586f599a28b72a594c1ff0b8c15d7d47c4",
+    18: "d8f7d4f1ed9cc39d4e1aa68050b9aaf0989f7dca3be3e3982c0940ab7c8b7493",
+    19: "84551f8e03a9eef2870746840ef734964f225ae5fa169fcd60099d0ee38a3ca8",
+    20: "b3fc5e0c510e7a5240d0c7f790d8c8a75d5048298aea4c1f3c4a5c1802faa469",
+    21: "b7cec9de7daef11a962f5b1a334e145e9f3d378bec877ef5643e8967c1e0f6d3",
+    22: "1cb1f3f05ef58da92105ad70399245a224063f0e7a620b6bb629530f962e0d28",
+    23: "bbe876fa761ea36b2fe96ea07c627d1f61db88bc56f4df3675f545459a3bbcf2",
+    24: "586823da9561ed859cb5362cd0ae18664af2d817d8be4fa2d4560e3153dadc2a",
 }
 
 

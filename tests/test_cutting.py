@@ -8,6 +8,7 @@ from crosscap.cutting import (
     ComponentReport,
     _CutComplex,
     _UnionFind,
+    _orbits,
     cut_along,
     intersection_number,
 )
@@ -273,7 +274,7 @@ def test_the_endpoint_sweep_reports_every_crossing_pair_once():
     def check(drawn):
         complex_ = cut_complex(*drawn)
         chords = [chord[2:] for chord in complex_.chords]
-        swept = [frozenset((i, j)) for _, i, _, j, _ in complex_.crossings]
+        swept = [frozenset((i, j)) for i, _, j, _ in complex_.crossings]
         pairs = {
             frozenset((i, j))
             for i, j in combinations(range(len(chords)), 2)
@@ -281,6 +282,68 @@ def test_the_endpoint_sweep_reports_every_crossing_pair_once():
         }
         assert len(set(swept)) == len(swept)
         assert set(swept) == pairs
+
+    check()
+
+
+def faces_by_sorted_rotation(complex_):
+    """The faces of a cut complex found the general way: the half-edges
+    leaving each vertex sorted by rank (at a boundary vertex ccw arc 0,
+    chord 1, cw arc 2; at a crossing the key of the boundary point each
+    heads for), and the face after h the half-edge before h's reverse at
+    h's head.  Returns the face cycles and every face with a cw arc."""
+    K = len(complex_.coords)
+    vertex = {key: v for v, key in enumerate(complex_.coords)}
+    tail, rank = [], []  # the vertex each half-edge leaves, and its rank there
+    for e in range(K):
+        tail += (e, (e + 1) % K)
+        rank += (0, 2)
+    splits = [[] for _ in complex_.chords]
+    for r, (a, key_a, b, key_b) in enumerate(complex_.crossings):
+        splits[a].append((key_a, K + r))
+        splits[b].append((key_b, K + r))
+    for (_, _, tail_key, head_key), along in zip(complex_.chords, splits):
+        chain = [vertex[tail_key]] + [v for _, v in sorted(along)] + [vertex[head_key]]
+        last = len(chain) - 2
+        for i in range(last + 1):
+            tail += (chain[i], chain[i + 1])
+            rank += (1 if i == 0 else head_key, 1 if i == last else tail_key)
+    rings = [[] for _ in range(K + len(complex_.crossings))]
+    for he, v in enumerate(tail):
+        rings[v].append(he)
+    place = [0] * len(tail)
+    for ring in rings:
+        ring.sort(key=rank.__getitem__)
+        for i, he in enumerate(ring):
+            place[he] = i
+    after = [rings[tail[he ^ 1]][place[he ^ 1] - 1] for he in range(len(tail))]
+    faces = _orbits(after)
+    with_cw_arcs = [
+        fi for fi, face in enumerate(faces) if any(he < 2 * K and he & 1 for he in face)
+    ]
+    return faces, with_cw_arcs
+
+
+def test_the_face_walk_matches_the_sorted_rotation():
+    """The face successors that the cut complex fills in directly give
+    the faces that sorting every vertex's rotation gives, with the outer
+    face the one clockwise circle; and the drawing on the disk has Euler
+    characteristic V - E + F = 2."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve_systems())
+    def check(drawn):
+        complex_ = cut_complex(*drawn)
+        faces, with_cw_arcs = faces_by_sorted_rotation(complex_)
+        K = len(complex_.coords)
+        assert complex_.faces == faces
+        assert with_cw_arcs == [complex_.outer]
+        assert sorted(faces[complex_.outer]) == list(range(1, 2 * K, 2))
+        vertices = K + len(complex_.crossings)
+        edges = len(complex_.next_he) // 2
+        assert vertices - edges + len(faces) == 2
 
     check()
 

@@ -12,6 +12,7 @@ from crosscap.surface import (
     MIN_RICH_GENUS,
     CappingPolicyError,
     CurveRecord,
+    Registry,
     RegistryFormatError,
     SurfaceSpec,
     UnknownCurveError,
@@ -125,6 +126,32 @@ def test_registered_curves_are_two_sided():
 def test_geometry_is_cached():
     reg = standard_registry(SurfaceSpec(4, 1))
     assert reg.geometry("alpha_1") is reg.geometry("alpha_1")
+
+
+def test_lookups_by_alias_or_unknown_name_resolve_or_raise_by_name():
+    """Exact registry keys are looked up as given; every other name is
+    canonicalised first, so aliases resolve and unknown names raise."""
+    reg = standard_registry(SurfaceSpec(4, 1))
+    for alias, name in [("BETA", "beta"), ("alpha1", "alpha_1"), (" Epsilon ", "epsilon")]:
+        assert reg.curve(alias) is reg.curve(name)
+        assert reg.geometry(alias) is reg.geometry(name)
+    registered = ", ".join(reg.names())
+    for name, message in [
+        ("delta", f"unknown curve name 'delta'; registered: {registered}"),
+        ("alpha_1 x", f"unknown curve name 'alpha_1 x'; registered: {registered}"),
+        ("alpha7", "curve alpha_7 needs genus >= 8; this surface has genus 4"),
+    ]:
+        for lookup in (reg.curve, reg.geometry):
+            with pytest.raises(UnknownCurveError) as caught:
+                lookup(name)
+            assert str(caught.value) == message
+    # a hand-built registry filed under a key that is not a canonical name
+    # cannot reach that record by its key, as before
+    rec = reg.curve("zeta")
+    odd = Registry(reg.spec, {"Zeta": CurveRecord("Zeta", rec.word, rec.events, rec.arrow)})
+    for lookup in (odd.curve, odd.geometry):
+        with pytest.raises(UnknownCurveError, match="^curve zeta is not registered; registered: Zeta$"):
+            lookup("Zeta")
 
 
 @pytest.mark.parametrize("genus", [4, 5, 6, 8])
