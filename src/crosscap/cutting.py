@@ -67,7 +67,8 @@ from crosscap.polygon import (
     CurveGeometry,
     DegeneratePositionError,
     _coordinate_text,
-    crossing_count,
+    _interleaved,
+    crossing_count,  # not used here; perfbench's tests trace it through this module
 )
 from crosscap.surface import Registry, SurfaceSpec
 from crosscap.words import Record
@@ -87,7 +88,7 @@ def intersection_number(registry: Registry, u: str, v: str) -> int:
     rv = registry.curve(v)
     if ru.name == rv.name:
         return 0
-    return crossing_count(registry.geometry(ru.name), registry.geometry(rv.name))
+    return registry.crossings.count(ru.name, rv.name)
 
 
 class ComponentReport(Record):
@@ -313,18 +314,6 @@ class _CutComplex:
         # (2, -depth) on the way up, counted from the lower end, and
         # negated when the tail is the upper end, so keys ascend from
         # tail to head.
-        #
-        # The crossing pairs come from one sweep over the 2C endpoints in
-        # key order, that is over the boundary vertices, with the open
-        # chords listed in the order they opened.  When chord a closes,
-        # the chords listed after it opened inside its interval and close
-        # outside it, so they are exactly the chords whose ends interleave
-        # with a's; those listed before it contain its interval.  Each
-        # crossing is reported once, when the first of its two chords
-        # closes.  For C chords and X crossings that is X steps, not
-        # C(C - 1)/2 pair tests; only the list's own index and delete, in
-        # compiled code, also pass over the chords that contain the
-        # closing one.
         n_chords = len(self.chords)
         spans = [sorted(chord[2:]) for chord in self.chords]  # [lower, upper]
         ranked = sorted(
@@ -339,48 +328,32 @@ class _CutComplex:
         self.splits: list[list[tuple[tuple, int]]] = [[] for _ in range(n_chords)]
         # (chord a, key on a, chord b, key on b), a the chord that closes first
         self.crossings: list[tuple[int, tuple, int, tuple]] = []
-        # the chord end at each boundary vertex: 2i is chord i's lower end
-        # and 2i + 1 its upper end; corners keep -1
-        end_at = [-1] * len(self.coords)
-        vertex_of = self.vertex_of
-        for i, (lower, upper) in enumerate(spans):
-            end_at[vertex_of[lower]] = 2 * i
-            end_at[vertex_of[upper]] = 2 * i + 1
-        opened: list[int] = []
-        for e in end_at:
-            if e < 0:
-                continue
-            a = e >> 1
-            if not e & 1:
-                opened.append(a)
-                continue
-            at = opened.index(a)
-            for b in opened[at + 1 :]:
-                # lower a < lower b < upper a < upper b: the deeper
-                # chord's end inside the shallower one's interval is b's
-                # lower end or a's upper end
-                if depth[a] < depth[b]:
-                    key_a, key_b = (1, spans[b][0]), (0, depth[a])
-                else:
-                    key_a, key_b = (2, -depth[b]), (1, spans[a][1])
-                # literals, not tuple() of a generator, whose resized
-                # tuples pile up in CPython's free lists
-                if tail_above[a]:
-                    key_a = (-key_a[0], -key_a[1])
-                if tail_above[b]:
-                    key_b = (-key_b[0], -key_b[1])
-                # The four half-edges leaving crossing r head for a's
-                # lower end, b's lower end, a's upper end and b's upper
-                # end: that is the key order of those ends, so it is the
-                # rotation at r, and they take the ring places 4r to
-                # 4r + 3.  A split records the place of the one that
-                # leaves towards its chord's head; place ^ 2 leaves
-                # towards the tail.
-                place = 4 * len(self.crossings)
-                self.splits[a].append((key_a, place if tail_above[a] else place + 2))
-                self.splits[b].append((key_b, place + 1 if tail_above[b] else place + 3))
-                self.crossings.append((a, key_a, b, key_b))
-            del opened[at]
+        # one sweep finds the crossings; no two of the 2C ends share a key
+        ends = sorted(range(2 * n_chords), key=lambda e: spans[e >> 1][e & 1])
+        for a, b in _interleaved(ends):
+            # lower a < lower b < upper a < upper b: the deeper chord's end
+            # inside the shallower one's interval is b's lower end or a's
+            # upper end
+            if depth[a] < depth[b]:
+                key_a, key_b = (1, spans[b][0]), (0, depth[a])
+            else:
+                key_a, key_b = (2, -depth[b]), (1, spans[a][1])
+            # literals, not tuple() of a generator, whose resized tuples
+            # pile up in CPython's free lists
+            if tail_above[a]:
+                key_a = (-key_a[0], -key_a[1])
+            if tail_above[b]:
+                key_b = (-key_b[0], -key_b[1])
+            # The four half-edges leaving crossing r head for a's lower
+            # end, b's lower end, a's upper end and b's upper end: that is
+            # the key order of those ends, so it is the rotation at r, and
+            # they take the ring places 4r to 4r + 3.  A split records the
+            # place of the one that leaves towards its chord's head;
+            # place ^ 2 leaves towards the tail.
+            place = 4 * len(self.crossings)
+            self.splits[a].append((key_a, place if tail_above[a] else place + 2))
+            self.splits[b].append((key_b, place + 1 if tail_above[b] else place + 3))
+            self.crossings.append((a, key_a, b, key_b))
         for splits in self.splits:
             splits.sort()
 

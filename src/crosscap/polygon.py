@@ -42,8 +42,8 @@ inflicts on the plane frame.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from itertools import combinations, groupby
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from crosscap.words import Record, Word, _reduce
 
@@ -236,7 +236,7 @@ class CurveGeometry:
         return len(self.events) % 2 == 0
 
     def self_crossing_count(self) -> int:
-        return sum(_crosses(p, q) for p, q in combinations(self.chords, 2))
+        return CrossingTable({0: self}).count(0, 0)
 
     def spelled(self) -> Word:
         return spell_cyclic(self.genus, self.events)
@@ -246,7 +246,62 @@ def crossing_count(a: CurveGeometry, b: CurveGeometry) -> int:
     """Number of transverse chord crossings between two curve systems."""
     if a.genus != b.genus:
         raise ValueError("curves live on different surfaces")
-    return sum(_crosses(p, q) for p, q in product(a.chords, b.chords))
+    return CrossingTable({0: a, 1: b}).count(0, 1)
+
+
+def _interleaved(ends: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """The pairs (a, b) of chords whose ends interleave, a the one that closes
+    first, from one sweep over the ends in key order (2a for chord a's lower
+    end, 2a + 1 for its upper one, lower first).  With the open chords listed
+    as they open, those after a when it closes opened inside its interval and
+    close outside it: X crossings take X steps (Bentley and Ottmann, 1979)."""
+    opened: list[int] = []
+    for e in ends:
+        a = e >> 1
+        if not e & 1:
+            opened.append(a)
+            continue
+        at = opened.index(a)
+        for b in opened[at + 1 :]:
+            yield a, b
+        del opened[at]
+
+
+class CrossingTable:
+    """Crossing counts among labelled curves, from one sweep over all their
+    chord ends.  Keys tie only where chords share an endpoint; ``count(u, v)``
+    raises for those two curves as ``_crosses`` does on the least such pair
+    (u's chord, v's chord), and how ties sort moves no other count."""
+
+    def __init__(self, curves: Mapping[Hashable, CurveGeometry]) -> None:
+        self._curves = {u: (c, curve.chords) for c, (u, curve) in enumerate(curves.items())}
+        owner: list[tuple[int, int]] = []  # (curve, chord index) of each chord
+        ends: list[tuple[int, int]] = []
+        for c, chords in self._curves.values():
+            for k, chord in enumerate(chords):
+                ends += (min(chord), 2 * len(owner)), (max(chord), 2 * len(owner) + 1)
+                owner.append((c, k))
+        ends.sort()
+        self._counts: dict[tuple[int, int], int] = {}  # by (curve, curve), lower first
+        for a, b in _interleaved([e for _, e in ends]):
+            pair = (owner[a][0], owner[b][0]) if a < b else (owner[b][0], owner[a][0])
+            self._counts[pair] = self._counts.get(pair, 0) + 1
+        # (curve u, curve v) -> each (u's chord, v's chord) sharing an end, both ways
+        self._shared: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        if len({key for key, _ in ends}) < len(ends):
+            for _, tied in groupby(ends, key=lambda end: end[0]):
+                for a, b in combinations(sorted({e >> 1 for _, e in tied}), 2):
+                    (ca, ka), (cb, kb) = owner[a], owner[b]
+                    self._shared.setdefault((ca, cb), []).append((ka, kb))
+                    self._shared.setdefault((cb, ca), []).append((kb, ka))
+
+    def count(self, u: Hashable, v: Hashable) -> int:
+        """Crossings of u's chords with v's, or among u's own when u == v."""
+        (i, chords_u), (j, chords_v) = self._curves[u], self._curves[v]
+        if (i, j) in self._shared:
+            ka, kb = min(self._shared[i, j])
+            _crosses(chords_u[ka], chords_v[kb])  # raises: they share an end
+        return self._counts.get((i, j) if i <= j else (j, i), 0)
 
 
 # -- fresh parameters ------------------------------------------------------
@@ -397,13 +452,11 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
 
     Shortcut: when the loop through crosscap i picks up no detour and
     the shell S is still P itself, x_i ↦ P⁻¹ (P x_i P⁻¹) P = x_i exactly,
-    and nothing is spelled.  A twist moves only the crosscaps its curve
-    passes near, and past them the shell returns to P, so most images
-    take this path.  (On every embedded curve tried, a loop with no
+    and nothing is built but x_i.  A twist moves only the crosscaps its
+    curve passes near, and past them the shell returns to P, so most
+    images take this path.  (On every embedded curve tried, a loop with no
     detour found S = P; the shell test keeps the shortcut exact by
-    algebra alone, without that geometric fact.)  Whether any curve
-    chord crosses the loop at all takes two bisections of the curve's
-    sorted chord ends, so such a loop is never scanned chord by chord.
+    algebra alone, without that geometric fact.)
     """
     _check_twistable(curve, arrow)
     genus = curve.genus
@@ -415,31 +468,33 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     # crosses the one through key k exactly when its lower end is below
     # k and its upper end above: there are bisect(lows, k) - bisect(highs,
     # k) such chords.  A loop that no chord crosses picks up no detour.
+    # The loop through crosscap i hits side 2i and leaves from side 2i - 1.
     lows = sorted(min(chord) for chord in curve.chords)
     highs = sorted(max(chord) for chord in curve.chords)
     images: list[Word] = []
-    square: tuple[int, ...] = ()  # the letters of P = x₁²⋯x_{i-1}²
-    shell = Word(genus)  # S, the image of P
+    # S, the image of P, or None while S = P; P spells k // 2 for k in [2, 2i)
+    shell: Word | None = None
     for i, tau in enumerate(taus, start=1):
+        hit, out = (2 * i - 1) * SIDE + tau, (2 * i - 2) * SIDE + tau
+        touched = (
+            bisect_left(lows, hit) != bisect_left(highs, hit)
+            or bisect_left(lows, out) != bisect_left(highs, out)
+        )
+        if shell is None and not touched:
+            images.append(Word._trusted(genus, (i,)))
+            continue
         loop = Event(i, True, tau)
-        if any(
-            bisect_left(lows, k) != bisect_left(highs, k)
-            for k in (loop.hit_key, loop.out_key)
-        ):
-            spliced = _twist_based_loop(curve, arrow, [loop])
-        else:
-            spliced = [loop]
-        if len(spliced) == 1 and shell.letters == square:
-            x_i = Word._trusted(genus, (i,))
-            shell = Word._trusted(genus, square + (i, i))
-        else:
-            # sides of crosscaps <= genus spell valid letters, and _reduce
-            # frees S⁻¹ h_i S of cancelling pairs in one pass
-            h_i = tuple(_based_loop_letters(spliced))
-            x_i = Word._trusted(genus, _reduce(shell.inverse().letters + h_i + shell.letters))
-            shell = shell * x_i * x_i
+        spliced = _twist_based_loop(curve, arrow, [loop]) if touched else [loop]
+        if shell is None:
+            shell = Word._trusted(genus, tuple(k // 2 for k in range(2, 2 * i)))
+        # sides of crosscaps <= genus spell valid letters, and _reduce
+        # frees S⁻¹ h_i S of cancelling pairs in one pass
+        h_i = tuple(_based_loop_letters(spliced))
+        x_i = Word._trusted(genus, _reduce(shell.inverse().letters + h_i + shell.letters))
         images.append(x_i)
-        square += (i, i)
+        shell = shell * x_i * x_i
+        if len(shell) == 2 * i and shell.letters == tuple(k // 2 for k in range(2, 2 * i + 2)):
+            shell = None  # back to P for crosscap i + 1
     return images
 
 

@@ -17,15 +17,17 @@ the package treats the registry as data and re-checks it through
 from __future__ import annotations
 
 import re
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from crosscap.polygon import (
     SIDE,
+    CrossingTable,
     CurveGeometry,
     DegeneratePositionError,
     Event,
-    crossing_count,
+    crossing_count,  # not used here; perfbench's tests trace it through this module
     parse_event_token,
     spell_cyclic,
 )
@@ -275,6 +277,11 @@ class Registry:
             geom = self._geometries[rec.name]
         return geom
 
+    @cached_property
+    def crossings(self) -> CrossingTable:
+        """Crossing counts among the registered curves, by name, swept once."""
+        return CrossingTable({name: self.geometry(name) for name in self._records})
+
     def replaced(self, record: CurveRecord) -> "Registry":
         """A copy with one record swapped out (used by tests)."""
         if record.name not in self._records:
@@ -490,17 +497,11 @@ def validate_registry(registry: Registry) -> RegistryReport:
             )
         )
         try:
-            crossings = registry.geometry(rec.name).self_crossing_count()
-            results.append(
-                CheckResult(
-                    "embedded",
-                    rec.name,
-                    crossings == 0,
-                    f"{crossings} self-crossings",
-                )
-            )
+            crossings = registry.crossings.count(rec.name, rec.name)
+            ok, detail = crossings == 0, f"{crossings} self-crossings"
         except DegeneratePositionError as exc:
-            results.append(CheckResult("embedded", rec.name, False, str(exc)))
+            ok, detail = False, str(exc)
+        results.append(CheckResult("embedded", rec.name, ok, detail))
         bigons = _bigon_positions(rec.events)
         results.append(
             CheckResult(
@@ -537,10 +538,6 @@ def validate_registry(registry: Registry) -> RegistryReport:
     return RegistryReport(tuple(results))
 
 
-def _measured(registry: Registry, a: str, b: str) -> int:
-    return crossing_count(registry.geometry(a), registry.geometry(b))
-
-
 def _intersection_pattern(registry: Registry) -> list[CheckResult]:
     g = registry.spec.genus
     chain = [i for i in range(1, g) if f"alpha_{i}" in registry]
@@ -548,19 +545,11 @@ def _intersection_pattern(registry: Registry) -> list[CheckResult]:
 
     def expect(a: str, b: str, want: int) -> None:
         try:
-            got = _measured(registry, a, b)
-            results.append(
-                CheckResult(
-                    "intersection",
-                    f"{a}~{b}",
-                    got == want,
-                    f"expected {want}, measured {got}",
-                )
-            )
+            got = registry.crossings.count(a, b)
+            ok, detail = got == want, f"expected {want}, measured {got}"
         except DegeneratePositionError as exc:
-            results.append(
-                CheckResult("intersection", f"{a}~{b}", False, f"degenerate: {exc}")
-            )
+            ok, detail = False, f"degenerate: {exc}"
+        results.append(CheckResult("intersection", f"{a}~{b}", ok, detail))
 
     for n, i in enumerate(chain):
         for j in chain[n + 1 :]:

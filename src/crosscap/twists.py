@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Sequence
 
-from crosscap.polygon import DegeneratePositionError, apply_images, crossing_count, twist_images
+from crosscap.polygon import DegeneratePositionError, apply_images, twist_images
 from crosscap.surface import (
     CheckResult,
     Registry,
@@ -489,30 +489,26 @@ def parse_certificates(text: str) -> dict[str, Certificate]:
 # -- invariant suites --------------------------------------------------------
 
 
-def _moved_by_either(p: Automorphism, q: Automorphism) -> list[int]:
-    """Indices j at which p or q moves the generator x_{j+1}."""
-    return [
-        j
-        for j, (u, v) in enumerate(zip(p.images, q.images))
-        if u.letters != (j + 1,) or v.letters != (j + 1,)
-    ]
+def _reach(p: Automorphism) -> tuple[set[int], set[int]]:
+    """The indices j of the generators x_{j+1} that p moves, and p's support:
+    those and the indices of every letter of their images."""
+    moved = {j for j, w in enumerate(p.images) if w.letters != (j + 1,)}
+    support = set(moved)
+    for j in moved:
+        support.update(abs(s) - 1 for s in p.images[j])
+    return moved, support
 
 
-def _braid_holds(p: Automorphism, q: Automorphism) -> bool:
-    """pqp = qpq, compared only where p or q moves a generator: where both
-    fix x_j, both composites fix it too."""
+def _braid_holds(p: Automorphism, q: Automorphism, moved: set[int]) -> bool:
+    """pqp = qpq, compared only at x_{j+1} for j in moved (see relation_suite)."""
     a, b = p.images, q.images
-    return all(
-        _image_of(a, _image_of(b, a[j])) == _image_of(b, _image_of(a, b[j]))
-        for j in _moved_by_either(p, q)
-    )
+    return all(_image_of(a, _image_of(b, a[j])) == _image_of(b, _image_of(a, b[j])) for j in moved)
 
 
-def _commute_holds(p: Automorphism, q: Automorphism) -> bool:
-    """pq = qp, compared only where p or q moves a generator, as in
-    :func:`_braid_holds`."""
+def _commute_holds(p: Automorphism, q: Automorphism, moved: set[int]) -> bool:
+    """pq = qp, compared only at x_{j+1} for j in moved (see relation_suite)."""
     a, b = p.images, q.images
-    return all(_image_of(a, b[j]) == _image_of(b, a[j]) for j in _moved_by_either(p, q))
+    return all(_image_of(a, b[j]) == _image_of(b, a[j]) for j in moved)
 
 
 def relation_suite(
@@ -527,52 +523,35 @@ def relation_suite(
     Each relation compares the two composites' images only at the
     generators x_j that one of the pair moves.  The comparison is still
     exact: if both maps fix x_j, every composite of them fixes x_j, so
-    the two sides agree there.
+    the two sides agree there.  Twists with disjoint supports (see
+    :func:`_reach`) commute with nothing composed: each fixes every letter
+    of the other's images, so both composites agree with the one that moves x_j.
     """
+    reach = {name: _reach(gen.auto) for name, gen in generators.items()}
     results: list[CheckResult] = []
-    g = registry.spec.genus
-    for i in range(1, g - 1):
-        p, q = generators.get(f"a{i}"), generators.get(f"a{i + 1}")
-        if p is None or q is None:
-            continue
-        results.append(
-            CheckResult(
-                "braid",
-                f"a{i}~a{i + 1}",
-                _braid_holds(p.auto, q.auto),
-                "t p t = p t p on neighbouring chain curves",
-            )
-        )
-    if "a4" in generators and "b" in generators:
-        results.append(
-            CheckResult(
-                "braid",
-                "a4~b",
-                _braid_holds(generators["a4"].auto, generators["b"].auto),
-                "t p t = p t p across the crossing pair",
-            )
-        )
-    by_curve = {gen.curve.name: gen for gen in generators.values()}
+    chain = [(f"a{i}", f"a{i + 1}") for i in range(1, registry.spec.genus - 1)]
+    for p, q in chain + [("a4", "b")]:
+        if p in generators and q in generators:
+            across = "across the crossing pair" if q == "b" else "on neighbouring chain curves"
+            holds = _braid_holds(generators[p].auto, generators[q].auto, reach[p][0] | reach[q][0])
+            results.append(CheckResult("braid", f"{p}~{q}", holds, f"t p t = p t p {across}"))
+    by_curve = {gen.curve.name: name for name, gen in generators.items()}
     names = [n for n in registry.names() if n in by_curve]
     for idx, a in enumerate(names):
         for b in names[idx + 1 :]:
             try:
-                crossings = crossing_count(registry.geometry(a), registry.geometry(b))
+                if registry.crossings.count(a, b) != 0:
+                    continue
             except DegeneratePositionError as exc:
-                results.append(
-                    CheckResult("commute", f"{a}~{b}", False, f"degenerate: {exc}")
-                )
+                results.append(CheckResult("commute", f"{a}~{b}", False, f"degenerate: {exc}"))
                 continue
-            if crossings != 0:
-                continue
-            results.append(
-                CheckResult(
-                    "commute",
-                    f"{generator_for_curve(a)}~{generator_for_curve(b)}",
-                    _commute_holds(by_curve[a].auto, by_curve[b].auto),
-                    "disjoint curves, twists must commute",
-                )
+            p, q = by_curve[a], by_curve[b]
+            holds = reach[p][1].isdisjoint(reach[q][1]) or _commute_holds(
+                generators[p].auto, generators[q].auto, reach[p][0] | reach[q][0]
             )
+            subject = f"{generator_for_curve(a)}~{generator_for_curve(b)}"
+            detail = "disjoint curves, twists must commute"
+            results.append(CheckResult("commute", subject, holds, detail))
     return results
 
 

@@ -38,16 +38,20 @@ class Record:
 
     def __init__(self, *values: object, **fields: object) -> None:
         names = self.__slots__
-        if fields or len(values) != len(names):
-            rest = names[len(values) :]
-            if len(values) > len(names) or fields.keys() != set(rest):
-                raise TypeError(
-                    f"{self.__class__.__qualname__}() takes the fields {', '.join(names)}; "
-                    f"got {len(values)} by position and {', '.join(fields) or 'none'} by keyword"
-                )
-            values += tuple([fields[name] for name in rest])
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
+        if fields or len(values) != len(names):
+            if len(values) + len(fields) == len(names):
+                for name in names[len(values) :]:
+                    if name not in fields:
+                        break
+                    object.__setattr__(self, name, fields[name])
+                else:
+                    return
+            raise TypeError(
+                f"{self.__class__.__qualname__}() takes the fields {', '.join(names)}; "
+                f"got {len(values)} by position and {', '.join(fields) or 'none'} by keyword"
+            )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

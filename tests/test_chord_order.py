@@ -6,7 +6,9 @@ complex decides its crossings the same way.  This module keeps an exact
 rational reference: random keys are read as the boundary coordinates
 ``key / SIDE`` and placed on the unit circle as rational points, and
 each answer is checked against the segment crossing parameter and the
-determinant sign computed there.
+determinant sign computed there.  The endpoint sweep of
+``CrossingTable`` is checked against ``_crosses`` on every chord pair,
+and through it against the same reference.
 """
 
 from fractions import Fraction
@@ -21,6 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from crosscap.polygon import (  # noqa: E402
     _ANCHOR,
     SIDE,
+    CrossingTable,
     CurveGeometry,
     DegeneratePositionError,
     Event,
@@ -266,18 +269,17 @@ def _outcome(f, *args):
         return "degenerate"
 
 
-def _event_systems(drawn, split):
-    """Two curves from the drawn keys; equal parameters on the two copies
-    of one pair make shared endpoints, i.e. degenerate positions.  A
-    chord from a crossing straight back through it has no length, and
-    the rational reference cannot place it, so none is drawn."""
+def _event_systems(drawn, *splits):
+    """Curves from the drawn keys, cut at the splits; equal parameters on
+    the two copies of one pair make shared endpoints, i.e. degenerate
+    positions.  A chord from a crossing straight back through it has no
+    length, and the rational reference cannot place it, so none is drawn."""
     genus, values = drawn
     events = [ev for key in values if (ev := _event_at(genus, key)) is not None]
-    assume(len(events) >= 2)
-    split = min(split, len(events) - 1)
-    curves = (
-        CurveGeometry(genus, events[:split]),
-        CurveGeometry(genus, events[split:]),
+    cuts = sorted({min(split, len(events) - 1) for split in splits})
+    assume(len(events) > len(splits) and len(cuts) == len(splits))
+    curves = tuple(
+        CurveGeometry(genus, events[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, None])
     )
     assume(all(tail != head for curve in curves for tail, head in curve.chords))
     return curves
@@ -303,3 +305,57 @@ def test_self_crossing_count_is_the_rational_count(drawn, split):
     for curve in (a, b):
         want = _outcome(rational_count, curve.genus, combinations(curve.chords, 2))
         assert _outcome(curve.self_crossing_count) == want
+
+
+def _text(f, *args):
+    """f(*args), or the text of the DegeneratePositionError it raises."""
+    try:
+        return f(*args)
+    except DegeneratePositionError as exc:
+        return str(exc)
+
+
+def _pair_tests(genus, a, b, same):
+    """The count of _crosses over every chord pair of a and b (of a alone
+    when same), checked against the rational count, or the text of the
+    DegeneratePositionError it raises."""
+    pairs = list(combinations(a.chords, 2) if same else product(a.chords, b.chords))
+    count = _text(sum, (_crosses(p, q) for p, q in pairs))
+    if isinstance(count, int):
+        assert count == rational_count(genus, pairs)
+    return count
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys(12), st.lists(st.integers(1, 11), min_size=2, max_size=4, unique=True))
+@example(  # curves 0 and 2 both cross pair 1 at 1/2, one each way; curve 1 is clean
+    (2, [SIDE // 2, 2 * SIDE + SIDE // 3, 3 * SIDE + SIDE // 5, 3 * SIDE + SIDE // 7,
+         SIDE + SIDE // 2, 2 * SIDE + SIDE // 4]),
+    [2, 4],
+)
+def test_the_sweep_counts_every_pair_as_the_pair_tests_do(drawn, splits):
+    curves = _event_systems(drawn, *splits)
+    table = CrossingTable(dict(enumerate(curves)))
+    for (u, a), (v, b) in product(enumerate(curves), repeat=2):
+        want = _pair_tests(drawn[0], a, b, u == v)
+        assert _text(table.count, u, v) == want
+        if u == v:
+            assert _text(a.self_crossing_count) == want
+        else:
+            assert _text(crossing_count, a, b) == want
+
+
+def test_a_shared_endpoint_fails_only_the_pairs_that_share_it():
+    genus, half = 2, SIDE // 2
+    curves = {
+        "a": CurveGeometry(genus, [Event(1, False, half), Event(2, True, SIDE // 3)]),
+        "b": CurveGeometry(genus, [Event(2, False, SIDE // 5), Event(2, True, SIDE // 7)]),
+        "c": CurveGeometry(genus, [Event(1, True, half), Event(2, False, SIDE // 4)]),
+    }
+    table = CrossingTable(curves)
+    # a loop over the first curve's chords meets a different shared end first
+    named = "two chords share the endpoint coordinate "
+    assert _text(table.count, "a", "c") == named + "3/2"
+    assert _text(table.count, "c", "a") == named + "1/2"
+    for u, v in (("a", "b"), ("b", "c"), ("a", "a"), ("b", "b"), ("c", "c")):
+        assert isinstance(table.count(u, v), int)

@@ -2,7 +2,8 @@
 
 ``twist_images`` spells only the crosscaps a twist moves, the relation
 checks compare composites only where one of the two maps moves a
-generator, ``HomologyMatrix.det`` skips the Bareiss row updates that
+generator, and pass maps with disjoint supports with nothing composed,
+``HomologyMatrix.det`` skips the Bareiss row updates that
 cannot change a row, and ``HomologyMatrix.__mul__`` skips zero entries.
 This module keeps the full computation of each as a reference and checks
 that the shortcut gives the same answer on random inputs.
@@ -31,8 +32,10 @@ from crosscap.polygon import (  # noqa: E402
 )
 from crosscap.surface import SurfaceSpec, standard_registry  # noqa: E402
 from crosscap.twists import (  # noqa: E402
+    Automorphism,
     _braid_holds,
     _commute_holds,
+    _reach,
     derive_generators,
     evaluate,
 )
@@ -113,10 +116,10 @@ def braid_everywhere(p, q):
 
 
 @st.composite
-def map_pairs(draw):
+def map_pairs(draw, min_genus=4):
     """Two evaluated maps: random words in the generators, or a word with
     itself, its inverse, or a word in generators far down the chain."""
-    genus = draw(st.integers(min_value=4, max_value=6))
+    genus = draw(st.integers(min_value=min_genus, max_value=6))
     gens = generators(genus)
     factors = st.tuples(st.sampled_from(sorted(gens)), st.sampled_from([1, -1]))
     p = draw(st.lists(factors, min_size=1, max_size=2))
@@ -138,8 +141,55 @@ def map_pairs(draw):
 @given(map_pairs())
 def test_restricted_relation_checks_match_full_composition(pair):
     p, q = pair
-    assert _commute_holds(p, q) == commute_everywhere(p, q)
-    assert _braid_holds(p, q) == braid_everywhere(p, q)
+    where = _reach(p)[0] | _reach(q)[0]
+    assert _commute_holds(p, q, where) == commute_everywhere(p, q)
+    assert _braid_holds(p, q, where) == braid_everywhere(p, q)
+
+
+def supports_disjoint(p, q):
+    return _reach(p)[1].isdisjoint(_reach(q)[1])
+
+
+@st.composite
+def nielsen_pairs(draw):
+    """Two automorphisms at genus 3-6, each a product of one to three
+    Nielsen moves x_i -> x_i x_j^(+-1), x_j^(+-1) x_i or x_i^-1: sparse
+    maps whose images name letters they do not move."""
+    genus = draw(st.integers(min_value=3, max_value=6))
+
+    def one():
+        auto = Automorphism.identity(genus)
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.lists(st.integers(1, genus), min_size=2, max_size=2, unique=True))
+            sign, kind = draw(st.sampled_from([1, -1])), draw(st.sampled_from(["r", "l", "inv"]))
+            letters = {"r": (i, sign * j), "l": (sign * j, i), "inv": (-i,)}[kind]
+            images = [Word(genus, (k,)) for k in range(1, genus + 1)]
+            images[i - 1] = Word(genus, letters)
+            auto = auto.after(Automorphism(genus, tuple(images)))
+        return auto
+
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(nielsen_pairs(), map_pairs(min_genus=3)))
+def test_maps_with_disjoint_supports_commute(pair):
+    p, q = pair
+    if supports_disjoint(p, q):
+        assert p.after(q) == q.after(p)
+
+
+def test_the_support_counts_the_letters_of_the_images():
+    gens = generators(6)
+    a1, a4 = gens["a1"].auto, gens["a4"].auto
+    assert supports_disjoint(a1, a4)
+    assert not supports_disjoint(a1, a1.after(a4))
+    # x1 -> x1 x2 moves x1 only, but its image names x2, which q moves:
+    # the maps do not commute, and the supports meet
+    p = Automorphism(2, (Word(2, (1, 2)), Word(2, (2,))))
+    q = Automorphism(2, (Word(2, (1,)), Word(2, (2, 2))))
+    assert _reach(p) == ({0}, {0, 1}) and _reach(q) == ({1}, {1})
+    assert not supports_disjoint(p, q) and p.after(q) != q.after(p)
 
 
 def test_the_relation_references_see_both_outcomes():
@@ -147,7 +197,8 @@ def test_the_relation_references_see_both_outcomes():
     a1, a2, a3 = (gens[name].auto for name in ("a1", "a2", "a3"))
     assert commute_everywhere(a1, a3) and not commute_everywhere(a1, a2)
     assert braid_everywhere(a1, a2) and not braid_everywhere(a1, a3)
-    assert not _commute_holds(a1, a2) and not _braid_holds(a1, a3)
+    assert not _commute_holds(a1, a2, _reach(a1)[0] | _reach(a2)[0])
+    assert not _braid_holds(a1, a3, _reach(a1)[0] | _reach(a3)[0])
 
 
 # -- det and __mul__ against the textbook computations ----------------------------

@@ -1,10 +1,18 @@
 """Twist automorphisms: derivation, composition, suites, certificates."""
 
+from itertools import product
+
 import pytest
 
 from crosscap import twists
-from crosscap.polygon import apply_images, twist_images
-from crosscap.surface import SurfaceSpec, parse_registry, registry_text, standard_registry
+from crosscap.polygon import DegeneratePositionError, _crosses, apply_images, twist_images
+from crosscap.surface import (
+    CheckResult,
+    SurfaceSpec,
+    parse_registry,
+    registry_text,
+    standard_registry,
+)
 from crosscap.twists import (
     Automorphism,
     AutomorphismError,
@@ -29,6 +37,7 @@ from crosscap.twists import (
     verify_key_conjugation,
     _braid_holds,
     _commute_holds,
+    _reach,
 )
 from crosscap.words import CyclicWord, Word
 
@@ -197,8 +206,9 @@ def test_relation_checks_equal_their_definitions(genus):
         for q in autos:
             commute = equal(p.after(q), q.after(p))
             braid = equal(p.after(q).after(p), q.after(p).after(q))
-            assert _commute_holds(p, q) == commute
-            assert _braid_holds(p, q) == braid
+            where = _reach(p)[0] | _reach(q)[0]
+            assert _commute_holds(p, q, where) == commute
+            assert _braid_holds(p, q, where) == braid
             outcomes |= {("commute", commute), ("braid", braid)}
     assert outcomes == {(kind, ok) for kind in ("commute", "braid") for ok in (True, False)}
 
@@ -213,6 +223,79 @@ def test_relation_suite_braids_chain_with_beta_from_genus_five():
     reg4 = standard_registry(SurfaceSpec(4, 1))
     checks4 = relation_suite(reg4, derive_generators(reg4))
     assert not any("b" in c.subject.split("~") and c.check == "braid" for c in checks4)
+
+
+def dense_relation_suite(registry, generators):
+    """relation_suite with no shortcut: each pair's crossings from _crosses
+    on every chord pair, and each relation decided by composing whole maps."""
+    results = []
+    pairs = [(f"a{i}", f"a{i + 1}") for i in range(1, registry.spec.genus - 1)]
+    for p, q in pairs + [("a4", "b")]:
+        if p in generators and q in generators:
+            s, t = generators[p].auto, generators[q].auto
+            across = "across the crossing pair" if q == "b" else "on neighbouring chain curves"
+            holds = s.after(t).after(s) == t.after(s).after(t)
+            results.append(CheckResult("braid", f"{p}~{q}", holds, f"t p t = p t p {across}"))
+    by_curve = {gen.curve.name: gen for gen in generators.values()}
+    names = [n for n in registry.names() if n in by_curve]
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            chords = product(registry.geometry(a).chords, registry.geometry(b).chords)
+            try:
+                if sum(_crosses(u, v) for u, v in chords):
+                    continue
+            except DegeneratePositionError as exc:
+                results.append(CheckResult("commute", f"{a}~{b}", False, f"degenerate: {exc}"))
+                continue
+            s, t = by_curve[a].auto, by_curve[b].auto
+            subject = f"{generator_for_curve(a)}~{generator_for_curve(b)}"
+            holds = s.after(t) == t.after(s)
+            detail = "disjoint curves, twists must commute"
+            results.append(CheckResult("commute", subject, holds, detail))
+    return results
+
+
+@pytest.mark.parametrize("genus", range(4, 31))
+def test_relation_suite_is_the_dense_suite(genus):
+    registry = standard_registry(SurfaceSpec(genus, genus % 2))
+    generators = derive_generators(registry)
+    assert relation_suite(registry, generators) == dense_relation_suite(registry, generators)
+
+
+def edited_registry(genus, edit):
+    """A standard one-boundary registry with each curve's row ``name | word |
+    coords | arrow`` passed through edit."""
+    spec = SurfaceSpec(genus, 1)
+    text = registry_text(standard_registry(spec))
+    lines = [
+        line if line.startswith("#") else edit(*line.split(" | ")) for line in text.splitlines()
+    ]
+    return parse_registry(spec, "\n".join(lines) + "\n")
+
+
+def flip_gamma(name, word, coords, arrow):
+    """c becomes the inverse twist, and every relation still holds."""
+    flipped = {"+1": "-1", "-1": "+1"}[arrow]
+    return " | ".join((name, word, coords, flipped if name == "gamma" else arrow))
+
+
+def share_an_endpoint(name, word, coords, arrow):
+    """alpha_1 and alpha_2 both cross pair 2 once, on one fallback parameter."""
+    coords = {"alpha_1": "A1-,A2-", "alpha_2": "A2-,A3-"}.get(name, coords)
+    return " | ".join((name, word, coords, arrow))
+
+
+@pytest.mark.parametrize(
+    "genus, edit, degenerate",
+    [(6, flip_gamma, []), (4, share_an_endpoint, ["alpha_1~alpha_2"])],
+    ids=["flipped-gamma", "shared-endpoint"],
+)
+def test_relation_suite_is_the_dense_suite_on_edited_registries(genus, edit, degenerate):
+    registry = edited_registry(genus, edit)
+    generators = derive_generators(registry)
+    results = relation_suite(registry, generators)
+    assert results == dense_relation_suite(registry, generators)
+    assert [r.subject for r in results if r.detail.startswith("degenerate")] == degenerate
 
 
 # -- the key conjugation ---------------------------------------------------
