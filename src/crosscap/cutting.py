@@ -120,11 +120,6 @@ class ComplementReport(Record):
     def total_euler(self) -> int:
         return sum(c.euler_characteristic for c in self.components)
 
-    def non_disk_complement_pieces(self) -> tuple[ComponentReport, ...]:
-        return tuple(
-            c for c in self.components if c.kind == "complement" and not c.is_disk
-        )
-
     def structured_lines(self) -> list[str]:
         return [c.structured_line() for c in self.components]
 

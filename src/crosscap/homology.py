@@ -150,9 +150,6 @@ class Mod2Matrix(Record):
         )
         return cls(genus, rows)
 
-    def is_identity(self) -> bool:
-        return self == Mod2Matrix.identity(self.genus)
-
     def __mul__(self, other: "Mod2Matrix") -> "Mod2Matrix":
         if not isinstance(other, Mod2Matrix):
             return NotImplemented

@@ -65,7 +65,7 @@ _ANCHOR = 0
 
 class DegeneratePositionError(Exception):
     """Two chords share an endpoint coordinate, so whether they cross is
-    not defined.  Give the events distinct parameters (refresh_events)."""
+    not defined.  Give the events distinct parameters (fresh_params)."""
 
 
 def _coordinate_text(key: int) -> str:
@@ -175,23 +175,6 @@ def _walk_letters(walks: Iterable[tuple[int, int]]) -> list[int]:
     return letters
 
 
-def _based_loop_letters(events: Sequence[Event]) -> list[int]:
-    stops = [0]
-    for ev in events:
-        stops += [ev.hit_side, ev.out_side]
-    stops.append(0)
-    return _walk_letters(zip(stops[::2], stops[1::2]))
-
-
-def spell_based_loop(genus: int, events: Sequence[Event]) -> Word:
-    """Exact class in π₁(N, v) of the based loop through the given events.
-
-    The loop starts and ends at the vertex (anchored just inside the
-    polygon), visiting the events in order.
-    """
-    return Word(genus, tuple(_based_loop_letters(events)))
-
-
 def spell_cyclic(genus: int, events: Sequence[Event]) -> Word:
     """A π₁ representative of the closed curve through the event cycle.
 
@@ -237,9 +220,6 @@ class CurveGeometry:
 
     def self_crossing_count(self) -> int:
         return CrossingTable({0: self}).count(0, 0)
-
-    def spelled(self) -> Word:
-        return spell_cyclic(self.genus, self.events)
 
 
 def crossing_count(a: CurveGeometry, b: CurveGeometry) -> int:
@@ -325,19 +305,6 @@ def fresh_params(m: int, forbidden: Iterable[int]) -> list[int]:
     return out
 
 
-def refresh_events(
-    genus: int, events: Sequence[Event], forbidden: Iterable[int]
-) -> list[Event]:
-    """Reassign distinct parameters to an event sequence.
-
-    Any parameter choice realizes the same free homotopy class (sliding
-    crossing points along a glued side is a homotopy), so this is used
-    to put iterated twist images back into general position.
-    """
-    ts = fresh_params(len(events), forbidden)
-    return [ev.with_t(t) for ev, t in zip(events, ts)]
-
-
 # -- the twist engine ------------------------------------------------------
 
 
@@ -376,10 +343,9 @@ def _crossings_along(chord: Chord, chords: Sequence[Chord]) -> list[tuple[int, i
     return [(k, sigma) for _, _, k, sigma in hits]
 
 
-def _detour_sequences(
-    curve: CurveGeometry, arrow: int, chord: Chord
-) -> list[list[Event]]:
-    """Detours (in order) that twisting along `curve` inserts on one chord.
+def _detour_sequences(curve: CurveGeometry, arrow: int, chord: Chord) -> list[Event]:
+    """The events of the detours (in order) that twisting along `curve`
+    inserts on one chord.
 
     Each crossing with curve chord k contributes one full copy of the
     curve's event cycle; the splice direction is
@@ -390,56 +356,29 @@ def _detour_sequences(
     the parity is globally consistent).
     """
     m = len(curve.events)
-    sequences: list[list[Event]] = []
+    detours: list[Event] = []
     for k, sigma in _crossings_along(chord, curve.chords):
         d = -arrow * (1 if k % 2 == 0 else -1) * sigma
         if d > 0:
-            seq = [curve.events[(k + 1 + i) % m] for i in range(m)]
+            detours += [curve.events[(k + 1 + i) % m] for i in range(m)]
         else:
-            seq = [curve.events[(k - i) % m].flipped() for i in range(m)]
-        sequences.append(seq)
-    return sequences
+            detours += [curve.events[(k - i) % m].flipped() for i in range(m)]
+    return detours
 
 
-def twist_based_loop(
-    curve: CurveGeometry, arrow: int, events: Sequence[Event]
-) -> list[Event]:
-    """Image of a based loop under the Dehn twist along `curve`."""
-    _check_twistable(curve, arrow)
-    return _twist_based_loop(curve, arrow, events)
-
-
-def _twist_based_loop(
-    curve: CurveGeometry, arrow: int, events: Sequence[Event]
-) -> list[Event]:
-    # The caller has run _check_twistable(curve, arrow).
-    new_events: list[Event] = []
-    prev = _ANCHOR
-    for ev in events:
-        for seq in _detour_sequences(curve, arrow, (prev, ev.hit_key)):
-            new_events.extend(seq)
-        new_events.append(ev)
-        prev = ev.out_key
-    for seq in _detour_sequences(curve, arrow, (prev, _ANCHOR)):
-        new_events.extend(seq)
-    return new_events
-
-
-def twist_cyclic(
-    curve: CurveGeometry, arrow: int, target: CurveGeometry
-) -> list[Event]:
-    """Image event cycle of a closed curve under the twist along `curve`.
-
-    The target must be in general position with respect to the twisting
-    curve (no shared parameters); use refresh_events first.
-    """
-    _check_twistable(curve, arrow)
-    new_events: list[Event] = []
-    for j, ev in enumerate(target.events):
-        new_events.append(ev)
-        for seq in _detour_sequences(curve, arrow, target.chords[j]):
-            new_events.extend(seq)
-    return new_events
+def _twisted_loop(curve: CurveGeometry, arrow: int, i: int, tau: int) -> tuple[int, ...]:
+    """Letters of the image, under the twist along `curve`, of the based loop
+    through crosscap i: from the anchor it hits side 2i at parameter tau,
+    emerges from side 2i - 1 and returns.  The caller has run
+    _check_twistable(curve, arrow)."""
+    loop = Event(i, True, tau)
+    events = [
+        *_detour_sequences(curve, arrow, (_ANCHOR, loop.hit_key)),
+        loop,
+        *_detour_sequences(curve, arrow, (loop.out_key, _ANCHOR)),
+    ]
+    stops = [0, *(side for ev in events for side in (ev.hit_side, ev.out_side)), 0]
+    return tuple(_walk_letters(zip(stops[::2], stops[1::2])))
 
 
 def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
@@ -483,13 +422,11 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
         if shell is None and not touched:
             images.append(Word._trusted(genus, (i,)))
             continue
-        loop = Event(i, True, tau)
-        spliced = _twist_based_loop(curve, arrow, [loop]) if touched else [loop]
         if shell is None:
             shell = Word._trusted(genus, tuple(k // 2 for k in range(2, 2 * i)))
         # sides of crosscaps <= genus spell valid letters, and _reduce
         # frees S⁻¹ h_i S of cancelling pairs in one pass
-        h_i = tuple(_based_loop_letters(spliced))
+        h_i = _twisted_loop(curve, arrow, i, tau)
         x_i = Word._trusted(genus, _reduce(shell.inverse().letters + h_i + shell.letters))
         images.append(x_i)
         shell = shell * x_i * x_i

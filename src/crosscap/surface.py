@@ -37,8 +37,9 @@ from crosscap.words import CyclicWord, Record, Word, boundary_word as _free_boun
 MIN_RICH_GENUS = 4
 
 #: The largest genus a SurfaceSpec accepts.  On a 2-vCPU Xeon VM under
-#: Python 3.11, ``verify-theorem --n 1`` takes 1.4 s and 31 MB at genus 100,
-#: and 6.5 s and 104 MB at genus 200.
+#: Python 3.11, ``verify-theorem --n 1`` in a fresh interpreter takes 0.52 s
+#: and 28 MB peak RSS at genus 100, and 2.4 s and 97 MB at genus 200 with
+#: the bound raised (best of 3 wall times; the child's ru_maxrss).
 MAX_GENUS = 100
 
 _CHAIN_NAME_RE = re.compile(r"alpha[_]?([1-9]\d*)$")
@@ -120,9 +121,6 @@ class CurveRecord(Record):
 
     def tokens(self) -> tuple[str, ...]:
         return tuple(ev.token() for ev in self.events)
-
-    def cyclic_class(self) -> CyclicWord:
-        return CyclicWord.of(self.word)
 
     def unoriented_class(self) -> CyclicWord:
         return CyclicWord.of(self.word).unoriented()
@@ -336,10 +334,6 @@ def registry_text(registry: Registry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_registry(registry: Registry, path: str | Path) -> None:
-    Path(path).write_text(registry_text(registry), encoding="utf-8")
-
-
 def _fallback_params(token_pairs: Sequence[tuple[int, bool]]) -> list[int]:
     # Parameters for curves with no frozen layout: the k-th crossing of
     # pair p lands in (0.7, 0.95), a zone no shipped layout uses, so a
@@ -359,15 +353,14 @@ def _fallback_params(token_pairs: Sequence[tuple[int, bool]]) -> list[int]:
 
 
 def _events_for(
-    genus: int, name: str, tokens: Sequence[str], line_no: int
+    genus: int, frozen: tuple[Event, ...] | None, tokens: Sequence[str], line_no: int
 ) -> tuple[Event, ...]:
     try:
         shaped = [parse_event_token(tok, genus, SIDE // 2) for tok in tokens]
     except ValueError as exc:
         raise RegistryFormatError(f"line {line_no}: {exc}") from None
-    frozen = _frozen_layouts(genus).get(name)
-    if frozen is not None and [ev.token() for ev in frozen[0]] == list(tokens):
-        return frozen[0]
+    if frozen is not None and [ev.token() for ev in frozen] == list(tokens):
+        return frozen
     params = _fallback_params([(ev.pair, ev.hit_b) for ev in shaped])
     return tuple(ev.with_t(t) for ev, t in zip(shaped, params))
 
@@ -375,6 +368,8 @@ def _events_for(
 def parse_registry(spec: SurfaceSpec, text: str) -> Registry:
     """Parse the registry file format; see :func:`registry_text`."""
     records: dict[str, CurveRecord] = {}
+    # a record whose tokens match the frozen layout of its name takes its events
+    frozen = {name: events for name, (events, _) in _frozen_layouts(spec.genus).items()}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -410,7 +405,7 @@ def parse_registry(spec: SurfaceSpec, text: str) -> Registry:
                 f"line {line_no}: arrow must be +1 or -1, got {arrow_text!r}"
             )
         arrow = -1 if arrow_text == "-1" else 1
-        events = _events_for(spec.genus, name, tokens, line_no)
+        events = _events_for(spec.genus, frozen.get(name), tokens, line_no)
         records[name] = CurveRecord(name=name, word=word, events=events, arrow=arrow)
     if not records:
         raise RegistryFormatError("registry file contains no curve records")

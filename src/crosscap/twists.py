@@ -27,7 +27,6 @@ from crosscap.surface import (
     Registry,
     UnknownCurveError,
     chain_index,
-    standard_curve_names,
     x0_names,
 )
 from crosscap.words import CyclicWord, Record, Word, boundary_word
@@ -229,10 +228,6 @@ def generator_for_curve(curve_name: str) -> str:
     if gen is None:
         raise UnknownCurveError(f"no generator letter for curve {curve_name!r}")
     return gen
-
-
-def generator_names(genus: int) -> tuple[str, ...]:
-    return tuple([generator_for_curve(name) for name in standard_curve_names(genus)])
 
 
 class TwistGenerator(Record):
@@ -452,15 +447,6 @@ def standard_certificates(genus: int) -> dict[str, Certificate]:
     return {
         "f": Certificate("f", allowed, ZETA_CERTIFICATE_EXPRESSION),
     }
-
-
-def certificates_text(certificates: Mapping[str, Certificate]) -> str:
-    lines = ["# certificates: target | allowed generators | expression"]
-    for cert in certificates.values():
-        lines.append(
-            f"{cert.target} | {','.join(cert.allowed)} | {cert.expression}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def parse_certificates(text: str) -> dict[str, Certificate]:

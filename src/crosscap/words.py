@@ -101,7 +101,7 @@ class Word(Record):
     """A freely reduced word in the free group on ``x1 .. x<genus>``.
 
     Instances are immutable and hashable.  Multiplication concatenates
-    and reduces; ``word ** -1`` inverts.  The empty word is the group
+    and reduces; ``inverse()`` inverts.  The empty word is the group
     identity and prints as ``"1"``.
     """
 
@@ -169,20 +169,6 @@ class Word(Record):
     def inverse(self) -> "Word":
         return Word._trusted(self.genus, tuple(-s for s in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "Word":
-        if not isinstance(n, int):
-            raise TypeError("words can only be raised to integer powers")
-        base = self if n >= 0 else self.inverse()
-        out = Word(self.genus)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
-    def conjugate_by(self, w: "Word") -> "Word":
-        """Return ``w * self * w^-1``."""
-        self._check_compatible(w)
-        return w * self * w.inverse()
-
     # -- invariants ------------------------------------------------------
 
     def exponent_vector(self) -> tuple[int, ...]:
@@ -192,18 +178,7 @@ class Word(Record):
             vec[abs(s) - 1] += 1 if s > 0 else -1
         return tuple(vec)
 
-    def total_exponent(self) -> int:
-        return sum(self.exponent_vector())
-
     # -- parsing ---------------------------------------------------------
-
-    @classmethod
-    def identity(cls, genus: int) -> "Word":
-        return cls(genus)
-
-    @classmethod
-    def generator(cls, genus: int, i: int) -> "Word":
-        return cls(genus, (i,))
 
     @classmethod
     def parse(cls, text: str, genus: int) -> "Word":

@@ -203,7 +203,9 @@ def test_cutting_the_generating_configuration_leaves_non_disk_pieces():
                 report = cut_along(registry, selection)
                 elapsed = time.perf_counter() - start
                 where = f"genus {genus}, n {boundary}, cut {selection}"
-                assert report.non_disk_complement_pieces(), where
+                assert any(
+                    c.kind == "complement" and not c.is_disk for c in report.components
+                ), where
                 assert report.total_euler == 2 - genus - boundary, where
                 assert elapsed < SECOND, f"{where} took {elapsed:.2f}s"
 
@@ -219,7 +221,8 @@ def test_conjugacy_agrees_with_brute_force_on_500_random_pairs():
     for _ in range(500):
         u = random_reduced_word(rng, genus, 6)
         if rng.random() < 0.5:
-            v = u.conjugate_by(random_reduced_word(rng, genus, 2))
+            c = random_reduced_word(rng, genus, 2)
+            v = c * u * c.inverse()
         else:
             v = random_reduced_word(rng, genus, 6)
         expected = brute_force_conjugate(u, v, conjugators)

@@ -20,7 +20,6 @@ from crosscap.surface import (
     validate_registry,
 )
 from crosscap.twists import (
-    certificates_text,
     check_certificate,
     derive_generators,
     parse_certificates,
@@ -28,6 +27,14 @@ from crosscap.twists import (
 )
 
 GENERA = range(4, 11)
+
+
+def certificates_text(certificates):
+    """A certificate file in the format ``parse_certificates`` reads."""
+    lines = ["# certificates: target | allowed generators | expression"]
+    for cert in certificates.values():
+        lines.append(f"{cert.target} | {','.join(cert.allowed)} | {cert.expression}")
+    return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=None)

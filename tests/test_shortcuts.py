@@ -24,10 +24,10 @@ from crosscap.polygon import (  # noqa: E402
     CurveGeometry,
     DegeneratePositionError,
     Event,
+    _check_twistable,
+    _twisted_loop,
     apply_images,
     fresh_params,
-    spell_based_loop,
-    twist_based_loop,
     twist_images,
 )
 from crosscap.surface import SurfaceSpec, standard_registry  # noqa: E402
@@ -47,12 +47,13 @@ from crosscap.words import Word  # noqa: E402
 
 def full_recursion(curve, arrow):
     """Every image spelled: x_i ↦ S⁻¹ t(P x_i P⁻¹) S, S the image of P."""
+    _check_twistable(curve, arrow)
     genus = curve.genus
     tau = fresh_params(1, curve.params())[0]
     images, shell = [], Word(genus)
     for i in range(1, genus + 1):
-        spliced = twist_based_loop(curve, arrow, [Event(i, True, tau)])
-        x_i = shell.inverse() * spell_based_loop(genus, spliced) * shell
+        loop = Word(genus, _twisted_loop(curve, arrow, i, tau))
+        x_i = shell.inverse() * loop * shell
         images.append(x_i)
         shell = shell * x_i * x_i
     return images

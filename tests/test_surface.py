@@ -6,7 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from crosscap.polygon import SIDE, Event, crossing_count
+from crosscap import surface
+from crosscap.polygon import SIDE, Event, crossing_count, spell_cyclic
 from crosscap.surface import (
     MAX_GENUS,
     MIN_RICH_GENUS,
@@ -24,7 +25,6 @@ from crosscap.surface import (
     registry_text,
     standard_registry,
     validate_registry,
-    write_registry,
     x0_names,
     _fallback_params,
     _frozen_layouts,
@@ -108,7 +108,7 @@ def test_sporadic_curve_words_are_genus_stable():
     for g in (4, 6, 9):
         reg = standard_registry(SurfaceSpec(g, 1))
         assert list(reg.curve("beta").word.letters) == [-4, -3, -2, 1, 2, 2, 3, 3, 4, 4]
-        assert list(reg.curve("zeta").cyclic_class().letters) == [2, 3, 4, 3, 4, 4]
+        assert list(CyclicWord.of(reg.curve("zeta").word).letters) == [2, 3, 4, 3, 4, 4]
         assert list(reg.curve("epsilon").word.letters) == [
             2, 3, 3, -4, -4, -3, -3, -2, -2, -1,
         ]
@@ -118,7 +118,7 @@ def test_registered_curves_are_two_sided():
     reg = standard_registry(SurfaceSpec(5, 1))
     for name in reg.names():
         rec = reg.curve(name)
-        assert rec.word.total_exponent() % 2 == 0
+        assert sum(rec.word.exponent_vector()) % 2 == 0
         assert len(rec.events) % 2 == 0
         assert reg.geometry(name).is_two_sided()
 
@@ -214,8 +214,19 @@ def test_registry_text_round_trip():
 def test_registry_file_round_trip(tmp_path):
     reg = standard_registry(SurfaceSpec(4, 1))
     path = tmp_path / "curves.txt"
-    write_registry(reg, path)
+    path.write_text(registry_text(reg), encoding="utf-8")
     assert load_registry(SurfaceSpec(4, 1), path) == reg
+
+
+def test_parse_registry_builds_the_frozen_layouts_once(monkeypatch):
+    spec = SurfaceSpec(12, 1)
+    reg = standard_registry(spec)
+    text = registry_text(reg)
+    built = []
+    layouts = surface._frozen_layouts
+    monkeypatch.setattr(surface, "_frozen_layouts", lambda genus: built.append(genus) or layouts(genus))
+    assert parse_registry(spec, text) == reg
+    assert built == [12]
 
 
 def test_parse_registry_accepts_trailing_comments():
@@ -269,7 +280,7 @@ def test_foreign_coordinates_get_fresh_parameters():
         assert Fraction(7, 10) < Fraction(event.t, SIDE) < Fraction(19, 20)
     geom = reg.geometry("alpha_1")
     assert geom.self_crossing_count() == 0
-    assert geom.spelled().letters == (2, 3) or geom.spelled().letters == (-3, -2)
+    assert spell_cyclic(5, geom.events).letters in ((2, 3), (-3, -2))
 
 
 def test_fallback_parameters_order_as_the_rational_ones():
@@ -313,7 +324,7 @@ def test_event_ordering_is_the_registry_contract():
         reg = standard_registry(SurfaceSpec(g, 1))
         for name in reg.names():
             rec = reg.curve(name)
-            assert rec.cyclic_class() == CyclicWord.of(reg.geometry(name).spelled())
+            assert CyclicWord.of(rec.word) == CyclicWord.of(spell_cyclic(g, rec.events))
 
 
 # -- the crossing-count matrix -------------------------------------------------

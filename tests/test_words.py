@@ -19,15 +19,14 @@ def test_multiplication_reduces_across_the_seam():
     u = w("x1 x2")
     v = w("x2^-1 x3")
     assert (u * v).letters == (1, 3)
-    assert u * u.inverse() == Word.identity(3)
+    assert u * u.inverse() == Word(3)
 
 
-def test_inverse_and_pow():
+def test_inverse():
     u = w("x1 x2^-1")
     assert u.inverse() == w("x2 x1^-1")
-    assert u ** 2 == w("x1 x2^-1 x1 x2^-1")
-    assert u ** -1 == u.inverse()
-    assert u ** 0 == Word.identity(3)
+    assert u.inverse().inverse() == u
+    assert u * u == w("x1 x2^-1 x1 x2^-1")
 
 
 def test_parse_rejects_garbage():
@@ -53,7 +52,7 @@ def test_the_constructor_rejects_every_invalid_letter(letters):
 
 def test_parse_exponents_and_identity_token():
     assert Word.parse("x1^2 x2^-2", 3).letters == (1, 1, -2, -2)
-    assert Word.parse("1", 3) == Word.identity(3)
+    assert Word.parse("1", 3) == Word(3)
     assert Word.parse("x1 1 x2", 3).letters == (1, 2)
 
 
@@ -102,12 +101,12 @@ def test_genus_mismatch_is_an_error():
 def test_boundary_word():
     assert boundary_word(2) == Word.parse("x1 x1 x2 x2", 2)
     assert boundary_word(4).exponent_vector() == (2, 2, 2, 2)
-    assert boundary_word(4).total_exponent() == 8
+    assert sum(boundary_word(4).exponent_vector()) == 8
 
 
 def test_exponent_vector():
     assert w("x1 x2^-1 x1").exponent_vector() == (2, -1, 0)
-    assert w("x1 x1^-1").total_exponent() == 0
+    assert w("x1 x1^-1").exponent_vector() == (0, 0, 0)
 
 
 def test_cyclic_canonical_form_is_rotation_invariant():
@@ -119,11 +118,11 @@ def test_cyclic_canonical_form_is_rotation_invariant():
 def test_cyclic_reduction_strips_conjugating_shell():
     shell = w("x3 x1^-1")
     core = w("x1 x2")
-    assert CyclicWord.of(core.conjugate_by(shell)) == CyclicWord.of(core)
+    assert CyclicWord.of(shell * core * shell.inverse()) == CyclicWord.of(core)
 
 
 def test_cyclic_word_of_identity():
-    assert CyclicWord.of(Word.identity(3)).letters == ()
+    assert CyclicWord.of(Word(3)).letters == ()
     # x1 x1^-1 cyclically reduces away entirely
     assert CyclicWord(3, (1, 2, -2, -1)).letters == ()
 
@@ -138,7 +137,7 @@ def test_unoriented_identifies_inverse_classes():
 def test_conjugate_words_detected():
     u = w("x1 x2 x1^-1 x3")
     c = w("x2 x2 x1^-1")
-    assert is_conjugate(u, u.conjugate_by(c))
+    assert is_conjugate(u, c * u * c.inverse())
     assert not is_conjugate(w("x1"), w("x2"))
     assert not is_conjugate(w("x1"), w("x1^-1"))
 
@@ -153,7 +152,7 @@ def test_conjugate_words_detected():
 def enumerate_reduced_words(genus, max_len):
     """All freely reduced words of length <= max_len, as Word objects."""
     alphabet = [s for i in range(1, genus + 1) for s in (i, -i)]
-    out = [Word.identity(genus)]
+    out = [Word(genus)]
     frontier = [()]
     for _ in range(max_len):
         nxt = []
@@ -168,7 +167,7 @@ def enumerate_reduced_words(genus, max_len):
 
 
 def brute_force_conjugate(u, v, conjugators):
-    return any(u.conjugate_by(c) == v for c in conjugators)
+    return any(c * u * c.inverse() == v for c in conjugators)
 
 
 def random_reduced_word(rng, genus, max_len):
@@ -192,7 +191,7 @@ def test_is_conjugate_matches_brute_force_on_random_pairs():
         u = random_reduced_word(rng, genus, 6)
         if rng.random() < 0.5:
             c = random_reduced_word(rng, genus, 2)
-            v = u.conjugate_by(c)
+            v = c * u * c.inverse()
         else:
             v = random_reduced_word(rng, genus, 6)
         expected = brute_force_conjugate(u, v, conjugators)
