@@ -51,11 +51,12 @@ id.
   faces, and which of them stay unpaired as cut boundary, are known by
   construction.
 
-One orbit walk over a successor list (``_orbits``) finds both the
-faces, as cycles of half-edges, and the boundary of the curves'
-neighbourhood, as cycles of strands; one union-find with a Z/2 weight
-(``_UnionFind``) merges faces into pieces and tells their
-orientability, and serves plainly for corners, circles and curves.
+One walk over a successor list (``_orbits``) numbers the faces and
+the boundary cycles of the curves' neighbourhood.  A union-find with a
+Z/2 weight (``_UnionFind``) merges faces into pieces, telling their
+orientability, and crossing curves into ribbons.  A corner has at most
+two gluings, so the corner classes are paths along the cut boundary
+and cycles, and walking them counts vertices and boundary circles.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class ComplementReport(Record):
         return "\n".join(lines)
 
 
-# -- one union-find and one orbit walk ---------------------------------------
+# -- a union-find and an orbit walk ------------------------------------------
 
 
 class _UnionFind:
@@ -149,7 +150,8 @@ class _UnionFind:
     An id's weight is its parity relative to its parent; a union that
     closes a cycle of odd total parity marks the class as contradictory,
     which is exactly non-orientability for us.  Unions of parity 0 never
-    do, so the same class serves as a plain union-find.
+    do, so it joins curves plainly, and faces and the ribbons' crossings
+    with parities.
     """
 
     def __init__(self, n: int) -> None:
@@ -214,28 +216,27 @@ class _UnionFind:
         return self.bad[self.find(x)[0]]
 
 
-def _orbits(step: list[int]) -> list[list[int]]:
-    """The cycles of the permutation ``step`` of the states 0..n-1.
+def _orbits(step: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """The cycle of each state of the permutation ``step`` of 0..n-1, the
+    state before each and each cycle's first state, from one walk.
 
-    Each cycle starts at its least state, and the cycles come in the
-    order of those states.
+    Cycles are numbered in the order of their least states, and each
+    walk starts there.
     """
     n = len(step)
-    seen = bytearray(n)
-    cycles = []
+    orbit_of, prev = [-1] * n, [0] * n
+    firsts: list[int] = []
     for start in range(n):
-        if seen[start]:
-            continue
-        cycle = []
-        state = start
-        while not seen[state]:
-            seen[state] = 1
-            cycle.append(state)
-            state = step[state]
-        if state != start:
-            raise RuntimeError("walk did not close; rotation is corrupt")
-        cycles.append(cycle)
-    return cycles
+        if orbit_of[start] < 0:
+            o, state = len(firsts), start
+            firsts.append(start)
+            while orbit_of[state] < 0:
+                orbit_of[state] = o
+                prev[step[state]] = state
+                state = step[state]
+            if state != start:
+                raise RuntimeError("walk did not close; rotation is corrupt")
+    return orbit_of, prev, firsts
 
 
 class _CutComplex:
@@ -257,6 +258,7 @@ class _CutComplex:
         self._build_vertices(g)
         self._build_crossings()
         self._build_faces()
+        self._number_faces()
         self._build_pairings(g)
         self._account()
 
@@ -389,16 +391,12 @@ class _CutComplex:
             succ[r3 ^ 1] = r2
         self.next_he = succ
 
-        self.faces = _orbits(succ)
-        self.face_of = [0] * len(succ)
-        self.prev_in_face = [0] * len(succ)
-        for fi, cycle in enumerate(self.faces):
-            for i, h in enumerate(cycle):
-                self.face_of[h] = fi
-                self.prev_in_face[h] = cycle[i - 1]
+    def _number_faces(self) -> None:
+        self.face_of, self.prev_in_face, firsts = _orbits(self.next_he)
+        self.n_faces = len(firsts)
         # the outer face walks the circle clockwise
         self.outer = self.face_of[1]
-        if len(self.faces[self.outer]) != K:
+        if self.face_of.count(self.outer) != len(self.coords):
             raise RuntimeError("outer face is not the full clockwise circle")
 
     # -- gluing ----------------------------------------------------------
@@ -424,7 +422,7 @@ class _CutComplex:
         # free side, the last arc, without a flip
         self.cap = self.spec.boundary == 0
         if self.cap:
-            self.face_of.append(len(self.faces))
+            self.face_of.append(self.n_faces)
             self.prev_in_face.append(len(self.next_he))
 
     # -- bookkeeping -------------------------------------------------------
@@ -432,76 +430,78 @@ class _CutComplex:
     def _account(self) -> None:
         # ids: faces 0..F (F is the cap) and slots 0..2E (2E is the cap)
         face_of, prev = self.face_of, self.prev_in_face
-        n_faces, n_slots = len(self.faces) + self.cap, len(face_of)
+        n_faces, n_slots = self.n_faces + self.cap, len(face_of)
         cap = len(self.next_he)
         first_chord = 2 * len(self.coords)
         free = first_chord - 2
-        face_uf = _UnionFind(n_faces)
-        corner_uf = _UnionFind(n_slots)
-        join_faces, join_corners = face_uf.union, corner_uf.union
-        for sa, sb in zip(self.glued_a, self.glued_b):
-            join_faces(face_of[sa], face_of[sb], 1)
-            join_corners(sa, sb)
-            join_corners(prev[sa], prev[sb])
+        # the slots left unpaired are the chord sides, and the free side
+        # when no cap is glued to it (the one gluing without a flip)
+        glued = [*zip(self.glued_a, self.glued_b)]
+        boundary = [*range(first_chord, cap)]
         if self.cap:
-            join_faces(face_of[free], face_of[cap], 0)
-            join_corners(free, cap)
-            join_corners(cap, prev[free])
-        # the interior slots are the ccw arcs, the chord sides and the
-        # cap slot; those left unpaired are the chord sides, and the free
-        # side when nothing caps it
-        slots = [*range(0, first_chord, 2), *range(first_chord, n_slots)]
-        boundary_slots = [*range(first_chord, cap)]
-        if not self.cap:
-            boundary_slots.append(free)
+            glued.append((free, cap))
+        else:
+            boundary.append(free)
+        face_uf = _UnionFind(n_faces)
+        for sa, sb in glued:
+            face_uf.union(face_of[sa], face_of[sb], sb != cap)
 
-        # per component, indexed by its root face
-        interior = [fi for fi in range(n_faces) if fi != self.outer]
+        # Corner s is where slot s ends and the next one starts; its sides
+        # are 2s, the end of s, and 2s + 1.  A gluing of x to y links their
+        # ends and their starts, and a boundary slot its start to its end,
+        # so each side of an interior corner has one link.  A walk that
+        # crosses a link and then its corner goes round a boundary circle,
+        # whose vertices are the corner paths between its slots, or round
+        # one vertex.  An unlinked side leads back into its own corner.
+        link = [*range(2 * n_slots)]
+        for x, y in glued:
+            link[2 * x], link[2 * y] = 2 * y, 2 * x
+            x, y = 2 * prev[x] + 1, 2 * prev[y] + 1
+            link[x], link[y] = y, x
+        for t in boundary:
+            x = 2 * prev[t] + 1
+            link[x], link[2 * t] = 2 * t, x
+
+        # per component, indexed by its root face; a corner keeps its
+        # component until a walk passes it
         comp_of = face_uf.roots()
-        slot_comp = [comp_of[fi] for fi in face_of]
-        faces, edges, vertices, circles = ([0] * n_faces for _ in range(4))
+        mark = [comp_of[fi] for fi in face_of]
+        interior = [fi for fi in range(n_faces) if fi != self.outer]
+        faces, edges, cycles, circles = ([0] * n_faces for _ in range(4))
         for fi in interior:
             faces[comp_of[fi]] += 1
-        for s in self.glued_a:
-            edges[slot_comp[s]] += 1
-        if self.cap:
-            edges[slot_comp[free]] += 1
-        for s in boundary_slots:
-            edges[slot_comp[s]] += 1
-        corner = corner_uf.roots()
-        corner_comp = [-1] * n_slots
-        for s in slots:
-            root = corner[s]
-            c = slot_comp[s]
-            if corner_comp[root] == -1:
-                corner_comp[root] = c
-                vertices[c] += 1
-            elif corner_comp[root] != c:
-                raise RuntimeError("a vertex class straddles two components")
+        for s, _ in glued:
+            edges[mark[s]] += 1
 
-        # boundary circles: the boundary corner classes form a 2-regular
-        # multigraph whose components are the circles; the corner classes
-        # are final, so joining them in corner_uf leaves one class per circle
-        ends = [(corner[prev[s]], corner[s]) for s in boundary_slots]
-        degree = [0] * n_slots
-        for a, b in ends:
-            degree[a] += 1
-            degree[b] += 1
-        if any(degree[a] != 2 or degree[b] != 2 for a, b in ends):
-            raise RuntimeError("cut boundary is not a union of circles")
-        for a, b in ends:
-            join_corners(a, b)
-        circle = corner_uf.roots()
-        # a circle lies in one piece: count it at one of its slots
-        for s in {circle[s]: s for s in boundary_slots}.values():
-            circles[slot_comp[s]] += 1
-        # a cut circle is one along a chord side
-        self.cut_circle_count = len({circle[s] for s in range(first_chord, cap)})
+        def walk(c: int) -> int:
+            comp, mark[c], i = mark[c], -1, 2 * c
+            while True:
+                i = link[i] ^ 1
+                if mark[i >> 1] != comp:
+                    if i == 2 * c:
+                        return comp
+                    raise RuntimeError(
+                        "a vertex class straddles two components" if mark[i >> 1] >= 0
+                        else "cut boundary is not a union of circles"
+                    )
+                mark[i >> 1] = -1
 
+        # a cut circle is one along a chord side, and those come first
+        self.cut_circle_count = 0
+        for t in boundary:
+            if mark[t] >= 0:
+                circles[walk(t)] += 1
+                self.cut_circle_count += t != free
+        for c in [*range(0, first_chord, 2), *range(cap, n_slots)]:
+            if mark[c] >= 0:
+                cycles[walk(c)] += 1
+
+        # the boundary slots add one vertex and one edge each, so
+        # V - E = cycles - gluings
         self.components: list[ComponentReport] = [
             ComponentReport(
                 kind="complement",
-                euler_characteristic=vertices[c] - edges[c] + faces[c],
+                euler_characteristic=cycles[c] - edges[c] + faces[c],
                 boundary_circles=circles[c],
                 orientable=not face_uf.contradictory(c),
             )
@@ -601,8 +601,8 @@ class _CutComplex:
             next_state.append(2 * end_of_place[(place & ~3) | (turn & 3)] + side)
 
         orbit_count = [0] * n_curves
-        for cycle in _orbits(next_state):
-            orbit_count[curve_comp[strand_curve[cycle[0] >> 2]]] += 1
+        for first in _orbits(next_state)[2]:
+            orbit_count[curve_comp[strand_curve[first >> 2]]] += 1
 
         for comp, crossings in enumerate(comp_cross):
             if not crossings:

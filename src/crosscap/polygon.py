@@ -211,6 +211,7 @@ class CurveGeometry:
             (self.events[k].out_key, self.events[(k + 1) % m].hit_key)
             for k in range(m)
         ]
+        self._self_crossings: int | None = None
 
     def params(self) -> set[int]:
         return {ev.t for ev in self.events}
@@ -219,7 +220,11 @@ class CurveGeometry:
         return len(self.events) % 2 == 0
 
     def self_crossing_count(self) -> int:
-        return CrossingTable({0: self}).count(0, 0)
+        """Crossings among the curve's own chords, counted once; chords that
+        share an end raise on every call, as nothing is kept then."""
+        if self._self_crossings is None:
+            self._self_crossings = CrossingTable({0: self}).count(0, 0)
+        return self._self_crossings
 
 
 def crossing_count(a: CurveGeometry, b: CurveGeometry) -> int:

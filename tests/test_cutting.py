@@ -1,5 +1,6 @@
 """Cutting the surface along curve systems: components, Euler counts, ribbons."""
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -287,12 +288,12 @@ def test_the_endpoint_sweep_reports_every_crossing_pair_once():
     check()
 
 
-def faces_by_sorted_rotation(complex_):
-    """The faces of a cut complex found the general way: the half-edges
-    leaving each vertex sorted by rank (at a boundary vertex ccw arc 0,
-    chord 1, cw arc 2; at a crossing the key of the boundary point each
-    heads for), and the face after h the half-edge before h's reverse at
-    h's head.  Returns the face cycles and every face with a cw arc."""
+def successors_by_sorted_rotation(complex_):
+    """The face successors of a cut complex found the general way: the
+    half-edges leaving each vertex sorted by rank (at a boundary vertex
+    ccw arc 0, chord 1, cw arc 2; at a crossing the key of the boundary
+    point each heads for), and the face after h the half-edge before h's
+    reverse at h's head."""
     K = len(complex_.coords)
     vertex = {key: v for v, key in enumerate(complex_.coords)}
     tail, rank = [], []  # the vertex each half-edge leaves, and its rank there
@@ -317,18 +318,33 @@ def faces_by_sorted_rotation(complex_):
         ring.sort(key=rank.__getitem__)
         for i, he in enumerate(ring):
             place[he] = i
-    after = [rings[tail[he ^ 1]][place[he ^ 1] - 1] for he in range(len(tail))]
-    faces = _orbits(after)
-    with_cw_arcs = [
-        fi for fi, face in enumerate(faces) if any(he < 2 * K and he & 1 for he in face)
-    ]
-    return faces, with_cw_arcs
+    return [rings[tail[he ^ 1]][place[he ^ 1] - 1] for he in range(len(tail))]
+
+
+def numbered_cycles(step):
+    """What ``_orbits`` returns, from the cycles of ``step`` listed one by
+    one from their least states: the cycle of each state, the state
+    before it and each cycle's first state."""
+    cycles, seen = [], set()
+    for start in range(len(step)):
+        if start not in seen:
+            cycle = [start]
+            while step[cycle[-1]] != start:
+                cycle.append(step[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(cycle)
+    orbit_of, prev = [0] * len(step), [0] * len(step)
+    for o, cycle in enumerate(cycles):
+        for i, state in enumerate(cycle):
+            orbit_of[state], prev[state] = o, cycle[i - 1]
+    return orbit_of, prev, [cycle[0] for cycle in cycles]
 
 
 def test_the_face_walk_matches_the_sorted_rotation():
-    """The face successors that the cut complex fills in directly give
-    the faces that sorting every vertex's rotation gives, with the outer
-    face the one clockwise circle; and the drawing on the disk has Euler
+    """The face successors that the cut complex fills in directly are
+    those that sorting every vertex's rotation gives, and its one walk
+    numbers the faces as listing their cycles does, with the outer face
+    the one clockwise circle; and the drawing on the disk has Euler
     characteristic V - E + F = 2."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
@@ -337,16 +353,135 @@ def test_the_face_walk_matches_the_sorted_rotation():
     @given(curve_systems())
     def check(drawn):
         complex_ = cut_complex(*drawn)
-        faces, with_cw_arcs = faces_by_sorted_rotation(complex_)
+        after = successors_by_sorted_rotation(complex_)
+        face_of, prev, firsts = numbered_cycles(after)
         K = len(complex_.coords)
-        assert complex_.faces == faces
-        assert with_cw_arcs == [complex_.outer]
-        assert sorted(faces[complex_.outer]) == list(range(1, 2 * K, 2))
+        assert _orbits(complex_.next_he) == (face_of, prev, firsts)
+        assert complex_.face_of[: len(after)] == face_of
+        assert complex_.prev_in_face[: len(after)] == prev
+        assert complex_.n_faces == len(firsts)
+        outer = [he for he, fi in enumerate(face_of) if fi == complex_.outer]
+        assert outer == list(range(1, 2 * K, 2))
         vertices = K + len(complex_.crossings)
         edges = len(complex_.next_he) // 2
-        assert vertices - edges + len(faces) == 2
+        assert vertices - edges + len(firsts) == 2
 
     check()
+
+
+def account_by_union_find(complex_):
+    """The complement pieces, as sorted (chi, boundary circles,
+    orientable), and the cut circle count of a built cut complex, by
+    union-find over its slots: each gluing joins the corners at both ends
+    of its two slots, every corner class must meet the cut boundary twice
+    or not at all, and joining the two corner classes at the ends of each
+    boundary slot leaves one class per boundary circle.  The reference
+    for the corner and circle walks of ``_account``."""
+    face_of, prev = complex_.face_of, complex_.prev_in_face
+    n_faces, n_slots = complex_.n_faces + complex_.cap, len(face_of)
+    cap = len(complex_.next_he)
+    first_chord = 2 * len(complex_.coords)
+    free = first_chord - 2
+    face_uf, corner_uf = _UnionFind(n_faces), _UnionFind(n_slots)
+    glued = [(a, b, 1) for a, b in zip(complex_.glued_a, complex_.glued_b)]
+    boundary = [*range(first_chord, cap)]
+    if complex_.cap:
+        glued.append((free, cap, 0))
+    else:
+        boundary.append(free)
+    for sa, sb, parity in glued:
+        face_uf.union(face_of[sa], face_of[sb], parity)
+        corner_uf.union(sa, sb)
+        corner_uf.union(prev[sa], prev[sb])
+    comp = [face_uf.find(fi)[0] for fi in face_of]
+    interior = [fi for fi in range(n_faces) if fi != complex_.outer]
+    chi = Counter(face_uf.find(fi)[0] for fi in interior)
+    for s in [sa for sa, _, _ in glued] + boundary:
+        chi[comp[s]] -= 1
+    corner = [corner_uf.find(s)[0] for s in range(n_slots)]
+    vertex_comp = {}
+    for s in [*range(0, first_chord, 2), *range(first_chord, n_slots)]:
+        assert vertex_comp.setdefault(corner[s], comp[s]) == comp[s]
+    chi.update(vertex_comp.values())
+    ends = [(corner[prev[s]], corner[s]) for s in boundary]
+    assert set(Counter(v for end in ends for v in end).values()) <= {2}
+    for a, b in ends:
+        corner_uf.union(a, b)
+    circle = [corner_uf.find(s)[0] for s in range(n_slots)]
+    circles = Counter(comp[s] for s in {circle[s]: s for s in boundary}.values())
+    pieces = sorted(
+        (chi[c], circles[c], not face_uf.contradictory(c))
+        for c in {face_uf.find(fi)[0] for fi in interior}
+    )
+    return pieces, len({circle[s] for s in range(first_chord, cap)})
+
+
+def test_the_corner_walks_count_as_union_find_does():
+    """On random curve systems, closed and bordered, the pieces and cut
+    circles that the corner and circle walks find are those of union-find
+    over the slots."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve_systems())
+    def check(drawn):
+        complex_ = cut_complex(*drawn)
+        walked = sorted(
+            (c.euler_characteristic, c.boundary_circles, c.orientable)
+            for c in complex_.components
+        )
+        assert (walked, complex_.cut_circle_count) == account_by_union_find(complex_)
+
+    check()
+
+
+# -- integrity checks ------------------------------------------------------
+
+
+def x0_complex(genus, boundary):
+    reg = registry(genus, boundary)
+    return _CutComplex(reg.spec, [(n, reg.geometry(n)) for n in x0_names(genus)])
+
+
+@pytest.mark.parametrize("genus,boundary", [(4, 0), (5, 1), (6, 0)])
+def test_a_corrupt_successor_table_is_refused(genus, boundary):
+    """A face successor table that is no permutation stops the face walk,
+    and one whose clockwise arcs do not make one face is no disk."""
+    complex_ = x0_complex(genus, boundary)
+    complex_.next_he[0] = complex_.next_he[2]
+    with pytest.raises(RuntimeError, match="walk did not close; rotation is corrupt"):
+        complex_._number_faces()
+    complex_ = x0_complex(genus, boundary)
+    succ = complex_.next_he
+    succ[1], succ[3] = succ[3], succ[1]
+    with pytest.raises(RuntimeError, match="outer face is not the full clockwise circle"):
+        complex_._number_faces()
+
+
+@pytest.mark.parametrize("genus,boundary", [(4, 0), (5, 1), (6, 0)])
+def test_corrupt_gluings_are_refused(genus, boundary):
+    """A slot glued twice leaves a corner side unlinked, so the walks meet
+    a corner twice; a corner moved into another piece's face straddles
+    two pieces; and two gluings swapped give a consistent complex whose
+    cut circles the ribbons no longer match."""
+    complex_ = x0_complex(genus, boundary)
+    complex_.glued_b[0] = complex_.glued_b[1]
+    with pytest.raises(RuntimeError, match="cut boundary is not a union of circles"):
+        complex_._account()
+    complex_ = x0_complex(genus, boundary)
+    x = complex_.glued_a[0]
+    z = next(s for s in complex_.glued_a if complex_.face_of[s] != complex_.face_of[x])
+    prev = complex_.prev_in_face
+    prev[x], prev[z] = prev[z], prev[x]
+    with pytest.raises(RuntimeError, match="a vertex class straddles two components"):
+        complex_._account()
+    complex_ = x0_complex(genus, boundary)
+    glued_b = complex_.glued_b
+    glued_b[0], glued_b[1] = glued_b[1], glued_b[0]
+    complex_._account()
+    with pytest.raises(RuntimeError, match="ribbon boundary circles do not match the cut circles"):
+        complex_.ribbons()
 
 
 def test_registry_ribbons_total_minus_the_pairwise_crossings():
@@ -383,8 +518,9 @@ def test_union_find_classes_and_parities_match_a_breadth_first_search():
     """On random multigraphs with 0/1 edge weights, the classes are the
     connected components, a class is contradictory exactly when its
     component cannot be 2-coloured by the weights, and otherwise the
-    parities are such a colouring.  Faces, corners, circles, curves and
-    crossings all go through this one union-find."""
+    parities are such a colouring.  Faces, curves and crossings go
+    through this one union-find, as does the reference count of corners
+    and circles."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 

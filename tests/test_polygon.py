@@ -165,6 +165,31 @@ def test_self_crossing_curve_rejected_for_twisting():
         assert str(exc.value) == text
 
 
+def test_the_self_crossing_count_is_swept_once_per_curve(monkeypatch):
+    """Twisting both ways sweeps a curve's chords for self-crossings once;
+    chords that share an end raise on every call."""
+    from crosscap import polygon
+
+    sweeps = []
+
+    class Counted(polygon.CrossingTable):
+        def __init__(self, curves):
+            sweeps.append(len(curves))
+            super().__init__(curves)
+
+    monkeypatch.setattr(polygon, "CrossingTable", Counted)
+    c = alpha(3, 1)
+    twist_images(c, 1)
+    twist_images(c, -1)
+    assert c.self_crossing_count() == 0
+    assert sweeps == [1]
+    shared = CurveGeometry(2, [Event(1, True, grid(1, 2)), Event(1, True, grid(1, 2))])
+    for _ in range(2):
+        with pytest.raises(DegeneratePositionError, match="share the endpoint"):
+            shared.self_crossing_count()
+    assert sweeps == [1, 1, 1]
+
+
 def test_bad_arrow_rejected():
     for arrow in (0, 2):
         with pytest.raises(ValueError, match="^twist arrow must be"):
