@@ -13,6 +13,12 @@
 * ``complement`` - cut the surface along registered curves.
 * ``validate-data`` - integrity checks for external data files.
 
+Every subcommand takes ``--genus``, ``--n``, ``--format`` and
+``--registry``.  Only the two checking commands, ``verify-theorem`` and
+``validate-data``, take ``--certificates``, and only ``verify-theorem``
+takes ``--seed`` (for its randomized homology checks); anywhere else
+either option is a usage error.
+
 Data files are resolved per genus: an explicit ``--registry`` /
 ``--certificates`` path wins, then a file in ``$MCG_DATA_DIR``, and
 finally the built-in constructions.  Twists are always derived from the
@@ -64,11 +70,6 @@ from crosscap.words import letter_str
 
 DATA_DIR_ENV = "MCG_DATA_DIR"
 
-_DATA_FILES = {
-    "registry": "registry_g{genus}.txt",
-    "certificates": "certificates_g{genus}.txt",
-}
-
 
 def _read_data(kind: str, path: Path) -> str:
     try:
@@ -81,22 +82,21 @@ def _read_data(kind: str, path: Path) -> str:
         ) from exc
 
 
-def _locate_data(kind: str, genus: int, explicit: str | None) -> tuple[str, str | None]:
-    """Return (source label, file text or None).
+def _locate_data(kind: str, genus: int, explicit: str | None) -> str | None:
+    """Return the text of the ``kind`` file for ``genus``.
 
-    ``None`` text means: no file anywhere, fall back to the built-in
+    ``None`` means: no file anywhere, fall back to the built-in
     construction.  An explicit path that does not exist, or a file that
     cannot be read as UTF-8 text, is a ``_WorldError`` naming ``kind``.
     """
     if explicit is not None:
-        return "file", _read_data(kind, Path(explicit))
-    name = _DATA_FILES[kind].format(genus=genus)
+        return _read_data(kind, Path(explicit))
     env_dir = os.environ.get(DATA_DIR_ENV)
     if env_dir:
-        candidate = Path(env_dir) / name
+        candidate = Path(env_dir) / f"{kind}_g{genus}.txt"
         if candidate.is_file():
-            return "env", _read_data(kind, candidate)
-    return "derived", None
+            return _read_data(kind, candidate)
+    return None
 
 
 def _spelled(letters: tuple[int, ...], sep: str) -> str:
@@ -132,16 +132,18 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output style (structured = line-oriented key=value)",
     )
     common.add_argument("--registry", metavar="PATH", help="curve registry file")
-    common.add_argument("--certificates", metavar="PATH", help="certificate file")
-    common.add_argument(
-        "--seed", type=int, default=0, help="seed for randomized property checks"
-    )
+    # the two checking commands also read certificates
+    checking = argparse.ArgumentParser(add_help=False, parents=[common])
+    checking.add_argument("--certificates", metavar="PATH", help="certificate file")
 
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser(
+    p_verify = sub.add_parser(
         "verify-theorem",
-        parents=[common],
+        parents=[checking],
         help="run the full staged verification suite",
+    )
+    p_verify.add_argument(
+        "--seed", type=int, default=0, help="seed for randomized property checks"
     )
     p_rel = sub.add_parser(
         "relation", parents=[common], help="compare two twist expressions"
@@ -167,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_comp.add_argument("--drop", metavar="NAME", help="remove one name from the set")
     sub.add_parser(
-        "validate-data", parents=[common], help="check external data files"
+        "validate-data", parents=[checking], help="check external data files"
     )
     return parser
 
@@ -213,13 +215,13 @@ class _WorldError(Exception):
     """A data file failed to load; message is user-facing."""
 
 
-def _load_registry(args) -> tuple[Registry, str]:
-    source, text = _locate_data("registry", args.genus, args.registry)
+def _load_registry(args) -> Registry:
+    text = _locate_data("registry", args.genus, args.registry)
     spec = SurfaceSpec(args.genus, args.n)
     if text is None:
-        return standard_registry(spec), source
+        return standard_registry(spec)
     try:
-        return parse_registry(spec, text), source
+        return parse_registry(spec, text)
     except RegistryFormatError as exc:
         raise _WorldError(f"registry: {exc}") from exc
 
@@ -231,12 +233,12 @@ def _load_generators(registry: Registry) -> dict:
         raise _WorldError(f"twist derivation: {exc}") from exc
 
 
-def _load_certificates(args) -> tuple[dict, str]:
-    source, text = _locate_data("certificates", args.genus, args.certificates)
+def _load_certificates(args) -> dict:
+    text = _locate_data("certificates", args.genus, args.certificates)
     if text is None:
-        return standard_certificates(args.genus), source
+        return standard_certificates(args.genus)
     try:
-        return parse_certificates(text), source
+        return parse_certificates(text)
     except CertificateError as exc:
         raise _WorldError(f"certificates: {exc}") from exc
 
@@ -250,18 +252,28 @@ def _note_boundary_model(args) -> None:
         )
 
 
-# -- verify-theorem ------------------------------------------------------
+# -- the checking commands -----------------------------------------------
 
 
 class _StageLog:
-    def __init__(self, fmt: str) -> None:
+    """The rows of a checking command, then its verdict.
+
+    ``key`` names a row in structured output (``stage=...``).  ``passed``
+    and ``failed`` are the closing text lines; ``{}`` in ``failed`` takes
+    the first failed row.
+    """
+
+    def __init__(self, fmt: str, key: str, passed: str, failed: str) -> None:
         self.fmt = fmt
+        self.key = key
+        self.passed = passed
+        self.failed = failed
         self.lines: list[str] = []
         self.failed_stage: str | None = None
 
     def record(self, stage: str, status: str, detail: str = "") -> None:
         if self.fmt == "structured":
-            self.lines.append(f"stage={stage} status={status}")
+            self.lines.append(f"{self.key}={stage} status={status}")
         else:
             tag = {"PASS": "[PASS]", "FAIL": "[FAIL]", "SKIPPED": "[SKIP]"}[status]
             suffix = f": {detail}" if detail else ""
@@ -269,17 +281,12 @@ class _StageLog:
         if status == "FAIL" and self.failed_stage is None:
             self.failed_stage = stage
 
-    def finish(self, genus: int, n: int) -> int:
+    def finish(self) -> int:
         ok = self.failed_stage is None
         if self.fmt == "structured":
             self.lines.append(f"result={'PASS' if ok else 'FAIL'}")
-        elif ok:
-            self.lines.append(f"verify-theorem: PASS (genus {genus}, n {n})")
         else:
-            self.lines.append(
-                f"verify-theorem: FAIL at stage {self.failed_stage} "
-                f"(genus {genus}, n {n})"
-            )
+            self.lines.append(self.passed if ok else self.failed.format(self.failed_stage))
         print("\n".join(self.lines))
         return 0 if ok else 1
 
@@ -295,21 +302,27 @@ def _certificate_fault(cert, generators: dict, genus: int) -> str | None:
 
 def _cmd_verify_theorem(args) -> int:
     _note_boundary_model(args)
-    log = _StageLog(args.fmt)
+    where = f"(genus {args.genus}, n {args.n})"
+    log = _StageLog(
+        args.fmt,
+        "stage",
+        f"verify-theorem: PASS {where}",
+        f"verify-theorem: FAIL at stage {{}} {where}",
+    )
 
     # stage 1: the registry and its geometric invariants
     try:
-        registry, _ = _load_registry(args)
+        registry = _load_registry(args)
         report = validate_registry(registry)
     except _WorldError as exc:
         log.record("registry-validation", "FAIL", str(exc))
-        return log.finish(args.genus, args.n)
+        return log.finish()
     if not report.ok:
         first = report.failures()[0]
         log.record(
             "registry-validation", "FAIL", f"{first.check} {first.subject}: {first.detail}"
         )
-        return log.finish(args.genus, args.n)
+        return log.finish()
     log.record(
         "registry-validation",
         "PASS",
@@ -321,42 +334,42 @@ def _cmd_verify_theorem(args) -> int:
         generators = _load_generators(registry)
     except _WorldError as exc:
         log.record("twist-suite", "FAIL", str(exc))
-        return log.finish(args.genus, args.n)
+        return log.finish()
     checks = fixing_suite(registry, generators) + relation_suite(registry, generators)
     bad = [c for c in checks if not c.ok]
     if bad:
         log.record(
             "twist-suite", "FAIL", f"{bad[0].check} {bad[0].subject}: {bad[0].detail}"
         )
-        return log.finish(args.genus, args.n)
+        return log.finish()
     log.record("twist-suite", "PASS", f"{len(checks)} identities")
 
     # stage 3: the key conjugation
     conj = verify_key_conjugation(registry, generators)
     if not conj.ok:
         log.record("key-conjugation", "FAIL", "; ".join(conj.diagnostics))
-        return log.finish(args.genus, args.n)
+        return log.finish()
     log.record("key-conjugation", "PASS", "curve clause and twist clause hold")
 
     # stages 4-5: certificates (f is mandatory, the rest optional)
     try:
-        certificates, _ = _load_certificates(args)
+        certificates = _load_certificates(args)
     except _WorldError as exc:
         log.record("certificate-f", "FAIL", str(exc))
-        return log.finish(args.genus, args.n)
+        return log.finish()
     for target in ("f", "c", "y2"):
         stage = f"certificate-{target}"
         cert = certificates.get(target)
         if cert is None:
             if target == "f":
                 log.record(stage, "FAIL", "no certificate for f")
-                return log.finish(args.genus, args.n)
+                return log.finish()
             log.record(stage, "SKIPPED", "no certificate provided")
             continue
         fault = _certificate_fault(cert, generators, args.genus)
         if fault:
             log.record(stage, "FAIL", fault)
-            return log.finish(args.genus, args.n)
+            return log.finish()
         log.record(stage, "PASS", f"expression stays inside {', '.join(cert.allowed)}")
 
     # stage 6: homology smoke tests
@@ -384,18 +397,18 @@ def _cmd_verify_theorem(args) -> int:
             break
     if failures:
         log.record("homology-smoke", "FAIL", failures[0])
-        return log.finish(args.genus, args.n)
+        return log.finish()
     log.record(
         "homology-smoke", "PASS", "determinants are units; products match"
     )
-    return log.finish(args.genus, args.n)
+    return log.finish()
 
 
 # -- the small commands --------------------------------------------------
 
 
 def _cmd_relation(args) -> int:
-    registry, _ = _load_registry(args)
+    registry = _load_registry(args)
     generators = _load_generators(registry)
     lhs = evaluate(args.lhs, generators, args.genus)
     rhs = evaluate(args.rhs, generators, args.genus)
@@ -411,7 +424,7 @@ def _cmd_relation(args) -> int:
 
 
 def _cmd_apply_curve(args) -> int:
-    registry, _ = _load_registry(args)
+    registry = _load_registry(args)
     generators = _load_generators(registry)
     image = apply_to_curve(registry, generators, args.expression, args.curve)
     if args.fmt == "structured":
@@ -422,7 +435,7 @@ def _cmd_apply_curve(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    registry, _ = _load_registry(args)
+    registry = _load_registry(args)
     generators = _load_generators(registry)
     auto = evaluate(args.expression, generators, args.genus)
     matrix = abelianize(auto)
@@ -437,7 +450,7 @@ def _cmd_complement(args) -> int:
     # imported here, so that no other command loads the cut complex
     from crosscap.cutting import cut_along
 
-    registry, _ = _load_registry(args)
+    registry = _load_registry(args)
     names = _expand_curve_list(args.curves, args.genus)
     if args.drop is not None:
         canon = canonical_curve_name(args.drop)
@@ -454,35 +467,33 @@ def _cmd_complement(args) -> int:
 
 
 def _cmd_validate_data(args) -> int:
-    rows: list[tuple[str, str, str]] = []  # (check, status, detail)
+    log = _StageLog(args.fmt, "check", "validate-data: PASS", "validate-data: FAIL")
 
     registry = generators = None
     try:
-        registry, _ = _load_registry(args)
+        registry = _load_registry(args)
         report = validate_registry(registry)
         if report.ok:
-            rows.append(("registry", "PASS", f"{len(report.results)} checks"))
+            log.record("registry", "PASS", f"{len(report.results)} checks")
         else:
             first = report.failures()[0]
-            rows.append(
-                ("registry", "FAIL", f"{first.check} {first.subject}: {first.detail}")
-            )
+            log.record("registry", "FAIL", f"{first.check} {first.subject}: {first.detail}")
     except _WorldError as exc:
-        rows.append(("registry", "FAIL", str(exc)))
+        log.record("registry", "FAIL", str(exc))
 
     if registry is not None:
         try:
             generators = _load_generators(registry)
-            rows.append(("twist-tables", "PASS", "derived in memory"))
+            log.record("twist-tables", "PASS", "derived in memory")
         except _WorldError as exc:
-            rows.append(("twist-tables", "FAIL", str(exc)))
+            log.record("twist-tables", "FAIL", str(exc))
     else:
-        rows.append(("twist-tables", "FAIL", "registry unavailable"))
+        log.record("twist-tables", "FAIL", "registry unavailable")
 
     try:
-        certificates, _ = _load_certificates(args)
+        certificates = _load_certificates(args)
     except _WorldError as exc:
-        rows.append(("certificates", "FAIL", str(exc)))
+        log.record("certificates", "FAIL", str(exc))
     else:
         fault = None
         if generators is not None and "f" not in certificates:
@@ -491,21 +502,10 @@ def _cmd_validate_data(args) -> int:
             faults = (_certificate_fault(c, generators, args.genus) for c in certificates.values())
             fault = next(filter(None, faults), None)
         if fault:
-            rows.append(("certificates", "FAIL", fault))
+            log.record("certificates", "FAIL", fault)
         else:
-            rows.append(("certificates", "PASS", f"targets: {', '.join(sorted(certificates))}"))
-
-    ok = all(status == "PASS" for _, status, _ in rows)
-    if args.fmt == "structured":
-        for check, status, _ in rows:
-            print(f"check={check} status={status}")
-        print(f"result={'PASS' if ok else 'FAIL'}")
-    else:
-        for check, status, detail in rows:
-            tag = "[PASS]" if status == "PASS" else "[FAIL]"
-            print(f"{tag} {check}: {detail}")
-        print(f"validate-data: {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+            log.record("certificates", "PASS", f"targets: {', '.join(sorted(certificates))}")
+    return log.finish()
 
 
 _COMMANDS: dict[str, Callable] = {

@@ -53,10 +53,11 @@ id.
 
 One walk over a successor list (``_orbits``) numbers the faces and
 the boundary cycles of the curves' neighbourhood.  A union-find with a
-Z/2 weight (``_UnionFind``) merges faces into pieces, telling their
-orientability, and crossing curves into ribbons.  A corner has at most
-two gluings, so the corner classes are paths along the cut boundary
-and cycles, and walking them counts vertices and boundary circles.
+Z/2 weight (``_UnionFind``) merges faces into pieces and crossings,
+along the strands of the curves between them, into ribbons, telling the
+orientability of each.  A corner has at most two gluings, so the corner
+classes are paths along the cut boundary and cycles, and walking them
+counts vertices and boundary circles.
 """
 
 from __future__ import annotations
@@ -149,9 +150,8 @@ class _UnionFind:
 
     An id's weight is its parity relative to its parent; a union that
     closes a cycle of odd total parity marks the class as contradictory,
-    which is exactly non-orientability for us.  Unions of parity 0 never
-    do, so it joins curves plainly, and faces and the ribbons' crossings
-    with parities.
+    which is exactly non-orientability for us.  It joins faces, and the
+    ribbons' crossings, with parities.
     """
 
     def __init__(self, n: int) -> None:
@@ -518,18 +518,18 @@ class _CutComplex:
         ribbon whose boundary is traced strand by strand, with one side
         swap per crosscap passage.
         """
-        n_curves = len(self.curves)
-        curve_uf = _UnionFind(n_curves)
-        crossed = bytearray(n_curves)
-        for i, _, j, _ in self.crossings:
-            ci, cj = self.chords[i][0], self.chords[j][0]
-            curve_uf.union(ci, cj)
-            crossed[ci] = crossed[cj] = 1
+        # stations along each curve, in order: (local chord index, ring
+        # place towards the chord's head); chords come curve by curve in
+        # order, and the splits of each are sorted along it
+        stations: list[list[tuple[int, int]]] = [[] for _ in self.curves]
+        for (ci, k, _, _), splits in zip(self.chords, self.splits):
+            for _, place in splits:
+                stations[ci].append((k, place))
 
         out: list[ComponentReport] = []
         ribbon_circles = 0
-        for ci, (_, geom) in enumerate(self.curves):
-            if crossed[ci]:
+        for sts, (_, geom) in zip(stations, self.curves):
+            if sts:
                 continue
             m = len(geom.events)
             circles = 2 if m % 2 == 0 else 1
@@ -546,20 +546,11 @@ class _CutComplex:
             self._check_ribbon_circles(ribbon_circles)
             return out
 
-        # stations along each curve, in order: (local chord index, ring
-        # place towards the chord's head); chords come curve by curve in
-        # order, and the splits of each are sorted along it
-        stations: list[list[tuple[int, int]]] = [[] for _ in range(n_curves)]
-        for (ci, k, _, _), splits in zip(self.chords, self.splits):
-            for _, place in splits:
-                stations[ci].append((k, place))
-        # strand e runs between consecutive stations of curve
-        # strand_curve[e] and swaps sides strand_parity[e] times; its
-        # ends are 2e, at the station it starts from, and 2e + 1, at the
-        # next one.  An end takes the ring place of the half-edge it runs
-        # along, so the ring of crossing r holds the ends at 4r to 4r + 3
-        # in rotation order.
-        strand_curve: list[int] = []
+        # strand e runs between consecutive stations of a curve and
+        # swaps sides strand_parity[e] times; its ends are 2e, at the
+        # station it starts from, and 2e + 1, at the next one.  An end
+        # takes the ring place of the half-edge it runs along, so the ring
+        # of crossing r holds the ends at 4r to 4r + 3 in rotation order.
         strand_parity: list[int] = []
         end_place: list[int] = []
         for ci, sts in enumerate(stations):
@@ -569,24 +560,21 @@ class _CutComplex:
                 k1, p1 = sts[q]
                 k2, p2 = sts[(q + 1) % n]
                 delta = k2 - k1 if q + 1 < n else (k2 + m - k1)
-                strand_curve.append(ci)
                 strand_parity.append(delta % 2)
                 end_place += (p1, p2 ^ 2)
         end_of_place = [0] * len(end_place)
         for end, place in enumerate(end_place):
             end_of_place[place] = end
 
+        # the strands of a curve join all the crossings on it, so the
+        # classes are the bunches of crossing curves: one ribbon each
         vertex_uf = _UnionFind(len(self.crossings))
         for e, parity in enumerate(strand_parity):
             vertex_uf.union(end_place[2 * e] >> 2, end_place[2 * e + 1] >> 2, parity)
-        curve_comp = curve_uf.roots()
-        comp_cross = [0] * n_curves
-        comp_orient_bad = bytearray(n_curves)
-        for rid, (i, _, _, _) in enumerate(self.crossings):
-            c = curve_comp[self.chords[i][0]]
-            comp_cross[c] += 1
-            if vertex_uf.contradictory(rid):
-                comp_orient_bad[c] = 1
+        ribbon_of = vertex_uf.roots()
+        ribbon_cross = [0] * len(ribbon_of)
+        for root in ribbon_of:
+            ribbon_cross[root] += 1
 
         # strand tracing: state = 2 * (departing end) + side; a side is
         # 0 for the strand on the left of travel, swapped by each
@@ -600,14 +588,15 @@ class _CutComplex:
             turn = place + 1 if side else place - 1
             next_state.append(2 * end_of_place[(place & ~3) | (turn & 3)] + side)
 
-        orbit_count = [0] * n_curves
+        # an orbit belongs to the ribbon of the crossing its first end is at
+        orbit_count = [0] * len(ribbon_of)
         for first in _orbits(next_state)[2]:
-            orbit_count[curve_comp[strand_curve[first >> 2]]] += 1
+            orbit_count[ribbon_of[end_place[first >> 1] >> 2]] += 1
 
-        for comp, crossings in enumerate(comp_cross):
+        for root, crossings in enumerate(ribbon_cross):
             if not crossings:
                 continue
-            orbits = orbit_count[comp]
+            orbits = orbit_count[root]
             if orbits % 2 != 0:
                 raise RuntimeError("odd strand orbit count")
             circles = orbits // 2
@@ -617,7 +606,7 @@ class _CutComplex:
                     kind="neighbourhood",
                     euler_characteristic=-crossings,
                     boundary_circles=circles,
-                    orientable=not comp_orient_bad[comp],
+                    orientable=not vertex_uf.contradictory(root),
                 )
             )
         self._check_ribbon_circles(ribbon_circles)

@@ -31,7 +31,7 @@ from crosscap.polygon import (
     parse_event_token,
     spell_cyclic,
 )
-from crosscap.words import CyclicWord, Record, Word, boundary_word as _free_boundary_word
+from crosscap.words import CyclicWord, Record, Word
 
 #: beta, gamma, epsilon, zeta and psi all need at least four crosscaps.
 MIN_RICH_GENUS = 4
@@ -54,11 +54,6 @@ class RegistryFormatError(ValueError):
     """A registry file that does not follow the line grammar."""
 
 
-class CappingPolicyError(ValueError):
-    """Raised when a bordered-surface quantity is requested on the
-    closed model.  The message says how to proceed instead."""
-
-
 class SurfaceSpec(Record):
     """The surface ``N_{g,n}``: genus ``g`` crosscaps, ``n`` boundary circles."""
 
@@ -75,21 +70,11 @@ class SurfaceSpec(Record):
             )
         super().__init__(genus, boundary)
 
-    @property
-    def euler_characteristic(self) -> int:
-        return 2 - self.genus - self.boundary
-
 
 def chain_index(name: str) -> int | None:
     """The ``i`` of the chain curve ``alpha_i`` (or ``alphai``); None for other names."""
     m = _CHAIN_NAME_RE.match(name)
     return int(m.group(1)) if m else None
-
-
-def standard_curve_names(genus: int) -> tuple[str, ...]:
-    """The names of the standard curves at this genus, in registry order."""
-    chain = [f"alpha_{i}" for i in range(1, genus)]
-    return tuple(chain + list(_SPORADIC_NAMES) if genus >= MIN_RICH_GENUS else chain)
 
 
 def canonical_curve_name(name: str) -> str | None:
@@ -307,17 +292,6 @@ def x0_names(genus: int) -> tuple[str, ...]:
     return tuple([f"alpha_{i}" for i in range(1, genus)] + ["beta", "epsilon"])
 
 
-def boundary_word(spec: SurfaceSpec) -> Word:
-    """The class of the boundary circle, ``x1^2 .. xg^2``, on the bordered model."""
-    if spec.boundary == 0:
-        raise CappingPolicyError(
-            "the closed surface has no boundary word; compute on the "
-            "bordered model (boundary=1) and cap afterwards - twists and "
-            "their relations are unaffected by capping the boundary circle"
-        )
-    return _free_boundary_word(spec.genus)
-
-
 # -- file format -------------------------------------------------------------
 
 
@@ -425,11 +399,6 @@ class CheckResult(Record):
     def __init__(self, check: str, subject: str, ok: bool, detail: str = "") -> None:
         super().__init__(check, subject, ok, detail)
 
-    def format(self) -> str:
-        status = "PASS" if self.ok else "FAIL"
-        tail = f": {self.detail}" if self.detail else ""
-        return f"[{status}] {self.check} {self.subject}{tail}"
-
 
 class RegistryReport(Record):
     __slots__ = ("results",)
@@ -440,9 +409,6 @@ class RegistryReport(Record):
 
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(r for r in self.results if not r.ok)
-
-    def format_text(self) -> str:
-        return "\n".join(r.format() for r in self.results)
 
 
 def _expected_mod2_class(name: str, genus: int) -> tuple[int, ...] | None:

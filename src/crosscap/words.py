@@ -136,9 +136,6 @@ class Word(Record):
     def __iter__(self) -> Iterator[int]:
         return iter(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"
@@ -285,9 +282,6 @@ class CyclicWord(Record):
         cyclic.__post_init__()
         return cyclic
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
     def __str__(self) -> str:
         if not self.letters:
             return "1"
@@ -309,9 +303,6 @@ class CyclicWord(Record):
         keys_self = [_letter_key(s) for s in self.letters]
         keys_inv = [_letter_key(s) for s in inv.letters]
         return self if keys_self <= keys_inv else inv
-
-    def exponent_vector(self) -> tuple[int, ...]:
-        return Word._trusted(self.genus, self.letters).exponent_vector()
 
 
 def is_conjugate(u: Word, v: Word) -> bool:

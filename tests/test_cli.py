@@ -232,6 +232,29 @@ def test_a_twist_table_option_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments: --twist-table" in capsys.readouterr().err
 
 
+SMALL_COMMANDS = [
+    ("relation", "a1", "a1"),
+    ("apply-curve", "a1", "alpha_1"),
+    ("homology", "a1"),
+    ("complement", "--curves", "X0"),
+]
+
+
+@pytest.mark.parametrize(
+    "option, value, argv",
+    [("--seed", "1", argv) for argv in [*SMALL_COMMANDS, ("validate-data",)]]
+    + [("--certificates", "certs.txt", argv) for argv in SMALL_COMMANDS],
+    ids=lambda param: param[0] if isinstance(param, tuple) else None,
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, option, value, argv):
+    # only verify-theorem reads --seed; only the checking commands read
+    # --certificates, so no other command may take a file it never opens
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--genus", "4", option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
 def test_missing_explicit_registry_fails_its_stage(capsys):
     code, out, _ = run(
         capsys,
@@ -307,13 +330,15 @@ def test_random_data_files_never_raise_out_of_main(tmp_path):
 
     path = tmp_path / "data.txt"
 
+    commands = [["verify-theorem"], ["validate-data"], ["relation", "a1", "a2"]]
+    # only the two checking commands take a certificate file
+    options = [("--registry", argv) for argv in commands]
+    options += [("--certificates", argv) for argv in commands[:2]]
+
     @settings(max_examples=50, deadline=None)
-    @given(
-        st.binary(max_size=200),
-        st.sampled_from(["--registry", "--certificates"]),
-        st.sampled_from([["verify-theorem"], ["validate-data"], ["relation", "a1", "a2"]]),
-    )
-    def check(data, option, argv):
+    @given(st.binary(max_size=200), st.sampled_from(options))
+    def check(data, option_argv):
+        option, argv = option_argv
         path.write_bytes(data)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([*argv, "--genus", "4", option, str(path)])

@@ -11,13 +11,11 @@ from crosscap.polygon import SIDE, Event, crossing_count, spell_cyclic
 from crosscap.surface import (
     MAX_GENUS,
     MIN_RICH_GENUS,
-    CappingPolicyError,
     CurveRecord,
     Registry,
     RegistryFormatError,
     SurfaceSpec,
     UnknownCurveError,
-    boundary_word,
     canonical_curve_name,
     chain_index,
     load_registry,
@@ -34,9 +32,6 @@ from crosscap.words import MAX_PARSED_LETTERS, CyclicWord, Word
 
 
 def test_surface_spec_invariants():
-    spec = SurfaceSpec(4, 1)
-    assert spec.euler_characteristic == -3
-    assert SurfaceSpec(5, 0).euler_characteristic == -3
     with pytest.raises(ValueError):
         SurfaceSpec(1, 1)
     with pytest.raises(ValueError):
@@ -157,7 +152,7 @@ def test_lookups_by_alias_or_unknown_name_resolve_or_raise_by_name():
 @pytest.mark.parametrize("genus", [4, 5, 6, 8])
 def test_standard_registry_validates_clean(genus):
     report = validate_registry(standard_registry(SurfaceSpec(genus, 1)))
-    assert report.ok, report.format_text()
+    assert report.ok
     assert not report.failures()
     # both per-curve and pairwise checks actually ran
     checks = {r.check for r in report.results}
@@ -165,13 +160,6 @@ def test_standard_registry_validates_clean(genus):
     assert "word-coordinates" in checks
     assert "homology" in checks
     assert "intersection" in checks
-
-
-def test_validation_report_format():
-    report = validate_registry(standard_registry(SurfaceSpec(4, 1)))
-    text = report.format_text()
-    assert "[PASS]" in text
-    assert "[FAIL]" not in text
 
 
 def test_swapped_word_is_flagged_with_the_curve_name():
@@ -195,12 +183,6 @@ def test_x0_names():
     assert len(x0_names(10)) == 11
     with pytest.raises(ValueError, match="genus >= 4"):
         x0_names(3)
-
-
-def test_boundary_word_and_capping_policy():
-    assert boundary_word(SurfaceSpec(3, 1)) == Word.parse("x1 x1 x2 x2 x3 x3", 3)
-    with pytest.raises(CappingPolicyError, match="cap"):
-        boundary_word(SurfaceSpec(3, 0))
 
 
 # -- file format ---------------------------------------------------------

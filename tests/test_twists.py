@@ -173,7 +173,7 @@ def test_relation_and_fixing_suites_are_clean(genus):
     reg = standard_registry(SurfaceSpec(genus, 1))
     gens = derive_generators(reg)
     for result in fixing_suite(reg, gens) + relation_suite(reg, gens):
-        assert result.ok, result.format()
+        assert result.ok
 
 
 def test_derive_generators_names_a_curve_that_cannot_be_twisted():
