@@ -518,9 +518,27 @@ _COMMANDS: dict[str, Callable] = {
 }
 
 
+#: option -> the commands that read it (see _build_parser); each takes one value
+_SCOPED = {"--seed": ("verify-theorem",), "--certificates": ("verify-theorem", "validate-data")}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # A command's parser takes the value of an option it does not read
+        # for a positional when the option, or an abbreviation of it, stands
+        # before them.  Moved last, with its value, it is reported as given.
+        unread = [option for option, readers in _SCOPED.items() if args.command not in readers]
+        tokens, moved, at = list(sys.argv[1:] if argv is None else argv), [], 0
+        while at < len(tokens):
+            if len(tokens[at]) > 2 and any(o.startswith(tokens[at]) for o in unread):
+                moved += tokens[at : at + 2]
+                del tokens[at : at + 2]
+            else:
+                at += 1
+        extras = parser.parse_known_args(tokens + moved)[1]
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         SurfaceSpec(args.genus, args.n)
     except ValueError as exc:

@@ -51,13 +51,18 @@ id.
   faces, and which of them stay unpaired as cut boundary, are known by
   construction.
 
-One walk over a successor list (``_orbits``) numbers the faces and
-the boundary cycles of the curves' neighbourhood.  A union-find with a
-Z/2 weight (``_UnionFind``) merges faces into pieces and crossings,
-along the strands of the curves between them, into ribbons, telling the
+One walk over a successor list (``_orbits``) numbers the faces, and
+another counts the boundary cycles of the curves' neighbourhood on a
+strand table indexed by ring place.  A union-find with a Z/2 weight
+(``_UnionFind``) merges faces into pieces and crossings, along the
+strands of the curves between them, into ribbons, telling the
 orientability of each.  A corner has at most two gluings, so the corner
 classes are paths along the cut boundary and cycles, and walking them
-counts vertices and boundary circles.
+counts vertices and boundary circles.  A table whose entries come in id
+order is built whole, by a comprehension, a slice or a sort by a key
+list; only scattered entries are written one at a time.  The complex
+counts each piece as a plain tuple, and ``cut_along`` sorts them and
+makes one record per distinct piece.
 """
 
 from __future__ import annotations
@@ -115,6 +120,10 @@ class ComponentReport(Record):
         )
 
 
+#: A piece as the cut complex counts it: its ``ComponentReport`` fields, in order.
+Piece = tuple[str, int, int, bool]
+
+
 class ComplementReport(Record):
     __slots__ = ("genus", "boundary", "curve_names", "components")
 
@@ -149,28 +158,15 @@ class _UnionFind:
     """Union-find on the ids 0..n-1 with a Z/2 weight per id.
 
     An id's weight is its parity relative to its parent; a union that
-    closes a cycle of odd total parity marks the class as contradictory,
-    which is exactly non-orientability for us.  It joins faces, and the
-    ribbons' crossings, with parities.
+    closes a cycle of odd total parity marks the class as contradictory
+    (``bad`` at its root), which is exactly non-orientability for us.  It
+    joins faces, and the ribbons' crossings, with parities.
     """
 
     def __init__(self, n: int) -> None:
         self.parent = list(range(n))
         self.parity = [0] * n
         self.bad = [False] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        # path halving: each id on the way is hung from its grandparent and
-        # adds its old parent's weight to its own (a root's weight is 0)
-        parent, parity = self.parent, self.parity
-        p = 0
-        while parent[x] != x:
-            up = parent[x]
-            parity[x] ^= parity[up]
-            parent[x] = parent[up]
-            p ^= parity[x]
-            x = parent[x]
-        return x, p
 
     def roots(self) -> list[int]:
         """The root of every id, in one pass.
@@ -212,19 +208,16 @@ class _UnionFind:
         if self.bad[b]:
             self.bad[a] = True
 
-    def contradictory(self, x: int) -> bool:
-        return self.bad[self.find(x)[0]]
 
-
-def _orbits(step: list[int]) -> tuple[list[int], list[int], list[int]]:
-    """The cycle of each state of the permutation ``step`` of 0..n-1, the
-    state before each and each cycle's first state, from one walk.
+def _orbits(step: list[int]) -> tuple[list[int], list[int]]:
+    """The cycle of each state of the permutation ``step`` of 0..n-1 and
+    each cycle's first state, from one walk.
 
     Cycles are numbered in the order of their least states, and each
     walk starts there.
     """
     n = len(step)
-    orbit_of, prev = [-1] * n, [0] * n
+    orbit_of = [-1] * n
     firsts: list[int] = []
     for start in range(n):
         if orbit_of[start] < 0:
@@ -232,11 +225,10 @@ def _orbits(step: list[int]) -> tuple[list[int], list[int], list[int]]:
             firsts.append(start)
             while orbit_of[state] < 0:
                 orbit_of[state] = o
-                prev[step[state]] = state
                 state = step[state]
             if state != start:
                 raise RuntimeError("walk did not close; rotation is corrupt")
-    return orbit_of, prev, firsts
+    return orbit_of, firsts
 
 
 class _CutComplex:
@@ -277,7 +269,7 @@ class _CutComplex:
     def _build_vertices(self, g: int) -> None:
         # boundary vertices: the polygon corners and the chord ends,
         # numbered in key order; vertex_of maps a key to its number
-        keys = [corner * SIDE for corner in range(0, 2 * g + 1)]
+        keys = [*range(0, (2 * g + 1) * SIDE, SIDE)]
         for chords in self.curve_chords:
             for chord in chords:
                 keys += chord
@@ -308,26 +300,25 @@ class _CutComplex:
         # length: keys keep strict nesting, and no two endpoints share a
         # key, which is all the drawing needs.  A crossing's place on a
         # chord is the key (0, depth) on the way down, (1, x) along and
-        # (2, -depth) on the way up, counted from the lower end, and
-        # negated when the tail is the upper end, so keys ascend from
-        # tail to head.
+        # (2, -depth) on the way up, counted from the lower end.
         n_chords = len(self.chords)
-        spans = [sorted(chord[2:]) for chord in self.chords]  # [lower, upper]
-        ranked = sorted(
-            range(n_chords), key=lambda i: (spans[i][1] - spans[i][0], spans[i][0])
-        )
-        depth = [0] * n_chords
-        for r, i in enumerate(ranked):
-            depth[i] = r
         tail_above = [tail > head for _, _, tail, head in self.chords]
+        spans = [  # (lower, upper)
+            (head, tail) if above else (tail, head)
+            for (_, _, tail, head), above in zip(self.chords, tail_above)
+        ]
+        lengths = [(upper - lower, lower) for lower, upper in spans]
+        depth = [0] * n_chords
+        for r, i in enumerate(sorted(range(n_chords), key=lengths.__getitem__)):
+            depth[i] = r
         # per chord, (key on the chord, ring place) of each crossing on
-        # it, sorted along the chord once the sweep is done
+        # it, sorted from tail to head once the sweep is done
         self.splits: list[list[tuple[tuple, int]]] = [[] for _ in range(n_chords)]
         # (chord a, key on a, chord b, key on b), a the chord that closes first
         self.crossings: list[tuple[int, tuple, int, tuple]] = []
         # one sweep finds the crossings; no two of the 2C ends share a key
-        ends = sorted(range(2 * n_chords), key=lambda e: spans[e >> 1][e & 1])
-        for a, b in _interleaved(ends):
+        end_keys = [key for span in spans for key in span]  # end e is chord e >> 1's
+        for a, b in _interleaved(sorted(range(2 * n_chords), key=end_keys.__getitem__)):
             # lower a < lower b < upper a < upper b: the deeper chord's end
             # inside the shallower one's interval is b's lower end or a's
             # upper end
@@ -335,12 +326,6 @@ class _CutComplex:
                 key_a, key_b = (1, spans[b][0]), (0, depth[a])
             else:
                 key_a, key_b = (2, -depth[b]), (1, spans[a][1])
-            # literals, not tuple() of a generator, whose resized tuples
-            # pile up in CPython's free lists
-            if tail_above[a]:
-                key_a = (-key_a[0], -key_a[1])
-            if tail_above[b]:
-                key_b = (-key_b[0], -key_b[1])
             # The four half-edges leaving crossing r head for a's lower
             # end, b's lower end, a's upper end and b's upper end: that is
             # the key order of those ends, so it is the rotation at r, and
@@ -351,8 +336,8 @@ class _CutComplex:
             self.splits[a].append((key_a, place if tail_above[a] else place + 2))
             self.splits[b].append((key_b, place + 1 if tail_above[b] else place + 3))
             self.crossings.append((a, key_a, b, key_b))
-        for splits in self.splits:
-            splits.sort()
+        for splits, above in zip(self.splits, tail_above):
+            splits.sort(reverse=above)
 
     # -- the half-edge walk --------------------------------------------
 
@@ -392,7 +377,7 @@ class _CutComplex:
         self.next_he = succ
 
     def _number_faces(self) -> None:
-        self.face_of, self.prev_in_face, firsts = _orbits(self.next_he)
+        self.face_of, firsts = _orbits(self.next_he)
         self.n_faces = len(firsts)
         # the outer face walks the circle clockwise
         self.outer = self.face_of[1]
@@ -407,12 +392,13 @@ class _CutComplex:
         # their arcs match one to one; glued_a[i] and glued_b[i] are the
         # counterclockwise slots of one matched pair.
         coords, vertex_of = self.coords, self.vertex_of
-        corner = [vertex_of[c * SIDE] for c in range(2 * g + 1)]
+        corner = [vertex_of[key] for key in range(0, (2 * g + 1) * SIDE, SIDE)]
+        shifted = [key + SIDE for key in coords]
         self.glued_a: list[int] = []
         self.glued_b: list[int] = []
         for pair in range(1, g + 1):
             va, vb, vc = corner[2 * pair - 2], corner[2 * pair - 1], corner[2 * pair]
-            if [key + SIDE for key in coords[va:vb]] != coords[vb:vc]:
+            if shifted[va:vb] != coords[vb:vc]:
                 raise RuntimeError(
                     f"glued sides {2 * pair - 1}/{2 * pair} subdivide differently"
                 )
@@ -423,15 +409,15 @@ class _CutComplex:
         self.cap = self.spec.boundary == 0
         if self.cap:
             self.face_of.append(self.n_faces)
-            self.prev_in_face.append(len(self.next_he))
 
     # -- bookkeeping -------------------------------------------------------
 
     def _account(self) -> None:
         # ids: faces 0..F (F is the cap) and slots 0..2E (2E is the cap)
-        face_of, prev = self.face_of, self.prev_in_face
+        face_of = self.face_of
         n_faces, n_slots = self.n_faces + self.cap, len(face_of)
         cap = len(self.next_he)
+        after = [*self.next_he, cap]  # the cap's one slot follows itself
         first_chord = 2 * len(self.coords)
         free = first_chord - 2
         # the slots left unpaired are the chord sides, and the free side
@@ -446,21 +432,26 @@ class _CutComplex:
         for sa, sb in glued:
             face_uf.union(face_of[sa], face_of[sb], sb != cap)
 
-        # Corner s is where slot s ends and the next one starts; its sides
-        # are 2s, the end of s, and 2s + 1.  A gluing of x to y links their
-        # ends and their starts, and a boundary slot its start to its end,
-        # so each side of an interior corner has one link.  A walk that
-        # crosses a link and then its corner goes round a boundary circle,
-        # whose vertices are the corner paths between its slots, or round
-        # one vertex.  An unlinked side leads back into its own corner.
+        # Corner s is where slot s starts and the one before it ends; its
+        # sides are 2s, the start of s, and 2s + 1.  A gluing of x to y
+        # links their starts and their ends, and a boundary slot its start
+        # to its end, so each side of an interior corner has one link.  A
+        # walk that crosses a link and then its corner goes round a
+        # boundary circle, whose vertices are the corner paths between its
+        # slots, or round one vertex.  An unlinked side leads back into its
+        # own corner.
         link = [*range(2 * n_slots)]
         for x, y in glued:
             link[2 * x], link[2 * y] = 2 * y, 2 * x
-            x, y = 2 * prev[x] + 1, 2 * prev[y] + 1
+            x, y = 2 * after[x] + 1, 2 * after[y] + 1
             link[x], link[y] = y, x
-        for t in boundary:
-            x = 2 * prev[t] + 1
-            link[x], link[2 * t] = 2 * t, x
+        ends = [2 * after[t] + 1 for t in boundary]
+        # the chord sides are the contiguous slots first_chord..cap - 1
+        link[2 * first_chord : 2 * cap : 2] = ends[: cap - first_chord]
+        if not self.cap:
+            link[2 * free] = ends[-1]
+        for t, x in zip(boundary, ends):
+            link[x] = 2 * t
 
         # per component, indexed by its root face; a corner keeps its
         # component until a walk passes it
@@ -497,20 +488,17 @@ class _CutComplex:
                 cycles[walk(c)] += 1
 
         # the boundary slots add one vertex and one edge each, so
-        # V - E = cycles - gluings
-        self.components: list[ComponentReport] = [
-            ComponentReport(
-                kind="complement",
-                euler_characteristic=cycles[c] - edges[c] + faces[c],
-                boundary_circles=circles[c],
-                orientable=not face_uf.contradictory(c),
-            )
-            for c in sorted({comp_of[fi] for fi in interior})
+        # V - E = cycles - gluings; the ids are roots, so a piece's
+        # orientability is its own flag
+        bad = face_uf.bad
+        self.components: list[Piece] = [
+            ("complement", cycles[c] - edges[c] + faces[c], circles[c], not bad[c])
+            for c in {comp_of[fi] for fi in interior}
         ]
 
     # -- ribbon pieces -----------------------------------------------------
 
-    def ribbons(self) -> list[ComponentReport]:
+    def ribbons(self) -> list[Piece]:
         """Neighbourhood pieces of the selected curves.
 
         Isolated curves give untwisted bands (the registered curves are
@@ -526,72 +514,56 @@ class _CutComplex:
             for _, place in splits:
                 stations[ci].append((k, place))
 
-        out: list[ComponentReport] = []
+        # Strand q of a curve runs from its station q to the next, the last
+        # one round to the first, a lap (m chords) further along the curve,
+        # and swaps sides once per chord it passes into.  Its ends are the
+        # ring places of the half-edges it runs along: the one leaving
+        # station q towards the head and the one leaving the next station
+        # towards the tail.  So every ring place ends exactly one strand;
+        # arrive[p] is 2 * (the place at its other end) + (its side swaps
+        # mod 2).
+        out: list[Piece] = []
         ribbon_circles = 0
-        for sts, (_, geom) in zip(stations, self.curves):
-            if sts:
-                continue
-            m = len(geom.events)
-            circles = 2 if m % 2 == 0 else 1
-            ribbon_circles += circles
-            out.append(
-                ComponentReport(
-                    kind="neighbourhood",
-                    euler_characteristic=0,
-                    boundary_circles=circles,
-                    orientable=m % 2 == 0,
-                )
-            )
-        if not self.crossings:
-            self._check_ribbon_circles(ribbon_circles)
-            return out
-
-        # strand e runs between consecutive stations of a curve and
-        # swaps sides strand_parity[e] times; its ends are 2e, at the
-        # station it starts from, and 2e + 1, at the next one.  An end
-        # takes the ring place of the half-edge it runs along, so the ring
-        # of crossing r holds the ends at 4r to 4r + 3 in rotation order.
-        strand_parity: list[int] = []
-        end_place: list[int] = []
-        for ci, sts in enumerate(stations):
-            m = len(self.curve_chords[ci])
-            n = len(sts)
-            for q in range(n):
-                k1, p1 = sts[q]
-                k2, p2 = sts[(q + 1) % n]
-                delta = k2 - k1 if q + 1 < n else (k2 + m - k1)
-                strand_parity.append(delta % 2)
-                end_place += (p1, p2 ^ 2)
-        end_of_place = [0] * len(end_place)
-        for end, place in enumerate(end_place):
-            end_of_place[place] = end
-
+        arrive = [0] * (4 * len(self.crossings))
         # the strands of a curve join all the crossings on it, so the
         # classes are the bunches of crossing curves: one ribbon each
         vertex_uf = _UnionFind(len(self.crossings))
-        for e, parity in enumerate(strand_parity):
-            vertex_uf.union(end_place[2 * e] >> 2, end_place[2 * e + 1] >> 2, parity)
+        for sts, chords in zip(stations, self.curve_chords):
+            m = len(chords)
+            if not sts:
+                circles = 2 if m % 2 == 0 else 1
+                ribbon_circles += circles
+                out.append(("neighbourhood", 0, circles, m % 2 == 0))
+                continue
+            k, place = sts[0]
+            for (k1, p1), (k2, p2) in zip(sts, [*sts[1:], (k + m, place)]):
+                p2 ^= 2
+                odd = (k2 - k1) & 1
+                arrive[p1], arrive[p2] = 2 * p2 + odd, 2 * p1 + odd
+                vertex_uf.union(p1 >> 2, p2 >> 2, odd)
+        if not self.crossings:
+            self._check_ribbon_circles(ribbon_circles)
+            return out
         ribbon_of = vertex_uf.roots()
         ribbon_cross = [0] * len(ribbon_of)
         for root in ribbon_of:
             ribbon_cross[root] += 1
 
-        # strand tracing: state = 2 * (departing end) + side; a side is
-        # 0 for the strand on the left of travel, swapped by each
-        # crosscap passage; corners keep the side, left turns to the
-        # rotation predecessor and right to the successor.
-        next_state: list[int] = []
-        for state in range(2 * len(end_place)):
-            arrive = (state >> 1) ^ 1
-            side = (state & 1) ^ strand_parity[arrive >> 1]
-            place = end_place[arrive]
-            turn = place + 1 if side else place - 1
-            next_state.append(2 * end_of_place[(place & ~3) | (turn & 3)] + side)
+        # Strand tracing: state 2p + side leaves ring place p, and arrives
+        # as state arrive[p] ^ side at the other end.  A side is 0 for the
+        # strand on the left of travel, swapped by each crosscap passage;
+        # corners keep the side, left turns to the rotation predecessor
+        # and right to the successor.  So the arrival 8r + 2j + s at place
+        # j of ring r leaves as turn[8r + 2j + s] = 8r + 2(j - 1 mod 4) for
+        # s = 0 and 8r + 2(j + 1 mod 4) + 1 for s = 1.
+        ring = (6, 3, 0, 5, 2, 7, 4, 1)
+        turn = [8 * r + t for r in range(len(self.crossings)) for t in ring]
+        next_state = [turn[x ^ side] for x in arrive for side in (0, 1)]
 
-        # an orbit belongs to the ribbon of the crossing its first end is at
+        # an orbit belongs to the ribbon of the crossing it starts at
         orbit_count = [0] * len(ribbon_of)
-        for first in _orbits(next_state)[2]:
-            orbit_count[ribbon_of[end_place[first >> 1] >> 2]] += 1
+        for first in _orbits(next_state)[1]:
+            orbit_count[ribbon_of[first >> 3]] += 1
 
         for root, crossings in enumerate(ribbon_cross):
             if not crossings:
@@ -602,12 +574,7 @@ class _CutComplex:
             circles = orbits // 2
             ribbon_circles += circles
             out.append(
-                ComponentReport(
-                    kind="neighbourhood",
-                    euler_characteristic=-crossings,
-                    boundary_circles=circles,
-                    orientable=not vertex_uf.contradictory(root),
-                )
+                ("neighbourhood", -crossings, circles, not vertex_uf.bad[root])
             )
         self._check_ribbon_circles(ribbon_circles)
         return out
@@ -637,18 +604,12 @@ def cut_along(registry: Registry, names: Iterable[str]) -> ComplementReport:
     complex_ = _CutComplex(
         spec, [(n, registry.geometry(n)) for n in ordered]
     )
-    pieces = complex_.components + complex_.ribbons()
-    pieces.sort(
-        key=lambda c: (
-            c.kind,
-            c.euler_characteristic,
-            c.boundary_circles,
-            c.orientable,
-        )
-    )
+    # sorted by kind, euler characteristic, boundary circles and
+    # orientability; equal pieces share one (immutable) record.  The
+    # tuple is made from a list: tuple() of an iterator resizes it, and
+    # resized tuples pile up in CPython's free lists.
+    pieces = sorted(complex_.components + complex_.ribbons())
+    records = {piece: ComponentReport(*piece) for piece in set(pieces)}
     return ComplementReport(
-        genus=spec.genus,
-        boundary=spec.boundary,
-        curve_names=tuple(ordered),
-        components=tuple(pieces),
+        spec.genus, spec.boundary, tuple(ordered), tuple([records[piece] for piece in pieces])
     )

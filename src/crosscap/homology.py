@@ -76,15 +76,21 @@ class HomologyMatrix(Record):
         )
 
     def det(self) -> int:
-        """Exact integer determinant (fraction-free Bareiss elimination).
+        """Exact integer determinant.
 
-        Step k replaces row i by (m[i] * pivot - m[i][k] * m[k]) / prev.
-        A row with m[i][k] == 0 when pivot == prev comes out unchanged,
-        so it is skipped.  Twist matrices are near the identity: most
-        rows below a pivot of 1 are skipped, and the result is the same.
+        Expanding along a column equal to e_j (Laplace) leaves the minor
+        without row and column j, where the other such columns are unit
+        columns still.  So the determinant is that of the block of the other
+        rows and columns (at most four for a twist), by fraction-free
+        Bareiss elimination: step k replaces row i by (m[i] * pivot -
+        m[i][k] * m[k]) / prev, which leaves a row with m[i][k] == 0 when
+        pivot == prev unchanged, so it is skipped.
         """
-        n = self.genus
-        m = [list(r) for r in self.rows]
+        rows, n = self.rows, self.genus
+        keep = [j for j, col in enumerate(zip(*rows)) if col[j] != 1 or col.count(0) != n - 1]
+        if not keep:
+            return 1
+        n, m = len(keep), [[rows[i][j] for j in keep] for i in keep]
         sign = 1
         prev = 1
         for k in range(n - 1):

@@ -248,11 +248,17 @@ SMALL_COMMANDS = [
 )
 def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, option, value, argv):
     # only verify-theorem reads --seed; only the checking commands read
-    # --certificates, so no other command may take a file it never opens
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--genus", "4", option, value])
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+    # --certificates, so no other command may take a file it never opens.
+    # Before the positionals or after them, and abbreviated, the option is
+    # quoted with its own value, not with a positional argparse left over.
+    command, *rest = argv
+    for given in (option, option[:4]):
+        for placed in ([*rest, given, value], [given, value, *rest]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--genus", "4", *placed])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: unrecognized arguments: {given} {value}\n")
 
 
 def test_missing_explicit_registry_fails_its_stage(capsys):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from crosscap import cutting
 from crosscap.cutting import (
     ComponentReport,
     _CutComplex,
@@ -242,10 +243,7 @@ def test_random_curve_systems_cut_consistently():
 
     def cut(spec, curves):
         complex_ = cut_complex(spec, curves)
-        return sorted(
-            (c.kind, c.euler_characteristic, c.boundary_circles, c.orientable)
-            for c in complex_.components + complex_.ribbons()
-        )
+        return sorted(complex_.components + complex_.ribbons())
 
     @settings(max_examples=200, deadline=None)
     @given(curve_systems())
@@ -305,7 +303,8 @@ def successors_by_sorted_rotation(complex_):
         splits[a].append((key_a, K + r))
         splits[b].append((key_b, K + r))
     for (_, _, tail_key, head_key), along in zip(complex_.chords, splits):
-        chain = [vertex[tail_key]] + [v for _, v in sorted(along)] + [vertex[head_key]]
+        along.sort(reverse=tail_key > head_key)  # keys count from the lower end
+        chain = [vertex[tail_key]] + [v for _, v in along] + [vertex[head_key]]
         last = len(chain) - 2
         for i in range(last + 1):
             tail += (chain[i], chain[i + 1])
@@ -323,8 +322,8 @@ def successors_by_sorted_rotation(complex_):
 
 def numbered_cycles(step):
     """What ``_orbits`` returns, from the cycles of ``step`` listed one by
-    one from their least states: the cycle of each state, the state
-    before it and each cycle's first state."""
+    one from their least states: the cycle of each state and each cycle's
+    first state."""
     cycles, seen = [], set()
     for start in range(len(step)):
         if start not in seen:
@@ -333,11 +332,11 @@ def numbered_cycles(step):
                 cycle.append(step[cycle[-1]])
             seen.update(cycle)
             cycles.append(cycle)
-    orbit_of, prev = [0] * len(step), [0] * len(step)
+    orbit_of = [0] * len(step)
     for o, cycle in enumerate(cycles):
-        for i, state in enumerate(cycle):
-            orbit_of[state], prev[state] = o, cycle[i - 1]
-    return orbit_of, prev, [cycle[0] for cycle in cycles]
+        for state in cycle:
+            orbit_of[state] = o
+    return orbit_of, [cycle[0] for cycle in cycles]
 
 
 def test_the_face_walk_matches_the_sorted_rotation():
@@ -354,11 +353,10 @@ def test_the_face_walk_matches_the_sorted_rotation():
     def check(drawn):
         complex_ = cut_complex(*drawn)
         after = successors_by_sorted_rotation(complex_)
-        face_of, prev, firsts = numbered_cycles(after)
+        face_of, firsts = numbered_cycles(after)
         K = len(complex_.coords)
-        assert _orbits(complex_.next_he) == (face_of, prev, firsts)
+        assert _orbits(complex_.next_he) == (face_of, firsts)
         assert complex_.face_of[: len(after)] == face_of
-        assert complex_.prev_in_face[: len(after)] == prev
         assert complex_.n_faces == len(firsts)
         outer = [he for he, fi in enumerate(face_of) if fi == complex_.outer]
         assert outer == list(range(1, 2 * K, 2))
@@ -369,6 +367,26 @@ def test_the_face_walk_matches_the_sorted_rotation():
     check()
 
 
+def find(uf, x):
+    """The root of ``x`` in a ``_UnionFind`` and the parity of ``x`` to it.
+    Path halving, as ``union`` does: each id on the way is hung from its
+    grandparent and adds its old parent's weight to its own (a root's
+    weight is 0)."""
+    parent, parity = uf.parent, uf.parity
+    p = 0
+    while parent[x] != x:
+        up = parent[x]
+        parity[x] ^= parity[up]
+        parent[x] = parent[up]
+        p ^= parity[x]
+        x = parent[x]
+    return x, p
+
+
+def contradictory(uf, x):
+    return uf.bad[find(uf, x)[0]]
+
+
 def account_by_union_find(complex_):
     """The complement pieces, as sorted (chi, boundary circles,
     orientable), and the cut circle count of a built cut complex, by
@@ -377,9 +395,12 @@ def account_by_union_find(complex_):
     or not at all, and joining the two corner classes at the ends of each
     boundary slot leaves one class per boundary circle.  The reference
     for the corner and circle walks of ``_account``."""
-    face_of, prev = complex_.face_of, complex_.prev_in_face
+    face_of = complex_.face_of
     n_faces, n_slots = complex_.n_faces + complex_.cap, len(face_of)
     cap = len(complex_.next_he)
+    prev = [0] * (cap + 1)  # the slot before each in its face; the cap's is itself
+    for h, after in enumerate([*complex_.next_he, cap]):
+        prev[after] = h
     first_chord = 2 * len(complex_.coords)
     free = first_chord - 2
     face_uf, corner_uf = _UnionFind(n_faces), _UnionFind(n_slots)
@@ -393,12 +414,12 @@ def account_by_union_find(complex_):
         face_uf.union(face_of[sa], face_of[sb], parity)
         corner_uf.union(sa, sb)
         corner_uf.union(prev[sa], prev[sb])
-    comp = [face_uf.find(fi)[0] for fi in face_of]
+    comp = [find(face_uf, fi)[0] for fi in face_of]
     interior = [fi for fi in range(n_faces) if fi != complex_.outer]
-    chi = Counter(face_uf.find(fi)[0] for fi in interior)
+    chi = Counter(find(face_uf, fi)[0] for fi in interior)
     for s in [sa for sa, _, _ in glued] + boundary:
         chi[comp[s]] -= 1
-    corner = [corner_uf.find(s)[0] for s in range(n_slots)]
+    corner = [find(corner_uf, s)[0] for s in range(n_slots)]
     vertex_comp = {}
     for s in [*range(0, first_chord, 2), *range(first_chord, n_slots)]:
         assert vertex_comp.setdefault(corner[s], comp[s]) == comp[s]
@@ -407,11 +428,11 @@ def account_by_union_find(complex_):
     assert set(Counter(v for end in ends for v in end).values()) <= {2}
     for a, b in ends:
         corner_uf.union(a, b)
-    circle = [corner_uf.find(s)[0] for s in range(n_slots)]
+    circle = [find(corner_uf, s)[0] for s in range(n_slots)]
     circles = Counter(comp[s] for s in {circle[s]: s for s in boundary}.values())
     pieces = sorted(
-        (chi[c], circles[c], not face_uf.contradictory(c))
-        for c in {face_uf.find(fi)[0] for fi in interior}
+        (chi[c], circles[c], not contradictory(face_uf, c))
+        for c in {find(face_uf, fi)[0] for fi in interior}
     )
     return pieces, len({circle[s] for s in range(first_chord, cap)})
 
@@ -427,11 +448,111 @@ def test_the_corner_walks_count_as_union_find_does():
     @given(curve_systems())
     def check(drawn):
         complex_ = cut_complex(*drawn)
-        walked = sorted(
-            (c.euler_characteristic, c.boundary_circles, c.orientable)
-            for c in complex_.components
-        )
+        walked = sorted(piece[1:] for piece in complex_.components)
         assert (walked, complex_.cut_circle_count) == account_by_union_find(complex_)
+
+    check()
+
+
+def ribbons_by_end_table(complex_):
+    """The neighbourhood pieces of a built cut complex as keyword records,
+    in the order ``ribbons`` gives them, from a strand table indexed by
+    strand end, filled one state at a time and walked by ``_orbits``.  The
+    reference for the place-indexed strand table of ``ribbons``."""
+    stations = [[] for _ in complex_.curves]
+    for (ci, k, _, _), splits in zip(complex_.chords, complex_.splits):
+        for _, place in splits:
+            stations[ci].append((k, place))
+    out = []
+    for sts, chords in zip(stations, complex_.curve_chords):
+        if not sts:
+            m = len(chords)
+            out.append(
+                ComponentReport(
+                    kind="neighbourhood",
+                    euler_characteristic=0,
+                    boundary_circles=2 if m % 2 == 0 else 1,
+                    orientable=m % 2 == 0,
+                )
+            )
+    if not complex_.crossings:
+        return out
+    # strand e swaps sides strand_parity[e] times; its ends are 2e, at the
+    # station it starts from, and 2e + 1, at the next one, and each takes
+    # the ring place of the half-edge it runs along
+    strand_parity, end_place = [], []
+    for sts, chords in zip(stations, complex_.curve_chords):
+        n = len(sts)
+        for q in range(n):
+            k1, p1 = sts[q]
+            k2, p2 = sts[(q + 1) % n]
+            delta = k2 - k1 if q + 1 < n else k2 + len(chords) - k1
+            strand_parity.append(delta % 2)
+            end_place += (p1, p2 ^ 2)
+    end_of_place = [0] * len(end_place)
+    for end, place in enumerate(end_place):
+        end_of_place[place] = end
+    vertex_uf = _UnionFind(len(complex_.crossings))
+    for e, parity in enumerate(strand_parity):
+        vertex_uf.union(end_place[2 * e] >> 2, end_place[2 * e + 1] >> 2, parity)
+    ribbon_of = [find(vertex_uf, r)[0] for r in range(len(complex_.crossings))]
+    # state = 2 * (departing end) + side; left turns to the rotation
+    # predecessor, right to the successor
+    next_state = []
+    for state in range(2 * len(end_place)):
+        arrive = (state >> 1) ^ 1
+        side = (state & 1) ^ strand_parity[arrive >> 1]
+        place = end_place[arrive]
+        turn = place + 1 if side else place - 1
+        next_state.append(2 * end_of_place[(place & ~3) | (turn & 3)] + side)
+    orbits = Counter(ribbon_of[end_place[first >> 1] >> 2] for first in _orbits(next_state)[1])
+    crossings = Counter(ribbon_of)
+    for root in sorted(crossings):
+        assert orbits[root] % 2 == 0
+        out.append(
+            ComponentReport(
+                kind="neighbourhood",
+                euler_characteristic=-crossings[root],
+                boundary_circles=orbits[root] // 2,
+                orientable=not contradictory(vertex_uf, root),
+            )
+        )
+    return out
+
+
+def fields(record):
+    return tuple(getattr(record, name) for name in record.__slots__)
+
+
+def test_the_strand_table_and_the_pieces_match_their_references():
+    """On random curve systems, closed and bordered, ``ribbons`` gives the
+    pieces, in order, of the strand table indexed by strand end; the
+    complement pieces are the keyword records of the union-find count; and
+    records made by position from the sorted pieces, as ``cut_along``
+    makes them, are those that sorting the keyword records gives."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve_systems())
+    def check(drawn):
+        complex_ = cut_complex(*drawn)
+        ribbons = complex_.ribbons()
+        reference = ribbons_by_end_table(complex_)
+        assert ribbons == [fields(r) for r in reference]
+        counted, _ = account_by_union_find(complex_)
+        complement = [
+            ComponentReport(
+                kind="complement",
+                euler_characteristic=chi,
+                boundary_circles=circles,
+                orientable=orientable,
+            )
+            for chi, circles, orientable in counted
+        ]
+        assert sorted(complex_.components) == [fields(c) for c in complement]
+        made = [ComponentReport(*piece) for piece in sorted(complex_.components + ribbons)]
+        assert made == sorted(complement + reference, key=fields)
 
     check()
 
@@ -463,8 +584,9 @@ def test_a_corrupt_successor_table_is_refused(genus, boundary):
 def test_corrupt_gluings_are_refused(genus, boundary):
     """A slot glued twice leaves a corner side unlinked, so the walks meet
     a corner twice; a corner moved into another piece's face straddles
-    two pieces; and two gluings swapped give a consistent complex whose
-    cut circles the ribbons no longer match."""
+    two pieces; two gluings swapped give a consistent complex whose cut
+    circles the ribbons no longer match; and the two copies of a side
+    must be cut at the same parameters."""
     complex_ = x0_complex(genus, boundary)
     complex_.glued_b[0] = complex_.glued_b[1]
     with pytest.raises(RuntimeError, match="cut boundary is not a union of circles"):
@@ -472,8 +594,8 @@ def test_corrupt_gluings_are_refused(genus, boundary):
     complex_ = x0_complex(genus, boundary)
     x = complex_.glued_a[0]
     z = next(s for s in complex_.glued_a if complex_.face_of[s] != complex_.face_of[x])
-    prev = complex_.prev_in_face
-    prev[x], prev[z] = prev[z], prev[x]
+    succ = complex_.next_he
+    succ[x], succ[z] = succ[z], succ[x]
     with pytest.raises(RuntimeError, match="a vertex class straddles two components"):
         complex_._account()
     complex_ = x0_complex(genus, boundary)
@@ -481,6 +603,37 @@ def test_corrupt_gluings_are_refused(genus, boundary):
     glued_b[0], glued_b[1] = glued_b[1], glued_b[0]
     complex_._account()
     with pytest.raises(RuntimeError, match="ribbon boundary circles do not match the cut circles"):
+        complex_.ribbons()
+    complex_ = x0_complex(genus, boundary)
+    inside = next(v for v, key in enumerate(complex_.coords) if 0 < key < SIDE)
+    complex_.coords[inside] += 1
+    with pytest.raises(RuntimeError, match="glued sides 1/2 subdivide differently"):
+        complex_._build_pairings(genus)
+
+
+@pytest.mark.parametrize("genus,boundary", [(4, 0), (5, 1), (6, 0)])
+def test_a_corrupt_strand_table_is_refused(genus, boundary, monkeypatch):
+    """A strand table that is no permutation stops the strand walk, and
+    one with a cycle split in two leaves its ribbon an odd number of
+    strand orbits."""
+    walk = cutting._orbits
+
+    def merged(step):
+        step[0] = step[2]
+        return walk(step)
+
+    def split(step):
+        a = next(state for state, after in enumerate(step) if state != after)
+        b = step[a]
+        step[a], step[b] = step[b], step[a]
+        return walk(step)
+
+    complex_ = x0_complex(genus, boundary)
+    monkeypatch.setattr(cutting, "_orbits", merged)
+    with pytest.raises(RuntimeError, match="walk did not close; rotation is corrupt"):
+        complex_.ribbons()
+    monkeypatch.setattr(cutting, "_orbits", split)
+    with pytest.raises(RuntimeError, match="odd strand orbit count"):
         complex_.ribbons()
 
 
@@ -560,12 +713,12 @@ def test_union_find_classes_and_parities_match_a_breadth_first_search():
                         odd.add(start)
         for x in range(n):
             for y in range(n):
-                same = uf.find(x)[0] == uf.find(y)[0]
+                same = find(uf, x)[0] == find(uf, y)[0]
                 assert same == (component[x] == component[y])
-            assert uf.contradictory(x) == (component[x] in odd)
+            assert contradictory(uf, x) == (component[x] in odd)
         for a, b, w in edges:
             if component[a] not in odd:
-                assert uf.find(a)[1] ^ uf.find(b)[1] == w
+                assert find(uf, a)[1] ^ find(uf, b)[1] == w
 
     check()
 
@@ -600,7 +753,7 @@ def test_union_find_matches_a_walk_without_compression():
 
         for is_union, a, b, w in steps:
             if not is_union:
-                assert uf.find(a) == walk(a)
+                assert find(uf, a) == walk(a)
                 continue
             uf.union(a, b, w)
             (ra, pa), (rb, pb) = walk(a), walk(b)
@@ -610,8 +763,8 @@ def test_union_find_matches_a_walk_without_compression():
                 parent[rb], weight[rb] = ra, pa ^ pb ^ w
                 bad[ra] = bad[ra] or bad[rb]
         for x in range(n):
-            assert uf.find(x) == walk(x)
-            assert uf.contradictory(x) == bad[walk(x)[0]]
+            assert find(uf, x) == walk(x)
+            assert contradictory(uf, x) == bad[walk(x)[0]]
 
     check()
 
@@ -723,3 +876,11 @@ def test_curves_sharing_an_endpoint_are_rejected():
         cut_along(reg.replaced(clashing), ["alpha_2", "alpha_3"])
     # named by its coordinate 4 + 1/3 on side 5, not by an internal key
     assert str(excinfo.value) == "two curve endpoints share boundary coordinate 13/3"
+
+
+def test_an_endpoint_past_the_glued_sides_is_rejected():
+    """A curve drawn on a surface of larger genus has endpoints past the
+    glued sides of this one, on its free side, which no curve touches."""
+    beyond = CurveGeometry(5, [Event(5, True, SIDE // 3), Event(5, True, SIDE // 2)])
+    with pytest.raises(DegeneratePositionError, match="a curve endpoint landed on the free side"):
+        _CutComplex(SurfaceSpec(4, 1), [("beyond", beyond)])

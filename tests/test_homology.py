@@ -63,6 +63,83 @@ def test_determinant_exact_on_random_integer_matrices():
         assert HomologyMatrix(n, rows).det() == naive_det(rows)
 
 
+def bareiss_det(rows):
+    """Fraction-free Bareiss elimination of the whole matrix, skipping the
+    rows below a pivot equal to the previous one that have a zero in the
+    pivot column.  The reference for ``HomologyMatrix.det``, which
+    eliminates only the block that its unit columns leave."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k] == 0 and pivot == prev:
+                continue
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
+
+
+def test_unit_column_expansion_matches_whole_matrix_elimination():
+    """On random, singular and near-identity integer matrices, including
+    composites of large entries and columns that are unit vectors in the
+    wrong row, the determinant of the block that the unit columns leave is
+    that of the whole matrix."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @st.composite
+    def matrices(draw):
+        n = draw(st.integers(min_value=1, max_value=7))
+        kind = draw(st.sampled_from(["random", "singular", "near-identity"]))
+        entries = st.integers(min_value=-5, max_value=5)
+        rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        if kind == "near-identity":
+            # a few columns replaced, by random columns or by unit columns
+            # in another row
+            for j in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+                if draw(st.booleans()):
+                    column = [draw(entries) for _ in range(n)]
+                else:
+                    hot = draw(st.integers(0, n - 1))
+                    column = [1 if i == hot else 0 for i in range(n)]
+                for i in range(n):
+                    rows[i][j] = column[i]
+        else:
+            rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+        if kind == "singular" and n > 1:
+            a, b = draw(st.permutations(range(n)))[:2]
+            scale = draw(entries)
+            rows[a] = [scale * x for x in rows[b]]
+        if draw(st.booleans()):
+            # a composite: the product with another near-identity matrix
+            other = HomologyMatrix.identity(n).rows
+            factor = [list(r) for r in other]
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            factor[i][j] += draw(st.integers(min_value=-40, max_value=40))
+            rows = (HomologyMatrix(n, rows) * HomologyMatrix(n, factor)).rows
+        return tuple(tuple(r) for r in rows)
+
+    @settings(max_examples=400, deadline=None)
+    @given(matrices())
+    def check(rows):
+        assert HomologyMatrix(len(rows), rows).det() == bareiss_det(rows)
+
+    check()
+
+
 def test_chain_twist_matrix_is_the_known_block(world4):
     _, gens = world4
     m = abelianize(gens["a1"].auto)
