@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from crosscap.homology import abelianize
-from crosscap.polygon import DegeneratePositionError
+from crosscap.polygon import DegeneratePositionError, LetterBudgetError
 from crosscap.surface import (
     MAX_GENUS,
     MIN_RICH_GENUS,
@@ -344,8 +344,13 @@ def _cmd_verify_theorem(args) -> int:
         return log.finish()
     log.record("twist-suite", "PASS", f"{len(checks)} identities")
 
-    # stage 3: the key conjugation
-    conj = verify_key_conjugation(registry, generators)
+    # stage 3: the key conjugation, which names curves and generators that
+    # a registry file may lack
+    try:
+        conj = verify_key_conjugation(registry, generators)
+    except (UnknownCurveError, ExpressionError) as exc:
+        log.record("key-conjugation", "FAIL", str(exc))
+        return log.finish()
     if not conj.ok:
         log.record("key-conjugation", "FAIL", "; ".join(conj.diagnostics))
         return log.finish()
@@ -553,7 +558,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # a reader that closed stdout shows here, not in the flush at exit
         sys.stdout.flush()
         return status
-    except (_WorldError, UnknownCurveError, ExpressionError, DegeneratePositionError) as exc:
+    except (
+        _WorldError, UnknownCurveError, ExpressionError, DegeneratePositionError, LetterBudgetError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

@@ -182,13 +182,8 @@ class Mod2Matrix(Record):
 
 def abelianize(auto: Automorphism) -> HomologyMatrix:
     """Integer homology matrix of an automorphism (columns = images)."""
-    return images_matrix(auto.genus, auto.images)
-
-
-def images_matrix(genus: int, images: Sequence[Word]) -> HomologyMatrix:
-    """Integer homology matrix of the map sending x_j to images[j - 1]."""
-    cols = [w.exponent_vector() for w in images]
-    return HomologyMatrix._trusted(genus, tuple(zip(*cols)))
+    cols = [w.exponent_vector() for w in auto.images]
+    return HomologyMatrix._trusted(auto.genus, tuple(zip(*cols)))
 
 
 def mod2_class(word: Word) -> tuple[int, ...]:

@@ -13,11 +13,14 @@ the glued sides; between crossings they run along chords of the disk,
 each given by its two boundary endpoints.  Everything here depends only
 on the cyclic order of those endpoints, so no point is built:
 
-* two chords cross exactly when their endpoints interleave;
-* the chords of an embedded curve do not cross one another, so those
-  that cross a target chord meet it in the order of their endpoints on
-  the counterclockwise arc from the target's tail to its head, and the
-  endpoint on that arc tells which way each one crosses;
+* two chords cross exactly when their endpoints interleave, so a sweep
+  over the endpoints in key order finds every crossing;
+* a based loop runs along chords from the anchor, which lies below
+  every key, so a curve chord crosses the one through key ``k`` exactly
+  when its ends lie on either side of ``k``; the chords of an embedded
+  curve cross none of one another, so those meet it in the order of
+  their lower ends (into ``k``) or of their upper ends (out of ``k``),
+  and the end met tells which way each one crosses;
 * any two arcs in a disk with the same endpoints are homotopic rel
   endpoints, so each chord may be replaced by a monotone walk along the
   glued sides, and loop words are read off from one marker per side,
@@ -27,14 +30,15 @@ A side parameter is an integer ``t`` with ``0 < t < SIDE``: the point
 ``t`` of side ``k`` has the boundary coordinate ``(k - 1) + t / SIDE``
 and the integer key ``(k - 1) * SIDE + t``.  Keys sort exactly as the
 coordinates do, two endpoints share a key exactly when they share a
-coordinate, and the anchor 0 stays below every key, so every
-comparison is one of integers.  A :class:`CurveGeometry` builds its
+coordinate, and the anchor of based loops, just inside the polygon a
+hair counterclockwise of the vertex v, has key 0, below every other, so
+every comparison is one of integers.  A :class:`CurveGeometry` builds its
 chords as key pairs once, and crossings, twists and the cut complex of
 ``cutting`` all read them.  A shared endpoint is still reported by its
 coordinate, not its key.
 
-Dehn twists act by splicing the twisting curve's event cycle into a
-target's event sequence at every chord crossing.  The detour direction
+Dehn twists act by splicing a lap of the twisting curve's side stops
+into a based loop at every chord crossing.  The lap's direction
 accounts for the orientation reversal that each crosscap passage
 inflicts on the plane frame.
 """
@@ -53,19 +57,22 @@ from crosscap.words import Record, Word, _reduce
 #: it exactly, and keys stay below 2**30 up to genus 139,000.
 SIDE = 3840
 
+#: The most letters one substitution may push before cancelling: about 13
+#: times the most that any test or benchmark workload pushes (227,321, in
+#: the soundness tests), and a bound on the memory an expansion can take.
+MAX_IMAGE_LETTERS = 3_000_000
+
 #: A chord as the keys of its (tail, head) endpoints.
 Chord = tuple[int, int]
-
-#: Based loops start and end at an anchor just inside the polygon, a hair
-#: counterclockwise of the vertex v.  Only the order of keys matters, and
-#: every event lies strictly inside a side, so key 0 stands for that
-#: anchor: it sorts below every endpoint.
-_ANCHOR = 0
 
 
 class DegeneratePositionError(Exception):
     """Two chords share an endpoint coordinate, so whether they cross is
     not defined.  Give the events distinct parameters (fresh_params)."""
+
+
+class LetterBudgetError(ValueError):
+    """A substitution would push more than MAX_IMAGE_LETTERS letters."""
 
 
 def _coordinate_text(key: int) -> str:
@@ -112,10 +119,6 @@ class Event(Record):
     def out_key(self) -> int:
         return (self.out_side - 1) * SIDE + self.t
 
-    def flipped(self) -> "Event":
-        """The same crossing traversed backwards."""
-        return Event(self.pair, not self.hit_b, self.t)
-
     def with_t(self, t: int) -> "Event":
         return Event(self.pair, self.hit_b, t)
 
@@ -135,26 +138,6 @@ def parse_event_token(token: str, genus: int, t: int) -> Event:
     if not (1 <= pair <= genus):
         raise ValueError(f"crossing token {token!r} out of range for genus {genus}")
     return Event(pair, tok[-1] == "+", t)
-
-
-# -- endpoint order --------------------------------------------------------
-
-
-def _on_arc(lo: int, hi: int, c: int) -> bool:
-    """Is c on the open counterclockwise boundary arc from lo to hi?"""
-    if lo < hi:
-        return lo < c < hi
-    return c > lo or c < hi
-
-
-def _crosses(p: Chord, q: Chord) -> bool:
-    """Do two chords cross?  They do exactly when their endpoints interleave."""
-    for c in p:
-        if c in q:
-            raise DegeneratePositionError(
-                f"two chords share the endpoint coordinate {_coordinate_text(c)}"
-            )
-    return _on_arc(p[0], p[1], q[0]) != _on_arc(p[0], p[1], q[1])
 
 
 # -- spelling --------------------------------------------------------------
@@ -193,7 +176,9 @@ class CurveGeometry:
     """A closed curve realized as chords between its crossing events.
 
     chord k runs from event k's emergence key to event k+1's hit key
-    (indices cyclic), so chord k follows crossing k.
+    (indices cyclic), so chord k follows crossing k.  ``stops`` lists the
+    hit and emergence side of each event in turn, so event k's are
+    ``stops[2k]`` and ``stops[2k + 1]``.
     """
 
     def __init__(self, genus: int, events: Sequence[Event]):
@@ -210,6 +195,9 @@ class CurveGeometry:
         self.chords: list[Chord] = [
             (self.events[k].out_key, self.events[(k + 1) % m].hit_key)
             for k in range(m)
+        ]
+        self.stops: list[int] = [
+            side for ev in self.events for side in (ev.hit_side, ev.out_side)
         ]
         self._self_crossings: int | None = None
 
@@ -255,8 +243,9 @@ def _interleaved(ends: Iterable[int]) -> Iterator[tuple[int, int]]:
 class CrossingTable:
     """Crossing counts among labelled curves, from one sweep over all their
     chord ends.  Keys tie only where chords share an endpoint; ``count(u, v)``
-    raises for those two curves as ``_crosses`` does on the least such pair
-    (u's chord, v's chord), and how ties sort moves no other count."""
+    raises for those two curves, naming the first shared end of the least
+    such pair (u's chord, v's chord), and how ties sort moves no other
+    count."""
 
     def __init__(self, curves: Mapping[Hashable, CurveGeometry]) -> None:
         self._curves = {u: (c, curve.chords) for c, (u, curve) in enumerate(curves.items())}
@@ -285,7 +274,11 @@ class CrossingTable:
         (i, chords_u), (j, chords_v) = self._curves[u], self._curves[v]
         if (i, j) in self._shared:
             ka, kb = min(self._shared[i, j])
-            _crosses(chords_u[ka], chords_v[kb])  # raises: they share an end
+            (tail, head), q = chords_u[ka], chords_v[kb]
+            raise DegeneratePositionError(
+                "two chords share the endpoint coordinate "
+                + _coordinate_text(tail if tail in q else head)
+            )
         return self._counts.get((i, j) if i <= j else (j, i), 0)
 
 
@@ -326,48 +319,35 @@ def _check_twistable(curve: CurveGeometry, arrow: int) -> None:
         )
 
 
-def _crossings_along(chord: Chord, chords: Sequence[Chord]) -> list[tuple[int, int]]:
-    """(index, sign) of each of `chords` that crosses `chord`, in order.
+def _detours(curve: CurveGeometry, arrow: int, key: int, into: bool) -> list[int]:
+    """Side stops of the detours, in order, that twisting along `curve`
+    splices into the based loop's chord from the anchor into `key`, or
+    from `key` out to the anchor.
 
-    `chords` must not cross one another: those that cross `chord` then
-    meet it in the order of their endpoints on the counterclockwise arc
-    from its tail to its head.  The sign is +1 when the crossing chord's
-    head is the endpoint on that arc, i.e. it crosses from the left of
-    `chord` to its right.
+    The anchor lies below every key, so curve chord j, with ends lo < hi,
+    crosses that chord exactly when lo < key < hi.  The curve's chords
+    cross none of one another, so they meet it in the order of their lower
+    ends (into) or of their upper ends (out); sigma is +1 when the end met
+    is chord j's head.  Each crossing adds one lap of the curve's stops,
+    forward from event j + 1 when d = -arrow * (-1)^j * sigma > 0 and
+    backward from event j otherwise.  The (-1)^j tracks the plane-frame
+    reversal at each crosscap passage along the curve (the event count of
+    a two-sided curve is even, so the parity is globally consistent).
+    `key` must be no end of the curve's chords.
     """
-    tail, head = chord
-    hits: list[tuple[bool, int, int, int]] = []
-    for k, q in enumerate(chords):
-        if not _crosses(chord, q):
-            continue
-        sigma = 1 if _on_arc(tail, head, q[1]) else -1
-        end = q[1] if sigma > 0 else q[0]
-        # position of `end` along the arc that starts at `tail`
-        hits.append((end < tail, end, k, sigma))
+    hits: list[tuple[int, int, int]] = []
+    for j, (tail, head) in enumerate(curve.chords):
+        lo, hi = (tail, head) if tail < head else (head, tail)
+        if lo < key < hi:
+            met = lo if into else hi
+            hits.append((met, j, 1 if met == head else -1))
     hits.sort()
-    return [(k, sigma) for _, _, k, sigma in hits]
-
-
-def _detour_sequences(curve: CurveGeometry, arrow: int, chord: Chord) -> list[Event]:
-    """The events of the detours (in order) that twisting along `curve`
-    inserts on one chord.
-
-    Each crossing with curve chord k contributes one full copy of the
-    curve's event cycle; the splice direction is
-      d = -arrow * (-1)^k * sigma,
-    where sigma is the crossing sign from _crossings_along and the
-    (-1)^k tracks the plane-frame reversal at each crosscap passage
-    along the curve (the event count is even for two-sided curves, so
-    the parity is globally consistent).
-    """
-    m = len(curve.events)
-    detours: list[Event] = []
-    for k, sigma in _crossings_along(chord, curve.chords):
-        d = -arrow * (1 if k % 2 == 0 else -1) * sigma
-        if d > 0:
-            detours += [curve.events[(k + 1 + i) % m] for i in range(m)]
-        else:
-            detours += [curve.events[(k - i) % m].flipped() for i in range(m)]
+    stops = curve.stops
+    detours: list[int] = []
+    for _, j, sigma in hits:
+        lap = stops[2 * j + 2 :] + stops[: 2 * j + 2]
+        d = -arrow * (1 if j % 2 == 0 else -1) * sigma
+        detours += lap if d > 0 else lap[::-1]
     return detours
 
 
@@ -375,14 +355,11 @@ def _twisted_loop(curve: CurveGeometry, arrow: int, i: int, tau: int) -> tuple[i
     """Letters of the image, under the twist along `curve`, of the based loop
     through crosscap i: from the anchor it hits side 2i at parameter tau,
     emerges from side 2i - 1 and returns.  The caller has run
-    _check_twistable(curve, arrow)."""
-    loop = Event(i, True, tau)
-    events = [
-        *_detour_sequences(curve, arrow, (_ANCHOR, loop.hit_key)),
-        loop,
-        *_detour_sequences(curve, arrow, (loop.out_key, _ANCHOR)),
-    ]
-    stops = [0, *(side for ev in events for side in (ev.hit_side, ev.out_side)), 0]
+    _check_twistable(curve, arrow), and tau is no parameter of the curve."""
+    hit, out = (2 * i - 1) * SIDE + tau, (2 * i - 2) * SIDE + tau
+    # the vertex, as a stop, has no marker below it
+    stops = [0, *_detours(curve, arrow, hit, True), 2 * i, 2 * i - 1]
+    stops += [*_detours(curve, arrow, out, False), 0]
     return tuple(_walk_letters(zip(stops[::2], stops[1::2])))
 
 
@@ -407,12 +384,10 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     forbidden = curve.params()
     # the based loop through crosscap i crosses its pair at parameter taus[i-1]
     taus = [fresh_params(1, forbidden)[0] for _ in range(genus)]
-    # The loop runs along the chords (anchor, hit key) and (out key,
-    # anchor), and the anchor lies below every key, so a curve chord
-    # crosses the one through key k exactly when its lower end is below
-    # k and its upper end above: there are bisect(lows, k) - bisect(highs,
-    # k) such chords.  A loop that no chord crosses picks up no detour.
-    # The loop through crosscap i hits side 2i and leaves from side 2i - 1.
+    # A curve chord meets the loop's chord through key k exactly when
+    # lo < k < hi (see _detours), so bisect(lows, k) - bisect(highs, k)
+    # chords do, and a loop that none meets picks up no detour.  The loop
+    # through crosscap i hits side 2i and leaves from side 2i - 1.
     lows = sorted(min(chord) for chord in curve.chords)
     highs = sorted(max(chord) for chord in curve.chords)
     images: list[Word] = []
@@ -449,12 +424,16 @@ def apply_images(images: Sequence[Word], word: Word) -> Word:
     image per generator, or when an image it substitutes has another
     genus than the word.  Images the word does not use are not checked,
     so a short word costs no O(g) pass; ``Automorphism`` checks all of
-    its images once, when it is built.
+    its images once, when it is built.  Raises LetterBudgetError when the
+    images the word uses add up to more than ``MAX_IMAGE_LETTERS`` letters:
+    each is counted before its letters are pushed, so no list past the
+    bound is built.
     """
     genus = word.genus
     if len(images) != genus:
         raise ValueError(f"cannot apply {len(images)} images to a word of genus {genus}")
     table: dict[int, tuple[int, ...]] = {}
+    pushed = 0
     out: list[int] = []
     push, pop = out.append, out.pop
     for s in word:
@@ -468,6 +447,12 @@ def apply_images(images: Sequence[Word], word: Word) -> Word:
             base = image.letters
             img = base if s > 0 else tuple(-t for t in reversed(base))
             table[s] = img
+        pushed += len(img)
+        if pushed > MAX_IMAGE_LETTERS:
+            raise LetterBudgetError(
+                f"substituting into a word of {len(word)} letters pushes more than "
+                f"MAX_IMAGE_LETTERS = {MAX_IMAGE_LETTERS} letters"
+            )
         for t in img:
             if out and out[-1] == -t:
                 pop()

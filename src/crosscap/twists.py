@@ -21,7 +21,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Mapping, Sequence
 
-from crosscap.polygon import DegeneratePositionError, apply_images, twist_images
+from crosscap import polygon
+from crosscap.polygon import DegeneratePositionError, LetterBudgetError, apply_images, twist_images
 from crosscap.surface import (
     CheckResult,
     Registry,
@@ -311,13 +312,23 @@ def evaluate(
     generators: Mapping[str, TwistGenerator],
     genus: int,
 ) -> Automorphism:
-    """Evaluate a generator expression; the leftmost factor acts last."""
+    """Evaluate a generator expression; the leftmost factor acts last.
+
+    Raises LetterBudgetError, naming the factor count, when an image
+    would grow past ``MAX_IMAGE_LETTERS`` letters.
+    """
     if isinstance(expression, str):
         expression = parse_expression(expression, generators.keys())
     acc = Automorphism.identity(genus)
-    for name, exp in expression:
-        gen = generators[name]
-        acc = acc.after(gen.auto if exp > 0 else gen.inverse)
+    try:
+        for name, exp in expression:
+            gen = generators[name]
+            acc = acc.after(gen.auto if exp > 0 else gen.inverse)
+    except LetterBudgetError as exc:
+        raise LetterBudgetError(
+            f"the images of an expression of {len(expression)} factors grow past "
+            f"the bound MAX_IMAGE_LETTERS = {polygon.MAX_IMAGE_LETTERS} letters"
+        ) from exc
     return acc
 
 

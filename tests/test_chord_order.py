@@ -1,13 +1,14 @@
 """The order-based chord tests agree with exact rational circle geometry.
 
-The twist engine decides crossings, their order along a chord and
-their signs from the cyclic order of endpoint keys alone, and the cut
-complex decides its crossings the same way.  This module keeps an exact
+The arc tests of ``arc_reference`` decide crossings, their order along
+a chord and their signs from the cyclic order of endpoint keys alone;
+the twist engine's ``_detours`` decides them by key containment, for a
+based loop's chords from the anchor.  This module keeps an exact
 rational reference: random keys are read as the boundary coordinates
 ``key / SIDE`` and placed on the unit circle as rational points, and
 each answer is checked against the segment crossing parameter and the
 determinant sign computed there.  The endpoint sweep of
-``CrossingTable`` is checked against ``_crosses`` on every chord pair,
+``CrossingTable`` is checked against ``crosses`` on every chord pair,
 and through it against the same reference.
 """
 
@@ -21,16 +22,24 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from crosscap.polygon import (  # noqa: E402
-    _ANCHOR,
     SIDE,
     CrossingTable,
     CurveGeometry,
     DegeneratePositionError,
     Event,
-    _crosses,
-    _crossings_along,
+    _detours,
     crossing_count,
 )
+
+from arc_reference import (  # noqa: E402
+    ANCHOR,
+    anchor_detours,
+    crosses,
+    crossings_along,
+    detour_events,
+    side_stops,
+)
+from test_shortcuts import random_curves, registered_curves  # noqa: E402
 
 Point = tuple[Fraction, Fraction]
 
@@ -196,7 +205,7 @@ def non_crossing(values, flips):
     for i, flip in enumerate(flips):
         chord = (values[2 * i], values[2 * i + 1])
         chord = chord[::-1] if flip else chord
-        if not any(_crosses(chord, kept) for kept in chords):
+        if not any(crosses(chord, kept) for kept in chords):
             chords.append(chord)
     return chords
 
@@ -206,8 +215,8 @@ def non_crossing(values, flips):
 def test_interleaving_is_the_rational_crossing_test(drawn):
     genus, (a, b, c, d) = drawn
     p, q = (a, b), (c, d)
-    assert _crosses(p, q) == (rational_crossing(genus, p, q) is not None)
-    assert _crosses(p, q) == _crosses(q, p)
+    assert crosses(p, q) == (rational_crossing(genus, p, q) is not None)
+    assert crosses(p, q) == crosses(q, p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -217,7 +226,7 @@ def test_a_shared_endpoint_is_degenerate_in_both_tests(drawn, which):
     p = (a, b)
     q = [(a, c), (c, a), (b, c), (c, b)][which]
     with pytest.raises(DegeneratePositionError):
-        _crosses(p, q)
+        crosses(p, q)
     with pytest.raises(DegeneratePositionError):
         rational_crossing(genus, p, q)
 
@@ -231,22 +240,40 @@ def test_order_and_sign_along_a_chord_match_the_rational_ones(drawn, flips):
     genus, values = drawn
     target = (values[0], values[1])
     chords = non_crossing(values[2:], flips)
-    assert _crossings_along(target, chords) == rational_order(genus, target, chords)
+    assert crossings_along(target, chords) == rational_order(genus, target, chords)
+
+
+@st.composite
+def twisting_curves(draw):
+    """A random embedded two-sided curve at genus 2-7, or a registered
+    curve at genus 4-9, and a key that is no end of its chords."""
+    registered = st.integers(4, 9).flatmap(lambda g: st.sampled_from(registered_curves(g)))
+    curve = draw(st.one_of(random_curves(), registered))
+    assume(curve.self_crossing_count() == 0)
+    key = draw(st.integers(1, (2 * curve.genus + 1) * SIDE - 1))
+    assume(all(key not in chord for chord in curve.chords))
+    return curve, key
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    keys(13),
-    st.lists(st.booleans(), min_size=6, max_size=6),
-)
+@given(twisting_curves(), st.sampled_from([1, -1]), st.booleans())
 def test_order_and_sign_along_a_chord_from_the_anchor_match_the_rational_ones(
-    drawn, flips
+    drawn, arrow, into
 ):
     # a based loop's first and last chords run from and to the anchor
-    genus, values = drawn
-    chords = non_crossing(values[1:], flips)
-    for target in ((_ANCHOR, values[0]), (values[0], _ANCHOR)):
-        assert _crossings_along(target, chords) == rational_order(genus, target, chords)
+    curve, key = drawn
+    target = (ANCHOR, key) if into else (key, ANCHOR)
+    crossings = rational_order(curve.genus, target, curve.chords)
+    want = side_stops(detour_events(curve, arrow, crossings))
+    assert _detours(curve, arrow, key, into) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(twisting_curves(), st.sampled_from([1, -1]), st.booleans())
+def test_detours_are_the_reference_detours(drawn, arrow, into):
+    # key containment finds the detours that the arc order finds
+    curve, key = drawn
+    assert _detours(curve, arrow, key, into) == anchor_detours(curve, arrow, key, into)
 
 
 # -- curves against the reference -----------------------------------------------
@@ -316,11 +343,11 @@ def _text(f, *args):
 
 
 def _pair_tests(genus, a, b, same):
-    """The count of _crosses over every chord pair of a and b (of a alone
+    """The count of crosses over every chord pair of a and b (of a alone
     when same), checked against the rational count, or the text of the
     DegeneratePositionError it raises."""
     pairs = list(combinations(a.chords, 2) if same else product(a.chords, b.chords))
-    count = _text(sum, (_crosses(p, q) for p, q in pairs))
+    count = _text(sum, (crosses(p, q) for p, q in pairs))
     if isinstance(count, int):
         assert count == rational_count(genus, pairs)
     return count

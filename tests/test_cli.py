@@ -128,6 +128,46 @@ def test_flipped_zeta_arrow_in_a_registry_fails_the_key_conjugation(tmp_path, ca
     assert "note:" not in err
 
 
+@pytest.mark.parametrize(
+    "dropped, fault",
+    [
+        ("zeta", "curve zeta is not registered; registered: alpha_1, alpha_2, "
+                 "alpha_3, alpha_4, beta, gamma, epsilon, psi"),
+        ("beta", "token 3: unknown generator 'b' (available: a1, a2, a3, a4, c, e, f, y2)"),
+        ("epsilon", "curve epsilon is not registered; registered: alpha_1, alpha_2, "
+                    "alpha_3, alpha_4, beta, gamma, zeta, psi"),
+        ("alpha_3", "token 1: unknown generator 'a3' (available: a1, a2, a4, b, c, e, f, y2)"),
+    ],
+)
+def test_a_registry_without_a_key_conjugation_curve_fails_that_stage(
+    tmp_path, capsys, dropped, fault
+):
+    # the stages before the key conjugation still report, and the missing
+    # curve or generator is a FAIL there, not a bare error
+    text = registry_text(standard_registry(SurfaceSpec(5, 1)))
+    lines = [line for line in text.splitlines() if not line.startswith(f"{dropped} |")]
+    path = tmp_path / "registry.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["verify-theorem", "--genus", "5", "--n", "1", "--registry", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    rows = out.splitlines()
+    assert rows[0].startswith("[PASS] registry-validation: 8 curves, ")
+    assert rows[1].startswith("[PASS] twist-suite: ")
+    assert rows[2:] == [
+        f"[FAIL] key-conjugation: {fault}",
+        "verify-theorem: FAIL at stage key-conjugation (genus 5, n 1)",
+    ]
+    code, out, err = run(capsys, *argv, "--format", "structured")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "stage=registry-validation status=PASS",
+        "stage=twist-suite status=PASS",
+        "stage=key-conjugation status=FAIL",
+        "result=FAIL",
+    ]
+
+
 def epsilon_with_crossing_chords(tmp_path):
     """A genus-4 registry file whose epsilon cannot be twisted: this
     ordering of its crossings gives chords that cross."""
@@ -383,6 +423,22 @@ def test_relation_parse_errors_exit_two(capsys):
     code, _, err = run(capsys, "relation", "--genus", "4", "a1", "q7 a1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("command", ["relation", "apply-curve", "homology"])
+def test_an_expression_past_the_letter_budget_exits_two(capsys, monkeypatch, command):
+    from crosscap import polygon
+
+    # the twists themselves stay well inside it; the expression needs 3,289
+    monkeypatch.setattr(polygon, "MAX_IMAGE_LETTERS", 3288)
+    expression = "a1 b a2 e^-1 f a3 b^-1 e"
+    tail = {"relation": ["a1"], "apply-curve": ["alpha_1"], "homology": []}[command]
+    code, out, err = run(capsys, command, "--genus", "4", "--n", "1", expression, *tail)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the images of an expression of 8 factors grow past the bound "
+        "MAX_IMAGE_LETTERS = 3288 letters\n"
+    )
 
 
 # -- apply-curve and homology ---------------------------------------------

@@ -19,7 +19,6 @@ from crosscap.polygon import (
     CurveGeometry,
     DegeneratePositionError,
     Event,
-    _crosses,
     crossing_count,
     spell_cyclic,
 )
@@ -30,6 +29,8 @@ from crosscap.surface import (
     standard_registry,
     x0_names,
 )
+
+from arc_reference import crosses, flipped
 
 
 def registry(genus, boundary=1):
@@ -252,11 +253,11 @@ def test_random_curve_systems_cut_consistently():
         parts = cut(spec, curves)
         assert sum(chi for _, chi, _, _ in parts) == 2 - spec.genus - spec.boundary
         chords = [c for evs in curves for c in CurveGeometry(spec.genus, evs).chords]
-        crossings = sum(_crosses(p, q) for p, q in combinations(chords, 2))
+        crossings = sum(crosses(p, q) for p, q in combinations(chords, 2))
         ribbons = [chi for kind, chi, _, _ in parts if kind == "neighbourhood"]
         assert sum(ribbons) == -crossings
         assert cut(spec, curves[::-1]) == parts
-        backwards = [[ev.flipped() for ev in reversed(evs)] for evs in curves]
+        backwards = [[flipped(ev) for ev in reversed(evs)] for evs in curves]
         assert cut(spec, backwards) == parts
 
     check()
@@ -278,7 +279,7 @@ def test_the_endpoint_sweep_reports_every_crossing_pair_once():
         pairs = {
             frozenset((i, j))
             for i, j in combinations(range(len(chords)), 2)
-            if _crosses(chords[i], chords[j])
+            if crosses(chords[i], chords[j])
         }
         assert len(set(swept)) == len(swept)
         assert set(swept) == pairs

@@ -9,7 +9,7 @@ from crosscap.polygon import (
     DegeneratePositionError,
     Event,
     _check_twistable,
-    _detour_sequences,
+    _detours,
     _twisted_loop,
     apply_images,
     crossing_count,
@@ -19,6 +19,8 @@ from crosscap.polygon import (
 )
 from crosscap.surface import _grid as grid
 from crosscap.words import CyclicWord, Word, boundary_word
+
+from arc_reference import anchor_detours, detour_sequences, flipped
 
 
 def w(text, genus):
@@ -47,7 +49,7 @@ def twist_cyclic(curve, arrow, target):
     _check_twistable(curve, arrow)
     events = []
     for ev, chord in zip(target.events, target.chords):
-        events += [ev, *_detour_sequences(curve, arrow, chord)]
+        events += [ev, *detour_sequences(curve, arrow, chord)]
     return events
 
 
@@ -75,8 +77,9 @@ def test_event_validation():
     ev = Event(2, True, grid(1, 3))
     assert ev.hit_side == 4 and ev.out_side == 3
     assert ev.hit_key == 3 * SIDE + grid(1, 3) and ev.out_key == 2 * SIDE + grid(1, 3)
-    assert ev.flipped() == Event(2, False, grid(1, 3))
-    assert ev.token() == "A2+" and ev.flipped().token() == "A2-"
+    assert flipped(ev) == Event(2, False, grid(1, 3))
+    assert ev.token() == "A2+" and flipped(ev).token() == "A2-"
+    assert alpha(2, 1).stops == [2, 1, 4, 3]
 
 
 # -- spelling ---------------------------------------------------------------
@@ -220,6 +223,27 @@ def test_refresh_events_preserves_class():
     assert CyclicWord.of(spelled(d)) == CyclicWord.of(spelled(c))
 
 
+# -- the twist engine: detours by key containment --------------------------
+
+
+@pytest.mark.parametrize("genus", range(4, 10))
+def test_detours_on_every_registered_curve_are_the_reference_detours(genus):
+    """On every registered curve at genus 4-9, with either arrow, into a key
+    or out of it, the detours found by key containment are those of the arc
+    order.  Detours change only where a key passes a chord end, so a key just
+    above each end, and one below them all, meets every case there is."""
+    from test_shortcuts import registered_curves
+
+    for curve in registered_curves(genus):
+        ends = {end for chord in curve.chords for end in chord}
+        keys = ({min(ends) - 1} | {end + 1 for end in ends}) - ends
+        for key in sorted(keys):
+            for arrow in (1, -1):
+                for into in (True, False):
+                    want = anchor_detours(curve, arrow, key, into)
+                    assert _detours(curve, arrow, key, into) == want
+
+
 # -- the twist engine: exact images -----------------------------------------
 
 
@@ -248,6 +272,26 @@ def test_apply_images_checks_each_image_it_substitutes():
     with pytest.raises(ValueError, match="images of genus 3 to a word of genus 2"):
         apply_images(images, w("x1 x2^-1", 2))
     assert apply_images(images, w("x1^-1 x1^-1", 2)) == w("x1^-1 x1^-1", 2)
+
+
+def test_apply_images_pushes_no_letter_past_the_budget(monkeypatch):
+    """Each image a word uses is counted before its letters are pushed: a
+    word whose images add up to the bound substitutes, one letter more
+    fails."""
+    from crosscap import polygon
+
+    images = [w("x1 x2", 2), w("x2 x2 x2", 2)]
+    word = w("x1 x2^-1 x1", 2)  # pushes 2 + 3 + 2 letters
+    monkeypatch.setattr(polygon, "MAX_IMAGE_LETTERS", 7)
+    assert apply_images(images, word) == w("x1 x2^-2 x1 x2", 2)
+    monkeypatch.setattr(polygon, "MAX_IMAGE_LETTERS", 6)
+    text = (
+        "substituting into a word of 3 letters pushes more than "
+        "MAX_IMAGE_LETTERS = 6 letters"
+    )
+    with pytest.raises(polygon.LetterBudgetError) as exc:
+        apply_images(images, word)
+    assert str(exc.value) == text
 
 
 def test_twists_fix_the_boundary_word():

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from crosscap import twists
-from crosscap.polygon import DegeneratePositionError, _crosses, apply_images, twist_images
+from crosscap.polygon import DegeneratePositionError, apply_images, twist_images
 from crosscap.surface import (
     CheckResult,
     SurfaceSpec,
@@ -39,6 +39,8 @@ from crosscap.twists import (
     _reach,
 )
 from crosscap.words import CyclicWord, Word
+
+from arc_reference import crosses
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +149,25 @@ def test_evaluate_cancels_inverses(world4):
     assert equal(evaluate("a1 a1^-1", gens, 4), Automorphism.identity(4))
 
 
+def test_evaluate_names_the_factor_count_past_the_letter_budget(world4, monkeypatch):
+    # the 8 factors push at most 3,289 letters in one substitution and
+    # build images of 449, 487, 231 and 435 letters
+    from crosscap import polygon
+
+    _, gens = world4
+    expression = "a1 b a2 e^-1 f a3 b^-1 e"
+    whole = evaluate(expression, gens, 4)
+    monkeypatch.setattr(polygon, "MAX_IMAGE_LETTERS", 3289)
+    assert equal(evaluate(expression, gens, 4), whole)
+    monkeypatch.setattr(polygon, "MAX_IMAGE_LETTERS", 3288)
+    with pytest.raises(polygon.LetterBudgetError) as exc:
+        evaluate(expression, gens, 4)
+    assert str(exc.value) == (
+        "the images of an expression of 8 factors grow past the bound "
+        "MAX_IMAGE_LETTERS = 3288 letters"
+    )
+
+
 def test_braid_relation_as_expressions(world4):
     _, gens = world4
     lhs = evaluate("a1 a2 a1", gens, 4)
@@ -223,7 +244,7 @@ def test_relation_suite_braids_chain_with_beta_from_genus_five():
 
 
 def dense_relation_suite(registry, generators):
-    """relation_suite with no shortcut: each pair's crossings from _crosses
+    """relation_suite with no shortcut: each pair's crossings from crosses
     on every chord pair, and each relation decided by composing whole maps."""
     results = []
     pairs = [(f"a{i}", f"a{i + 1}") for i in range(1, registry.spec.genus - 1)]
@@ -239,7 +260,7 @@ def dense_relation_suite(registry, generators):
         for b in names[i + 1 :]:
             chords = product(registry.geometry(a).chords, registry.geometry(b).chords)
             try:
-                if sum(_crosses(u, v) for u, v in chords):
+                if sum(crosses(u, v) for u, v in chords):
                     continue
             except DegeneratePositionError as exc:
                 results.append(CheckResult("commute", f"{a}~{b}", False, f"degenerate: {exc}"))
