@@ -7,7 +7,8 @@
   the key conjugation, the generation certificate for ``f``, optional
   extra certificates, and homology smoke tests.  Exit 0 iff every
   mandatory stage passes.
-* ``relation`` - compare two twist expressions (EQUAL/UNEQUAL).
+* ``relation`` - compare two twist expressions (EQUAL/UNEQUAL; on a
+  closed surface an UNEQUAL is only known for the bordered model).
 * ``apply-curve`` - image of a registered curve under an expression.
 * ``homology`` - the integral matrix an expression induces.
 * ``complement`` - cut the surface along registered curves.
@@ -221,7 +222,7 @@ def _load_registry(args) -> Registry:
     if text is None:
         return standard_registry(spec)
     try:
-        return parse_registry(spec, text)
+        return parse_registry(spec, text, lambda line: print(f"note: {line}", file=sys.stderr))
     except RegistryFormatError as exc:
         raise _WorldError(f"registry: {exc}") from exc
 
@@ -248,6 +249,17 @@ def _note_boundary_model(args) -> None:
         print(
             "note: twists act on the bordered model; closing the surface caps "
             "the free side with a disk and does not change any identity below",
+            file=sys.stderr,
+        )
+
+
+def _note_bordered_answer(args) -> None:
+    # An answer on N_{g,1} maps to N_g, where x1^2...xg^2 = 1 as well.
+    if args.n == 0:
+        g = args.genus
+        print(
+            f"note: answered on the bordered model N_{{{g},1}}; on the closed "
+            f"N_{g} read it modulo x1^2...x{g}^2 = 1",
             file=sys.stderr,
         )
 
@@ -421,6 +433,16 @@ def _cmd_relation(args) -> int:
         print("result=EQUAL" if args.fmt == "structured" else "EQUAL")
         return 0
     where = first_difference(lhs, rhs)
+    if args.n == 0:
+        # Equal twists on the bordered model stay equal once it is capped,
+        # but unequal ones may become equal: the twist about gamma, which
+        # bounds the first four crosscaps, is trivial on N_4.
+        g = args.genus
+        if args.fmt == "structured":
+            print(f"result=UNDECIDED bordered=UNEQUAL first_difference={where}")
+        else:
+            print(f"UNEQUAL on N_{{{g},1}} (images first differ at {where}); undecided on N_{g}")
+        return 3
     if args.fmt == "structured":
         print(f"result=UNEQUAL first_difference={where}")
     else:
@@ -432,6 +454,7 @@ def _cmd_apply_curve(args) -> int:
     registry = _load_registry(args)
     generators = _load_generators(registry)
     image = apply_to_curve(registry, generators, args.expression, args.curve)
+    _note_bordered_answer(args)
     if args.fmt == "structured":
         print(f"class={_spelled(image.letters, ',')}")
     else:
@@ -444,6 +467,7 @@ def _cmd_homology(args) -> int:
     generators = _load_generators(registry)
     auto = evaluate(args.expression, generators, args.genus)
     matrix = abelianize(auto)
+    _note_bordered_answer(args)
     if args.fmt == "structured":
         print(f"matrix={matrix.structured()}")
     else:

@@ -18,7 +18,7 @@ Everything is computed from the order of the chord endpoints on the
 boundary, with no points: each chord is drawn along the boundary
 interval between its ends, so which chords cross, where the crossings
 sit along each chord and the rotation at every vertex are comparisons
-of endpoint positions and integer ranks.  The complex reads each
+of endpoint positions and integer keys.  The complex reads each
 curve's chords as ``polygon`` keys them, and polygon corner ``c`` gets
 the key ``c * SIDE``, so keys sort as the coordinates do.  The crossing
 pairs come from one sweep over the endpoints in key order (Bentley and
@@ -26,30 +26,33 @@ Ottmann, IEEE Trans. Comput. C-28, 1979): when a chord closes, the
 chords that opened after it and are still open are exactly those that
 cross it, so no pair of chords is tested.
 
-Every object of the complex is a dense integer id: vertices, half-edges
-``0..2E-1`` (``h ^ 1`` reverses ``h``), faces ``0..F-1``, curves,
-crossings and strand ends.  The capping disk of a closed surface is one
-more face, ``F``, with one slot, ``2E``.  Tables are lists indexed by
-id.
+Every object of the complex is a dense integer id: vertices, half-edges,
+faces ``0..F-1``, curves, crossings and strand ends.  The capping disk
+of a closed surface is one more face, ``F``, with one slot, the id after
+the last half-edge.  Tables are lists indexed by id.
 
 * The ``K`` boundary vertices, polygon corners and chord ends, are
   numbered ``0..K-1`` in key order, so arc ``e`` runs from vertex ``e``
   to ``e + 1`` (the last one, back to vertex 0, is the free side).
-* Half-edges ``2e`` and ``2e + 1`` are arc ``e`` counterclockwise and
-  clockwise; the chords' segments follow, so a half-edge is a chord
-  side exactly when it is at least ``2K``.
+* The ``S`` chord segments come first, as half-edges ``0..2S-1``, where
+  ``h ^ 1`` reverses ``h``.  Each boundary arc is one half-edge, arc
+  ``e`` being ``2S + e``, counterclockwise: its clockwise twin would
+  only bound the outer face, which nothing reads.  So a half-edge is a
+  chord side exactly when it is below ``2S``.
 * Faces are the orbits of the rotation at each vertex composed with
-  ``h ^ 1`` (Lando and Zvonkin, *Graphs on Surfaces and Their
+  reversal (Lando and Zvonkin, *Graphs on Surfaces and Their
   Applications*, 2004).  The rotation at a boundary vertex is always
-  counterclockwise arc, chord, clockwise arc, and the one at a crossing
-  is the key order of the four chord ends, which the sweep knows; so
-  every face successor is written down directly and nothing is sorted.
-  The clockwise arcs make up the outer face.
-* The side gluings pair the counterclockwise arcs of two sides in key
-  order (the two copies of a crosscap side are subdivided at identical
-  parameters, one per crossing event).  So the slots of the interior
-  faces, and which of them stay unpaired as cut boundary, are known by
-  construction.
+  arc ahead, chord, arc back, and the one at a crossing is the key order
+  of the four chord ends, which the sweep knows; so every face
+  successor is written down directly and nothing is sorted.  The walk
+  finds only the faces inside the circle, and the drawing there is a
+  disk: with ``V = K + X`` vertices and ``E = K + C + 2X`` edges for
+  ``C`` chords and ``X`` crossings, there must be ``1 + C + X`` faces,
+  a count that any two swapped successors change.
+* The side gluings pair the arcs of two sides in key order (the two
+  copies of a crosscap side are subdivided at identical parameters, one
+  per crossing event).  So the slots of the faces, and which of them
+  stay unpaired as cut boundary, are known by construction.
 
 One walk over a successor list (``_orbits``) numbers the faces, and
 another counts the boundary cycles of the curves' neighbourhood on a
@@ -58,11 +61,12 @@ strand table indexed by ring place.  A union-find with a Z/2 weight
 strands of the curves between them, into ribbons, telling the
 orientability of each.  A corner has at most two gluings, so the corner
 classes are paths along the cut boundary and cycles, and walking them
-counts vertices and boundary circles.  A table whose entries come in id
-order is built whole, by a comprehension, a slice or a sort by a key
-list; only scattered entries are written one at a time.  The complex
-counts each piece as a plain tuple, and ``cut_along`` sorts them and
-makes one record per distinct piece.
+counts vertices and boundary circles; only polygon corners and the cap
+lie off the cut boundary, so only they can close a cycle.  A table
+whose entries come in id order is built whole, by a comprehension, a
+slice or a sort by a key list; only scattered entries are written one at
+a time.  The complex counts each piece as a plain tuple, and
+``cut_along`` sorts them and makes one record per distinct piece.
 """
 
 from __future__ import annotations
@@ -182,31 +186,33 @@ class _UnionFind:
                 up = parent[x] = parent[up]
         return parent[:]
 
-    def union(self, a: int, b: int, parity: int = 0) -> None:
-        # the two finds, inlined: this is the complex's innermost loop
-        parent, weight = self.parent, self.parity
-        pa = 0
-        while parent[a] != a:
-            up = parent[a]
-            weight[a] ^= weight[up]
-            pa ^= weight[a]
-            parent[a] = up = parent[up]
-            a = up
-        pb = 0
-        while parent[b] != b:
-            up = parent[b]
-            weight[b] ^= weight[up]
-            pb ^= weight[b]
-            parent[b] = up = parent[up]
-            b = up
-        if a == b:
-            if pa ^ pb != parity:
-                self.bad[a] = True
-            return
-        parent[b] = a
-        weight[b] = pa ^ pb ^ parity
-        if self.bad[b]:
-            self.bad[a] = True
+    def join(self, links: Iterable[tuple[int, int, int]]) -> None:
+        """Join a and b, b at parity p to a, for each (a, b, p) of ``links``."""
+        parent, weight, bad = self.parent, self.parity, self.bad
+        for a, b, parity in links:
+            # the two finds, inlined: this is the complex's innermost loop
+            pa = 0
+            while parent[a] != a:
+                up = parent[a]
+                weight[a] ^= weight[up]
+                pa ^= weight[a]
+                parent[a] = up = parent[up]
+                a = up
+            pb = 0
+            while parent[b] != b:
+                up = parent[b]
+                weight[b] ^= weight[up]
+                pb ^= weight[b]
+                parent[b] = up = parent[up]
+                b = up
+            if a == b:
+                if pa ^ pb != parity:
+                    bad[a] = True
+                continue
+            parent[b] = a
+            weight[b] = pa ^ pb ^ parity
+            if bad[b]:
+                bad[a] = True
 
 
 def _orbits(step: list[int]) -> tuple[list[int], list[int]]:
@@ -216,19 +222,21 @@ def _orbits(step: list[int]) -> tuple[list[int], list[int]]:
     Cycles are numbered in the order of their least states, and each
     walk starts there.
     """
-    n = len(step)
-    orbit_of = [-1] * n
+    orbit_of = [-1] * len(step)
     firsts: list[int] = []
-    for start in range(n):
-        if orbit_of[start] < 0:
-            o, state = len(firsts), start
-            firsts.append(start)
-            while orbit_of[state] < 0:
-                orbit_of[state] = o
-                state = step[state]
-            if state != start:
-                raise RuntimeError("walk did not close; rotation is corrupt")
-    return orbit_of, firsts
+    start = 0
+    while True:
+        try:  # the next walk starts at the least state still unvisited
+            start = state = orbit_of.index(-1, start)
+        except ValueError:
+            return orbit_of, firsts
+        o = len(firsts)
+        firsts.append(start)
+        while orbit_of[state] < 0:
+            orbit_of[state] = o
+            state = step[state]
+        if state != start:
+            raise RuntimeError("walk did not close; rotation is corrupt")
 
 
 class _CutComplex:
@@ -296,26 +304,26 @@ class _CutComplex:
         # chords run shallower, so nested or disjoint intervals never
         # meet, and chords whose ends interleave cross exactly once,
         # where the deeper one's end inside the shallower one's interval
-        # comes down through it.  Depth ranks the intervals by their key
-        # length: keys keep strict nesting, and no two endpoints share a
-        # key, which is all the drawing needs.  A crossing's place on a
-        # chord is the key (0, depth) on the way down, (1, x) along and
-        # (2, -depth) on the way up, counted from the lower end.
+        # comes down through it.  Depth orders the intervals by their key
+        # length, then lower end: keys keep strict nesting, and no two
+        # endpoints share a key, which is all the drawing needs.  A
+        # crossing's place on a chord, counted from the lower end, is one
+        # integer: depth on the way down, along + x along and up - depth on
+        # the way up, each range above the one before.
         n_chords = len(self.chords)
         tail_above = [tail > head for _, _, tail, head in self.chords]
         spans = [  # (lower, upper)
             (head, tail) if above else (tail, head)
             for (_, _, tail, head), above in zip(self.chords, tail_above)
         ]
-        lengths = [(upper - lower, lower) for lower, upper in spans]
-        depth = [0] * n_chords
-        for r, i in enumerate(sorted(range(n_chords), key=lengths.__getitem__)):
-            depth[i] = r
+        m = self.coords[-1] + 1  # above every key
+        depth = [(upper - lower) * m + lower for lower, upper in spans]
+        along, up = m * m, 2 * m * m + m
         # per chord, (key on the chord, ring place) of each crossing on
         # it, sorted from tail to head once the sweep is done
-        self.splits: list[list[tuple[tuple, int]]] = [[] for _ in range(n_chords)]
+        self.splits: list[list[tuple[int, int]]] = [[] for _ in range(n_chords)]
         # (chord a, key on a, chord b, key on b), a the chord that closes first
-        self.crossings: list[tuple[int, tuple, int, tuple]] = []
+        self.crossings: list[tuple[int, int, int, int]] = []
         # one sweep finds the crossings; no two of the 2C ends share a key
         end_keys = [key for span in spans for key in span]  # end e is chord e >> 1's
         for a, b in _interleaved(sorted(range(2 * n_chords), key=end_keys.__getitem__)):
@@ -323,9 +331,9 @@ class _CutComplex:
             # inside the shallower one's interval is b's lower end or a's
             # upper end
             if depth[a] < depth[b]:
-                key_a, key_b = (1, spans[b][0]), (0, depth[a])
+                key_a, key_b = along + spans[b][0], depth[a]
             else:
-                key_a, key_b = (2, -depth[b]), (1, spans[a][1])
+                key_a, key_b = up - depth[b], along + spans[a][1]
             # The four half-edges leaving crossing r head for a's lower
             # end, b's lower end, a's upper end and b's upper end: that is
             # the key order of those ends, so it is the rotation at r, and
@@ -343,31 +351,31 @@ class _CutComplex:
 
     def _build_faces(self) -> None:
         # The face after half-edge h into vertex x leaves x just before
-        # h's reverse in the rotation at x.  So a ccw arc into x goes on
-        # along x's chord, or along arc 2x at a corner; a chord into x
-        # goes on along 2x; a cw arc goes on along the cw arc before it;
-        # and at a crossing, the ring place before.  Chord segments are
-        # numbered chord by chord from the tail, 2s towards the head.
+        # h's reverse in the rotation at x.  So an arc into x goes on
+        # along x's chord, or along arc x at a corner; a chord into x goes
+        # on along arc x; and at a crossing, the ring place before.  Chord
+        # segments are numbered chord by chord from the tail, 2s towards
+        # the head.
         K = len(self.coords)
         vertex_of = self.vertex_of
-        succ = [0] * (2 * (K + len(self.chords) + 2 * len(self.crossings)))
-        after_ccw = list(range(0, 2 * K, 2))  # after a ccw arc into each vertex
+        first_arc = self.first_arc = 2 * (len(self.chords) + 2 * len(self.crossings))
+        succ = [0] * (first_arc + K)
+        after_arc = list(range(first_arc, first_arc + K))  # after the arc into each vertex
         ring = [0] * (4 * len(self.crossings))
-        h = 2 * K
+        h = 0
         for (_, _, tail, head), splits in zip(self.chords, self.splits):
             x = vertex_of[tail]
-            after_ccw[x] = h
-            succ[h + 1] = 2 * x
+            after_arc[x] = h
+            succ[h + 1] = first_arc + x
             for _, place in splits:
                 ring[place ^ 2] = h + 1
                 h += 2
                 ring[place] = h
             x = vertex_of[head]
-            after_ccw[x] = h + 1
-            succ[h] = 2 * x
+            after_arc[x] = h + 1
+            succ[h] = first_arc + x
             h += 2
-        succ[0 : 2 * K : 2] = after_ccw[1:] + after_ccw[:1]
-        succ[1 : 2 * K : 2] = [2 * K - 1, *range(1, 2 * K - 2, 2)]
+        succ[first_arc:] = after_arc[1:] + after_arc[:1]
         for c in range(0, len(ring), 4):
             r0, r1, r2, r3 = ring[c : c + 4]
             succ[r0 ^ 1] = r3
@@ -379,10 +387,13 @@ class _CutComplex:
     def _number_faces(self) -> None:
         self.face_of, firsts = _orbits(self.next_he)
         self.n_faces = len(firsts)
-        # the outer face walks the circle clockwise
-        self.outer = self.face_of[1]
-        if self.face_of.count(self.outer) != len(self.coords):
-            raise RuntimeError("outer face is not the full clockwise circle")
+        # The drawing is a disk: V = K + X vertices, E = K + C + 2X edges
+        # and F faces inside the circle make V - E + F = 1.
+        disk_faces = 1 + len(self.chords) + len(self.crossings)
+        if self.n_faces != disk_faces:
+            raise RuntimeError(
+                f"the faces do not tile a disk ({self.n_faces} faces, {disk_faces} expected)"
+            )
 
     # -- gluing ----------------------------------------------------------
 
@@ -390,8 +401,8 @@ class _CutComplex:
         # Side s is cut into the arcs from corner s - 1 to corner s, in
         # key order.  Both copies of a side carry the same parameters, so
         # their arcs match one to one; glued_a[i] and glued_b[i] are the
-        # counterclockwise slots of one matched pair.
-        coords, vertex_of = self.coords, self.vertex_of
+        # slots of one matched pair.
+        coords, vertex_of, arc = self.coords, self.vertex_of, self.first_arc
         corner = [vertex_of[key] for key in range(0, (2 * g + 1) * SIDE, SIDE)]
         shifted = [key + SIDE for key in coords]
         self.glued_a: list[int] = []
@@ -402,35 +413,38 @@ class _CutComplex:
                 raise RuntimeError(
                     f"glued sides {2 * pair - 1}/{2 * pair} subdivide differently"
                 )
-            self.glued_a += range(2 * va, 2 * vb, 2)
-            self.glued_b += range(2 * vb, 2 * vc, 2)
-        # the capping disk is face F with the one slot 2E, glued to the
-        # free side, the last arc, without a flip
+            self.glued_a += range(arc + va, arc + vb)
+            self.glued_b += range(arc + vb, arc + vc)
+        # the capping disk is face F with the one slot after the last arc,
+        # glued to the free side, the last arc, without a flip.  The arcs
+        # that start at polygon corners, and the cap, hold the only corners
+        # that no chord side ends at.
+        self.corner_slots = [arc + v for v in corner]
         self.cap = self.spec.boundary == 0
         if self.cap:
             self.face_of.append(self.n_faces)
+            self.corner_slots.append(len(self.next_he))
 
     # -- bookkeeping -------------------------------------------------------
 
     def _account(self) -> None:
-        # ids: faces 0..F (F is the cap) and slots 0..2E (2E is the cap)
+        # ids: faces 0..F (F is the cap) and slots 0..2S + K (2S + K is the cap)
         face_of = self.face_of
         n_faces, n_slots = self.n_faces + self.cap, len(face_of)
         cap = len(self.next_he)
         after = [*self.next_he, cap]  # the cap's one slot follows itself
-        first_chord = 2 * len(self.coords)
-        free = first_chord - 2
+        first_arc = self.first_arc
+        free = cap - 1
         # the slots left unpaired are the chord sides, and the free side
         # when no cap is glued to it (the one gluing without a flip)
         glued = [*zip(self.glued_a, self.glued_b)]
-        boundary = [*range(first_chord, cap)]
+        boundary = [*range(first_arc)]
         if self.cap:
             glued.append((free, cap))
         else:
             boundary.append(free)
         face_uf = _UnionFind(n_faces)
-        for sa, sb in glued:
-            face_uf.union(face_of[sa], face_of[sb], sb != cap)
+        face_uf.join([(face_of[sa], face_of[sb], sb != cap) for sa, sb in glued])
 
         # Corner s is where slot s starts and the one before it ends; its
         # sides are 2s, the start of s, and 2s + 1.  A gluing of x to y
@@ -446,8 +460,8 @@ class _CutComplex:
             x, y = 2 * after[x] + 1, 2 * after[y] + 1
             link[x], link[y] = y, x
         ends = [2 * after[t] + 1 for t in boundary]
-        # the chord sides are the contiguous slots first_chord..cap - 1
-        link[2 * first_chord : 2 * cap : 2] = ends[: cap - first_chord]
+        # the chord sides are the slots 0..first_arc - 1
+        link[: 2 * first_arc : 2] = ends[:first_arc]
         if not self.cap:
             link[2 * free] = ends[-1]
         for t, x in zip(boundary, ends):
@@ -457,10 +471,9 @@ class _CutComplex:
         # component until a walk passes it
         comp_of = face_uf.roots()
         mark = [comp_of[fi] for fi in face_of]
-        interior = [fi for fi in range(n_faces) if fi != self.outer]
         faces, edges, cycles, circles = ([0] * n_faces for _ in range(4))
-        for fi in interior:
-            faces[comp_of[fi]] += 1
+        for root in comp_of:
+            faces[root] += 1
         for s, _ in glued:
             edges[mark[s]] += 1
 
@@ -483,7 +496,7 @@ class _CutComplex:
             if mark[t] >= 0:
                 circles[walk(t)] += 1
                 self.cut_circle_count += t != free
-        for c in [*range(0, first_chord, 2), *range(cap, n_slots)]:
+        for c in self.corner_slots:
             if mark[c] >= 0:
                 cycles[walk(c)] += 1
 
@@ -493,7 +506,7 @@ class _CutComplex:
         bad = face_uf.bad
         self.components: list[Piece] = [
             ("complement", cycles[c] - edges[c] + faces[c], circles[c], not bad[c])
-            for c in {comp_of[fi] for fi in interior}
+            for c in set(comp_of)
         ]
 
     # -- ribbon pieces -----------------------------------------------------
@@ -527,7 +540,7 @@ class _CutComplex:
         arrive = [0] * (4 * len(self.crossings))
         # the strands of a curve join all the crossings on it, so the
         # classes are the bunches of crossing curves: one ribbon each
-        vertex_uf = _UnionFind(len(self.crossings))
+        links: list[tuple[int, int, int]] = []
         for sts, chords in zip(stations, self.curve_chords):
             m = len(chords)
             if not sts:
@@ -540,7 +553,9 @@ class _CutComplex:
                 p2 ^= 2
                 odd = (k2 - k1) & 1
                 arrive[p1], arrive[p2] = 2 * p2 + odd, 2 * p1 + odd
-                vertex_uf.union(p1 >> 2, p2 >> 2, odd)
+                links.append((p1 >> 2, p2 >> 2, odd))
+        vertex_uf = _UnionFind(len(self.crossings))
+        vertex_uf.join(links)
         if not self.crossings:
             self._check_ribbon_circles(ribbon_circles)
             return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from crosscap.polygon import (
     SIDE,
@@ -339,8 +339,14 @@ def _events_for(
     return tuple(ev.with_t(t) for ev, t in zip(shaped, params))
 
 
-def parse_registry(spec: SurfaceSpec, text: str) -> Registry:
-    """Parse the registry file format; see :func:`registry_text`."""
+def parse_registry(
+    spec: SurfaceSpec, text: str, note: Callable[[str], None] | None = None
+) -> Registry:
+    """Parse the registry file format; see :func:`registry_text`.
+
+    A curve whose tokens are not its frozen layout is placed at fallback
+    parameters, and ``note``, when given, is called with a line naming it.
+    """
     records: dict[str, CurveRecord] = {}
     # a record whose tokens match the frozen layout of its name takes its events
     frozen = {name: events for name, (events, _) in _frozen_layouts(spec.genus).items()}
@@ -379,7 +385,13 @@ def parse_registry(spec: SurfaceSpec, text: str) -> Registry:
                 f"line {line_no}: arrow must be +1 or -1, got {arrow_text!r}"
             )
         arrow = -1 if arrow_text == "-1" else 1
-        events = _events_for(spec.genus, frozen.get(name), tokens, line_no)
+        layout = frozen.get(name)
+        events = _events_for(spec.genus, layout, tokens, line_no)
+        if events is not layout and note is not None:
+            note(
+                f"curve {name} is placed at fallback parameters: its tokens "
+                f"{','.join(tokens)} are not a frozen layout of that name"
+            )
         records[name] = CurveRecord(name=name, word=word, events=events, arrow=arrow)
     if not records:
         raise RegistryFormatError("registry file contains no curve records")

@@ -214,13 +214,23 @@ def chain_on_one_fallback_parameter(tmp_path):
 )
 def test_a_degenerate_position_names_its_coordinate(tmp_path, capsys, command, want):
     registry = chain_on_one_fallback_parameter(tmp_path)
-    code, out, _ = run(
+    code, out, err = run(
         capsys, command, "--genus", "4", "--n", "1", "--registry", str(registry)
     )
     assert code == 1
     assert out.startswith(want)
     if command == "verify-theorem":
         assert out == want
+    assert err == FALLBACK_NOTES
+
+
+#: what a command prints on stderr first when it reads chain_on_one_fallback_parameter
+FALLBACK_NOTES = (
+    "note: curve alpha_1 is placed at fallback parameters: its tokens A1-,A2- "
+    "are not a frozen layout of that name\n"
+    "note: curve alpha_2 is placed at fallback parameters: its tokens A2-,A3- "
+    "are not a frozen layout of that name\n"
+)
 
 
 def test_complement_names_a_shared_endpoint(tmp_path, capsys):
@@ -229,7 +239,18 @@ def test_complement_names_a_shared_endpoint(tmp_path, capsys):
         capsys, "complement", "--genus", "4", "--n", "1", "--registry", str(registry),
         "--curves", "alpha_1,alpha_2",
     )
-    assert got == (2, "", "error: two curve endpoints share boundary coordinate 153/40\n")
+    assert got == (
+        2, "", FALLBACK_NOTES + "error: two curve endpoints share boundary coordinate 153/40\n"
+    )
+
+
+def test_only_curves_at_fallback_parameters_are_noted(tmp_path, capsys):
+    """A registry file whose tokens are the frozen layouts places no curve
+    at fallback parameters, so it prints no note."""
+    path = tmp_path / "registry.txt"
+    path.write_text(registry_text(standard_registry(SurfaceSpec(4, 1))), encoding="utf-8")
+    code, _, err = run(capsys, "validate-data", "--genus", "4", "--n", "1", "--registry", str(path))
+    assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize(
@@ -409,14 +430,32 @@ def test_the_f_expression_matches_its_generator(capsys):
 
 
 def test_distinct_twists_report_unequal_with_a_witness(capsys):
-    code, out, _ = run(capsys, "relation", "--genus", "4", "a1", "a2")
+    code, out, _ = run(capsys, "relation", "--genus", "4", "--n", "1", "a1", "a2")
     assert code == 1
     assert out.strip() == "UNEQUAL (images first differ at x1)"
     code, out, _ = run(
-        capsys, "relation", "--genus", "4", "a1", "a2", "--format", "structured"
+        capsys, "relation", "--genus", "4", "--n", "1", "a1", "a2", "--format", "structured"
     )
     assert code == 1
     assert out.strip() == "result=UNEQUAL first_difference=x1"
+
+
+def test_a_bordered_unequal_is_undecided_on_the_closed_surface(capsys):
+    """gamma bounds the first four crosscaps, so the twist c is trivial on
+    the closed N_4 but not on N_{4,1}: on a closed surface an UNEQUAL of
+    the bordered model decides nothing, and says so with exit code 3.  An
+    EQUAL carries over and is reported as before."""
+    code, out, err = run(capsys, "relation", "--genus", "4", "--n", "0", "c", "")
+    assert (code, err) == (3, "")
+    assert out == "UNEQUAL on N_{4,1} (images first differ at x1); undecided on N_4\n"
+    code, out, _ = run(
+        capsys, "relation", "--genus", "4", "--n", "0", "--format", "structured", "c", ""
+    )
+    assert (code, out) == (3, "result=UNDECIDED bordered=UNEQUAL first_difference=x1\n")
+    code, out, _ = run(capsys, "relation", "--genus", "4", "--n", "1", "c", "")
+    assert (code, out) == (1, "UNEQUAL (images first differ at x1)\n")
+    code, out, err = run(capsys, "relation", "--genus", "4", "--n", "0", "a1 a2 a1", "a2 a1 a2")
+    assert (code, out, err) == (0, "EQUAL\n", "")
 
 
 def test_relation_parse_errors_exit_two(capsys):
@@ -442,6 +481,21 @@ def test_an_expression_past_the_letter_budget_exits_two(capsys, monkeypatch, com
 
 
 # -- apply-curve and homology ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv", [("apply-curve", "a1", "alpha_2"), ("homology", "a1 b^-1"), ("homology", "c")]
+)
+def test_a_bordered_answer_is_noted_on_a_closed_surface(capsys, argv):
+    """apply-curve and homology answer on N_{g,1}; at --n 0 they print the
+    same answer and a note that says so on stderr."""
+    code, closed, err = run(capsys, argv[0], "--genus", "5", "--n", "0", *argv[1:])
+    assert code == 0
+    assert err == (
+        "note: answered on the bordered model N_{5,1}; on the closed N_5 read it "
+        "modulo x1^2...x5^2 = 1\n"
+    )
+    assert run(capsys, argv[0], "--genus", "5", "--n", "1", *argv[1:]) == (0, closed, "")
 
 
 @pytest.mark.parametrize("argv", [("apply-curve", "q7", "alpha_1"), ("homology", "a1 q7")])

@@ -290,15 +290,13 @@ def test_the_endpoint_sweep_reports_every_crossing_pair_once():
 def successors_by_sorted_rotation(complex_):
     """The face successors of a cut complex found the general way: the
     half-edges leaving each vertex sorted by rank (at a boundary vertex
-    ccw arc 0, chord 1, cw arc 2; at a crossing the key of the boundary
-    point each heads for), and the face after h the half-edge before h's
-    reverse at h's head."""
+    the arc ahead 0, chord 1, the arc back 2; at a crossing the key of the
+    boundary point each heads for), and the face after h the half-edge
+    before h's reverse at h's head.  The arcs back walk the circle
+    clockwise, the outer face; they are numbered last and left out."""
     K = len(complex_.coords)
     vertex = {key: v for v, key in enumerate(complex_.coords)}
     tail, rank = [], []  # the vertex each half-edge leaves, and its rank there
-    for e in range(K):
-        tail += (e, (e + 1) % K)
-        rank += (0, 2)
     splits = [[] for _ in complex_.chords]
     for r, (a, key_a, b, key_b) in enumerate(complex_.crossings):
         splits[a].append((key_a, K + r))
@@ -310,6 +308,11 @@ def successors_by_sorted_rotation(complex_):
         for i in range(last + 1):
             tail += (chain[i], chain[i + 1])
             rank += (1 if i == 0 else head_key, 1 if i == last else tail_key)
+    first_arc = len(tail)
+    tail += [*range(K), *range(1, K), 0]  # arc e ahead, then arc e back
+    rank += [0] * K + [2] * K
+    reverse = [*(he ^ 1 for he in range(first_arc)), *range(first_arc + K, first_arc + 2 * K)]
+    reverse += range(first_arc, first_arc + K)
     rings = [[] for _ in range(K + len(complex_.crossings))]
     for he, v in enumerate(tail):
         rings[v].append(he)
@@ -318,7 +321,7 @@ def successors_by_sorted_rotation(complex_):
         ring.sort(key=rank.__getitem__)
         for i, he in enumerate(ring):
             place[he] = i
-    return [rings[tail[he ^ 1]][place[he ^ 1] - 1] for he in range(len(tail))]
+    return [rings[tail[reverse[he]]][place[reverse[he]] - 1] for he in range(first_arc + K)]
 
 
 def numbered_cycles(step):
@@ -343,9 +346,8 @@ def numbered_cycles(step):
 def test_the_face_walk_matches_the_sorted_rotation():
     """The face successors that the cut complex fills in directly are
     those that sorting every vertex's rotation gives, and its one walk
-    numbers the faces as listing their cycles does, with the outer face
-    the one clockwise circle; and the drawing on the disk has Euler
-    characteristic V - E + F = 2."""
+    numbers the faces as listing their cycles does; and the faces tile
+    the disk: V - E + F = 1."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
 
@@ -355,22 +357,20 @@ def test_the_face_walk_matches_the_sorted_rotation():
         complex_ = cut_complex(*drawn)
         after = successors_by_sorted_rotation(complex_)
         face_of, firsts = numbered_cycles(after)
-        K = len(complex_.coords)
         assert _orbits(complex_.next_he) == (face_of, firsts)
         assert complex_.face_of[: len(after)] == face_of
         assert complex_.n_faces == len(firsts)
-        outer = [he for he, fi in enumerate(face_of) if fi == complex_.outer]
-        assert outer == list(range(1, 2 * K, 2))
+        K = len(complex_.coords)
         vertices = K + len(complex_.crossings)
-        edges = len(complex_.next_he) // 2
-        assert vertices - edges + len(firsts) == 2
+        edges = K + complex_.first_arc // 2
+        assert vertices - edges + len(firsts) == 1
 
     check()
 
 
 def find(uf, x):
     """The root of ``x`` in a ``_UnionFind`` and the parity of ``x`` to it.
-    Path halving, as ``union`` does: each id on the way is hung from its
+    Path halving, as ``join`` does: each id on the way is hung from its
     grandparent and adds its old parent's weight to its own (a root's
     weight is 0)."""
     parent, parity = uf.parent, uf.parity
@@ -402,40 +402,37 @@ def account_by_union_find(complex_):
     prev = [0] * (cap + 1)  # the slot before each in its face; the cap's is itself
     for h, after in enumerate([*complex_.next_he, cap]):
         prev[after] = h
-    first_chord = 2 * len(complex_.coords)
-    free = first_chord - 2
+    first_arc = complex_.first_arc
+    free = cap - 1
     face_uf, corner_uf = _UnionFind(n_faces), _UnionFind(n_slots)
     glued = [(a, b, 1) for a, b in zip(complex_.glued_a, complex_.glued_b)]
-    boundary = [*range(first_chord, cap)]
+    boundary = [*range(first_arc)]
     if complex_.cap:
         glued.append((free, cap, 0))
     else:
         boundary.append(free)
-    for sa, sb, parity in glued:
-        face_uf.union(face_of[sa], face_of[sb], parity)
-        corner_uf.union(sa, sb)
-        corner_uf.union(prev[sa], prev[sb])
+    face_uf.join((face_of[sa], face_of[sb], parity) for sa, sb, parity in glued)
+    corner_uf.join((sa, sb, 0) for sa, sb, _ in glued)
+    corner_uf.join((prev[sa], prev[sb], 0) for sa, sb, _ in glued)
     comp = [find(face_uf, fi)[0] for fi in face_of]
-    interior = [fi for fi in range(n_faces) if fi != complex_.outer]
-    chi = Counter(find(face_uf, fi)[0] for fi in interior)
+    chi = Counter(find(face_uf, fi)[0] for fi in range(n_faces))
     for s in [sa for sa, _, _ in glued] + boundary:
         chi[comp[s]] -= 1
     corner = [find(corner_uf, s)[0] for s in range(n_slots)]
     vertex_comp = {}
-    for s in [*range(0, first_chord, 2), *range(first_chord, n_slots)]:
+    for s in range(n_slots):
         assert vertex_comp.setdefault(corner[s], comp[s]) == comp[s]
     chi.update(vertex_comp.values())
     ends = [(corner[prev[s]], corner[s]) for s in boundary]
     assert set(Counter(v for end in ends for v in end).values()) <= {2}
-    for a, b in ends:
-        corner_uf.union(a, b)
+    corner_uf.join((a, b, 0) for a, b in ends)
     circle = [find(corner_uf, s)[0] for s in range(n_slots)]
     circles = Counter(comp[s] for s in {circle[s]: s for s in boundary}.values())
     pieces = sorted(
         (chi[c], circles[c], not contradictory(face_uf, c))
-        for c in {find(face_uf, fi)[0] for fi in interior}
+        for c in {find(face_uf, fi)[0] for fi in range(n_faces)}
     )
-    return pieces, len({circle[s] for s in range(first_chord, cap)})
+    return pieces, len({circle[s] for s in range(first_arc)})
 
 
 def test_the_corner_walks_count_as_union_find_does():
@@ -494,8 +491,10 @@ def ribbons_by_end_table(complex_):
     for end, place in enumerate(end_place):
         end_of_place[place] = end
     vertex_uf = _UnionFind(len(complex_.crossings))
-    for e, parity in enumerate(strand_parity):
-        vertex_uf.union(end_place[2 * e] >> 2, end_place[2 * e + 1] >> 2, parity)
+    vertex_uf.join(
+        (end_place[2 * e] >> 2, end_place[2 * e + 1] >> 2, parity)
+        for e, parity in enumerate(strand_parity)
+    )
     ribbon_of = [find(vertex_uf, r)[0] for r in range(len(complex_.crossings))]
     # state = 2 * (departing end) + side; left turns to the rotation
     # predecessor, right to the successor
@@ -569,15 +568,16 @@ def x0_complex(genus, boundary):
 @pytest.mark.parametrize("genus,boundary", [(4, 0), (5, 1), (6, 0)])
 def test_a_corrupt_successor_table_is_refused(genus, boundary):
     """A face successor table that is no permutation stops the face walk,
-    and one whose clockwise arcs do not make one face is no disk."""
+    and one with two arcs' successors swapped has one face too many or too
+    few to tile a disk."""
     complex_ = x0_complex(genus, boundary)
     complex_.next_he[0] = complex_.next_he[2]
     with pytest.raises(RuntimeError, match="walk did not close; rotation is corrupt"):
         complex_._number_faces()
     complex_ = x0_complex(genus, boundary)
-    succ = complex_.next_he
-    succ[1], succ[3] = succ[3], succ[1]
-    with pytest.raises(RuntimeError, match="outer face is not the full clockwise circle"):
+    succ, arc = complex_.next_he, complex_.first_arc
+    succ[arc], succ[arc + 1] = succ[arc + 1], succ[arc]
+    with pytest.raises(RuntimeError, match="the faces do not tile a disk"):
         complex_._number_faces()
 
 
@@ -690,8 +690,7 @@ def test_union_find_classes_and_parities_match_a_breadth_first_search():
     def check(graph):
         n, edges = graph
         uf = _UnionFind(n)
-        for a, b, w in edges:
-            uf.union(a, b, w)
+        uf.join(edges)
         adjacent = [[] for _ in range(n)]
         for a, b, w in edges:
             adjacent[a].append((b, w))
@@ -756,7 +755,7 @@ def test_union_find_matches_a_walk_without_compression():
             if not is_union:
                 assert find(uf, a) == walk(a)
                 continue
-            uf.union(a, b, w)
+            uf.join([(a, b, w)])
             (ra, pa), (rb, pb) = walk(a), walk(b)
             if ra == rb:
                 bad[ra] = bad[ra] or pa ^ pb != w
