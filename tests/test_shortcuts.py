@@ -2,11 +2,12 @@
 
 ``twist_images`` spells only the crosscaps a twist moves, the relation
 checks compare composites only where one of the two maps moves a
-generator, and pass maps with disjoint supports with nothing composed, and
+generator, and pass maps with disjoint supports with nothing composed,
+``HomologyMatrix.det`` expands along its unit columns, and
 ``HomologyMatrix.__mul__`` skips zero entries.  This module keeps the full
-computation of each as a reference and checks that the shortcut gives the
-same answer on random inputs.  ``HomologyMatrix.det`` is held to its
-reference in ``test_homology.py``.
+computation of each as a reference (the one for ``det`` is shared, in
+``det_reference``) and checks that the shortcut gives the same answer on
+random inputs.
 """
 
 from functools import lru_cache
@@ -39,6 +40,8 @@ from crosscap.twists import (  # noqa: E402
     evaluate,
 )
 from crosscap.words import Word  # noqa: E402
+
+from det_reference import fraction_det  # noqa: E402
 
 
 # -- twist_images against the full triangular recursion -------------------------
@@ -201,7 +204,7 @@ def test_the_relation_references_see_both_outcomes():
     assert not _braid_holds(a1, a3, _reach(a1)[0] | _reach(a3)[0])
 
 
-# -- __mul__ against the textbook computation -------------------------------------
+# -- det and __mul__ against the textbook computations ----------------------------
 
 
 def triple_loop(a, b):
@@ -213,21 +216,31 @@ def triple_loop(a, b):
 
 
 @st.composite
-def sparse_matrices(draw, n):
-    """Square integer matrices with many zero entries, which __mul__ skips."""
+def sparse_matrices(draw, n=None):
+    """Square integer matrices with many zero entries, so pivots are often 0."""
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=7))
     entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
     row = st.lists(entry, min_size=n, max_size=n).map(tuple)
     return tuple(draw(st.lists(row, min_size=n, max_size=n)))
 
 
 @st.composite
-def near_identity_matrices(draw, n):
+def near_identity_matrices(draw, n=None):
     """The identity with a few entries changed, like a product of twists."""
+    if n is None:
+        n = draw(st.integers(min_value=1, max_value=9))
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
     for i, j, value in draw(st.lists(cells, max_size=2 * n)):
         rows[i][j] = value
     return tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_matrices(), near_identity_matrices()))
+def test_det_matches_fraction_elimination(rows):
+    assert HomologyMatrix(len(rows), rows).det() == fraction_det(rows)
 
 
 @settings(max_examples=100, deadline=None)
