@@ -11,7 +11,7 @@ combinatorial model, so the separate layers can be played off against
 each other in tests.
 """
 
-from crosscap.homology import HomologyMatrix, Mod2Matrix, abelianize, mod2_class
+from crosscap.homology import HomologyMatrix, abelianize, mod2_class, transvection_fault
 from crosscap.surface import (
     CurveRecord,
     Registry,
@@ -59,7 +59,6 @@ __all__ = [
     "CurveRecord",
     "CyclicWord",
     "HomologyMatrix",
-    "Mod2Matrix",
     "Registry",
     "SurfaceSpec",
     "TwistGenerator",
@@ -79,6 +78,7 @@ __all__ = [
     "mod2_class",
     "standard_certificates",
     "standard_registry",
+    "transvection_fault",
     "validate_registry",
     "verify_key_conjugation",
     "x0_names",

@@ -2,11 +2,14 @@
 
 Abelianising a free-group automorphism gives an integer matrix whose
 column ``i`` is the exponent vector of the image of ``x_i``; composition
-of maps becomes matrix multiplication on the nose.  Over Z/2 the
-intersection form in the crosscap basis is the identity, so the twist
-along a two-sided curve with class ``c`` acts as the transvection
-``z -> z + <z, c> c``, i.e. the matrix ``I + c c^T``.  Both facts are
-used as cheap independent cross-checks on the exact word-level engine.
+of maps becomes matrix multiplication on the nose.  Over Z/2 a class is
+an int bit row (bit ``i - 1`` for ``x_i``), and the intersection form
+``B`` in the crosscap basis is the dot product, so the twist along a
+two-sided curve with class ``c`` acts as the transvection
+``z -> z + B(z, c) c``.  ``verify-theorem`` checks that identity on every
+derived twist and its inverse, with :func:`transvection_fault`: an
+independent check of the word-level engine against the curve each twist
+is derived from.
 """
 
 from __future__ import annotations
@@ -112,11 +115,6 @@ class HomologyMatrix(Record):
             prev = pivot
         return sign * m[n - 1][n - 1]
 
-    def mod2(self) -> "Mod2Matrix":
-        return Mod2Matrix(
-            self.genus, tuple(tuple(e % 2 for e in r) for r in self.rows)
-        )
-
     def structured(self) -> str:
         body = ";".join(",".join(str(e) for e in row) for row in self.rows)
         return f"{self.genus};{body}"
@@ -128,63 +126,32 @@ class HomologyMatrix(Record):
         )
 
 
-class Mod2Matrix(Record):
-    """Matrix of a map on H1(N; Z/2) in the crosscap basis."""
-
-    __slots__ = ("genus", "rows")
-
-    def __init__(self, genus: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        rows = tuple(tuple(int(e) % 2 for e in r) for r in rows)
-        _check_square(genus, rows)
-        super().__init__(genus, rows)
-
-    @classmethod
-    def identity(cls, genus: int) -> "Mod2Matrix":
-        return HomologyMatrix.identity(genus).mod2()
-
-    @classmethod
-    def transvection(cls, genus: int, cls_vector: Sequence[int]) -> "Mod2Matrix":
-        """The twist action z -> z + <z, c> c for a two-sided class c."""
-        c = [int(v) % 2 for v in cls_vector]
-        if len(c) != genus:
-            raise ValueError("class vector length differs from genus")
-        if sum(c) % 2 != 0:
-            raise ValueError("a two-sided curve has even mod-2 class weight")
-        rows = tuple(
-            tuple((1 if i == j else 0) ^ (c[i] & c[j]) for j in range(genus))
-            for i in range(genus)
-        )
-        return cls(genus, rows)
-
-    def __mul__(self, other: "Mod2Matrix") -> "Mod2Matrix":
-        if not isinstance(other, Mod2Matrix):
-            return NotImplemented
-        if other.genus != self.genus:
-            raise ValueError("matrix sizes differ")
-        g = self.genus
-        rows = tuple(
-            tuple(
-                sum(self.rows[i][k] * other.rows[k][j] for k in range(g)) % 2
-                for j in range(g)
-            )
-            for i in range(g)
-        )
-        return Mod2Matrix(g, rows)
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        if len(vector) != self.genus:
-            raise ValueError("vector length differs from matrix size")
-        return tuple(
-            sum(self.rows[i][k] * vector[k] for k in range(self.genus)) % 2
-            for i in range(self.genus)
-        )
-
-
 def abelianize(auto: Automorphism) -> HomologyMatrix:
     """Integer homology matrix of an automorphism (columns = images)."""
     cols = [w.exponent_vector() for w in auto.images]
     return HomologyMatrix._trusted(auto.genus, tuple(zip(*cols)))
 
 
-def mod2_class(word: Word) -> tuple[int, ...]:
-    return tuple(e % 2 for e in word.exponent_vector())
+def mod2_class(word: Word) -> int:
+    """The class of `word` in H1(N; Z/2) as a bit row: bit i - 1 is the
+    parity of the exponent sum of x_i, an XOR over the letters."""
+    row = 0
+    for s in word.letters:
+        row ^= 1 << (abs(s) - 1)
+    return row
+
+
+def transvection_fault(images: Sequence[Word], c: int) -> int | None:
+    """The first column j at which the map with these generator images is
+    not, mod 2, the transvection z -> z + B(z, c) c; None if it is.
+
+    Column j is the bit row of the image of x_{j+1}.  B is the dot product,
+    so the transvection's column j is e_j, plus c when bit j of c is set.
+    A class of odd weight is no two-sided curve's: the answer is -1.
+    """
+    if c.bit_count() % 2:
+        return -1
+    for j, image in enumerate(images):
+        if mod2_class(image) != (1 << j) ^ (c if c >> j & 1 else 0):
+            return j
+    return None

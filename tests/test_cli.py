@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import crosscap
+from crosscap import cli
 from crosscap.cli import DATA_DIR_ENV, main
 from crosscap.surface import MAX_GENUS, SurfaceSpec, registry_text, standard_registry
+from crosscap.twists import TwistGenerator
 from crosscap.words import MAX_PARSED_LETTERS
 
 F_EXPRESSION = "a3^-1 a2^-1 b a1^-1 a2^-1 a3^-1 e^-1 a3 a2 a1 b^-1 a2 a3"
@@ -58,6 +60,23 @@ def test_verify_theorem_structured_output_is_byte_stable(capsys):
     assert lines[-1] == "result=PASS"
 
 
+def test_verify_theorem_passes_at_the_genus_bound(capsys):
+    # the lines the benchmark's theorem-ladder expects at every rung
+    argv = ("verify-theorem", "--genus", str(MAX_GENUS), "--n", "1", "--format", "structured")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "stage=registry-validation status=PASS",
+        "stage=twist-suite status=PASS",
+        "stage=key-conjugation status=PASS",
+        "stage=certificate-f status=PASS",
+        "stage=certificate-c status=SKIPPED",
+        "stage=certificate-y2 status=SKIPPED",
+        "stage=homology-smoke status=PASS",
+        "result=PASS",
+    ]
+
+
 @pytest.mark.parametrize(
     "genus, curves, checks, identities",
     [(4, 8, 42, 31), (10, 14, 111, 103), (20, 24, 306, 308)],
@@ -75,9 +94,40 @@ def test_verify_theorem_text_verdict_is_pinned(capsys, genus, curves, checks, id
         f"[PASS] certificate-f: expression stays inside {allowed}\n"
         "[SKIP] certificate-c: no certificate provided\n"
         "[SKIP] certificate-y2: no certificate provided\n"
-        "[PASS] homology-smoke: determinants are units; products match\n"
+        f"[PASS] homology-smoke: {curves} twists and their inverses are their "
+        "curves' transvections mod 2\n"
         f"verify-theorem: PASS (genus {genus}, n 1)\n"
     )
+
+
+def inverse_of_a5_replaced_by_that_of_a4(monkeypatch):
+    """Derive the twists as usual, then give t_a5 the inverse of t_a4: no
+    stage before the homology stage reads t_a5's inverse at genus 6."""
+    real = cli.derive_generators
+
+    def derive(registry):
+        gens = real(registry)
+        a5, a4 = gens["a5"], gens["a4"]
+        gens["a5"] = TwistGenerator(a5.name, a5.curve, a5.auto, a4.inverse)
+        return gens
+
+    monkeypatch.setattr(cli, "derive_generators", derive)
+
+
+def test_a_twist_off_its_transvection_fails_the_homology_stage(capsys, monkeypatch):
+    inverse_of_a5_replaced_by_that_of_a4(monkeypatch)
+    code, out, _ = run(capsys, "verify-theorem", "--genus", "6", "--n", "1")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "[FAIL] homology-smoke: t_a5^-1 is not the transvection of alpha_5's class mod 2 at x4",
+        "verify-theorem: FAIL at stage homology-smoke (genus 6, n 1)",
+    ]
+    assert "[PASS] certificate-f" in out
+    code, out, _ = run(
+        capsys, "verify-theorem", "--genus", "6", "--n", "1", "--format", "structured"
+    )
+    assert code == 1
+    assert out.splitlines()[-2:] == ["stage=homology-smoke status=FAIL", "result=FAIL"]
 
 
 def test_verify_theorem_needs_genus_four(capsys):
@@ -308,7 +358,7 @@ SMALL_COMMANDS = [
     ids=lambda param: param[0] if isinstance(param, tuple) else None,
 )
 def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, option, value, argv):
-    # only verify-theorem reads --seed; only the checking commands read
+    # only verify-theorem accepts --seed; only the checking commands read
     # --certificates, so no other command may take a file it never opens.
     # Before the positionals or after them, and abbreviated, the option is
     # quoted with its own value, not with a positional argparse left over.

@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from crosscap.homology import HomologyMatrix, Mod2Matrix, abelianize, mod2_class
-from crosscap.surface import SurfaceSpec, standard_registry
+from crosscap import polygon
+from crosscap.homology import HomologyMatrix, abelianize, mod2_class, transvection_fault
+from crosscap.polygon import DegeneratePositionError, spell_cyclic, twist_images
+from crosscap.surface import MAX_GENUS, SurfaceSpec, standard_registry
 from crosscap.twists import derive_generators, evaluate, standard_certificates
 from crosscap.words import Word
 
@@ -152,30 +154,101 @@ def test_matrix_level_certificate_agreement(world4):
 
 def test_mod2_class_of_registered_curves(world4):
     reg, _ = world4
-    assert mod2_class(reg.curve("alpha_1").word) == (1, 1, 0, 0)
-    assert mod2_class(reg.curve("beta").word) == (1, 1, 1, 1)
-    assert mod2_class(reg.curve("epsilon").word) == (1, 1, 0, 0)
+    assert mod2_class(reg.curve("alpha_1").word) == 0b0011
+    assert mod2_class(reg.curve("beta").word) == 0b1111
+    assert mod2_class(reg.curve("epsilon").word) == 0b0011
+    assert mod2_class(Word(4, (2, 2, -3, 1, 3))) == 0b0001
 
 
-def test_transvection_requires_two_sided_classes():
-    with pytest.raises(ValueError):
-        Mod2Matrix.transvection(3, (1, 0, 0))
+def test_twist_action_mod_two_is_the_transvection_of_its_curve():
+    """Mod 2, a twist acts by z + B(z, c) c in the crosscap basis; this pins
+    every registered twist and its inverse against its own curve class."""
+    for genus in (*range(4, 31), MAX_GENUS):
+        gens = derive_generators(standard_registry(SurfaceSpec(genus, 1)))
+        for name, gen in gens.items():
+            c = mod2_class(gen.curve.word)
+            assert transvection_fault(gen.auto.images, c) is None, (genus, name)
+            assert transvection_fault(gen.inverse.images, c) is None, (genus, name)
 
 
-def test_transvections_are_involutions():
-    t = Mod2Matrix.transvection(4, (1, 1, 0, 0))
-    assert t != Mod2Matrix.identity(4)
-    assert t * t == Mod2Matrix.identity(4)
+def test_random_embedded_twists_are_their_curves_transvections_mod_two():
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+    from test_shortcuts import random_curves
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_curves(), st.sampled_from([1, -1]))
+    def check(curve, arrow):
+        try:
+            embedded = curve.self_crossing_count() == 0
+        except DegeneratePositionError:
+            embedded = False
+        assume(embedded)
+        c = mod2_class(spell_cyclic(curve.genus, curve.events))
+        assert transvection_fault(twist_images(curve, arrow), c) is None
+
+    check()
 
 
-def test_twist_action_mod_two_is_the_transvection_of_its_curve(world4):
-    """Mod 2, a twist acts by v + <v,c>c in the crosscap basis; this pins
-    every generator's homology action against its own curve class."""
-    _, gens = world4
-    for name, gen in gens.items():
-        action = abelianize(gen.auto).mod2()
-        expected = Mod2Matrix.transvection(4, mod2_class(gen.curve.word))
-        assert action == expected, name
+def test_an_odd_class_is_a_fault():
+    # x1 -> 1 is z + B(z, c) c for c = x1 column by column, but an odd class
+    # is no two-sided curve's
+    assert transvection_fault([Word(3), Word(3, (2,)), Word(3, (3,))], 0b001) == -1
+    assert transvection_fault([Word(2, (2,)), Word(2, (1,))], 0b11) is None
+
+
+@pytest.fixture(scope="module")
+def world6():
+    reg = standard_registry(SurfaceSpec(6, 1))
+    return reg, derive_generators(reg)
+
+
+@pytest.mark.parametrize(
+    "images_of, class_of_twist, column",
+    [
+        ("a1", "a2", 0),  # a1's images checked against alpha_2's class
+        ("b", "e", 0),  # beta's images checked against epsilon's class
+        ("a2", "a1", 0),  # a1's images replaced by a2's
+    ],
+)
+def test_a_twist_checked_against_another_class_is_reported(
+    world6, images_of, class_of_twist, column
+):
+    _, gens = world6
+    c = mod2_class(gens[class_of_twist].curve.word)
+    assert transvection_fault(gens[images_of].auto.images, c) == column
+
+
+def dropping_one_lap(monkeypatch):
+    """Make `_detours` drop the first lap of the first detour list that has one."""
+    real, dropped = polygon._detours, []
+
+    def detours(curve, arrow, key, into):
+        stops = real(curve, arrow, key, into)
+        if stops and not dropped:
+            dropped.append(key)
+            return stops[len(curve.stops) :]
+        return stops
+
+    monkeypatch.setattr(polygon, "_detours", detours)
+    return dropped
+
+
+@pytest.mark.parametrize(
+    "name, column",
+    [("alpha_1", 0), ("alpha_2", 1), ("alpha_3", 2), ("alpha_4", 3), ("alpha_5", 4),
+     ("beta", 0), ("epsilon", 0), ("zeta", 1)],
+)
+@pytest.mark.parametrize("arrow_sign", [1, -1])
+def test_a_twist_that_drops_one_lap_is_reported(world6, monkeypatch, name, column, arrow_sign):
+    # a lap spells its curve, so dropping one moves a column by the class;
+    # gamma and psi have class 0 mod 2, where nothing shows
+    reg, _ = world6
+    rec = reg.curve(name)
+    dropped = dropping_one_lap(monkeypatch)
+    images = twist_images(reg.geometry(name), arrow_sign * rec.arrow)
+    assert dropped
+    assert transvection_fault(images, mod2_class(rec.word)) == column, name
 
 
 def test_structured_and_text_renderings(world4):
