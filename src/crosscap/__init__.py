@@ -17,7 +17,6 @@ from crosscap.surface import (
     Registry,
     SurfaceSpec,
     UnknownCurveError,
-    load_registry,
     standard_registry,
     validate_registry,
     x0_names,
@@ -74,7 +73,6 @@ __all__ = [
     "evaluate",
     "intersection_number",
     "is_conjugate",
-    "load_registry",
     "mod2_class",
     "standard_certificates",
     "standard_registry",

@@ -275,15 +275,19 @@ class _CutComplex:
         ]
 
     def _build_vertices(self, g: int) -> None:
-        # boundary vertices: the polygon corners and the chord ends,
-        # numbered in key order; vertex_of maps a key to its number
+        # boundary vertices, numbered in key order by one sort: vertex[i]
+        # for corner i <= 2g, and for end j = i - 2g - 1 (chord j >> 1's
+        # tail, or its head when j is odd)
         keys = [*range(0, (2 * g + 1) * SIDE, SIDE)]
         for chords in self.curve_chords:
             for chord in chords:
                 keys += chord
-        self.coords = sorted(keys)
-        self.vertex_of = dict(zip(self.coords, range(len(keys))))
-        if len(self.vertex_of) < len(keys):
+        self.order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.coords = [keys[i] for i in self.order]
+        self.vertex = vertex = [0] * len(keys)
+        for v, i in enumerate(self.order):
+            vertex[i] = v
+        if len(set(keys)) < len(keys):
             seen: set[int] = set()
             for key in keys:
                 if key in seen:
@@ -324,9 +328,12 @@ class _CutComplex:
         self.splits: list[list[tuple[int, int]]] = [[] for _ in range(n_chords)]
         # (chord a, key on a, chord b, key on b), a the chord that closes first
         self.crossings: list[tuple[int, int, int, int]] = []
-        # one sweep finds the crossings; no two of the 2C ends share a key
-        end_keys = [key for span in spans for key in span]  # end e is chord e >> 1's
-        for a, b in _interleaved(sorted(range(2 * n_chords), key=end_keys.__getitem__)):
+        # one sweep over the chord ends in vertex order finds the crossings;
+        # it takes 2a for chord a's lower end and 2a + 1 for its upper one,
+        # so end j as j ^ tail_above[j >> 1]
+        first_end = len(self.coords) - 2 * n_chords
+        ends = [j - first_end for j in self.order if j >= first_end]
+        for a, b in _interleaved([j ^ tail_above[j >> 1] for j in ends]):
             # lower a < lower b < upper a < upper b: the deeper chord's end
             # inside the shallower one's interval is b's lower end or a's
             # upper end
@@ -357,23 +364,21 @@ class _CutComplex:
         # segments are numbered chord by chord from the tail, 2s towards
         # the head.
         K = len(self.coords)
-        vertex_of = self.vertex_of
         first_arc = self.first_arc = 2 * (len(self.chords) + 2 * len(self.crossings))
         succ = [0] * (first_arc + K)
         after_arc = list(range(first_arc, first_arc + K))  # after the arc into each vertex
         ring = [0] * (4 * len(self.crossings))
         h = 0
-        for (_, _, tail, head), splits in zip(self.chords, self.splits):
-            x = vertex_of[tail]
+        ends = self.vertex[K - 2 * len(self.chords) :]
+        for x, y, splits in zip(ends[::2], ends[1::2], self.splits):
             after_arc[x] = h
             succ[h + 1] = first_arc + x
             for _, place in splits:
                 ring[place ^ 2] = h + 1
                 h += 2
                 ring[place] = h
-            x = vertex_of[head]
-            after_arc[x] = h + 1
-            succ[h] = first_arc + x
+            after_arc[y] = h + 1
+            succ[h] = first_arc + y
             h += 2
         succ[first_arc:] = after_arc[1:] + after_arc[:1]
         for c in range(0, len(ring), 4):
@@ -402,8 +407,8 @@ class _CutComplex:
         # key order.  Both copies of a side carry the same parameters, so
         # their arcs match one to one; glued_a[i] and glued_b[i] are the
         # slots of one matched pair.
-        coords, vertex_of, arc = self.coords, self.vertex_of, self.first_arc
-        corner = [vertex_of[key] for key in range(0, (2 * g + 1) * SIDE, SIDE)]
+        coords, arc = self.coords, self.first_arc
+        corner = self.vertex[: 2 * g + 1]
         shifted = [key + SIDE for key in coords]
         self.glued_a: list[int] = []
         self.glued_b: list[int] = []

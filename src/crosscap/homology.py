@@ -1,28 +1,27 @@
 """First-homology actions of mapping classes, over Z and over Z/2.
 
 Abelianising a free-group automorphism gives an integer matrix whose
-column ``i`` is the exponent vector of the image of ``x_i``; composition
-of maps becomes matrix multiplication on the nose.  Over Z/2 a class is
-an int bit row (bit ``i - 1`` for ``x_i``), and the intersection form
-``B`` in the crosscap basis is the dot product, so the twist along a
-two-sided curve with class ``c`` acts as the transvection
-``z -> z + B(z, c) c``.  ``verify-theorem`` checks that identity on every
-derived twist and its inverse, with :func:`transvection_fault`: an
-independent check of the word-level engine against the curve each twist
-is derived from.
+column ``i`` is the exponent vector of the image of ``x_i``, which the
+``homology`` command prints.  Over Z/2 a class is an int bit row (bit
+``i - 1`` for ``x_i``), built only here, by :func:`mod2_class`: the
+registry checks of ``surface`` read it, and so does
+:func:`transvection_fault`.  The intersection form ``B`` in the crosscap
+basis is the dot product, so the twist along a two-sided curve with
+class ``c`` acts as the transvection ``z -> z + B(z, c) c``;
+``verify-theorem`` checks that identity on every derived twist and its
+inverse, an independent check of the word-level engine against the
+curve each twist is derived from.  At run time this module needs only
+``words``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from crosscap.twists import Automorphism
 from crosscap.words import Record, Word
 
-
-def _check_square(genus: int, rows: tuple[tuple[int, ...], ...]) -> None:
-    if len(rows) != genus or any(len(r) != genus for r in rows):
-        raise ValueError(f"expected a {genus}x{genus} matrix")
+if TYPE_CHECKING:
+    from crosscap.twists import Automorphism
 
 
 class HomologyMatrix(Record):
@@ -32,51 +31,9 @@ class HomologyMatrix(Record):
 
     def __init__(self, genus: int, rows: tuple[tuple[int, ...], ...]) -> None:
         rows = tuple(tuple(int(e) for e in r) for r in rows)
-        _check_square(genus, rows)
+        if len(rows) != genus or any(len(r) != genus for r in rows):
+            raise ValueError(f"expected a {genus}x{genus} matrix")
         super().__init__(genus, rows)
-
-    @classmethod
-    def _trusted(cls, genus: int, rows: tuple[tuple[int, ...], ...]) -> "HomologyMatrix":
-        """Rows that are tuples of ints already, as built here: only the shape is checked."""
-        _check_square(genus, rows)
-        matrix = object.__new__(cls)
-        Record.__init__(matrix, genus, rows)
-        return matrix
-
-    @classmethod
-    def identity(cls, genus: int) -> "HomologyMatrix":
-        return cls(
-            genus,
-            tuple(
-                tuple(1 if i == j else 0 for j in range(genus))
-                for i in range(genus)
-            ),
-        )
-
-    def __mul__(self, other: "HomologyMatrix") -> "HomologyMatrix":
-        if not isinstance(other, HomologyMatrix):
-            return NotImplemented
-        if other.genus != self.genus:
-            raise ValueError("matrix sizes differ")
-        # row i of the product is the sum of a * (row k of other) over the
-        # entries a = self[i][k]; twist matrices are near the identity, so
-        # most entries are zero and are skipped
-        rows = []
-        for row in self.rows:
-            acc = [0] * self.genus
-            for a, other_row in zip(row, other.rows):
-                if a:
-                    acc = [s + a * b for s, b in zip(acc, other_row)]
-            rows.append(tuple(acc))
-        return HomologyMatrix._trusted(self.genus, tuple(rows))
-
-    def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
-        if len(vector) != self.genus:
-            raise ValueError("vector length differs from matrix size")
-        return tuple(
-            sum(self.rows[i][k] * vector[k] for k in range(self.genus))
-            for i in range(self.genus)
-        )
 
     def det(self) -> int:
         """Exact integer determinant.
@@ -129,7 +86,7 @@ class HomologyMatrix(Record):
 def abelianize(auto: Automorphism) -> HomologyMatrix:
     """Integer homology matrix of an automorphism (columns = images)."""
     cols = [w.exponent_vector() for w in auto.images]
-    return HomologyMatrix._trusted(auto.genus, tuple(zip(*cols)))
+    return HomologyMatrix(auto.genus, tuple(zip(*cols)))
 
 
 def mod2_class(word: Word) -> int:

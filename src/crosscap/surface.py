@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
+from crosscap.homology import mod2_class
 from crosscap.polygon import (
     SIDE,
     CrossingTable,
@@ -195,19 +195,21 @@ class Registry:
         for name, rec in records.items():
             if rec.name != name:
                 raise ValueError(f"record {rec.name!r} filed under {name!r}")
+            canon = canonical_curve_name(name)
+            if canon != name:
+                raise ValueError(
+                    f"record filed under {name!r}, not under its canonical name {canon!r}"
+                    if canon is not None
+                    else f"record filed under {name!r}, which is no curve name"
+                )
             if rec.genus != spec.genus:
                 raise ValueError(
                     f"curve {name!r} has genus {rec.genus}, surface has {spec.genus}"
                 )
         self.spec = spec
+        # every key is a canonical name, so a canonical name is looked up as given
         self._records: dict[str, CurveRecord] = dict(records)
-        # the keys that are already canonical names, looked up as given
-        self._exact = {
-            name: rec
-            for name, rec in self._records.items()
-            if canonical_curve_name(name) == name
-        }
-        # filled by geometry() under a record's name, which is always in _exact
+        # filled by geometry() under a record's name
         self._geometries: dict[str, CurveGeometry] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -229,7 +231,7 @@ class Registry:
         return tuple(self._records)
 
     def curve(self, name: str) -> CurveRecord:
-        rec = self._exact.get(name)
+        rec = self._records.get(name)
         if rec is not None:
             return rec
         canon = canonical_curve_name(name)
@@ -398,10 +400,6 @@ def parse_registry(
     return Registry(spec, records)
 
 
-def load_registry(spec: SurfaceSpec, path: str | Path) -> Registry:
-    return parse_registry(spec, Path(path).read_text(encoding="utf-8"))
-
-
 # -- validation --------------------------------------------------------------
 
 
@@ -423,12 +421,19 @@ class RegistryReport(Record):
         return tuple(r for r in self.results if not r.ok)
 
 
-def _expected_mod2_class(name: str, genus: int) -> tuple[int, ...] | None:
-    """Mod-2 homology pinned by the standard picture (chain and beta only):
-    alpha_i is x_i + x_{i+1}, and beta is x1 + x2 + x3 + x4."""
+def _expected_mod2_class(name: str) -> int | None:
+    """Mod-2 homology pinned by the standard picture (chain and beta only),
+    as a bit row of :func:`homology.mod2_class`: alpha_i is x_i + x_{i+1},
+    and beta is x1 + x2 + x3 + x4."""
     i = chain_index(name)
-    ones = (i, i + 1) if i is not None else (1, 2, 3, 4) if name == "beta" else None
-    return None if ones is None else tuple(int(k in ones) for k in range(1, genus + 1))
+    if i is not None:
+        return 0b11 << (i - 1)
+    return 0b1111 if name == "beta" else None
+
+
+def _bit_tuple(row: int, genus: int) -> tuple[int, ...]:
+    """A bit row as the 0/1 tuple over x1..x_genus that reports print."""
+    return tuple(row >> k & 1 for k in range(genus))
 
 
 def _bigon_positions(events: Sequence[Event]) -> list[int]:
@@ -459,7 +464,8 @@ def validate_registry(registry: Registry) -> RegistryReport:
     results: list[CheckResult] = []
     g = registry.spec.genus
     for rec in registry:
-        word_par = sum(rec.word.exponent_vector()) % 2
+        row = mod2_class(rec.word)
+        word_par = row.bit_count() % 2
         event_par = len(rec.events) % 2
         results.append(
             CheckResult(
@@ -496,15 +502,15 @@ def validate_registry(registry: Registry) -> RegistryReport:
                 f"coordinates spell '{spelled}', record says '{declared}'",
             )
         )
-        expected = _expected_mod2_class(rec.name, g)
+        expected = _expected_mod2_class(rec.name)
         if expected is not None:
-            actual = tuple(e % 2 for e in rec.word.exponent_vector())
             results.append(
                 CheckResult(
                     "homology",
                     rec.name,
-                    actual == expected,
-                    f"mod-2 class {actual}, standard picture demands {expected}",
+                    row == expected,
+                    f"mod-2 class {_bit_tuple(row, g)}, "
+                    f"standard picture demands {_bit_tuple(expected, g)}",
                 )
             )
     results.extend(_intersection_pattern(registry))

@@ -1,9 +1,12 @@
-"""The determinant by Gaussian elimination, kept as a reference.
+"""The determinant and the matrix product of integer matrices, kept as
+references.
 
 ``HomologyMatrix.det`` expands along the columns that are unit vectors
 and runs fraction-free elimination on the block of the other rows and
-columns.  This eliminates the whole matrix over the rationals instead;
-``test_homology`` and ``test_shortcuts`` hold ``det`` to it.
+columns.  ``fraction_det`` eliminates the whole matrix over the rationals
+instead; ``test_homology`` and ``test_shortcuts`` hold ``det`` to it.
+``triple_loop`` is the textbook product of two matrices given as rows,
+which the homology tests compare composites with.
 """
 
 from fractions import Fraction
@@ -29,3 +32,11 @@ def fraction_det(rows):
                 mat[r][c] -= factor * mat[col][c]
     assert det.denominator == 1
     return int(det)
+
+
+def triple_loop(a, b):
+    """The product of two matrices given as rows."""
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, column)) for column in zip(*b))
+        for row in a
+    )

@@ -3,11 +3,10 @@
 ``twist_images`` spells only the crosscaps a twist moves, the relation
 checks compare composites only where one of the two maps moves a
 generator, and pass maps with disjoint supports with nothing composed,
-``HomologyMatrix.det`` expands along its unit columns, and
-``HomologyMatrix.__mul__`` skips zero entries.  This module keeps the full
-computation of each as a reference (the one for ``det`` is shared, in
-``det_reference``) and checks that the shortcut gives the same answer on
-random inputs.
+and ``HomologyMatrix.det`` expands along its unit columns.  This module
+keeps the full computation of each as a reference (the one for ``det`` is
+shared, in ``det_reference``) and checks that the shortcut gives the same
+answer on random inputs.
 """
 
 from functools import lru_cache
@@ -204,32 +203,22 @@ def test_the_relation_references_see_both_outcomes():
     assert not _braid_holds(a1, a3, _reach(a1)[0] | _reach(a3)[0])
 
 
-# -- det and __mul__ against the textbook computations ----------------------------
-
-
-def triple_loop(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
+# -- det against the textbook computation -------------------------------------
 
 
 @st.composite
-def sparse_matrices(draw, n=None):
+def sparse_matrices(draw):
     """Square integer matrices with many zero entries, so pivots are often 0."""
-    if n is None:
-        n = draw(st.integers(min_value=1, max_value=7))
+    n = draw(st.integers(min_value=1, max_value=7))
     entry = st.one_of(st.just(0), st.just(0), st.integers(-3, 3))
     row = st.lists(entry, min_size=n, max_size=n).map(tuple)
     return tuple(draw(st.lists(row, min_size=n, max_size=n)))
 
 
 @st.composite
-def near_identity_matrices(draw, n=None):
+def near_identity_matrices(draw):
     """The identity with a few entries changed, like a product of twists."""
-    if n is None:
-        n = draw(st.integers(min_value=1, max_value=9))
+    n = draw(st.integers(min_value=1, max_value=9))
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-2, 2))
     for i, j, value in draw(st.lists(cells, max_size=2 * n)):
@@ -241,18 +230,3 @@ def near_identity_matrices(draw, n=None):
 @given(st.one_of(sparse_matrices(), near_identity_matrices()))
 def test_det_matches_fraction_elimination(rows):
     assert HomologyMatrix(len(rows), rows).det() == fraction_det(rows)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=7).flatmap(
-        lambda n: st.tuples(
-            st.one_of(sparse_matrices(n), near_identity_matrices(n)),
-            st.one_of(sparse_matrices(n), near_identity_matrices(n)),
-        )
-    )
-)
-def test_product_matches_the_triple_loop(pair):
-    a, b = pair
-    n = len(a)
-    assert (HomologyMatrix(n, a) * HomologyMatrix(n, b)).rows == triple_loop(a, b)

@@ -18,7 +18,6 @@ from crosscap.surface import (
     UnknownCurveError,
     canonical_curve_name,
     chain_index,
-    load_registry,
     parse_registry,
     registry_text,
     standard_registry,
@@ -124,8 +123,9 @@ def test_geometry_is_cached():
 
 
 def test_lookups_by_alias_or_unknown_name_resolve_or_raise_by_name():
-    """Exact registry keys are looked up as given; every other name is
-    canonicalised first, so aliases resolve and unknown names raise."""
+    """Registry keys, which must be canonical names, are looked up as given;
+    every other name is canonicalised first, so aliases resolve and unknown
+    names raise."""
     reg = standard_registry(SurfaceSpec(4, 1))
     for alias, name in [("BETA", "beta"), ("alpha1", "alpha_1"), (" Epsilon ", "epsilon")]:
         assert reg.curve(alias) is reg.curve(name)
@@ -140,13 +140,15 @@ def test_lookups_by_alias_or_unknown_name_resolve_or_raise_by_name():
             with pytest.raises(UnknownCurveError) as caught:
                 lookup(name)
             assert str(caught.value) == message
-    # a hand-built registry filed under a key that is not a canonical name
-    # cannot reach that record by its key, as before
+    # a hand-built registry must file every record under its canonical name
     rec = reg.curve("zeta")
-    odd = Registry(reg.spec, {"Zeta": CurveRecord("Zeta", rec.word, rec.events, rec.arrow)})
-    for lookup in (odd.curve, odd.geometry):
-        with pytest.raises(UnknownCurveError, match="^curve zeta is not registered; registered: Zeta$"):
-            lookup("Zeta")
+    for key, message in [
+        ("Zeta", "record filed under 'Zeta', not under its canonical name 'zeta'"),
+        ("delta", "record filed under 'delta', which is no curve name"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            Registry(reg.spec, {key: CurveRecord(key, rec.word, rec.events, rec.arrow)})
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("genus", [4, 5, 6, 8])
@@ -163,19 +165,33 @@ def test_standard_registry_validates_clean(genus):
 
 
 def test_swapped_word_is_flagged_with_the_curve_name():
-    """Planting alpha_3's word on alpha_2 must produce a named failure."""
+    """Planting alpha_3's word on alpha_2 must produce a named failure, and
+    a one-sided word a failed parity; the details are pinned."""
     reg = standard_registry(SurfaceSpec(5, 1))
-    forged = CurveRecord(
-        name="alpha_2",
-        word=reg.curve("alpha_3").word,
-        events=reg.curve("alpha_2").events,
-        arrow=reg.curve("alpha_2").arrow,
+    own = reg.curve("alpha_2")
+
+    def alpha_2_results(word):
+        forged = CurveRecord("alpha_2", word, own.events, own.arrow)
+        report = validate_registry(reg.replaced(forged))
+        assert not report.ok
+        failures = report.failures()
+        assert any(f.subject == "alpha_2" for f in failures)
+        assert any(f.check in ("word-coordinates", "homology") for f in failures)
+        return {r.check: (r.ok, r.detail) for r in report.results if r.subject == "alpha_2"}
+
+    results = alpha_2_results(reg.curve("alpha_3").word)
+    assert results["homology"] == (
+        False,
+        "mod-2 class (0, 0, 1, 1, 0), standard picture demands (0, 1, 1, 0, 0)",
     )
-    report = validate_registry(reg.replaced(forged))
-    assert not report.ok
-    failures = report.failures()
-    assert any(f.subject == "alpha_2" for f in failures)
-    assert any(f.check in ("word-coordinates", "homology") for f in failures)
+    assert results["two-sided-parity"] == (True, "exponent sum parity 0, crossing parity 0")
+    # one x2 and a pair of x3: a one-sided class
+    results = alpha_2_results(Word(5, (2, 3, 3)))
+    assert results["homology"] == (
+        False,
+        "mod-2 class (0, 1, 0, 0, 0), standard picture demands (0, 1, 1, 0, 0)",
+    )
+    assert results["two-sided-parity"] == (False, "exponent sum parity 1, crossing parity 0")
 
 
 def test_x0_names():
@@ -191,13 +207,6 @@ def test_x0_names():
 def test_registry_text_round_trip():
     reg = standard_registry(SurfaceSpec(6, 1))
     assert parse_registry(SurfaceSpec(6, 1), registry_text(reg)) == reg
-
-
-def test_registry_file_round_trip(tmp_path):
-    reg = standard_registry(SurfaceSpec(4, 1))
-    path = tmp_path / "curves.txt"
-    path.write_text(registry_text(reg), encoding="utf-8")
-    assert load_registry(SurfaceSpec(4, 1), path) == reg
 
 
 def test_parse_registry_builds_the_frozen_layouts_once(monkeypatch):
