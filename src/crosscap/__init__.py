@@ -37,8 +37,12 @@ from crosscap.words import CyclicWord, Word, boundary_word, is_conjugate
 
 __version__ = "0.1.0"
 
-# The cut complex is imported on first use, so that commands which never
-# cut (verify-theorem among them) neither compile nor load it.
+# A command compiles only the code it runs: the benchmark and CI run with
+# no bytecode cache, so every interpreter compiles each module it imports.
+# So these modules load on first use, and verify-theorem loads none of them:
+# cutting (the cut complex; complement, and the names below), files (the
+# data-file formats, once a file is found), folding (for
+# Automorphism.verify_sound) and commands (the five small commands).
 _FROM_CUTTING = ("ComplementReport", "ComponentReport", "cut_along", "intersection_number")
 
 

@@ -15,6 +15,9 @@
 * ``complement`` - cut the surface along registered curves.
 * ``validate-data`` - integrity checks for external data files.
 
+``verify-theorem`` lives here; the other five live in ``commands``, which
+``main`` imports only to run one of them.
+
 Every subcommand takes ``--genus``, ``--n``, ``--format`` and
 ``--registry``.  Only the two checking commands, ``verify-theorem`` and
 ``validate-data``, take ``--certificates``, and only ``verify-theorem``
@@ -23,7 +26,9 @@ stops passing it.  Anywhere else either option is a usage error.
 
 Data files are resolved per genus: an explicit ``--registry`` /
 ``--certificates`` path wins, then a file in ``$MCG_DATA_DIR``, and
-finally the built-in constructions.  Twists are always derived from the
+finally the built-in constructions.  A ``$MCG_DATA_DIR`` that names no
+directory is an error, not a fall-back.  Their text formats live in
+``files``, imported once a file has been found.  Twists are always derived from the
 registry's layouts.  Structured output (``--format structured``) is
 line-oriented ``key=value`` and byte-stable for fixed inputs.
 """
@@ -34,76 +39,68 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from crosscap.homology import abelianize, mod2_class, transvection_fault
+from crosscap.homology import mod2_class, transvection_fault
 from crosscap.polygon import DegeneratePositionError, LetterBudgetError
 from crosscap.surface import (
     MAX_GENUS,
     MIN_RICH_GENUS,
     Registry,
-    RegistryFormatError,
     SurfaceSpec,
     UnknownCurveError,
-    canonical_curve_name,
-    chain_index,
-    parse_registry,
     standard_registry,
     validate_registry,
-    x0_names,
 )
 from crosscap.twists import (
     CertificateError,
     ExpressionError,
-    apply_to_curve,
     check_certificate,
     derive_generators,
-    equal,
-    evaluate,
-    first_difference,
     fixing_suite,
-    parse_certificates,
     relation_suite,
     standard_certificates,
     verify_key_conjugation,
 )
-from crosscap.words import letter_str
 
 DATA_DIR_ENV = "MCG_DATA_DIR"
 
 
 def _read_data(kind: str, path: Path) -> str:
     try:
-        return path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise _WorldError(f"{kind}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _WorldError(
             f"{kind}: {path} is not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from exc
+    # A byte-order mark, which some editors write, is no part of line 1.  It
+    # is dropped after decoding, not by "utf-8-sig", so that the byte named
+    # in an error counts from the start of the file, the mark included.
+    return text.removeprefix("\ufeff")
 
 
 def _locate_data(kind: str, genus: int, explicit: str | None) -> str | None:
     """Return the text of the ``kind`` file for ``genus``.
 
     ``None`` means: no file anywhere, fall back to the built-in
-    construction.  An explicit path that does not exist, or a file that
-    cannot be read as UTF-8 text, is a ``_WorldError`` naming ``kind``.
+    construction.  An explicit path that does not exist, a
+    ``$MCG_DATA_DIR`` that names no directory, or a file that cannot be
+    read as UTF-8 text, is a ``_WorldError`` naming ``kind``.
     """
     if explicit is not None:
         return _read_data(kind, Path(explicit))
     env_dir = os.environ.get(DATA_DIR_ENV)
     if env_dir:
+        if not Path(env_dir).is_dir():
+            raise _WorldError(f"{kind}: ${DATA_DIR_ENV} is {env_dir}, which is not a directory")
         candidate = Path(env_dir) / f"{kind}_g{genus}.txt"
         if candidate.is_file():
             return _read_data(kind, candidate)
     return None
-
-
-def _spelled(letters: tuple[int, ...], sep: str) -> str:
-    if not letters:
-        return "1"
-    return sep.join(letter_str(letter) for letter in letters)
 
 
 # -- argument plumbing ---------------------------------------------------
@@ -178,40 +175,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _expand_curve_list(spec_text: str, genus: int) -> list[str]:
-    names: list[str] = []
-
-    def push(name: str) -> None:
-        if name not in names:
-            names.append(name)
-
-    for token in spec_text.replace(",", " ").split():
-        if token == "X0":
-            if genus < MIN_RICH_GENUS:
-                raise UnknownCurveError(
-                    f"X0 needs genus >= {MIN_RICH_GENUS}, got {genus}"
-                )
-            for name in x0_names(genus):
-                push(name)
-            continue
-        if ".." in token:
-            lo_text, _, hi_text = token.partition("..")
-            lo = chain_index(canonical_curve_name(lo_text) or "")
-            hi = chain_index(canonical_curve_name(hi_text) or "")
-            if lo is None or hi is None:
-                raise UnknownCurveError(f"bad range {token!r}: use alphaI..alphaJ")
-            if lo > hi:
-                raise UnknownCurveError(f"bad range {token!r}: empty")
-            for i in range(lo, hi + 1):
-                push(f"alpha_{i}")
-            continue
-        canon = canonical_curve_name(token)
-        if canon is None:
-            raise UnknownCurveError(f"unknown curve name {token!r}")
-        push(canon)
-    return names
-
-
 # -- world loading -------------------------------------------------------
 
 
@@ -224,6 +187,8 @@ def _load_registry(args) -> Registry:
     spec = SurfaceSpec(args.genus, args.n)
     if text is None:
         return standard_registry(spec)
+    from crosscap.files import RegistryFormatError, parse_registry
+
     try:
         return parse_registry(spec, text, lambda line: print(f"note: {line}", file=sys.stderr))
     except RegistryFormatError as exc:
@@ -241,6 +206,8 @@ def _load_certificates(args) -> dict:
     text = _locate_data("certificates", args.genus, args.certificates)
     if text is None:
         return standard_certificates(args.genus)
+    from crosscap.files import parse_certificates
+
     try:
         return parse_certificates(text)
     except CertificateError as exc:
@@ -252,17 +219,6 @@ def _note_boundary_model(args) -> None:
         print(
             "note: twists act on the bordered model; closing the surface caps "
             "the free side with a disk and does not change any identity below",
-            file=sys.stderr,
-        )
-
-
-def _note_bordered_answer(args) -> None:
-    # An answer on N_{g,1} maps to N_g, where x1^2...xg^2 = 1 as well.
-    if args.n == 0:
-        g = args.genus
-        print(
-            f"note: answered on the bordered model N_{{{g},1}}; on the closed "
-            f"N_{g} read it modulo x1^2...x{g}^2 = 1",
             file=sys.stderr,
         )
 
@@ -415,132 +371,6 @@ def _cmd_verify_theorem(args) -> int:
     return log.finish()
 
 
-# -- the small commands --------------------------------------------------
-
-
-def _cmd_relation(args) -> int:
-    registry = _load_registry(args)
-    generators = _load_generators(registry)
-    lhs = evaluate(args.lhs, generators, args.genus)
-    rhs = evaluate(args.rhs, generators, args.genus)
-    if equal(lhs, rhs):
-        print("result=EQUAL" if args.fmt == "structured" else "EQUAL")
-        return 0
-    where = first_difference(lhs, rhs)
-    if args.n == 0:
-        # Equal twists on the bordered model stay equal once it is capped,
-        # but unequal ones may become equal: the twist about gamma, which
-        # bounds the first four crosscaps, is trivial on N_4.
-        g = args.genus
-        if args.fmt == "structured":
-            print(f"result=UNDECIDED bordered=UNEQUAL first_difference={where}")
-        else:
-            print(f"UNEQUAL on N_{{{g},1}} (images first differ at {where}); undecided on N_{g}")
-        return 3
-    if args.fmt == "structured":
-        print(f"result=UNEQUAL first_difference={where}")
-    else:
-        print(f"UNEQUAL (images first differ at {where})")
-    return 1
-
-
-def _cmd_apply_curve(args) -> int:
-    registry = _load_registry(args)
-    generators = _load_generators(registry)
-    image = apply_to_curve(registry, generators, args.expression, args.curve)
-    _note_bordered_answer(args)
-    if args.fmt == "structured":
-        print(f"class={_spelled(image.letters, ',')}")
-    else:
-        print(_spelled(image.letters, " "))
-    return 0
-
-
-def _cmd_homology(args) -> int:
-    registry = _load_registry(args)
-    generators = _load_generators(registry)
-    auto = evaluate(args.expression, generators, args.genus)
-    matrix = abelianize(auto)
-    _note_bordered_answer(args)
-    if args.fmt == "structured":
-        print(f"matrix={matrix.structured()}")
-    else:
-        print(matrix.format_text())
-    return 0
-
-
-def _cmd_complement(args) -> int:
-    # imported here, so that no other command loads the cut complex
-    from crosscap.cutting import cut_along
-
-    registry = _load_registry(args)
-    names = _expand_curve_list(args.curves, args.genus)
-    if args.drop is not None:
-        canon = canonical_curve_name(args.drop)
-        if canon is None or canon not in names:
-            raise UnknownCurveError(f"--drop {args.drop!r}: not in the selected set")
-        names.remove(canon)
-    report = cut_along(registry, names)
-    if args.fmt == "structured":
-        for line in report.structured_lines():
-            print(line)
-    else:
-        print(report.format_text())
-    return 0
-
-
-def _cmd_validate_data(args) -> int:
-    log = _StageLog(args.fmt, "check", "validate-data: PASS", "validate-data: FAIL")
-
-    registry = generators = None
-    try:
-        registry = _load_registry(args)
-        report = validate_registry(registry)
-        if report.ok:
-            log.record("registry", "PASS", f"{len(report.results)} checks")
-        else:
-            first = report.failures()[0]
-            log.record("registry", "FAIL", f"{first.check} {first.subject}: {first.detail}")
-    except _WorldError as exc:
-        log.record("registry", "FAIL", str(exc))
-
-    if registry is not None:
-        try:
-            generators = _load_generators(registry)
-            log.record("twist-tables", "PASS", "derived in memory")
-        except _WorldError as exc:
-            log.record("twist-tables", "FAIL", str(exc))
-    else:
-        log.record("twist-tables", "FAIL", "registry unavailable")
-
-    try:
-        certificates = _load_certificates(args)
-    except _WorldError as exc:
-        log.record("certificates", "FAIL", str(exc))
-    else:
-        fault = None
-        if generators is not None and "f" not in certificates:
-            fault = "no certificate for f"
-        elif generators is not None:
-            faults = (_certificate_fault(c, generators, args.genus) for c in certificates.values())
-            fault = next(filter(None, faults), None)
-        if fault:
-            log.record("certificates", "FAIL", fault)
-        else:
-            log.record("certificates", "PASS", f"targets: {', '.join(sorted(certificates))}")
-    return log.finish()
-
-
-_COMMANDS: dict[str, Callable] = {
-    "verify-theorem": _cmd_verify_theorem,
-    "relation": _cmd_relation,
-    "apply-curve": _cmd_apply_curve,
-    "homology": _cmd_homology,
-    "complement": _cmd_complement,
-    "validate-data": _cmd_validate_data,
-}
-
-
 #: option -> the commands that accept it (see _build_parser); each takes one value
 _SCOPED = {"--seed": ("verify-theorem",), "--certificates": ("verify-theorem", "validate-data")}
 
@@ -571,8 +401,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{args.command} needs --genus >= {MIN_RICH_GENUS} "
             f"(the twist family below that is too small), got {args.genus}"
         )
+    if args.command == "verify-theorem":
+        command = _cmd_verify_theorem
+    else:
+        from crosscap.commands import COMMANDS
+
+        command = COMMANDS[args.command]
     try:
-        status = _COMMANDS[args.command](args)
+        status = command(args)
         # a reader that closed stdout shows here, not in the flush at exit
         sys.stdout.flush()
         return status
@@ -591,4 +427,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
+    # Under ``python -m crosscap.cli`` this module runs as __main__.  Filed
+    # under its own name too, it is the module that ``crosscap.commands``
+    # imports, not a second copy whose _WorldError main would not catch.
+    sys.modules.setdefault("crosscap.cli", sys.modules[__name__])
     sys.exit(main())

@@ -119,25 +119,8 @@ class Event(Record):
     def out_key(self) -> int:
         return (self.out_side - 1) * SIDE + self.t
 
-    def with_t(self, t: int) -> "Event":
-        return Event(self.pair, self.hit_b, t)
-
     def token(self) -> str:
         return f"A{self.pair}{'+' if self.hit_b else '-'}"
-
-
-def parse_event_token(token: str, genus: int, t: int) -> Event:
-    """Build an Event from a normal-coordinate token ``A<i>+`` / ``A<i>-``."""
-    tok = token.strip()
-    if len(tok) < 3 or tok[0] != "A" or tok[-1] not in "+-":
-        raise ValueError(f"cannot parse crossing token {token!r}")
-    try:
-        pair = int(tok[1:-1])
-    except ValueError:
-        raise ValueError(f"cannot parse crossing token {token!r}") from None
-    if not (1 <= pair <= genus):
-        raise ValueError(f"crossing token {token!r} out of range for genus {genus}")
-    return Event(pair, tok[-1] == "+", t)
 
 
 # -- spelling --------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 import crosscap
 from crosscap import cli
 from crosscap.cli import DATA_DIR_ENV, main
-from crosscap.surface import MAX_GENUS, SurfaceSpec, registry_text, standard_registry
+from crosscap.files import registry_text
+from crosscap.surface import MAX_GENUS, SurfaceSpec, standard_registry
 from crosscap.twists import TwistGenerator
 from crosscap.words import MAX_PARSED_LETTERS
 
@@ -439,6 +440,43 @@ def test_a_data_dir_file_that_is_not_utf8_is_named(tmp_path, monkeypatch, capsys
     assert err == f"error: registry: {bad} is not UTF-8 text (byte 0: invalid start byte)\n"
 
 
+@pytest.mark.parametrize("option", ["--registry", "--certificates"])
+def test_a_data_file_that_opens_with_a_byte_order_mark_reads_as_without(tmp_path, capsys, option):
+    """A UTF-8 byte-order mark, which some editors write, is no part of
+    line 1: the registry's opening comment stays a comment, and f's
+    certificate is filed under f."""
+    text = {
+        "--registry": registry_text(standard_registry(SurfaceSpec(4, 1))),
+        "--certificates": f"f | a1, a2, a3, b, e | {F_EXPRESSION}\n",
+    }[option]
+    path = tmp_path / "data.txt"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    code, out, err = run(
+        capsys, "verify-theorem", "--genus", "4", "--n", "1", option, str(path)
+    )
+    assert (code, err) == (0, "")
+    assert out.rstrip().endswith("verify-theorem: PASS (genus 4, n 1)")
+
+
+@pytest.mark.parametrize(
+    "argv, code, want",
+    [
+        (["verify-theorem"], 1, "[FAIL] registry-validation: registry: "),
+        (["validate-data"], 1, "[FAIL] registry: registry: "),
+        (["relation", "a1", "a2"], 2, "error: registry: "),
+        (["complement", "--curves", "X0"], 2, "error: registry: "),
+    ],
+)
+def test_a_data_dir_that_is_no_directory_is_named(tmp_path, monkeypatch, capsys, argv, code, want):
+    """A ``$MCG_DATA_DIR`` that names no directory is an error, not a
+    silent fall-back to the built-in constructions."""
+    missing = tmp_path / "no-such-dir"
+    monkeypatch.setenv(DATA_DIR_ENV, str(missing))
+    got, out, err = run(capsys, *argv, "--genus", "4", "--n", "1")
+    assert got == code
+    assert f"{want}$MCG_DATA_DIR is {missing}, which is not a directory\n" in out + err
+
+
 def test_random_data_files_never_raise_out_of_main(tmp_path):
     """Whatever bytes a registry or certificate file holds, every command
     reports the fault and exits 1 or 2; nothing escapes ``main``."""
@@ -831,6 +869,68 @@ def test_importing_the_cli_leaves_the_cut_complex_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "True", "True", "False"]
+
+
+def test_verify_theorem_loads_only_the_modules_it_runs(tmp_path):
+    """verify-theorem compiles no file format, no folding and no small
+    command: those modules load on first use, by the runs that need them."""
+    package_root = str(Path(crosscap.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        "import crosscap.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = crosscap.cli.main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'crosscap'))\n"
+    )
+
+    def loaded(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, *argv, "--genus", "6", "--n", "1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": package_root},
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, *modules = proc.stdout.split()
+        return int(code), set(modules)
+
+    theorem = {
+        "crosscap",
+        "crosscap.cli",
+        "crosscap.homology",
+        "crosscap.polygon",
+        "crosscap.surface",
+        "crosscap.twists",
+        "crosscap.words",
+    }
+    assert loaded("verify-theorem", "--format", "structured") == (0, theorem)
+    assert loaded("relation", "a1", "a1") == (0, theorem | {"crosscap.commands"})
+    registry = tmp_path / "registry.txt"
+    # a file format is compiled only once a file has been found
+    assert loaded("verify-theorem", "--registry", str(registry)) == (1, theorem)
+    registry.write_text(registry_text(standard_registry(SurfaceSpec(6, 1))), encoding="utf-8")
+    assert loaded("verify-theorem", "--registry", str(registry)) == (0, theorem | {"crosscap.files"})
+
+
+def test_the_small_commands_under_python_m_share_the_cli_module():
+    """Under ``python -m crosscap.cli`` the CLI runs as ``__main__``; the
+    small commands must import that module, not a second copy whose
+    errors ``main`` would not catch."""
+    package_root = str(Path(crosscap.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "crosscap.cli", "relation", "--genus", "4", "--n", "1",
+            "--registry", "/no/such/registry.txt", "a1", "a1",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "error: registry: " in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])

@@ -22,7 +22,8 @@ import hashlib
 import pytest
 
 from crosscap.cli import DATA_DIR_ENV, main
-from crosscap.surface import SurfaceSpec, registry_text, standard_registry
+from crosscap.files import registry_text
+from crosscap.surface import SurfaceSpec, standard_registry
 from crosscap.twists import standard_certificates
 
 TMP = "<tmp>"

@@ -12,19 +12,9 @@ from functools import lru_cache
 import pytest
 
 from crosscap.cli import DATA_DIR_ENV, main
-from crosscap.surface import (
-    SurfaceSpec,
-    parse_registry,
-    registry_text,
-    standard_registry,
-    validate_registry,
-)
-from crosscap.twists import (
-    check_certificate,
-    derive_generators,
-    parse_certificates,
-    standard_certificates,
-)
+from crosscap.files import parse_certificates, parse_registry, registry_text
+from crosscap.surface import SurfaceSpec, standard_registry, validate_registry
+from crosscap.twists import check_certificate, derive_generators, standard_certificates
 
 GENERA = range(4, 11)
 

@@ -39,7 +39,7 @@ def spelled(curve):
 def refresh_events(events, forbidden):
     """The events on fresh distinct parameters.  Sliding a crossing along
     its glued side is a homotopy, so the free class stays the same."""
-    return [ev.with_t(t) for ev, t in zip(events, fresh_params(len(events), forbidden))]
+    return [Event(ev.pair, ev.hit_b, t) for ev, t in zip(events, fresh_params(len(events), forbidden))]
 
 
 def twist_cyclic(curve, arrow, target):

@@ -7,23 +7,20 @@ from itertools import combinations
 import pytest
 
 from crosscap import surface
+from crosscap.files import RegistryFormatError, _fallback_params, parse_registry, registry_text
 from crosscap.polygon import SIDE, Event, crossing_count, spell_cyclic
 from crosscap.surface import (
     MAX_GENUS,
     MIN_RICH_GENUS,
     CurveRecord,
     Registry,
-    RegistryFormatError,
     SurfaceSpec,
     UnknownCurveError,
     canonical_curve_name,
     chain_index,
-    parse_registry,
-    registry_text,
     standard_registry,
     validate_registry,
     x0_names,
-    _fallback_params,
     _frozen_layouts,
     _grid,
 )

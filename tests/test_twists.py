@@ -6,13 +6,8 @@ import pytest
 
 from crosscap import twists
 from crosscap.polygon import DegeneratePositionError, apply_images, twist_images
-from crosscap.surface import (
-    CheckResult,
-    SurfaceSpec,
-    parse_registry,
-    registry_text,
-    standard_registry,
-)
+from crosscap.files import parse_registry, registry_text
+from crosscap.surface import CheckResult, SurfaceSpec, standard_registry
 from crosscap.twists import (
     Automorphism,
     AutomorphismError,
