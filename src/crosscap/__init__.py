@@ -42,7 +42,8 @@ __version__ = "0.1.0"
 # So these modules load on first use, and verify-theorem loads none of them:
 # cutting (the cut complex; complement, and the names below), files (the
 # data-file formats, once a file is found), folding (for
-# Automorphism.verify_sound) and commands (the five small commands).
+# Automorphism.verify_sound) and commands (the argparse parser, for any
+# command line but a plain verify-theorem call, and the five small commands).
 _FROM_CUTTING = ("ComplementReport", "ComponentReport", "cut_along", "intersection_number")
 
 

@@ -16,7 +16,12 @@
 * ``validate-data`` - integrity checks for external data files.
 
 ``verify-theorem`` lives here; the other five live in ``commands``, which
-``main`` imports only to run one of them.
+``main`` imports only to run one of them or to read a command line with
+argparse.  ``OPTIONS`` is the one list of the options.  ``main`` reads a
+plain verify-theorem call by it (each option in full, then its value)
+without argparse; usage, a usage error, an abbreviated option or any
+other command goes to the argparse parser that ``commands`` builds from
+the same list, so a plain run compiles no parser.
 
 Every subcommand takes ``--genus``, ``--n``, ``--format`` and
 ``--registry``.  Only the two checking commands, ``verify-theorem`` and
@@ -35,11 +40,10 @@ line-oriented ``key=value`` and byte-stable for fixed inputs.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from pathlib import Path
-from typing import Sequence
+from collections.abc import Sequence
+from types import SimpleNamespace
 
 from crosscap.homology import mod2_class, transvection_fault
 from crosscap.polygon import DegeneratePositionError, LetterBudgetError
@@ -62,6 +66,12 @@ from crosscap.twists import (
     standard_certificates,
     verify_key_conjugation,
 )
+
+# Type checkers take any TYPE_CHECKING as true; at run time it is a plain
+# False, so that pathlib loads only where a data path is read.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from pathlib import Path
 
 DATA_DIR_ENV = "MCG_DATA_DIR"
 
@@ -91,88 +101,106 @@ def _locate_data(kind: str, genus: int, explicit: str | None) -> str | None:
     ``$MCG_DATA_DIR`` that names no directory, or a file that cannot be
     read as UTF-8 text, is a ``_WorldError`` naming ``kind``.
     """
+    env_dir = os.environ.get(DATA_DIR_ENV)
+    if explicit is None and not env_dir:
+        return None
+    # imported here, so that a run on the built-in data does not load it
+    from pathlib import Path
+
     if explicit is not None:
         return _read_data(kind, Path(explicit))
-    env_dir = os.environ.get(DATA_DIR_ENV)
-    if env_dir:
-        if not Path(env_dir).is_dir():
-            raise _WorldError(f"{kind}: ${DATA_DIR_ENV} is {env_dir}, which is not a directory")
-        candidate = Path(env_dir) / f"{kind}_g{genus}.txt"
-        if candidate.is_file():
-            return _read_data(kind, candidate)
-    return None
+    if not Path(env_dir).is_dir():
+        raise _WorldError(f"{kind}: ${DATA_DIR_ENV} is {env_dir}, which is not a directory")
+    candidate = Path(env_dir) / f"{kind}_g{genus}.txt"
+    return _read_data(kind, candidate) if candidate.is_file() else None
 
 
 # -- argument plumbing ---------------------------------------------------
 
+EVERY_COMMAND = (
+    "verify-theorem", "relation", "apply-curve", "homology", "complement", "validate-data"
+)
+CHECKING_COMMANDS = ("verify-theorem", "validate-data")
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crosscap",
-        description="Twist computations on non-orientable surfaces.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--genus", type=int, required=True, help=f"crosscap genus, 2 <= g <= {MAX_GENUS}"
-    )
-    common.add_argument(
-        "--n",
-        type=int,
-        choices=(0, 1),
-        default=0,
-        help="number of boundary circles (default 0: closed surface)",
-    )
-    common.add_argument(
-        "--format",
-        choices=("text", "structured"),
-        default="text",
-        dest="fmt",
-        help="output style (structured = line-oriented key=value)",
-    )
-    common.add_argument("--registry", metavar="PATH", help="curve registry file")
-    # the two checking commands also read certificates
-    checking = argparse.ArgumentParser(add_help=False, parents=[common])
-    checking.add_argument("--certificates", metavar="PATH", help="certificate file")
+#: option -> (the commands that take it, its ``add_argument`` keywords).
+#: The one list of the options: ``commands._build_parser`` builds argparse
+#: from it and ``_plain_verify_args`` reads a plain verify-theorem call by it.
+OPTIONS = {
+    "--genus": (
+        EVERY_COMMAND,
+        {"type": int, "required": True, "help": f"crosscap genus, 2 <= g <= {MAX_GENUS}"},
+    ),
+    "--n": (
+        EVERY_COMMAND,
+        {
+            "type": int,
+            "choices": (0, 1),
+            "default": 0,
+            "help": "number of boundary circles (default 0: closed surface)",
+        },
+    ),
+    "--format": (
+        EVERY_COMMAND,
+        {
+            "choices": ("text", "structured"),
+            "default": "text",
+            "dest": "fmt",
+            "help": "output style (structured = line-oriented key=value)",
+        },
+    ),
+    "--registry": (EVERY_COMMAND, {"metavar": "PATH", "help": "curve registry file"}),
+    "--certificates": (CHECKING_COMMANDS, {"metavar": "PATH", "help": "certificate file"}),
+    "--seed": (
+        ("verify-theorem",),
+        {
+            "type": int,
+            "default": 0,
+            "help": "accepted and ignored (no check is randomized) until the "
+            "benchmark stops passing it",
+        },
+    ),
+}
 
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_verify = sub.add_parser(
-        "verify-theorem",
-        parents=[checking],
-        help="run the full staged verification suite",
-    )
-    p_verify.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="accepted and ignored (no check is randomized) until the benchmark stops passing it",
-    )
-    p_rel = sub.add_parser(
-        "relation", parents=[common], help="compare two twist expressions"
-    )
-    p_rel.add_argument("lhs", help="left expression, e.g. 'a1 a2 a1'")
-    p_rel.add_argument("rhs", help="right expression, e.g. 'a2 a1 a2'")
-    p_apply = sub.add_parser(
-        "apply-curve", parents=[common], help="image of a curve under an expression"
-    )
-    p_apply.add_argument("expression")
-    p_apply.add_argument("curve", help="registered curve name, e.g. epsilon")
-    p_hom = sub.add_parser(
-        "homology", parents=[common], help="integral matrix of an expression"
-    )
-    p_hom.add_argument("expression")
-    p_comp = sub.add_parser(
-        "complement", parents=[common], help="cut the surface along curves"
-    )
-    p_comp.add_argument(
-        "--curves",
-        required=True,
-        help="comma/space separated names; ranges like alpha1..alpha4; X0; '' for none",
-    )
-    p_comp.add_argument("--drop", metavar="NAME", help="remove one name from the set")
-    sub.add_parser(
-        "validate-data", parents=[checking], help="check external data files"
-    )
-    return parser
+
+def _plain_verify_args(tokens: Sequence[str]) -> SimpleNamespace | None:
+    """The arguments of a plain verify-theorem call, as argparse would read
+    them; None for anything else, which argparse then reads.
+
+    Plain means: ``verify-theorem``, then only options it takes, each
+    spelled in full and followed by its value, no value that starts with
+    ``-``, every value of its option's type and choices, ``--genus`` given
+    and the surface one verify-theorem runs on.
+    """
+    if len(tokens) % 2 == 0 or tokens[0] != "verify-theorem":
+        return None
+    taken = {
+        option: spec for option, (takers, spec) in OPTIONS.items() if "verify-theorem" in takers
+    }
+    args = SimpleNamespace(command="verify-theorem")
+    for option, spec in taken.items():
+        setattr(args, spec.get("dest", option[2:]), spec.get("default"))
+    for option, text in zip(tokens[1::2], tokens[2::2]):
+        spec = taken.get(option)
+        if spec is None or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        choices = spec.get("choices")
+        if choices is not None and value not in choices:
+            return None
+        setattr(args, spec.get("dest", option[2:]), value)
+    given = tokens[1::2]
+    if any(spec.get("required") and option not in given for option, spec in taken.items()):
+        return None
+    if args.genus < MIN_RICH_GENUS:
+        return None
+    try:
+        SurfaceSpec(args.genus, args.n)
+    except ValueError:
+        return None
+    return args
 
 
 # -- world loading -------------------------------------------------------
@@ -371,36 +399,14 @@ def _cmd_verify_theorem(args) -> int:
     return log.finish()
 
 
-#: option -> the commands that accept it (see _build_parser); each takes one value
-_SCOPED = {"--seed": ("verify-theorem",), "--certificates": ("verify-theorem", "validate-data")}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(argv)
-    if extras:
-        # A command's parser takes the value of an option it does not accept
-        # for a positional when the option, or an abbreviation of it, stands
-        # before them.  Moved last, with its value, it is reported as given.
-        unread = [option for option, readers in _SCOPED.items() if args.command not in readers]
-        tokens, moved, at = list(sys.argv[1:] if argv is None else argv), [], 0
-        while at < len(tokens):
-            if len(tokens[at]) > 2 and any(o.startswith(tokens[at]) for o in unread):
-                moved += tokens[at : at + 2]
-                del tokens[at : at + 2]
-            else:
-                at += 1
-        extras = parser.parse_known_args(tokens + moved)[1]
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    try:
-        SurfaceSpec(args.genus, args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.command in ("verify-theorem", "validate-data") and args.genus < MIN_RICH_GENUS:
-        parser.error(
-            f"{args.command} needs --genus >= {MIN_RICH_GENUS} "
-            f"(the twist family below that is too small), got {args.genus}"
-        )
+    tokens = sys.argv[1:] if argv is None else list(argv)
+    args = _plain_verify_args(tokens)
+    if args is None:
+        # argparse, for usage, a usage error or any other command line
+        from crosscap.commands import parse_args
+
+        args = parse_args(tokens)
     if args.command == "verify-theorem":
         command = _cmd_verify_theorem
     else:

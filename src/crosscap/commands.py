@@ -1,17 +1,24 @@
-"""The five small commands of ``crosscap``: ``relation``, ``apply-curve``,
-``homology``, ``complement`` and ``validate-data``.
+"""The argparse command line of ``crosscap``, and its five small commands:
+``relation``, ``apply-curve``, ``homology``, ``complement`` and
+``validate-data``.
 
-``cli.main`` imports this module only for one of them, so that
-``verify-theorem`` does not compile them.  Data loading, the stage log
-and the errors that ``main`` reports stay in ``cli``.
+``cli.main`` imports this module only to read a command line that is not
+a plain verify-theorem call (usage, a usage error, another command), or
+to run one of the small commands, so that a plain ``verify-theorem``
+compiles neither argparse nor them.  The parser is built from
+``cli.OPTIONS``, the one list of the options.  Data loading, the stage
+log and the errors that ``main`` reports stay in ``cli``.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
-from typing import Callable
+from collections.abc import Callable, Sequence
 
 from crosscap.cli import (
+    CHECKING_COMMANDS,
+    OPTIONS,
     _certificate_fault,
     _load_certificates,
     _load_generators,
@@ -22,6 +29,7 @@ from crosscap.cli import (
 from crosscap.homology import abelianize
 from crosscap.surface import (
     MIN_RICH_GENUS,
+    SurfaceSpec,
     UnknownCurveError,
     canonical_curve_name,
     chain_index,
@@ -30,6 +38,84 @@ from crosscap.surface import (
 )
 from crosscap.twists import apply_to_curve, equal, evaluate, first_difference
 from crosscap.words import letter_str
+
+
+# -- the command line, read by argparse ------------------------------------
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="crosscap",
+        description="Twist computations on non-orientable surfaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        for option, (takers, spec) in OPTIONS.items():
+            if name in takers:
+                p.add_argument(option, **spec)
+        return p
+
+    command("verify-theorem", "run the full staged verification suite")
+    p_rel = command("relation", "compare two twist expressions")
+    p_rel.add_argument("lhs", help="left expression, e.g. 'a1 a2 a1'")
+    p_rel.add_argument("rhs", help="right expression, e.g. 'a2 a1 a2'")
+    p_apply = command("apply-curve", "image of a curve under an expression")
+    p_apply.add_argument("expression")
+    p_apply.add_argument("curve", help="registered curve name, e.g. epsilon")
+    p_hom = command("homology", "integral matrix of an expression")
+    p_hom.add_argument("expression")
+    p_comp = command("complement", "cut the surface along curves")
+    p_comp.add_argument(
+        "--curves",
+        required=True,
+        help="comma/space separated names; ranges like alpha1..alpha4; X0; '' for none",
+    )
+    p_comp.add_argument("--drop", metavar="NAME", help="remove one name from the set")
+    command("validate-data", "check external data files")
+    return parser
+
+
+def parse_args(tokens: Sequence[str]) -> argparse.Namespace:
+    """Read any command line; usage and usage errors print and exit."""
+    parser = _build_parser()
+    args, extras = parser.parse_known_args(tokens)
+    if extras:
+        # A command's parser takes the value of an option it does not accept
+        # for a positional when the option, or an abbreviation of it, stands
+        # before them.  Moved last, with its value, it is reported as given.
+        unread = [option for option, (takers, _) in OPTIONS.items() if args.command not in takers]
+        tokens, moved, at = list(tokens), [], 0
+        while at < len(tokens):
+            if len(tokens[at]) > 2 and any(o.startswith(tokens[at]) for o in unread):
+                moved += tokens[at : at + 2]
+                del tokens[at : at + 2]
+            else:
+                at += 1
+        extras = parser.parse_known_args(tokens + moved)[1]
+        # Short of positionals, the parser takes the first moved values for
+        # them: the extras end with those options alone, then the rest of
+        # moved.  Each option is still quoted with its value.
+        for lent in range(len(moved) // 2 + 1):
+            tail = moved[: 2 * lent : 2] + moved[2 * lent :]
+            if extras[len(extras) - len(tail) :] == tail:
+                extras[len(extras) - len(tail) :] = moved
+                break
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    try:
+        SurfaceSpec(args.genus, args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.command in CHECKING_COMMANDS and args.genus < MIN_RICH_GENUS:
+        parser.error(
+            f"{args.command} needs --genus >= {MIN_RICH_GENUS} "
+            f"(the twist family below that is too small), got {args.genus}"
+        )
+    return args
+
+
+# -- the small commands ------------------------------------------------------
 
 
 def _spelled(letters: tuple[int, ...], sep: str) -> str:

@@ -71,7 +71,7 @@ a time.  The complex counts each piece as a plain tuple, and
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from crosscap.polygon import (
     SIDE,

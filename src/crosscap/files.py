@@ -8,7 +8,7 @@ Only a command that has found a data file imports this module.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from crosscap import surface
 from crosscap.polygon import SIDE, Event

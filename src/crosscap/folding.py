@@ -7,7 +7,7 @@ call, since no command of the CLI calls it.
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from crosscap.words import Word
 

@@ -16,10 +16,13 @@ curve each twist is derived from.  At run time this module needs only
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from collections.abc import Sequence
 
 from crosscap.words import Record, Word
 
+# Type checkers take any TYPE_CHECKING as true; at run time it is a plain
+# False, so no run imports ``typing`` for it.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from crosscap.twists import Automorphism
 

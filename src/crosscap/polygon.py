@@ -46,8 +46,8 @@ inflicts on the plane frame.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import combinations, groupby
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from crosscap.words import Record, Word, _reduce
 

@@ -17,8 +17,8 @@ the package treats the registry as data and re-checks it through
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Mapping, Sequence
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
 
 from crosscap.homology import mod2_class
 from crosscap.polygon import (

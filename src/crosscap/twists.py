@@ -19,7 +19,7 @@ separated, exponents limited to ``^-1``, leftmost factor applied last.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from crosscap import polygon
 from crosscap.polygon import DegeneratePositionError, LetterBudgetError, apply_images, twist_images

@@ -12,7 +12,7 @@ free homotopy class of loops needs.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
 

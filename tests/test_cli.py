@@ -355,14 +355,17 @@ SMALL_COMMANDS = [
 @pytest.mark.parametrize(
     "option, value, argv",
     [("--seed", "1", argv) for argv in [*SMALL_COMMANDS, ("validate-data",)]]
-    + [("--certificates", "certs.txt", argv) for argv in SMALL_COMMANDS],
+    + [("--certificates", "certs.txt", argv) for argv in SMALL_COMMANDS]
+    # one positional short: argparse takes the option's value for the other
+    + [("--seed", "3", ("relation", "a1"))],
     ids=lambda param: param[0] if isinstance(param, tuple) else None,
 )
 def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, option, value, argv):
     # only verify-theorem accepts --seed; only the checking commands read
     # --certificates, so no other command may take a file it never opens.
     # Before the positionals or after them, and abbreviated, the option is
-    # quoted with its own value, not with a positional argparse left over.
+    # quoted with its own value, not with a positional argparse left over,
+    # and with its value when a positional is missing.
     command, *rest = argv
     for given in (option, option[:4]):
         for placed in ([*rest, given, value], [given, value, *rest]):
@@ -371,6 +374,76 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, option, va
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert err.endswith(f"error: unrecognized arguments: {given} {value}\n")
+
+
+#: option spellings, in full and abbreviated, for every command's options
+SPELLINGS = sorted(
+    {
+        option[:k]
+        for option in [*cli.OPTIONS, "--curves", "--drop", "--help"]
+        for k in range(3, len(option) + 1)
+    }
+)
+#: values each option takes, some in forms int() reads, drawn more often
+GOOD = {
+    "--genus": ["4", "6", "20", "100", " 6 ", "+7", "5_0", "\u0665"],
+    "--n": ["0", "1", " 1"],
+    "--format": ["text", "structured"],
+    "--registry": ["data.txt", ""],
+    "--certificates": ["data.txt", ""],
+    "--seed": ["7", "0", "+3", "1_000"],
+}
+#: values of every kind argparse and the plain reader might disagree on
+VALUES = [
+    "101", "3", "2", "-1", "-4", "", " ", "1e1", "Text", "--genus", "-h", "--", "a1", "\u0664",
+]
+
+
+def test_a_plain_verify_theorem_call_reads_as_argparse_reads_it():
+    """Whatever ``_plain_verify_args`` accepts, argparse (with the genus
+    usage checks) reads the same: no exit, no extras, an equal namespace."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from crosscap.commands import _build_parser, parse_args
+
+    # mostly verify-theorem with options in full and good values, with
+    # every kind of fault mixed in
+    @st.composite
+    def command_lines(draw):
+        commands = [*cli.EVERY_COMMAND, *["verify-theorem"] * 6, "verify", "-h"]
+        argv = [draw(st.sampled_from(commands))]
+        if draw(st.booleans()):
+            argv += ["--genus", draw(st.sampled_from([*GOOD["--genus"], "3", "2", "101"]))]
+        for _ in range(draw(st.integers(0, 5))):
+            kind = draw(st.integers(0, 8))
+            option = draw(st.sampled_from(list(GOOD) if kind < 7 else SPELLINGS))
+            if kind < 5:
+                argv += [option, draw(st.sampled_from(GOOD[option]))]
+            elif kind < 7:
+                argv += [option, draw(st.sampled_from(VALUES))]
+            else:
+                value = draw(st.sampled_from([*GOOD.get(option, []), *VALUES]))
+                pieces = [[option, value], [f"{option}={value}"], [option], [value], ["-h"], ["--"]]
+                argv += draw(st.sampled_from(pieces))
+        return argv
+
+    @settings(max_examples=1000, deadline=None)
+    @given(command_lines())
+    def check(argv):
+        plain = cli._plain_verify_args(argv)
+        if plain is None:
+            return
+        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(out):
+            try:
+                extras = _build_parser().parse_known_args(argv)[1]
+                args = parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse exits on {argv}: {out.getvalue()}")
+        assert extras == []
+        assert vars(args) == vars(plain)
+
+    check()
 
 
 def test_missing_explicit_registry_fails_its_stage(capsys):
@@ -873,19 +946,26 @@ def test_importing_the_cli_leaves_the_cut_complex_unloaded():
 
 def test_verify_theorem_loads_only_the_modules_it_runs(tmp_path):
     """verify-theorem compiles no file format, no folding and no small
-    command: those modules load on first use, by the runs that need them."""
+    command: those modules load on first use, by the runs that need them.
+    A plain verify-theorem call is read without argparse; usage, a usage
+    error or an abbreviated option loads it, with ``crosscap.commands``.
+    ``pathlib`` loads only to read a data path, and ``typing`` never."""
     package_root = str(Path(crosscap.__file__).resolve().parents[1])
     script = (
         "import contextlib, io, sys\n"
         "import crosscap.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-        "    code = crosscap.cli.main(sys.argv[1:])\n"
-        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] == 'crosscap'))\n"
+        "    try:\n"
+        "        code = crosscap.cli.main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "watched = ('crosscap', 'argparse', 'pathlib', 'typing')\n"
+        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] in watched))\n"
     )
 
     def loaded(*argv):
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", script, *argv, "--genus", "6", "--n", "1"],
+            [sys.executable, "-S", "-c", script, *argv],
             capture_output=True,
             text=True,
             timeout=120,
@@ -904,13 +984,22 @@ def test_verify_theorem_loads_only_the_modules_it_runs(tmp_path):
         "crosscap.twists",
         "crosscap.words",
     }
-    assert loaded("verify-theorem", "--format", "structured") == (0, theorem)
-    assert loaded("relation", "a1", "a1") == (0, theorem | {"crosscap.commands"})
+    argparsed = theorem | {"argparse", "crosscap.commands"}
+    surface = ("--genus", "6", "--n", "1")
+    verify = ("verify-theorem", *surface)
+    assert loaded(*verify, "--format", "structured") == (0, theorem)
+    assert loaded(*verify, "--format", "structured", "--seed", "3") == (0, theorem)
+    assert loaded("relation", *surface, "a1", "a1") == (0, argparsed)
     registry = tmp_path / "registry.txt"
     # a file format is compiled only once a file has been found
-    assert loaded("verify-theorem", "--registry", str(registry)) == (1, theorem)
+    assert loaded(*verify, "--registry", str(registry)) == (1, theorem | {"pathlib"})
     registry.write_text(registry_text(standard_registry(SurfaceSpec(6, 1))), encoding="utf-8")
-    assert loaded("verify-theorem", "--registry", str(registry)) == (0, theorem | {"crosscap.files"})
+    read = theorem | {"crosscap.files", "pathlib"}
+    assert loaded(*verify, "--registry", str(registry)) == (0, read)
+    # argparse reads what is not a plain call
+    assert loaded("verify-theorem", "--gen", "6", "--n", "1") == (0, argparsed)
+    assert loaded("verify-theorem", "-h") == (0, argparsed)
+    assert loaded("verify-theorem", "--genus", "3", "--n", "1") == (2, argparsed)
 
 
 def test_the_small_commands_under_python_m_share_the_cli_module():
