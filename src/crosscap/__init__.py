@@ -11,7 +11,6 @@ combinatorial model, so the separate layers can be played off against
 each other in tests.
 """
 
-from crosscap.homology import HomologyMatrix, abelianize, mod2_class, transvection_fault
 from crosscap.surface import (
     CurveRecord,
     Registry,
@@ -31,28 +30,33 @@ from crosscap.twists import (
     equal,
     evaluate,
     standard_certificates,
+    transvection_fault,
     verify_key_conjugation,
 )
-from crosscap.words import CyclicWord, Word, boundary_word, is_conjugate
+from crosscap.words import CyclicWord, Word, boundary_word, is_conjugate, mod2_class
 
 __version__ = "0.1.0"
 
 # A command compiles only the code it runs: the benchmark and CI run with
 # no bytecode cache, so every interpreter compiles each module it imports.
 # So these modules load on first use, and verify-theorem loads none of them:
-# cutting (the cut complex; complement, and the names below), files (the
+# cutting (the cut complex; complement, and the names below), homology (the
+# integer matrices; the homology command, and the names below), files (the
 # data-file formats, once a file is found), folding (for
 # Automorphism.verify_sound) and commands (the argparse parser, for any
 # command line but a plain verify-theorem call, and the five small commands).
 _FROM_CUTTING = ("ComplementReport", "ComponentReport", "cut_along", "intersection_number")
+_FROM_HOMOLOGY = ("HomologyMatrix", "abelianize")
 
 
 def __getattr__(name: str):
     if name in _FROM_CUTTING:
-        from crosscap import cutting
-
-        return getattr(cutting, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        from crosscap import cutting as module
+    elif name in _FROM_HOMOLOGY:
+        from crosscap import homology as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 
 __all__ = [

@@ -45,7 +45,6 @@ import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
 
-from crosscap.homology import mod2_class, transvection_fault
 from crosscap.polygon import DegeneratePositionError, LetterBudgetError
 from crosscap.surface import (
     MAX_GENUS,
@@ -64,8 +63,10 @@ from crosscap.twists import (
     fixing_suite,
     relation_suite,
     standard_certificates,
+    transvection_fault,
     verify_key_conjugation,
 )
+from crosscap.words import mod2_class
 
 # Type checkers take any TYPE_CHECKING as true; at run time it is a plain
 # False, so that pathlib loads only where a data path is read.
@@ -382,7 +383,7 @@ def _cmd_verify_theorem(args) -> int:
     for name, gen in generators.items():
         c = mod2_class(gen.curve.word)
         for label, auto in ((f"t_{name}", gen.auto), (f"t_{name}^-1", gen.inverse)):
-            j = transvection_fault(auto.images, c)
+            j = transvection_fault(auto.moved, c)
             if j is not None:
                 where = f"at x{j + 1}" if j >= 0 else "(odd class)"
                 log.record(

@@ -1,22 +1,14 @@
-"""First-homology actions of mapping classes, over Z and over Z/2.
+"""First-homology actions of mapping classes over Z.
 
 Abelianising a free-group automorphism gives an integer matrix whose
 column ``i`` is the exponent vector of the image of ``x_i``, which the
-``homology`` command prints.  Over Z/2 a class is an int bit row (bit
-``i - 1`` for ``x_i``), built only here, by :func:`mod2_class`: the
-registry checks of ``surface`` read it, and so does
-:func:`transvection_fault`.  The intersection form ``B`` in the crosscap
-basis is the dot product, so the twist along a two-sided curve with
-class ``c`` acts as the transvection ``z -> z + B(z, c) c``;
-``verify-theorem`` checks that identity on every derived twist and its
-inverse, an independent check of the word-level engine against the
-curve each twist is derived from.  At run time this module needs only
-``words``.
+``homology`` command prints.  ``verify-theorem`` builds no matrix, so
+this module loads on first use: its mod-2 stage reads bit rows
+(:func:`words.mod2_class`) through :func:`twists.transvection_fault`.
+At run time this module needs only ``words``.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 from crosscap.words import Record, Word
 
@@ -90,28 +82,3 @@ def abelianize(auto: Automorphism) -> HomologyMatrix:
     """Integer homology matrix of an automorphism (columns = images)."""
     cols = [w.exponent_vector() for w in auto.images]
     return HomologyMatrix(auto.genus, tuple(zip(*cols)))
-
-
-def mod2_class(word: Word) -> int:
-    """The class of `word` in H1(N; Z/2) as a bit row: bit i - 1 is the
-    parity of the exponent sum of x_i, an XOR over the letters."""
-    row = 0
-    for s in word.letters:
-        row ^= 1 << (abs(s) - 1)
-    return row
-
-
-def transvection_fault(images: Sequence[Word], c: int) -> int | None:
-    """The first column j at which the map with these generator images is
-    not, mod 2, the transvection z -> z + B(z, c) c; None if it is.
-
-    Column j is the bit row of the image of x_{j+1}.  B is the dot product,
-    so the transvection's column j is e_j, plus c when bit j of c is set.
-    A class of odd weight is no two-sided curve's: the answer is -1.
-    """
-    if c.bit_count() % 2:
-        return -1
-    for j, image in enumerate(images):
-        if mod2_class(image) != (1 << j) ^ (c if c >> j & 1 else 0):
-            return j
-    return None

@@ -46,7 +46,7 @@ inflicts on the plane frame.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Container, Hashable, Iterable, Iterator, Mapping, Sequence
 from itertools import combinations, groupby
 
 from crosscap.words import Record, Word, _reduce
@@ -264,24 +264,30 @@ class CrossingTable:
             )
         return self._counts.get((i, j) if i <= j else (j, i), 0)
 
+    def meeting(self) -> set[tuple[Hashable, Hashable]]:
+        """The pairs (u, v) of distinct curves, both ways round, whose chords
+        cross or share an end; every other pair's count is 0."""
+        labels = list(self._curves)
+        pairs = [(labels[i], labels[j]) for i, j in (*self._counts, *self._shared) if i != j]
+        return {*pairs, *((v, u) for u, v in pairs)}
+
 
 # -- fresh parameters ------------------------------------------------------
 
 
-def fresh_params(m: int, forbidden: Iterable[int]) -> list[int]:
-    """Deterministic distinct parameters in (0, SIDE) avoiding `forbidden`.
+def fresh_params(m: int, forbidden: Container[int]) -> list[int]:
+    """Deterministic distinct parameters in (0, SIDE) avoiding `forbidden`,
+    which is read, never copied.
 
     Evenly spaced base points, each moved up by 1 until it is free.
     """
-    taken = set(forbidden)
     out: list[int] = []
     for j in range(m):
         q = (2 * j + 1) * SIDE // (2 * m)
-        while q in taken:
+        while q in forbidden or q in out:
             q += 1
         if not 0 < q < SIDE:
             raise DegeneratePositionError(f"fresh parameter escaped (0, {SIDE})")
-        taken.add(q)
         out.append(q)
     return out
 
@@ -346,8 +352,10 @@ def _twisted_loop(curve: CurveGeometry, arrow: int, i: int, tau: int) -> tuple[i
     return tuple(_walk_letters(zip(stops[::2], stops[1::2])))
 
 
-def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
-    """Generator images under the Dehn twist along `curve`.
+def twist_images(curve: CurveGeometry, arrow: int) -> dict[int, Word]:
+    """The images under the Dehn twist along `curve` of the generators it
+    moves: j maps to the image of x_{j+1}, and the twist fixes every
+    generator not listed.
 
     The twist acts on the based elementary loop through crosscap i,
     whose class is P x_i P⁻¹ with P = x₁²⋯x_{i-1}²; images of the x_i
@@ -356,9 +364,9 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
 
     Shortcut: when the loop through crosscap i picks up no detour and
     the shell S is still P itself, x_i ↦ P⁻¹ (P x_i P⁻¹) P = x_i exactly,
-    and nothing is built but x_i.  A twist moves only the crosscaps its
-    curve passes near, and past them the shell returns to P, so most
-    images take this path.  (On every embedded curve tried, a loop with no
+    and nothing is built.  A twist moves only the crosscaps its curve
+    passes near, and past them the shell returns to P, so most crosscaps
+    take this path.  (On every embedded curve tried, a loop with no
     detour found S = P; the shell test keeps the shortcut exact by
     algebra alone, without that geometric fact.)
     """
@@ -370,28 +378,31 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
     # A curve chord meets the loop's chord through key k exactly when
     # lo < k < hi (see _detours), so bisect(lows, k) - bisect(highs, k)
     # chords do, and a loop that none meets picks up no detour.  The loop
-    # through crosscap i hits side 2i and leaves from side 2i - 1.
+    # through crosscap i hits side 2i and leaves side 2i - 1, keys in
+    # [(2i - 2) SIDE, 2i SIDE), so none before or past the chord ends' is met.
     lows = sorted(min(chord) for chord in curve.chords)
     highs = sorted(max(chord) for chord in curve.chords)
-    images: list[Word] = []
+    images: dict[int, Word] = {}
     # S, the image of P, or None while S = P; P spells k // 2 for k in [2, 2i)
     shell: Word | None = None
-    for i, tau in enumerate(taus, start=1):
-        hit, out = (2 * i - 1) * SIDE + tau, (2 * i - 2) * SIDE + tau
+    for i in range(lows[0] // (2 * SIDE) + 1, genus + 1):
+        if shell is None and i > highs[-1] // (2 * SIDE) + 1:
+            break
+        hit, out = (2 * i - 1) * SIDE + taus[i - 1], (2 * i - 2) * SIDE + taus[i - 1]
         touched = (
             bisect_left(lows, hit) != bisect_left(highs, hit)
             or bisect_left(lows, out) != bisect_left(highs, out)
         )
         if shell is None and not touched:
-            images.append(Word._trusted(genus, (i,)))
             continue
         if shell is None:
             shell = Word._trusted(genus, tuple(k // 2 for k in range(2, 2 * i)))
         # sides of crosscaps <= genus spell valid letters, and _reduce
         # frees S⁻¹ h_i S of cancelling pairs in one pass
-        h_i = _twisted_loop(curve, arrow, i, tau)
+        h_i = _twisted_loop(curve, arrow, i, taus[i - 1])
         x_i = Word._trusted(genus, _reduce(shell.inverse().letters + h_i + shell.letters))
-        images.append(x_i)
+        if x_i.letters != (i,):
+            images[i - 1] = x_i
         shell = shell * x_i * x_i
         if len(shell) == 2 * i and shell.letters == tuple(k // 2 for k in range(2, 2 * i + 2)):
             shell = None  # back to P for crosscap i + 1
@@ -399,47 +410,54 @@ def twist_images(curve: CurveGeometry, arrow: int) -> list[Word]:
 
 
 def apply_images(images: Sequence[Word], word: Word) -> Word:
-    """Substitute generator images into a word (the automorphism action).
-
-    Accumulates into one list with inline cancellation rather than
-    repeated ``Word`` multiplication, so the cost is linear in the total
-    number of substituted letters.  Raises ValueError unless there is one
-    image per generator, or when an image it substitutes has another
-    genus than the word.  Images the word does not use are not checked,
-    so a short word costs no O(g) pass; ``Automorphism`` checks all of
-    its images once, when it is built.  Raises LetterBudgetError when the
-    images the word uses add up to more than ``MAX_IMAGE_LETTERS`` letters:
-    each is counted before its letters are pushed, so no list past the
-    bound is built.
+    """Substitute generator images into a word (the automorphism action), by
+    :func:`_substitute`, reading only the images the word uses: a short word
+    costs no O(g) pass, and neither does an ``Automorphism``, a sequence
+    that spells a fixed generator's image on demand.  Raises ValueError
+    unless there is one image per generator, or when an image it
+    substitutes has another genus than the word.
     """
     genus = word.genus
     if len(images) != genus:
         raise ValueError(f"cannot apply {len(images)} images to a word of genus {genus}")
+
+    def letters_of(s: int) -> tuple[int, ...]:
+        image = images[abs(s) - 1]
+        if image.genus != genus:
+            raise ValueError(
+                f"cannot apply images of genus {image.genus} to a word of genus {genus}"
+            )
+        return image.letters if s > 0 else tuple(-t for t in reversed(image.letters))
+
+    return _substitute(word, letters_of)
+
+
+def _substitute(word: Word, letters_of: Callable[[int], tuple[int, ...]]) -> Word:
+    """`word` with each letter s replaced by letters_of(s), asked once per
+    distinct s, freely reduced and valid for the word's genus.  Two reduced
+    words cancel only at their seam, so only cancelling letters are visited
+    one by one.  Raises LetterBudgetError when the images add up to more
+    than ``MAX_IMAGE_LETTERS`` letters: each is counted before its letters
+    are pushed, so no list past the bound is built.
+    """
     table: dict[int, tuple[int, ...]] = {}
     pushed = 0
     out: list[int] = []
-    push, pop = out.append, out.pop
-    for s in word:
+    pop = out.pop
+    for s in word.letters:
         img = table.get(s)
         if img is None:
-            image = images[abs(s) - 1]
-            if image.genus != genus:
-                raise ValueError(
-                    f"cannot apply images of genus {image.genus} to a word of genus {genus}"
-                )
-            base = image.letters
-            img = base if s > 0 else tuple(-t for t in reversed(base))
-            table[s] = img
+            img = table[s] = letters_of(s)
         pushed += len(img)
         if pushed > MAX_IMAGE_LETTERS:
             raise LetterBudgetError(
                 f"substituting into a word of {len(word)} letters pushes more than "
                 f"MAX_IMAGE_LETTERS = {MAX_IMAGE_LETTERS} letters"
             )
-        for t in img:
-            if out and out[-1] == -t:
-                pop()
-            else:
-                push(t)
-    # image letters are valid for the genus and the stack leaves no pair to cancel
-    return Word._trusted(genus, tuple(out))
+        k = 0
+        while k < len(img) and out and out[-1] == -img[k]:
+            pop()
+            k += 1
+        out += img[k:] if k else img
+    # the letters are valid for the genus, and the list is freely reduced
+    return Word._trusted(word.genus, tuple(out))

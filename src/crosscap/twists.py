@@ -2,9 +2,11 @@
 
 A mapping class acts on the free fundamental group of the bordered
 surface; here a class is an :class:`Automorphism` storing the images of
-``x1 .. xg``, and nothing else.  A free group is Hopfian, so a map is an
-automorphism exactly when its images generate the group;
-:meth:`Automorphism.verify_sound` decides that by Stallings folding.
+the generators it moves, and nothing else, so composing, comparing and
+checking twists, which move at most four, costs the same at every genus.
+A free group is Hopfian, so a map is an automorphism exactly when its
+images generate the group; :meth:`Automorphism.verify_sound` decides
+that by Stallings folding.
 Twist generators are named ``a1 .. a{g-1}`` (the chain), ``b``, ``c``,
 ``e``, ``f`` and ``y2``, matching the registered curves alpha_i, beta,
 gamma, epsilon, zeta and psi.  Generators are derived from the
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import permutations
 
 from crosscap import polygon
 from crosscap.polygon import DegeneratePositionError, LetterBudgetError, apply_images, twist_images
@@ -30,7 +33,7 @@ from crosscap.surface import (
     chain_index,
     x0_names,
 )
-from crosscap.words import CyclicWord, Record, Word, boundary_word
+from crosscap.words import CyclicWord, Record, Word, mod2_class
 
 
 class AutomorphismError(ValueError):
@@ -47,16 +50,20 @@ class CertificateError(ValueError):
 
 
 class Automorphism(Record):
-    """An endomorphism of the free group on ``x1 .. xg``, given by the
-    images of the generators.
+    """An endomorphism of the free group on ``x1 .. xg``: ``moved`` maps j to
+    the image of x_{j+1} for each generator the map moves, and holds no
+    fixed one, so equal maps have equal fields.  ``auto[j]`` is the image of
+    x_{j+1} and ``len(auto)`` is g, so a map reads as the sequence of its
+    images; ``images`` spells all g, and hash and repr are those of the
+    record ``(genus, images)``.
 
-    Construction checks the shape only: one image per generator, each of
-    the map's genus.  Composites of automorphisms are automorphisms by
-    algebra alone, so nothing more is checked when maps are built from
-    derived twists; :meth:`verify_sound` decides soundness on demand.
+    Construction takes all g images and checks the shape only: one image
+    per generator, each of the map's genus.  Composites of automorphisms are
+    automorphisms by algebra alone, so derived twists and their composites
+    go unchecked; :meth:`verify_sound` decides soundness.
     """
 
-    __slots__ = ("genus", "images")
+    __slots__ = ("genus", "moved")
 
     def __init__(self, genus: int, images: tuple[Word, ...]) -> None:
         if genus < 1:
@@ -68,7 +75,36 @@ class Automorphism(Record):
                 raise AutomorphismError(
                     f"images contain a word of genus {w.genus}, expected {genus}"
                 )
-        super().__init__(genus, images)
+        super().__init__(genus, {j: w for j, w in enumerate(images) if w.letters != (j + 1,)})
+
+    @classmethod
+    def _trusted(cls, genus: int, moved: dict[int, Word]) -> "Automorphism":
+        """A map from moved images of its genus, none fixed; nothing is checked."""
+        auto = object.__new__(cls)
+        object.__setattr__(auto, "genus", genus)
+        object.__setattr__(auto, "moved", moved)
+        return auto
+
+    def __getitem__(self, j: int) -> Word:
+        image = self.moved.get(j)
+        if image is not None:
+            return image
+        if not 0 <= j < self.genus:
+            raise IndexError(f"no generator x{j + 1} in genus {self.genus}")
+        return Word._trusted(self.genus, (j + 1,))
+
+    def __len__(self) -> int:
+        return self.genus
+
+    @property
+    def images(self) -> tuple[Word, ...]:
+        return tuple(self)
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.images))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(genus={self.genus!r}, images={self.images!r})"
 
     def verify_sound(self) -> None:
         """Raise AutomorphismError unless the images generate the free group,
@@ -92,51 +128,68 @@ class Automorphism(Record):
 
     @classmethod
     def identity(cls, genus: int) -> "Automorphism":
-        return cls(genus, tuple(Word._trusted(genus, (i,)) for i in range(1, genus + 1)))
+        if genus < 1:
+            raise ValueError(f"genus must be positive, got {genus}")
+        return cls._trusted(genus, {})
 
     def apply(self, word: Word) -> Word:
-        return apply_images(self.images, word)
+        return apply_images(self, word)
 
     def after(self, other: "Automorphism") -> "Automorphism":
         """The composite self∘other (other acts first).
 
-        Most twist images are a bare generator x_j, whose image under self
-        is self's j-th image itself; only the other words are substituted.
+        other fixes every generator it does not move, which self∘other then
+        sends where self does; only other's moved images are substituted,
+        and a bare generator x_j among them is looked up.
         """
         if other.genus != self.genus:
             raise ValueError(
                 f"cannot compose automorphisms of genus {self.genus} and {other.genus}"
             )
-        return Automorphism(self.genus, tuple(_image_of(self.images, w) for w in other.images))
+        both = {**self.moved, **{j: _image_of(self, w) for j, w in other.moved.items()}}
+        moved = {j: w for j, w in both.items() if w.letters != (j + 1,)}
+        return Automorphism._trusted(self.genus, moved)
 
     def fixes_boundary(self) -> bool:
-        delta = boundary_word(self.genus)
-        return self.apply(delta) == delta
+        """Whether the map fixes x1^2 .. xg^2, which it does exactly when it fixes
+        x_lo^2 .. x_hi^2, x_lo .. x_hi the span of the generators it moves."""
+        if not self.moved:
+            return True
+        span = tuple(i for i in range(min(self.moved) + 1, max(self.moved) + 2) for _ in (0, 1))
+        return self.apply(Word._trusted(self.genus, span)).letters == span
 
 
-def _image_of(outer: Sequence[Word], w: Word) -> Word:
-    """The image under outer of one word; a bare generator x_j is looked up."""
+def _image_of(outer: Automorphism, w: Word) -> Word:
+    """The image under outer of one word, read from outer's moved images
+    alone: a letter outer fixes stands for itself, and a bare generator x_j
+    is looked up."""
     letters = w.letters
     if len(letters) == 1 and letters[0] > 0:
         return outer[letters[0] - 1]
-    return apply_images(outer, w)
+    moved = outer.moved
+
+    def letters_of(s: int) -> tuple[int, ...]:
+        image = moved.get(abs(s) - 1)
+        if image is None:
+            return (s,)
+        return image.letters if s > 0 else tuple(-t for t in reversed(image.letters))
+
+    return polygon._substitute(w, letters_of)
 
 
 def equal(p: Automorphism, q: Automorphism) -> bool:
     """Exact equality: the generator images agree word for word."""
     if p.genus != q.genus:
         raise ValueError(f"cannot compare genus {p.genus} with genus {q.genus}")
-    return p.images == q.images
+    return p.moved == q.moved
 
 
 def first_difference(p: Automorphism, q: Automorphism) -> str | None:
     """Name of the first generator on which two maps disagree, or None."""
     if p.genus != q.genus:
         raise ValueError(f"cannot compare genus {p.genus} with genus {q.genus}")
-    for i in range(p.genus):
-        if p.images[i] != q.images[i]:
-            return f"x{i + 1}"
-    return None
+    differ = [j for j in p.moved.keys() | q.moved.keys() if p.moved.get(j) != q.moved.get(j)]
+    return f"x{min(differ) + 1}" if differ else None
 
 
 # -- generator names ---------------------------------------------------------
@@ -180,11 +233,12 @@ def derive_generator(registry: Registry, curve_name: str) -> TwistGenerator:
     rec = registry.curve(curve_name)
     geom = registry.geometry(curve_name)
     genus = registry.spec.genus
-    auto = Automorphism(genus, tuple(twist_images(geom, rec.arrow)))
-    inverse = Automorphism(genus, tuple(twist_images(geom, -rec.arrow)))
-    diff = first_difference(auto.after(inverse), Automorphism.identity(genus))
-    if diff is not None:
-        raise AutomorphismError(f"the twist does not undo its inverse at {diff}")
+    auto = Automorphism._trusted(genus, twist_images(geom, rec.arrow))
+    inverse = Automorphism._trusted(genus, twist_images(geom, -rec.arrow))
+    # both fix every generator that neither moves, and so does the composite
+    for j in sorted(auto.moved.keys() | inverse.moved.keys()):
+        if auto.apply(inverse[j]).letters != (j + 1,):
+            raise AutomorphismError(f"the twist does not undo its inverse at x{j + 1}")
     return TwistGenerator(generator_for_curve(rec.name), rec, auto, inverse)
 
 
@@ -392,26 +446,48 @@ def standard_certificates(genus: int) -> dict[str, Certificate]:
 # -- invariant suites --------------------------------------------------------
 
 
+def transvection_fault(moved: Mapping[int, Word], c: int) -> int | None:
+    """The first column j at which the map that sends x_{j+1} to moved[j],
+    and fixes every other generator, is not the transvection
+    z -> z + B(z, c) c mod 2; None if it is.  Column j is the bit row of the
+    image of x_{j+1}; B is the dot product, so the transvection's column j
+    is e_j, plus c when bit j of c is set: a fixed column can fail only
+    there.  A class of odd weight is no two-sided curve's: the answer is -1.
+    ``verify-theorem`` so checks each twist's images against its own curve.
+    """
+    if c.bit_count() % 2:
+        return -1
+    columns, rest = set(moved), c
+    while rest:
+        low = rest & -rest
+        columns.add(low.bit_length() - 1)
+        rest ^= low
+    for j in sorted(columns):
+        image = moved.get(j)
+        row = 1 << j if image is None else mod2_class(image)
+        if row != (1 << j) ^ (c if c >> j & 1 else 0):
+            return j
+    return None
+
+
 def _reach(p: Automorphism) -> tuple[set[int], set[int]]:
     """The indices j of the generators x_{j+1} that p moves, and p's support:
     those and the indices of every letter of their images."""
-    moved = {j for j, w in enumerate(p.images) if w.letters != (j + 1,)}
+    moved = set(p.moved)
     support = set(moved)
-    for j in moved:
-        support.update(abs(s) - 1 for s in p.images[j])
+    for image in p.moved.values():
+        support.update(abs(s) - 1 for s in image.letters)
     return moved, support
 
 
 def _braid_holds(p: Automorphism, q: Automorphism, moved: set[int]) -> bool:
     """pqp = qpq, compared only at x_{j+1} for j in moved (see relation_suite)."""
-    a, b = p.images, q.images
-    return all(_image_of(a, _image_of(b, a[j])) == _image_of(b, _image_of(a, b[j])) for j in moved)
+    return all(_image_of(p, _image_of(q, p[j])) == _image_of(q, _image_of(p, q[j])) for j in moved)
 
 
 def _commute_holds(p: Automorphism, q: Automorphism, moved: set[int]) -> bool:
     """pq = qp, compared only at x_{j+1} for j in moved (see relation_suite)."""
-    a, b = p.images, q.images
-    return all(_image_of(a, b[j]) == _image_of(b, a[j]) for j in moved)
+    return all(_image_of(p, q[j]) == _image_of(q, p[j]) for j in moved)
 
 
 def relation_suite(
@@ -429,8 +505,15 @@ def relation_suite(
     the two sides agree there.  Twists with disjoint supports (see
     :func:`_reach`) commute with nothing composed: each fixes every letter
     of the other's images, so both composites agree with the one that moves x_j.
+    One pass files each index under the supports that hold it and so finds
+    every pair whose supports meet; any other pair costs a lookup.
     """
     reach = {name: _reach(gen.auto) for name, gen in generators.items()}
+    holders: dict[int, list[str]] = {}
+    for name, (_, support) in reach.items():
+        for j in support:
+            holders.setdefault(j, []).append(name)
+    meet = {pair for names in holders.values() for pair in permutations(names, 2)}
     results: list[CheckResult] = []
     chain = [(f"a{i}", f"a{i + 1}") for i in range(1, registry.spec.genus - 1)]
     for p, q in chain + [("a4", "b")]:
@@ -440,21 +523,22 @@ def relation_suite(
             results.append(CheckResult("braid", f"{p}~{q}", holds, f"t p t = p t p {across}"))
     by_curve = {gen.curve.name: name for name, gen in generators.items()}
     names = [n for n in registry.names() if n in by_curve]
+    crossing = registry.crossings.meeting()
     for idx, a in enumerate(names):
+        p = by_curve[a]
         for b in names[idx + 1 :]:
-            try:
-                if registry.crossings.count(a, b) != 0:
-                    continue
-            except DegeneratePositionError as exc:
-                results.append(CheckResult("commute", f"{a}~{b}", False, f"degenerate: {exc}"))
+            if (a, b) in crossing:
+                try:
+                    registry.crossings.count(a, b)  # crossing, or raising: ends are shared
+                except DegeneratePositionError as exc:
+                    results.append(CheckResult("commute", f"{a}~{b}", False, f"degenerate: {exc}"))
                 continue
-            p, q = by_curve[a], by_curve[b]
-            holds = reach[p][1].isdisjoint(reach[q][1]) or _commute_holds(
+            q = by_curve[b]
+            holds = (p, q) not in meet or _commute_holds(
                 generators[p].auto, generators[q].auto, reach[p][0] | reach[q][0]
             )
-            subject = f"{generator_for_curve(a)}~{generator_for_curve(b)}"
             detail = "disjoint curves, twists must commute"
-            results.append(CheckResult("commute", subject, holds, detail))
+            results.append(CheckResult("commute", f"{p}~{q}", holds, detail))
     return results
 
 

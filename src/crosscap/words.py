@@ -228,6 +228,15 @@ def boundary_word(genus: int) -> Word:
     return Word(genus, tuple(letters))
 
 
+def mod2_class(word: Word) -> int:
+    """The class of `word` in H1(N; Z/2) as a bit row: bit i - 1 is the
+    parity of the exponent sum of x_i, an XOR over the letters."""
+    row = 0
+    for s in word.letters:
+        row ^= 1 << (abs(s) - 1)
+    return row
+
+
 def _cyclic_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
     lo, hi = 0, len(letters)
     while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:

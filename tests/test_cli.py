@@ -14,7 +14,8 @@ import crosscap
 from crosscap import cli
 from crosscap.cli import DATA_DIR_ENV, main
 from crosscap.files import registry_text
-from crosscap.surface import MAX_GENUS, SurfaceSpec, standard_registry
+from crosscap.polygon import SIDE, Event, spell_cyclic
+from crosscap.surface import MAX_GENUS, CurveRecord, SurfaceSpec, standard_registry
 from crosscap.twists import TwistGenerator
 from crosscap.words import MAX_PARSED_LETTERS
 
@@ -129,6 +130,50 @@ def test_a_twist_off_its_transvection_fails_the_homology_stage(capsys, monkeypat
     )
     assert code == 1
     assert out.splitlines()[-2:] == ["stage=homology-smoke status=FAIL", "result=FAIL"]
+
+
+def test_a_twist_reaching_a_far_support_fails_the_twist_suite(capsys, monkeypatch):
+    """t_e followed by the far twist t_a6 still fixes the boundary and
+    epsilon, but now moves x6 and x7, inside t_a5's support, and no longer
+    commutes with t_a5.  The pairs whose supports meet come from one pass
+    over the supports; if that pass missed this pair, the run would pass.
+    (A mutant that moved one generator more than t_e, and agreed with it
+    elsewhere, would fail fixes-boundary first: in a free group x_k^2 has
+    one square root.)"""
+    real = cli.derive_generators
+
+    def derive(registry):
+        gens = real(registry)
+        e, a6 = gens["e"], gens["a6"]
+        farther = e.auto.after(a6.auto), a6.inverse.after(e.inverse)
+        gens["e"] = TwistGenerator(e.name, e.curve, *farther)
+        return gens
+
+    monkeypatch.setattr(cli, "derive_generators", derive)
+    code, out, _ = run(capsys, "verify-theorem", "--genus", "8", "--n", "1")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "[FAIL] twist-suite: commute a5~e: disjoint curves, twists must commute",
+        "verify-theorem: FAIL at stage twist-suite (genus 8, n 1)",
+    ]
+
+
+def test_a_chain_curve_crossing_a_far_one_fails_registry_validation(capsys, monkeypatch):
+    """alpha_1 rerouted once around crosscap 3 stays embedded, bigon-free
+    and in its mod-2 class, but crosses alpha_3 twice.  Pairs whose chords
+    neither cross nor touch are measured 0 without a count; if the crossing
+    table's meeting pairs missed this one, only beta~alpha_1 would fail."""
+    registry = standard_registry(SurfaceSpec(8, 1))
+    events = list(registry.curve("alpha_1").events)
+    events[1:1] = [Event(3, True, SIDE * 3 // 8), Event(3, True, SIDE // 16)]
+    rerouted = CurveRecord("alpha_1", spell_cyclic(8, events), tuple(events), 1)
+    monkeypatch.setattr(cli, "standard_registry", lambda spec: registry.replaced(rerouted))
+    code, out, _ = run(capsys, "verify-theorem", "--genus", "8", "--n", "1")
+    assert code == 1
+    assert out.splitlines() == [
+        "[FAIL] registry-validation: intersection alpha_1~alpha_3: expected 0, measured 2",
+        "verify-theorem: FAIL at stage registry-validation (genus 8, n 1)",
+    ]
 
 
 def test_verify_theorem_needs_genus_four(capsys):
@@ -945,8 +990,9 @@ def test_importing_the_cli_leaves_the_cut_complex_unloaded():
 
 
 def test_verify_theorem_loads_only_the_modules_it_runs(tmp_path):
-    """verify-theorem compiles no file format, no folding and no small
-    command: those modules load on first use, by the runs that need them.
+    """verify-theorem compiles no file format, no integer homology, no
+    folding and no small command: those modules load on first use, by the
+    runs that need them.
     A plain verify-theorem call is read without argparse; usage, a usage
     error or an abbreviated option loads it, with ``crosscap.commands``.
     ``pathlib`` loads only to read a data path, and ``typing`` never."""
@@ -978,13 +1024,12 @@ def test_verify_theorem_loads_only_the_modules_it_runs(tmp_path):
     theorem = {
         "crosscap",
         "crosscap.cli",
-        "crosscap.homology",
         "crosscap.polygon",
         "crosscap.surface",
         "crosscap.twists",
         "crosscap.words",
     }
-    argparsed = theorem | {"argparse", "crosscap.commands"}
+    argparsed = theorem | {"argparse", "crosscap.commands", "crosscap.homology"}
     surface = ("--genus", "6", "--n", "1")
     verify = ("verify-theorem", *surface)
     assert loaded(*verify, "--format", "structured") == (0, theorem)

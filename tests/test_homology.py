@@ -5,11 +5,17 @@ import random
 import pytest
 
 from crosscap import polygon
-from crosscap.homology import HomologyMatrix, abelianize, mod2_class, transvection_fault
+from crosscap.homology import HomologyMatrix, abelianize
 from crosscap.polygon import DegeneratePositionError, spell_cyclic, twist_images
 from crosscap.surface import MAX_GENUS, SurfaceSpec, standard_registry
-from crosscap.twists import Automorphism, derive_generators, evaluate, standard_certificates
-from crosscap.words import Word
+from crosscap.twists import (
+    Automorphism,
+    derive_generators,
+    evaluate,
+    standard_certificates,
+    transvection_fault,
+)
+from crosscap.words import Word, mod2_class
 
 from det_reference import fraction_det, triple_loop
 
@@ -161,8 +167,8 @@ def test_twist_action_mod_two_is_the_transvection_of_its_curve():
         gens = derive_generators(standard_registry(SurfaceSpec(genus, 1)))
         for name, gen in gens.items():
             c = mod2_class(gen.curve.word)
-            assert transvection_fault(gen.auto.images, c) is None, (genus, name)
-            assert transvection_fault(gen.inverse.images, c) is None, (genus, name)
+            assert transvection_fault(gen.auto.moved, c) is None, (genus, name)
+            assert transvection_fault(gen.inverse.moved, c) is None, (genus, name)
 
 
 def test_random_embedded_twists_are_their_curves_transvections_mod_two():
@@ -187,8 +193,8 @@ def test_random_embedded_twists_are_their_curves_transvections_mod_two():
 def test_an_odd_class_is_a_fault():
     # x1 -> 1 is z + B(z, c) c for c = x1 column by column, but an odd class
     # is no two-sided curve's
-    assert transvection_fault([Word(3), Word(3, (2,)), Word(3, (3,))], 0b001) == -1
-    assert transvection_fault([Word(2, (2,)), Word(2, (1,))], 0b11) is None
+    assert transvection_fault({0: Word(3), 1: Word(3, (2,)), 2: Word(3, (3,))}, 0b001) == -1
+    assert transvection_fault({0: Word(2, (2,)), 1: Word(2, (1,))}, 0b11) is None
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +216,7 @@ def test_a_twist_checked_against_another_class_is_reported(
 ):
     _, gens = world6
     c = mod2_class(gens[class_of_twist].curve.word)
-    assert transvection_fault(gens[images_of].auto.images, c) == column
+    assert transvection_fault(gens[images_of].auto.moved, c) == column
 
 
 def dropping_one_lap(monkeypatch):

@@ -1,8 +1,9 @@
 """Each shortcut of a ``verify-theorem`` run against the full computation.
 
-``twist_images`` spells only the crosscaps a twist moves, the relation
-checks compare composites only where one of the two maps moves a
-generator, and pass maps with disjoint supports with nothing composed,
+``twist_images`` spells only the crosscaps a twist moves, a map stores,
+composes and compares only the images of the generators it moves, the
+relation checks compare composites only where one of the two maps moves
+a generator, and pass maps with disjoint supports with nothing composed,
 and ``HomologyMatrix.det`` expands along its unit columns.  This module
 keeps the full computation of each as a reference (the one for ``det`` is
 shared, in ``det_reference``) and checks that the shortcut gives the same
@@ -36,9 +37,11 @@ from crosscap.twists import (  # noqa: E402
     _commute_holds,
     _reach,
     derive_generators,
+    equal,
     evaluate,
+    first_difference,
 )
-from crosscap.words import Word  # noqa: E402
+from crosscap.words import Word, boundary_word  # noqa: E402
 
 from det_reference import fraction_det  # noqa: E402
 
@@ -91,7 +94,9 @@ def test_twist_images_match_the_full_recursion(curve, arrow):
     except DegeneratePositionError:
         embedded = False
     assume(embedded)
-    assert twist_images(curve, arrow) == full_recursion(curve, arrow)
+    fixed = [Word(curve.genus, (i,)) for i in range(1, curve.genus + 1)]
+    full = full_recursion(curve, arrow)
+    assert twist_images(curve, arrow) == {j: w for j, w in enumerate(full) if w != fixed[j]}
 
 
 # -- the restricted relation checks against full composition ---------------------
@@ -152,6 +157,15 @@ def supports_disjoint(p, q):
     return _reach(p)[1].isdisjoint(_reach(q)[1])
 
 
+def nielsen_move(draw, genus):
+    """All images of x_i -> x_i x_j^(+-1), x_j^(+-1) x_i or x_i^-1."""
+    i, j = draw(st.lists(st.integers(1, genus), min_size=2, max_size=2, unique=True))
+    sign, kind = draw(st.sampled_from([1, -1])), draw(st.sampled_from(["r", "l", "inv"]))
+    images = [Word(genus, (k,)) for k in range(1, genus + 1)]
+    images[i - 1] = Word(genus, {"r": (i, sign * j), "l": (sign * j, i), "inv": (-i,)}[kind])
+    return tuple(images)
+
+
 @st.composite
 def nielsen_pairs(draw):
     """Two automorphisms at genus 3-6, each a product of one to three
@@ -162,12 +176,7 @@ def nielsen_pairs(draw):
     def one():
         auto = Automorphism.identity(genus)
         for _ in range(draw(st.integers(1, 3))):
-            i, j = draw(st.lists(st.integers(1, genus), min_size=2, max_size=2, unique=True))
-            sign, kind = draw(st.sampled_from([1, -1])), draw(st.sampled_from(["r", "l", "inv"]))
-            letters = {"r": (i, sign * j), "l": (sign * j, i), "inv": (-i,)}[kind]
-            images = [Word(genus, (k,)) for k in range(1, genus + 1)]
-            images[i - 1] = Word(genus, letters)
-            auto = auto.after(Automorphism(genus, tuple(images)))
+            auto = auto.after(Automorphism(genus, nielsen_move(draw, genus)))
         return auto
 
     return one(), one()
@@ -201,6 +210,68 @@ def test_the_relation_references_see_both_outcomes():
     assert braid_everywhere(a1, a2) and not braid_everywhere(a1, a3)
     assert not _commute_holds(a1, a2, _reach(a1)[0] | _reach(a2)[0])
     assert not _braid_holds(a1, a3, _reach(a1)[0] | _reach(a3)[0])
+
+
+# -- sparse maps against dense image tuples --------------------------------------
+
+
+def dense_after(outer, inner):
+    """The images of outer∘inner, both given by all their images."""
+    return tuple(apply_images(outer, w) for w in inner)
+
+
+@st.composite
+def sparse_and_dense_pairs(draw):
+    """Two maps, each as evaluated (sparse) and as its dense image tuple: 1-6
+    twist factors at genus 4-8, the second often equal to the first or one
+    factor off; or products of Nielsen moves, which mostly move the boundary."""
+    genus = draw(st.integers(min_value=4, max_value=8))
+    identity = tuple(Word(genus, (i,)) for i in range(1, genus + 1))
+    if draw(st.booleans()):
+        gens = generators(genus)
+        factor = st.tuples(st.sampled_from(sorted(gens)), st.sampled_from([1, -1]))
+        p = draw(st.lists(factor, min_size=1, max_size=6))
+        kind = draw(st.sampled_from(["random", "relator", "changed"]))
+        if kind == "random":
+            q = draw(st.lists(factor, min_size=1, max_size=6))
+        elif kind == "relator":
+            name, exp = draw(factor)
+            at = draw(st.integers(0, len(p)))
+            q = p[:at] + [(name, exp), (name, -exp)] + p[at:]
+        else:
+            q = p[:-1] + [draw(factor)]
+        maps = []
+        for factors in (p, q):
+            dense = identity
+            for name, exp in factors:
+                step = gens[name].auto if exp > 0 else gens[name].inverse
+                dense = dense_after(dense, step.images)
+            maps.append((evaluate(factors, gens, genus), dense))
+        return maps
+    maps = []
+    for _ in range(2):
+        sparse, dense = Automorphism.identity(genus), identity
+        for _ in range(draw(st.integers(1, 3))):
+            move = nielsen_move(draw, genus)
+            sparse, dense = sparse.after(Automorphism(genus, move)), dense_after(dense, move)
+        maps.append((sparse, dense))
+    return maps
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_and_dense_pairs())
+def test_sparse_maps_match_dense_composition(maps):
+    (p, dp), (q, dq) = maps
+    genus = p.genus
+    assert p.images == dp and q.images == dq
+    for auto in (p, q):
+        assert all(w.letters != (j + 1,) for j, w in auto.moved.items())
+    assert equal(p, q) == (dp == dq)
+    first = next((f"x{i + 1}" for i in range(genus) if dp[i] != dq[i]), None)
+    assert first_difference(p, q) == first
+    delta = boundary_word(genus)
+    assert p.fixes_boundary() == (apply_images(dp, delta) == delta)
+    assert q.fixes_boundary() == (apply_images(dq, delta) == delta)
 
 
 # -- det against the textbook computation -------------------------------------
