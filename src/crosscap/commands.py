@@ -85,15 +85,18 @@ def parse_args(tokens: Sequence[str]) -> argparse.Namespace:
         # A command's parser takes the value of an option it does not accept
         # for a positional when the option, or an abbreviation of it, stands
         # before them.  Moved last, with its value, it is reported as given.
+        # Every token after "--" is a positional: none of them moves, and
+        # the moved ones go before it.
         unread = [option for option, (takers, _) in OPTIONS.items() if args.command not in takers]
-        tokens, moved, at = list(tokens), [], 0
-        while at < len(tokens):
-            if len(tokens[at]) > 2 and any(o.startswith(tokens[at]) for o in unread):
-                moved += tokens[at : at + 2]
-                del tokens[at : at + 2]
+        cut = tokens.index("--") if "--" in tokens else len(tokens)
+        head, moved, at = list(tokens[:cut]), [], 0
+        while at < len(head):
+            if len(head[at]) > 2 and any(o.startswith(head[at]) for o in unread):
+                moved += head[at : at + 2]
+                del head[at : at + 2]
             else:
                 at += 1
-        extras = parser.parse_known_args(tokens + moved)[1]
+        extras = parser.parse_known_args([*head, *moved, *tokens[cut:]])[1]
         # Short of positionals, the parser takes the first moved values for
         # them: the extras end with those options alone, then the rest of
         # moved.  Each option is still quoted with its value.

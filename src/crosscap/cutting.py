@@ -11,8 +11,8 @@ of the selected curves.  The result has two kinds of components:
   plumbing with Euler characteristic ``-crossings`` otherwise).
 
 Cutting along circles never changes the total Euler characteristic, so
-the components always sum to ``2 - g - n``; that identity doubles as a
-built-in integrity check on the whole construction.
+the components always sum to ``2 - g - n``; ``cut_along`` checks that
+identity on the whole construction, and refuses pieces that miss it.
 
 Everything is computed from the order of the chord endpoints on the
 boundary, with no points: each chord is drawn along the boundary
@@ -27,9 +27,8 @@ chords that opened after it and are still open are exactly those that
 cross it, so no pair of chords is tested.
 
 Every object of the complex is a dense integer id: vertices, half-edges,
-faces ``0..F-1``, curves, crossings and strand ends.  The capping disk
-of a closed surface is one more face, ``F``, with one slot, the id after
-the last half-edge.  Tables are lists indexed by id.
+faces ``0..F-1``, curves, crossings and strand ends.  Tables are lists
+indexed by id.
 
 * The ``K`` boundary vertices, polygon corners and chord ends, are
   numbered ``0..K-1`` in key order, so arc ``e`` runs from vertex ``e``
@@ -55,18 +54,25 @@ the last half-edge.  Tables are lists indexed by id.
   stay unpaired as cut boundary, are known by construction.
 
 One walk over a successor list (``_orbits``) numbers the faces, and
-another counts the boundary cycles of the curves' neighbourhood on a
-strand table indexed by ring place.  A union-find with a Z/2 weight
-(``_UnionFind``) merges faces into pieces and crossings, along the
-strands of the curves between them, into ribbons, telling the
-orientability of each.  A corner has at most two gluings, so the corner
-classes are paths along the cut boundary and cycles, and walking them
-counts vertices and boundary circles; only polygon corners and the cap
-lie off the cut boundary, so only they can close a cycle.  A table
-whose entries come in id order is built whole, by a comprehension, a
-slice or a sort by a key list; only scattered entries are written one at
-a time.  The complex counts each piece as a plain tuple, and
-``cut_along`` sorts them and makes one record per distinct piece.
+another walks the strands of the curves' neighbourhood on a table
+indexed by ring place.  A union-find with a Z/2 weight (``_UnionFind``)
+merges faces into pieces and crossings, along the strands of the curves
+between them, into ribbons, telling the orientability of each.  Each
+boundary circle of a ribbon is glued to one cut circle, and the two
+strand orbits that trace it run beside the faces of that circle's piece,
+so the one walk counts the boundary circles on both sides of the cut.
+Chord ends never sit on polygon corners, so the corners stay one vertex
+and every other vertex is on the cut boundary: a piece's Euler
+characteristic is its faces minus its gluings, and the capping disk of
+a closed surface adds one to the piece of corner 0, with no vertex
+walk.  The two counts are held to each other by the classification of
+compact surfaces: ``chi + b`` is even and at most 2 on an orientable
+piece with ``b`` boundary circles, and at most 1 on a non-orientable
+one.  A table whose entries come in id order is built whole, by a
+comprehension, a slice or a sort by a key list; only scattered entries
+are written one at a time.  The complex counts each piece as a plain
+tuple, and ``cut_along`` sorts them, checks their sum and makes one
+record per distinct piece.
 """
 
 from __future__ import annotations
@@ -261,6 +267,7 @@ class _CutComplex:
         self._number_faces()
         self._build_pairings(g)
         self._account()
+        self.neighbourhoods = self.ribbons()
 
     # -- the drawing -----------------------------------------------------
 
@@ -367,7 +374,7 @@ class _CutComplex:
         first_arc = self.first_arc = 2 * (len(self.chords) + 2 * len(self.crossings))
         succ = [0] * (first_arc + K)
         after_arc = list(range(first_arc, first_arc + K))  # after the arc into each vertex
-        ring = [0] * (4 * len(self.crossings))
+        ring = self.ring = [0] * (4 * len(self.crossings))
         h = 0
         ends = self.vertex[K - 2 * len(self.chords) :]
         for x, y, splits in zip(ends[::2], ends[1::2], self.splits):
@@ -420,109 +427,48 @@ class _CutComplex:
                 )
             self.glued_a += range(arc + va, arc + vb)
             self.glued_b += range(arc + vb, arc + vc)
-        # the capping disk is face F with the one slot after the last arc,
-        # glued to the free side, the last arc, without a flip.  The arcs
-        # that start at polygon corners, and the cap, hold the only corners
-        # that no chord side ends at.
-        self.corner_slots = [arc + v for v in corner]
-        self.cap = self.spec.boundary == 0
-        if self.cap:
-            self.face_of.append(self.n_faces)
-            self.corner_slots.append(len(self.next_he))
 
     # -- bookkeeping -------------------------------------------------------
 
     def _account(self) -> None:
-        # ids: faces 0..F (F is the cap) and slots 0..2S + K (2S + K is the cap)
+        # The pieces are the classes of faces under the gluings.  Chord
+        # ends never sit on polygon corners, so the corners stay the one
+        # vertex of the uncut polygon, which lies on the free side's circle
+        # on a bordered surface.  Every other vertex is on the cut
+        # boundary, whose slots add one vertex and one edge each, so a
+        # piece's Euler characteristic is its faces minus its gluings.  The
+        # capping disk of a closed surface, glued to the free side, adds
+        # one face, one gluing and the corners' vertex to the piece of
+        # corner 0, which holds the free side too.
         face_of = self.face_of
-        n_faces, n_slots = self.n_faces + self.cap, len(face_of)
-        cap = len(self.next_he)
-        after = [*self.next_he, cap]  # the cap's one slot follows itself
-        first_arc = self.first_arc
-        free = cap - 1
-        # the slots left unpaired are the chord sides, and the free side
-        # when no cap is glued to it (the one gluing without a flip)
-        glued = [*zip(self.glued_a, self.glued_b)]
-        boundary = [*range(first_arc)]
+        glued = [(face_of[a], face_of[b], 1) for a, b in zip(self.glued_a, self.glued_b)]
+        face_uf = _UnionFind(self.n_faces)
+        face_uf.join(glued)
+        # ids are roots, so a piece's orientability is its own flag
+        self.piece_of = piece_of = face_uf.roots()
+        self.non_orientable = face_uf.bad
+        self.euler = euler = [0] * len(piece_of)
+        for root in piece_of:
+            euler[root] += 1
+        for fa, _, _ in glued:
+            euler[piece_of[fa]] -= 1
+        self.cap = self.spec.boundary == 0
         if self.cap:
-            glued.append((free, cap))
-        else:
-            boundary.append(free)
-        face_uf = _UnionFind(n_faces)
-        face_uf.join([(face_of[sa], face_of[sb], sb != cap) for sa, sb in glued])
+            euler[piece_of[face_of[self.first_arc]]] += 1
 
-        # Corner s is where slot s starts and the one before it ends; its
-        # sides are 2s, the start of s, and 2s + 1.  A gluing of x to y
-        # links their starts and their ends, and a boundary slot its start
-        # to its end, so each side of an interior corner has one link.  A
-        # walk that crosses a link and then its corner goes round a
-        # boundary circle, whose vertices are the corner paths between its
-        # slots, or round one vertex.  An unlinked side leads back into its
-        # own corner.
-        link = [*range(2 * n_slots)]
-        for x, y in glued:
-            link[2 * x], link[2 * y] = 2 * y, 2 * x
-            x, y = 2 * after[x] + 1, 2 * after[y] + 1
-            link[x], link[y] = y, x
-        ends = [2 * after[t] + 1 for t in boundary]
-        # the chord sides are the slots 0..first_arc - 1
-        link[: 2 * first_arc : 2] = ends[:first_arc]
-        if not self.cap:
-            link[2 * free] = ends[-1]
-        for t, x in zip(boundary, ends):
-            link[x] = 2 * t
-
-        # per component, indexed by its root face; a corner keeps its
-        # component until a walk passes it
-        comp_of = face_uf.roots()
-        mark = [comp_of[fi] for fi in face_of]
-        faces, edges, cycles, circles = ([0] * n_faces for _ in range(4))
-        for root in comp_of:
-            faces[root] += 1
-        for s, _ in glued:
-            edges[mark[s]] += 1
-
-        def walk(c: int) -> int:
-            comp, mark[c], i = mark[c], -1, 2 * c
-            while True:
-                i = link[i] ^ 1
-                if mark[i >> 1] != comp:
-                    if i == 2 * c:
-                        return comp
-                    raise RuntimeError(
-                        "a vertex class straddles two components" if mark[i >> 1] >= 0
-                        else "cut boundary is not a union of circles"
-                    )
-                mark[i >> 1] = -1
-
-        # a cut circle is one along a chord side, and those come first
-        self.cut_circle_count = 0
-        for t in boundary:
-            if mark[t] >= 0:
-                circles[walk(t)] += 1
-                self.cut_circle_count += t != free
-        for c in self.corner_slots:
-            if mark[c] >= 0:
-                cycles[walk(c)] += 1
-
-        # the boundary slots add one vertex and one edge each, so
-        # V - E = cycles - gluings; the ids are roots, so a piece's
-        # orientability is its own flag
-        bad = face_uf.bad
-        self.components: list[Piece] = [
-            ("complement", cycles[c] - edges[c] + faces[c], circles[c], not bad[c])
-            for c in set(comp_of)
-        ]
-
-    # -- ribbon pieces -----------------------------------------------------
+    # -- strands -----------------------------------------------------------
 
     def ribbons(self) -> list[Piece]:
-        """Neighbourhood pieces of the selected curves.
+        """Neighbourhood pieces of the selected curves, and the boundary
+        circles of the complement pieces, from one walk of the strands.
 
         Isolated curves give untwisted bands (the registered curves are
         two-sided, so annuli); curves joined by crossings give a plumbed
         ribbon whose boundary is traced strand by strand, with one side
-        swap per crosscap passage.
+        swap per crosscap passage.  Each boundary circle of a ribbon is
+        glued to one cut circle of a complement piece, traced by the same
+        two strand orbits, so the orbits also count the complement
+        pieces' circles; those pieces are left in ``components``.
         """
         # stations along each curve, in order: (local chord index, ring
         # place towards the chord's head); chords come curve by curve in
@@ -531,6 +477,12 @@ class _CutComplex:
         for (ci, k, _, _), splits in zip(self.chords, self.splits):
             for _, place in splits:
                 stations[ci].append((k, place))
+        # per piece, the cut circles that no strand traces: those of the
+        # curves without crossings, and the free side of a bordered surface
+        face_of, piece_of = self.face_of, self.piece_of
+        circles = [0] * len(piece_of)
+        if not self.cap:
+            circles[piece_of[face_of[len(self.next_he) - 1]]] += 1
 
         # Strand q of a curve runs from its station q to the next, the last
         # one round to the first, a lap (m chords) further along the curve,
@@ -541,29 +493,34 @@ class _CutComplex:
         # arrive[p] is 2 * (the place at its other end) + (its side swaps
         # mod 2).
         out: list[Piece] = []
-        ribbon_circles = 0
         arrive = [0] * (4 * len(self.crossings))
         # the strands of a curve join all the crossings on it, so the
         # classes are the bunches of crossing curves: one ribbon each
         links: list[tuple[int, int, int]] = []
+        first = 0  # the curve's first chord
         for sts, chords in zip(stations, self.curve_chords):
             m = len(chords)
             if not sts:
-                circles = 2 if m % 2 == 0 else 1
-                ribbon_circles += circles
-                out.append(("neighbourhood", 0, circles, m % 2 == 0))
-                continue
-            k, place = sts[0]
-            for (k1, p1), (k2, p2) in zip(sts, [*sts[1:], (k + m, place)]):
-                p2 ^= 2
-                odd = (k2 - k1) & 1
-                arrive[p1], arrive[p2] = 2 * p2 + odd, 2 * p1 + odd
-                links.append((p1 >> 2, p2 >> 2, odd))
+                # a cut circle on each side of the curve's first chord
+                # segment, or one along both when the curve is one-sided
+                h = 2 * (first + sum(map(len, self.splits[:first])))
+                left, right = piece_of[face_of[h]], piece_of[face_of[h ^ 1]]
+                circles[left] += 1
+                if m % 2 == 0:
+                    circles[right] += 1
+                elif left != right:
+                    raise RuntimeError("a one-sided curve's sides lie in two pieces")
+                out.append(("neighbourhood", 0, 2 if m % 2 == 0 else 1, m % 2 == 0))
+            else:
+                k, place = sts[0]
+                for (k1, p1), (k2, p2) in zip(sts, [*sts[1:], (k + m, place)]):
+                    p2 ^= 2
+                    odd = (k2 - k1) & 1
+                    arrive[p1], arrive[p2] = 2 * p2 + odd, 2 * p1 + odd
+                    links.append((p1 >> 2, p2 >> 2, odd))
+            first += m
         vertex_uf = _UnionFind(len(self.crossings))
         vertex_uf.join(links)
-        if not self.crossings:
-            self._check_ribbon_circles(ribbon_circles)
-            return out
         ribbon_of = vertex_uf.roots()
         ribbon_cross = [0] * len(ribbon_of)
         for root in ribbon_of:
@@ -576,14 +533,19 @@ class _CutComplex:
         # and right to the successor.  So the arrival 8r + 2j + s at place
         # j of ring r leaves as turn[8r + 2j + s] = 8r + 2(j - 1 mod 4) for
         # s = 0 and 8r + 2(j + 1 mod 4) + 1 for s = 1.
-        ring = (6, 3, 0, 5, 2, 7, 4, 1)
-        turn = [8 * r + t for r in range(len(self.crossings)) for t in ring]
+        turns = (6, 3, 0, 5, 2, 7, 4, 1)
+        turn = [8 * r + t for r in range(len(self.crossings)) for t in turns]
         next_state = [turn[x ^ side] for x in arrive for side in (0, 1)]
 
-        # an orbit belongs to the ribbon of the crossing it starts at
+        # An orbit belongs to the ribbon of the crossing it starts at, and
+        # to the piece of the face beside it there: state 2p + side leaves
+        # along half-edge ring[p], whose face is on its left.
+        ring = self.ring
         orbit_count = [0] * len(ribbon_of)
-        for first in _orbits(next_state)[1]:
-            orbit_count[ribbon_of[first >> 3]] += 1
+        cut_orbits = [0] * len(piece_of)
+        for state in _orbits(next_state)[1]:
+            orbit_count[ribbon_of[state >> 3]] += 1
+            cut_orbits[piece_of[face_of[ring[state >> 1] ^ (state & 1)]]] += 1
 
         for root, crossings in enumerate(ribbon_cross):
             if not crossings:
@@ -591,23 +553,26 @@ class _CutComplex:
             orbits = orbit_count[root]
             if orbits % 2 != 0:
                 raise RuntimeError("odd strand orbit count")
-            circles = orbits // 2
-            ribbon_circles += circles
             out.append(
-                ("neighbourhood", -crossings, circles, not vertex_uf.bad[root])
+                ("neighbourhood", -crossings, orbits // 2, not vertex_uf.bad[root])
             )
-        self._check_ribbon_circles(ribbon_circles)
-        return out
 
-    def _check_ribbon_circles(self, ribbon_circles: int) -> None:
-        # every boundary circle of a neighbourhood piece is glued to
-        # exactly one cut circle of a complement piece, so the counts
-        # must agree; a mismatch means the complex is corrupt
-        if ribbon_circles != self.cut_circle_count:
-            raise RuntimeError(
-                "ribbon boundary circles do not match the cut circles "
-                f"({ribbon_circles} vs {self.cut_circle_count})"
-            )
+        # A compact surface with Euler characteristic chi and b boundary
+        # circles has chi + b = 2 - 2h if orientable and chi + b <= 1 if
+        # not, so the faces' count and the strands' must fit together.
+        self.components: list[Piece] = []
+        for root in set(piece_of):
+            if cut_orbits[root] % 2 != 0:
+                raise RuntimeError("odd strand orbit count along a complement piece")
+            chi, b = self.euler[root], circles[root] + cut_orbits[root] // 2
+            orientable = not self.non_orientable[root]
+            if chi + b > 2 - (not orientable) or orientable and (chi + b) % 2:
+                raise RuntimeError(
+                    f"no {'orientable' if orientable else 'non-orientable'} surface "
+                    f"has chi={chi} and {b} boundary circle(s)"
+                )
+            self.components.append(("complement", chi, b, orientable))
+        return out
 
 
 def cut_along(registry: Registry, names: Iterable[str]) -> ComplementReport:
@@ -616,7 +581,8 @@ def cut_along(registry: Registry, names: Iterable[str]) -> ComplementReport:
     Unknown names raise; duplicates collapse; the empty set reports the
     uncut surface as a single component.  Components carry Euler
     characteristic, boundary circle count, orientability and diskness,
-    and always sum to the Euler characteristic of the surface.
+    and always sum to the Euler characteristic of the surface: pieces that
+    do not raise ``RuntimeError``.
     """
     spec = registry.spec
     selected = {registry.curve(raw).name for raw in names}
@@ -624,11 +590,17 @@ def cut_along(registry: Registry, names: Iterable[str]) -> ComplementReport:
     complex_ = _CutComplex(
         spec, [(n, registry.geometry(n)) for n in ordered]
     )
+    pieces = sorted(complex_.components + complex_.neighbourhoods)
+    total = sum([piece[1] for piece in pieces])
+    surface = 2 - spec.genus - spec.boundary
+    if total != surface:
+        raise RuntimeError(
+            f"the pieces' Euler characteristics sum to {total}, not the surface's {surface}"
+        )
     # sorted by kind, euler characteristic, boundary circles and
     # orientability; equal pieces share one (immutable) record.  The
     # tuple is made from a list: tuple() of an iterator resizes it, and
     # resized tuples pile up in CPython's free lists.
-    pieces = sorted(complex_.components + complex_.ribbons())
     records = {piece: ComponentReport(*piece) for piece in set(pieces)}
     return ComplementReport(
         spec.genus, spec.boundary, tuple(ordered), tuple([records[piece] for piece in pieces])

@@ -421,6 +421,18 @@ def test_an_option_the_command_does_not_read_is_a_usage_error(capsys, option, va
             assert err.endswith(f"error: unrecognized arguments: {given} {value}\n")
 
 
+def test_tokens_after_a_double_dash_are_never_moved(capsys):
+    # after "--" every token is a positional, so none is quoted as the
+    # value of an option: the error names argparse's own leftovers, the
+    # last one included
+    argv = ["apply-curve", "--genus", "4", "--", "0", "--seed", "text", "--cert", "", "--curves"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: unrecognized arguments: text --cert  --curves\n")
+
+
 #: option spellings, in full and abbreviated, for every command's options
 SPELLINGS = sorted(
     {

@@ -395,8 +395,8 @@ def account_by_union_find(complex_):
     of its two slots, every corner class must meet the cut boundary twice
     or not at all, and joining the two corner classes at the ends of each
     boundary slot leaves one class per boundary circle.  The reference
-    for the corner and circle walks of ``_account``."""
-    face_of = complex_.face_of
+    for the count of ``_account`` and ``ribbons``, which read no corner."""
+    face_of = complex_.face_of + [complex_.n_faces] * complex_.cap  # the cap is face F
     n_faces, n_slots = complex_.n_faces + complex_.cap, len(face_of)
     cap = len(complex_.next_he)
     prev = [0] * (cap + 1)  # the slot before each in its face; the cap's is itself
@@ -436,9 +436,10 @@ def account_by_union_find(complex_):
 
 
 def test_the_corner_walks_count_as_union_find_does():
-    """On random curve systems, closed and bordered, the pieces and cut
-    circles that the corner and circle walks find are those of union-find
-    over the slots."""
+    """On random curve systems, closed and bordered, the complement pieces
+    that the gluings and the strand orbits count, and the ribbons'
+    boundary circles, are the pieces and the cut circles that union-find
+    over the corners of the slots finds."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings
 
@@ -446,8 +447,9 @@ def test_the_corner_walks_count_as_union_find_does():
     @given(curve_systems())
     def check(drawn):
         complex_ = cut_complex(*drawn)
-        walked = sorted(piece[1:] for piece in complex_.components)
-        assert (walked, complex_.cut_circle_count) == account_by_union_find(complex_)
+        counted = sorted(piece[1:] for piece in complex_.components)
+        ribbon_circles = sum(circles for _, _, circles, _ in complex_.neighbourhoods)
+        assert (counted, ribbon_circles) == account_by_union_find(complex_)
 
     check()
 
@@ -583,33 +585,87 @@ def test_a_corrupt_successor_table_is_refused(genus, boundary):
 
 @pytest.mark.parametrize("genus,boundary", [(4, 0), (5, 1), (6, 0)])
 def test_corrupt_gluings_are_refused(genus, boundary):
-    """A slot glued twice leaves a corner side unlinked, so the walks meet
-    a corner twice; a corner moved into another piece's face straddles
-    two pieces; two gluings swapped give a consistent complex whose cut
-    circles the ribbons no longer match; and the two copies of a side
-    must be cut at the same parameters."""
+    """A slot glued twice, or two gluings swapped, leaves a piece whose
+    Euler characteristic and boundary circles no surface has; a chord
+    side's face moved into another piece moves one strand orbit of a cut
+    circle there, leaving its piece an odd number; and the two copies of
+    a side must be cut at the same parameters."""
     complex_ = x0_complex(genus, boundary)
     complex_.glued_b[0] = complex_.glued_b[1]
-    with pytest.raises(RuntimeError, match="cut boundary is not a union of circles"):
-        complex_._account()
-    complex_ = x0_complex(genus, boundary)
-    x = complex_.glued_a[0]
-    z = next(s for s in complex_.glued_a if complex_.face_of[s] != complex_.face_of[x])
-    succ = complex_.next_he
-    succ[x], succ[z] = succ[z], succ[x]
-    with pytest.raises(RuntimeError, match="a vertex class straddles two components"):
-        complex_._account()
+    complex_._account()
+    with pytest.raises(RuntimeError, match="surface has chi=.* boundary circle"):
+        complex_.ribbons()
     complex_ = x0_complex(genus, boundary)
     glued_b = complex_.glued_b
     glued_b[0], glued_b[1] = glued_b[1], glued_b[0]
     complex_._account()
-    with pytest.raises(RuntimeError, match="ribbon boundary circles do not match the cut circles"):
+    with pytest.raises(RuntimeError, match="surface has chi=.* boundary circle"):
+        complex_.ribbons()
+    complex_ = x0_complex(genus, boundary)
+    face_of, piece_of, side = complex_.face_of, complex_.piece_of, complex_.ring[0]
+    face_of[side] = next(f for f in face_of if piece_of[f] != piece_of[face_of[side]])
+    with pytest.raises(RuntimeError, match="odd strand orbit count along a complement piece"):
         complex_.ribbons()
     complex_ = x0_complex(genus, boundary)
     inside = next(v for v, key in enumerate(complex_.coords) if 0 < key < SIDE)
     complex_.coords[inside] += 1
     with pytest.raises(RuntimeError, match="glued sides 1/2 subdivide differently"):
         complex_._build_pairings(genus)
+
+
+def swapped(complex_, i):
+    glued_b = complex_.glued_b
+    glued_b[i], glued_b[i + 1] = glued_b[i + 1], glued_b[i]
+
+
+def glued_twice(complex_, i):
+    complex_.glued_b[i] = complex_.glued_b[i + 1]
+
+
+def dropped(complex_, i):
+    del complex_.glued_a[i], complex_.glued_b[i]
+
+
+@pytest.mark.parametrize("corrupt", [swapped, glued_twice, dropped])
+@pytest.mark.parametrize("genus,boundary", [(4, 0), (5, 1), (6, 0), (10, 1), (20, 0)])
+def test_a_corrupt_gluing_never_gives_wrong_pieces(genus, boundary, corrupt, monkeypatch):
+    """Cutting along X0 with any one of the first 40 gluings corrupted
+    either is refused or gives the pieces of the sound complex."""
+    reg = registry(genus, boundary)
+    names = x0_names(genus)
+    sound = cut_along(reg, names)
+    build = _CutComplex._build_pairings
+    for i in range(min(40, len(x0_complex(genus, boundary).glued_a) - 1)):
+
+        def corrupted(self, g):
+            build(self, g)
+            corrupt(self, i)
+
+        monkeypatch.setattr(_CutComplex, "_build_pairings", corrupted)
+        try:
+            assert cut_along(reg, names) == sound, (corrupt.__name__, i)
+        except RuntimeError:
+            pass
+
+
+@pytest.mark.parametrize("genus,boundary", [(4, 0), (5, 1), (6, 0)])
+def test_pieces_off_the_surface_euler_characteristic_are_refused(genus, boundary, monkeypatch):
+    """The uncut surface with one gluing dropped is one non-orientable
+    piece with one more Euler characteristic, which a non-orientable
+    surface can have; only the sum over the pieces gives it away."""
+    build = _CutComplex._build_pairings
+
+    def dropped_first(self, g):
+        build(self, g)
+        dropped(self, 0)
+
+    monkeypatch.setattr(_CutComplex, "_build_pairings", dropped_first)
+    surface = 2 - genus - boundary
+    with pytest.raises(
+        RuntimeError,
+        match=rf"Euler characteristics sum to {surface + 1}, not the surface's {surface}$",
+    ):
+        cut_along(registry(genus, boundary), [])
 
 
 @pytest.mark.parametrize("genus,boundary", [(4, 0), (5, 1), (6, 0)])
