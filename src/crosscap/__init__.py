@@ -43,8 +43,8 @@ __version__ = "0.1.0"
 # cutting (the cut complex; complement, and the names below), homology (the
 # integer matrices; the homology command, and the names below), files (the
 # data-file formats, once a file is found), folding (for
-# Automorphism.verify_sound) and commands (the argparse parser, for any
-# command line but a plain verify-theorem call, and the five small commands).
+# Automorphism.verify_sound) and commands (the five small commands, and the
+# argparse parser that prints -h and usage errors).
 _FROM_CUTTING = ("ComplementReport", "ComponentReport", "cut_along", "intersection_number")
 _FROM_HOMOLOGY = ("HomologyMatrix", "abelianize")
 

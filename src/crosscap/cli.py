@@ -16,12 +16,17 @@
 * ``validate-data`` - integrity checks for external data files.
 
 ``verify-theorem`` lives here; the other five live in ``commands``, which
-``main`` imports only to run one of them or to read a command line with
-argparse.  ``OPTIONS`` is the one list of the options.  ``main`` reads a
-plain verify-theorem call by it (each option in full, then its value)
-without argparse; usage, a usage error, an abbreviated option or any
-other command goes to the argparse parser that ``commands`` builds from
-the same list, so a plain run compiles no parser.
+``main`` imports only to run one of them, or to print ``-h`` or a usage
+error through argparse.  ``OPTIONS`` is the one table of every command's
+options and positionals, and ``read_args`` reads any command line by it in
+one pass over its tokens, as argparse reads it: an option in full or by a
+unique prefix, its value next or after ``=``, options before, between and
+after the positionals, a negative number as a value, ``--`` before tokens
+that are all positionals, and the last of a repeated option.  So no run
+builds a parser unless it prints ``-h`` or a usage error.  Such an error
+names an unknown option alone, an option of another command with its
+value, and surplus positionals together; every other fault keeps
+argparse's own message.
 
 Every subcommand takes ``--genus``, ``--n``, ``--format`` and
 ``--registry``.  Only the two checking commands, ``verify-theorem`` and
@@ -41,6 +46,7 @@ line-oriented ``key=value`` and byte-stable for fixed inputs.
 from __future__ import annotations
 
 import os
+import re
 import sys
 from collections.abc import Sequence
 from types import SimpleNamespace
@@ -123,9 +129,11 @@ EVERY_COMMAND = (
 )
 CHECKING_COMMANDS = ("verify-theorem", "validate-data")
 
-#: option -> (the commands that take it, its ``add_argument`` keywords).
-#: The one list of the options: ``commands._build_parser`` builds argparse
-#: from it and ``_plain_verify_args`` reads a plain verify-theorem call by it.
+#: name -> (the commands that take it, its ``add_argument`` keywords), in
+#: the order argparse adds them; a name without ``--`` is a positional.
+#: The one table of the command line: ``read_args`` reads every call by it,
+#: and ``commands`` builds the argparse parser from it for ``-h`` and usage
+#: errors.
 OPTIONS = {
     "--genus": (
         EVERY_COMMAND,
@@ -160,48 +168,197 @@ OPTIONS = {
             "benchmark stops passing it",
         },
     ),
+    "--curves": (
+        ("complement",),
+        {
+            "required": True,
+            "help": "comma/space separated names; ranges like alpha1..alpha4; X0; '' for none",
+        },
+    ),
+    "--drop": (("complement",), {"metavar": "NAME", "help": "remove one name from the set"}),
+    "lhs": (("relation",), {"help": "left expression, e.g. 'a1 a2 a1'"}),
+    "rhs": (("relation",), {"help": "right expression, e.g. 'a2 a1 a2'"}),
+    "expression": (("apply-curve", "homology"), {}),
+    "curve": (("apply-curve",), {"help": "registered curve name, e.g. epsilon"}),
 }
+_HELP = ("-h", "--help")
 
 
-def _plain_verify_args(tokens: Sequence[str]) -> SimpleNamespace | None:
-    """The arguments of a plain verify-theorem call, as argparse would read
-    them; None for anything else, which argparse then reads.
+class _Usage(Exception):
+    """A command line that argparse would answer with ``-h`` (message None)
+    or a usage error: ``args`` are the parser that answers, None for the
+    top level or else a command, and the message."""
 
-    Plain means: ``verify-theorem``, then only options it takes, each
-    spelled in full and followed by its value, no value that starts with
-    ``-``, every value of its option's type and choices, ``--genus`` given
-    and the surface one verify-theorem runs on.
+
+def _option(token: str, options: Sequence[str], parser: str | None) -> tuple | None:
+    """How argparse takes ``token``, met before ``--``, against ``options``.
+
+    None is a positional.  ``(option, value)`` is one of ``options``, named
+    in full or, for a ``--`` option, by a unique prefix; ``value`` is the
+    text after ``=``, or after ``-h``, else None.  ``(None, None)`` is an
+    option that ``options`` lack.
     """
-    if len(tokens) % 2 == 0 or tokens[0] != "verify-theorem":
+    if not token.startswith("-"):
         return None
-    taken = {
-        option: spec for option, (takers, spec) in OPTIONS.items() if "verify-theorem" in takers
-    }
-    args = SimpleNamespace(command="verify-theorem")
-    for option, spec in taken.items():
-        setattr(args, spec.get("dest", option[2:]), spec.get("default"))
-    for option, text in zip(tokens[1::2], tokens[2::2]):
-        spec = taken.get(option)
-        if spec is None or text.startswith("-"):
-            return None
-        try:
-            value = spec.get("type", str)(text)
-        except ValueError:
-            return None
+    if token in options:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in options:
+        return name, value
+    if token[1] == "-":
+        matches = [option for option in options if option.startswith(name)]
+        value = value if eq else None
+    else:
+        matches = [token[:2]] if token[:2] in options else []
+        value = token[2:]
+    if len(matches) > 1:
+        raise _Usage(parser, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value
+    # argparse takes a negative number or a token with a space for a positional
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+        return None
+    return None, None
+
+
+def _help(parser: str | None, option: str, value: str | None) -> None:
+    """``-h`` or ``--help`` met: argparse prints help, or refuses a value
+    given with it.  ``-hh`` is ``-h`` twice."""
+    if option == "-h" and value:
+        value = value.lstrip("h") or None
+    if value is not None:
+        raise _Usage(parser, f"argument -h/--help: ignored explicit argument {value!r}")
+    raise _Usage(parser, None)
+
+
+def _value(command: str, option: str, spec: dict, text: str):
+    """The value of ``option`` given as ``text``, checked as argparse checks it."""
+    kind = spec.get("type", str)
+    try:
+        value = kind(text)
+    except (TypeError, ValueError):
+        fault = f"invalid {kind.__name__} value: {text!r}"
+    else:
         choices = spec.get("choices")
-        if choices is not None and value not in choices:
-            return None
-        setattr(args, spec.get("dest", option[2:]), value)
-    given = tokens[1::2]
-    if any(spec.get("required") and option not in given for option, spec in taken.items()):
-        return None
-    if args.genus < MIN_RICH_GENUS:
-        return None
+        if choices is None or value in choices:
+            return value
+        fault = f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+    raise _Usage(command, f"argument {option}: {fault}")
+
+
+def _read(tokens: Sequence[str]) -> SimpleNamespace:
+    strays: list[str] = []  # options that no parser on the way takes
+    at = 0
+    # before the command, argparse's top level knows only -h and --help
+    while at < len(tokens) and tokens[at] != "--":
+        found = _option(tokens[at], _HELP, None)
+        if found is None:
+            break
+        if found[0] is not None:
+            _help(None, *found)
+        strays.append(tokens[at])
+        at += 1
+    if at == len(tokens):
+        raise _Usage(None, "the following arguments are required: command")
+    command = tokens[at]
+    if command not in EVERY_COMMAND:
+        listed = ", ".join(map(repr, EVERY_COMMAND))
+        raise _Usage(None, f"argument command: invalid choice: {command!r} (choose from {listed})")
+
+    taken = {name: spec for name, (takers, spec) in OPTIONS.items() if command in takers}
+    options = [*_HELP, *(name for name in taken if name.startswith("-"))]
+    positionals = [name for name in taken if not name.startswith("-")]
+    args = SimpleNamespace(command=command)
+    for name, spec in taken.items():
+        setattr(args, spec.get("dest", name.lstrip("-")), spec.get("default"))
+    rest = tokens[at + 1 :]
+    # every token after the first "--" is a positional; argparse sorts the
+    # ones before it first, so an ambiguous option is the first fault
+    cut = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_option(token, options, command) for token in rest[:cut]]
+
+    def is_value(k: int) -> bool:
+        return k < cut and kinds[k] is None
+
+    given: set[str] = set()
+    words: list[str] = []  # the positionals, surplus ones included
+    word_at = None  # where the last of them stands
+    lent = 0  # values of options the command does not take
+    k = 0
+    while k < len(rest):
+        i, token = k, rest[k]
+        k += 1
+        if i > cut or is_value(i):
+            words.append(token)
+            word_at = i
+            continue
+        if i == cut:
+            # argparse drops "--" next to a positional it takes: one still
+            # to come, or the last one, just before it; else it is surplus
+            if len(words) > len(positionals) or (
+                len(words) == len(positionals) and word_at != i - 1
+            ):
+                words.append(token)
+            continue
+        option, value = kinds[i]
+        if option is None:
+            # an option of another command is quoted with its value, which
+            # argparse still counts as a positional; an unknown one alone
+            if "=" not in token and any(n.startswith(token) for n in OPTIONS) and is_value(k):
+                token = f"{token} {rest[k]}"
+                k += 1
+                lent += 1
+            strays.append(token)
+            continue
+        if option in _HELP:
+            _help(command, option, value)
+        if value is None:
+            if not is_value(k):
+                raise _Usage(command, f"argument {option}: expected one argument")
+            value = rest[k]
+            k += 1
+        spec = taken[option]
+        setattr(args, spec.get("dest", option.lstrip("-")), _value(command, option, spec, value))
+        given.add(option)
+
+    filled = len(words) + lent
+    missing = [
+        name
+        for name, spec in taken.items()
+        if (spec.get("required") and name not in given) or name in positionals[filled:]
+    ]
+    if missing:
+        raise _Usage(command, f"the following arguments are required: {', '.join(missing)}")
+    surplus = words[len(positionals) :]
+    if strays or surplus:
+        raise _Usage(None, f"unrecognized arguments: {' '.join(strays or surplus)}")
+    for name, word in zip(positionals, words):
+        setattr(args, name, word)
     try:
         SurfaceSpec(args.genus, args.n)
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise _Usage(None, str(exc)) from None
+    if command in CHECKING_COMMANDS and args.genus < MIN_RICH_GENUS:
+        raise _Usage(
+            None,
+            f"{command} needs --genus >= {MIN_RICH_GENUS} "
+            f"(the twist family below that is too small), got {args.genus}",
+        )
     return args
+
+
+def read_args(tokens: Sequence[str]) -> SimpleNamespace:
+    """The arguments of a command line, read in one pass as argparse reads
+    them.  ``-h`` and a usage error go to argparse, in ``commands``, which
+    prints them and exits, with status 0 and 2."""
+    try:
+        return _read(tokens)
+    except _Usage as usage:
+        from crosscap.commands import exit_usage
+
+        exit_usage(*usage.args)  # prints, and exits
 
 
 # -- world loading -------------------------------------------------------
@@ -401,13 +558,7 @@ def _cmd_verify_theorem(args) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    tokens = sys.argv[1:] if argv is None else list(argv)
-    args = _plain_verify_args(tokens)
-    if args is None:
-        # argparse, for usage, a usage error or any other command line
-        from crosscap.commands import parse_args
-
-        args = parse_args(tokens)
+    args = read_args(sys.argv[1:] if argv is None else argv)
     if args.command == "verify-theorem":
         command = _cmd_verify_theorem
     else:

@@ -1,23 +1,23 @@
-"""The argparse command line of ``crosscap``, and its five small commands:
-``relation``, ``apply-curve``, ``homology``, ``complement`` and
-``validate-data``.
+"""The five small commands of ``crosscap``: ``relation``, ``apply-curve``,
+``homology``, ``complement`` and ``validate-data``; and the argparse
+parser, which prints ``-h`` and usage errors.
 
-``cli.main`` imports this module only to read a command line that is not
-a plain verify-theorem call (usage, a usage error, another command), or
-to run one of the small commands, so that a plain ``verify-theorem``
-compiles neither argparse nor them.  The parser is built from
-``cli.OPTIONS``, the one list of the options.  Data loading, the stage
-log and the errors that ``main`` reports stay in ``cli``.
+``cli.main`` imports this module only to run one of the small commands,
+or to print ``-h`` or a usage error that ``cli.read_args`` found, so that
+a plain ``verify-theorem`` compiles none of it.  argparse reads no command
+line: ``read_args`` reads every one by ``cli.OPTIONS``, the one table of
+the options and positionals, and the parser is built from the same table
+only to print, so that help and usage bytes stay argparse's own.  Data
+loading, the stage log and the errors that ``main`` reports stay in
+``cli``.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from crosscap.cli import (
-    CHECKING_COMMANDS,
     OPTIONS,
     _certificate_fault,
     _load_certificates,
@@ -26,10 +26,8 @@ from crosscap.cli import (
     _StageLog,
     _WorldError,
 )
-from crosscap.homology import abelianize
 from crosscap.surface import (
     MIN_RICH_GENUS,
-    SurfaceSpec,
     UnknownCurveError,
     canonical_curve_name,
     chain_index,
@@ -40,82 +38,42 @@ from crosscap.twists import apply_to_curve, equal, evaluate, first_difference
 from crosscap.words import letter_str
 
 
-# -- the command line, read by argparse ------------------------------------
+# -- -h and usage errors, printed by argparse --------------------------------
+
+#: each command and its line in ``crosscap -h``, in ``cli.EVERY_COMMAND``'s order
+SUMMARIES = {
+    "verify-theorem": "run the full staged verification suite",
+    "relation": "compare two twist expressions",
+    "apply-curve": "image of a curve under an expression",
+    "homology": "integral matrix of an expression",
+    "complement": "cut the surface along curves",
+    "validate-data": "check external data files",
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def exit_usage(parser: str | None, message: str | None) -> None:
+    """Print ``-h`` (``message`` None) or a usage error of ``parser``, the
+    top level (None) or a command, as argparse does, and exit as it does:
+    with status 0 after help and 2 after an error."""
+    import argparse
+
+    top = argparse.ArgumentParser(
         prog="crosscap",
         description="Twist computations on non-orientable surfaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        for option, (takers, spec) in OPTIONS.items():
-            if name in takers:
-                p.add_argument(option, **spec)
-        return p
-
-    command("verify-theorem", "run the full staged verification suite")
-    p_rel = command("relation", "compare two twist expressions")
-    p_rel.add_argument("lhs", help="left expression, e.g. 'a1 a2 a1'")
-    p_rel.add_argument("rhs", help="right expression, e.g. 'a2 a1 a2'")
-    p_apply = command("apply-curve", "image of a curve under an expression")
-    p_apply.add_argument("expression")
-    p_apply.add_argument("curve", help="registered curve name, e.g. epsilon")
-    p_hom = command("homology", "integral matrix of an expression")
-    p_hom.add_argument("expression")
-    p_comp = command("complement", "cut the surface along curves")
-    p_comp.add_argument(
-        "--curves",
-        required=True,
-        help="comma/space separated names; ranges like alpha1..alpha4; X0; '' for none",
-    )
-    p_comp.add_argument("--drop", metavar="NAME", help="remove one name from the set")
-    command("validate-data", "check external data files")
-    return parser
-
-
-def parse_args(tokens: Sequence[str]) -> argparse.Namespace:
-    """Read any command line; usage and usage errors print and exit."""
-    parser = _build_parser()
-    args, extras = parser.parse_known_args(tokens)
-    if extras:
-        # A command's parser takes the value of an option it does not accept
-        # for a positional when the option, or an abbreviation of it, stands
-        # before them.  Moved last, with its value, it is reported as given.
-        # Every token after "--" is a positional: none of them moves, and
-        # the moved ones go before it.
-        unread = [option for option, (takers, _) in OPTIONS.items() if args.command not in takers]
-        cut = tokens.index("--") if "--" in tokens else len(tokens)
-        head, moved, at = list(tokens[:cut]), [], 0
-        while at < len(head):
-            if len(head[at]) > 2 and any(o.startswith(head[at]) for o in unread):
-                moved += head[at : at + 2]
-                del head[at : at + 2]
-            else:
-                at += 1
-        extras = parser.parse_known_args([*head, *moved, *tokens[cut:]])[1]
-        # Short of positionals, the parser takes the first moved values for
-        # them: the extras end with those options alone, then the rest of
-        # moved.  Each option is still quoted with its value.
-        for lent in range(len(moved) // 2 + 1):
-            tail = moved[: 2 * lent : 2] + moved[2 * lent :]
-            if extras[len(extras) - len(tail) :] == tail:
-                extras[len(extras) - len(tail) :] = moved
-                break
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    try:
-        SurfaceSpec(args.genus, args.n)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.command in CHECKING_COMMANDS and args.genus < MIN_RICH_GENUS:
-        parser.error(
-            f"{args.command} needs --genus >= {MIN_RICH_GENUS} "
-            f"(the twist family below that is too small), got {args.genus}"
-        )
-    return args
+    sub = top.add_subparsers(dest="command", required=True)
+    answer = top
+    for command, summary in SUMMARIES.items():
+        p = sub.add_parser(command, help=summary)
+        for name, (takers, spec) in OPTIONS.items():
+            if command in takers:
+                p.add_argument(name, **spec)
+        if command == parser:
+            answer = p
+    if message is None:
+        answer.print_help()
+        answer.exit()
+    answer.error(message)
 
 
 # -- the small commands ------------------------------------------------------
@@ -211,6 +169,9 @@ def _cmd_apply_curve(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    # imported here, so that no other command loads the integer matrices
+    from crosscap.homology import abelianize
+
     registry = _load_registry(args)
     generators = _load_generators(registry)
     auto = evaluate(args.expression, generators, args.genus)

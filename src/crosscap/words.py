@@ -14,7 +14,9 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 
-_TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
+#: ``x<i>`` or ``x<i>^<k>``, compiled by the first :meth:`Word.parse`: only
+#: data files and tests parse word text, so a plain run never compiles it.
+_TOKEN_RE: re.Pattern[str] | None = None
 
 #: The most letters :meth:`Word.parse` expands a text into.  A token
 #: ``x1^k`` spells k letters, so the bound is checked before they are built.
@@ -187,6 +189,9 @@ class Word(Record):
         that would take the word past ``MAX_PARSED_LETTERS`` letters
         before reduction.
         """
+        global _TOKEN_RE
+        if _TOKEN_RE is None:
+            _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
         letters: list[int] = []
         for tok in text.split():
             if tok == "1":

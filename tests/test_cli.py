@@ -433,11 +433,120 @@ def test_tokens_after_a_double_dash_are_never_moved(capsys):
     assert err.endswith("error: unrecognized arguments: text --cert  --curves\n")
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        # an unknown option may take t.txt for its value: it is named alone
+        (("relation", "--genus", "4", "--twist-table", "t.txt", "a1", "a2"), "--twist-table"),
+        # an option of another command keeps its value, wherever "--" stands
+        (("apply-curve", "--genus", "4", "--seed", "3", "--", "0", "--curves"), "--seed 3"),
+    ],
+    ids=["unknown", "before-double-dash"],
+)
+def test_a_usage_error_names_each_option_with_what_it_took(capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"crosscap: error: unrecognized arguments: {named}"
+
+
+#: the options that more than one command takes, spelled out here so that
+#: the reference parser does not read them from cli.OPTIONS
+SHARED_OPTIONS = {
+    "--genus": (
+        cli.EVERY_COMMAND,
+        {"type": int, "required": True, "help": f"crosscap genus, 2 <= g <= {MAX_GENUS}"},
+    ),
+    "--n": (
+        cli.EVERY_COMMAND,
+        {
+            "type": int,
+            "choices": (0, 1),
+            "default": 0,
+            "help": "number of boundary circles (default 0: closed surface)",
+        },
+    ),
+    "--format": (
+        cli.EVERY_COMMAND,
+        {
+            "choices": ("text", "structured"),
+            "default": "text",
+            "dest": "fmt",
+            "help": "output style (structured = line-oriented key=value)",
+        },
+    ),
+    "--registry": (cli.EVERY_COMMAND, {"metavar": "PATH", "help": "curve registry file"}),
+    "--certificates": (cli.CHECKING_COMMANDS, {"metavar": "PATH", "help": "certificate file"}),
+    "--seed": (
+        ("verify-theorem",),
+        {
+            "type": int,
+            "default": 0,
+            "help": "accepted and ignored (no check is randomized) until the "
+            "benchmark stops passing it",
+        },
+    ),
+}
+
+
+def reference_parser():
+    """A reference argparse parser of ``crosscap``: each command takes the
+    rows of ``SHARED_OPTIONS`` it is listed in, then its own arguments,
+    added one by one."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="crosscap",
+        description="Twist computations on non-orientable surfaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        for option, (takers, spec) in SHARED_OPTIONS.items():
+            if name in takers:
+                p.add_argument(option, **spec)
+        return p
+
+    command("verify-theorem", "run the full staged verification suite")
+    p_rel = command("relation", "compare two twist expressions")
+    p_rel.add_argument("lhs", help="left expression, e.g. 'a1 a2 a1'")
+    p_rel.add_argument("rhs", help="right expression, e.g. 'a2 a1 a2'")
+    p_apply = command("apply-curve", "image of a curve under an expression")
+    p_apply.add_argument("expression")
+    p_apply.add_argument("curve", help="registered curve name, e.g. epsilon")
+    p_hom = command("homology", "integral matrix of an expression")
+    p_hom.add_argument("expression")
+    p_comp = command("complement", "cut the surface along curves")
+    p_comp.add_argument(
+        "--curves",
+        required=True,
+        help="comma/space separated names; ranges like alpha1..alpha4; X0; '' for none",
+    )
+    p_comp.add_argument("--drop", metavar="NAME", help="remove one name from the set")
+    command("validate-data", "check external data files")
+    return parser
+
+
+@pytest.mark.parametrize("command", [(), *[(name,) for name in cli.EVERY_COMMAND]])
+def test_help_is_argparse_help_byte_for_byte(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        reference_parser().parse_args([*command, "-h"])
+    assert exc.value.code == 0
+    want = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr() == want
+
+
 #: option spellings, in full and abbreviated, for every command's options
 SPELLINGS = sorted(
     {
         option[:k]
-        for option in [*cli.OPTIONS, "--curves", "--drop", "--help"]
+        for option in [*(name for name in cli.OPTIONS if name.startswith("--")), "--help"]
         for k in range(3, len(option) + 1)
     }
 )
@@ -449,56 +558,117 @@ GOOD = {
     "--registry": ["data.txt", ""],
     "--certificates": ["data.txt", ""],
     "--seed": ["7", "0", "+3", "1_000"],
+    "--curves": ["X0", "", "alpha1..alpha4", "epsilon"],
+    "--drop": ["epsilon", "alpha_1"],
 }
-#: values of every kind argparse and the plain reader might disagree on
+#: values of every kind argparse and the reader might disagree on
 VALUES = [
     "101", "3", "2", "-1", "-4", "", " ", "1e1", "Text", "--genus", "-h", "--", "a1", "\u0664",
 ]
+#: positionals: expressions and curve names, and tokens that look like options
+WORDS = ["a1", "a1 a2", "epsilon", "", "-1", "-", "- a", "x", "--", "-h", "--gen", "--x y"]
+#: how many positionals each command takes
+POSITIONALS = {"relation": 2, "apply-curve": 2, "homology": 1}
 
 
-def test_a_plain_verify_theorem_call_reads_as_argparse_reads_it():
-    """Whatever ``_plain_verify_args`` accepts, argparse (with the genus
-    usage checks) reads the same: no exit, no extras, an equal namespace."""
+def test_the_reader_reads_every_command_line_as_argparse_reads_it():
+    """On every command line argparse (with the genus checks) accepts, the
+    reader gives the same arguments, or the same help; where argparse
+    refuses, the reader exits 2 too, with argparse's own bytes unless it
+    named unrecognized arguments, which the reader names as it reads them."""
     pytest.importorskip("hypothesis")
-    from hypothesis import given, settings, strategies as st
+    import argparse
 
-    from crosscap.commands import _build_parser, parse_args
+    from hypothesis import assume, given, settings, strategies as st
 
-    # mostly verify-theorem with options in full and good values, with
-    # every kind of fault mixed in
+    from crosscap.surface import MIN_RICH_GENUS
+
+    def table_parser():
+        # argparse from the reader's own table: each command takes its rows
+        parser = argparse.ArgumentParser(prog="crosscap")
+        sub = parser.add_subparsers(dest="command", required=True)
+        for command in cli.EVERY_COMMAND:
+            p = sub.add_parser(command)
+            for name, (takers, spec) in cli.OPTIONS.items():
+                if command in takers:
+                    p.add_argument(name, **spec)
+        return parser
+
+    # argparse up to 3.11 drops a "--" that is a value and reads [] (CPython
+    # gh-81691), so it checks no value there; the reader keeps the "--", as
+    # later versions of argparse do
+    probe = ["homology", "--genus", "4", "--registry=--", "a1"]
+    drops_dashes = table_parser().parse_args(probe).registry == []
+
+    def argparse_reads(argv):
+        parser = table_parser()
+        if drops_dashes:
+            assume(not any(token.endswith("=--") for token in argv))
+        args = parser.parse_args(argv)
+        assume(not any(isinstance(value, list) for value in vars(args).values()))
+        try:
+            SurfaceSpec(args.genus, args.n)
+        except ValueError as exc:
+            parser.error(str(exc))
+        if args.command in cli.CHECKING_COMMANDS and args.genus < MIN_RICH_GENUS:
+            parser.error(
+                f"{args.command} needs --genus >= {MIN_RICH_GENUS} "
+                f"(the twist family below that is too small), got {args.genus}"
+            )
+        return vars(args)
+
+    def outcome(read, argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    result = read(argv)
+                except SystemExit as exc:
+                    result = exc.code
+        return result, out.getvalue(), err.getvalue()
+
+    # every command, its options in full and abbreviated, with good values
+    # and bad, its positionals before, between and after them, and "--"
     @st.composite
     def command_lines(draw):
-        commands = [*cli.EVERY_COMMAND, *["verify-theorem"] * 6, "verify", "-h"]
-        argv = [draw(st.sampled_from(commands))]
-        if draw(st.booleans()):
-            argv += ["--genus", draw(st.sampled_from([*GOOD["--genus"], "3", "2", "101"]))]
-        for _ in range(draw(st.integers(0, 5))):
+        commands = [*cli.EVERY_COMMAND, *cli.EVERY_COMMAND, "verify", "-h"]
+        command = draw(st.sampled_from(commands))
+        pieces = []
+        often = st.sampled_from([True] * 4 + [False])
+        seldom = st.sampled_from([False] * 9 + [True])
+        if draw(often):
+            pieces.append(["--genus", draw(st.sampled_from([*GOOD["--genus"], "3", "2", "101"]))])
+        if draw(often if command == "complement" else seldom):
+            pieces.append(["--curves", draw(st.sampled_from(GOOD["--curves"]))])
+        need = POSITIONALS.get(command, 0)
+        for _ in range(draw(st.sampled_from([need, need, need, 0, 1, 2, 3]))):
+            pieces.append([draw(st.sampled_from(WORDS))])
+        for _ in range(draw(st.integers(0, 4))):
             kind = draw(st.integers(0, 8))
             option = draw(st.sampled_from(list(GOOD) if kind < 7 else SPELLINGS))
             if kind < 5:
-                argv += [option, draw(st.sampled_from(GOOD[option]))]
+                pieces.append([option, draw(st.sampled_from(GOOD[option]))])
             elif kind < 7:
-                argv += [option, draw(st.sampled_from(VALUES))]
+                pieces.append([option, draw(st.sampled_from(VALUES))])
             else:
                 value = draw(st.sampled_from([*GOOD.get(option, []), *VALUES]))
-                pieces = [[option, value], [f"{option}={value}"], [option], [value], ["-h"], ["--"]]
-                argv += draw(st.sampled_from(pieces))
-        return argv
+                spelled = [[option, value], [f"{option}={value}"], [option], [value], ["-h"], ["--"]]
+                pieces.append(draw(st.sampled_from(spelled)))
+        return [command, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
 
     @settings(max_examples=1000, deadline=None)
     @given(command_lines())
     def check(argv):
-        plain = cli._plain_verify_args(argv)
-        if plain is None:
-            return
-        with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(out):
-            try:
-                extras = _build_parser().parse_known_args(argv)[1]
-                args = parse_args(argv)
-            except SystemExit:
-                pytest.fail(f"argparse exits on {argv}: {out.getvalue()}")
-        assert extras == []
-        assert vars(args) == vars(plain)
+        want, want_out, want_err = outcome(argparse_reads, argv)
+        if want == 0:
+            # help, whose bytes the reference with the commands' summaries holds
+            want, want_out, want_err = outcome(reference_parser().parse_args, argv)
+        got, out, err = outcome(lambda argv: vars(cli.read_args(argv)), argv)
+        if isinstance(want, dict) or want == 0:
+            assert (got, out, err) == (want, want_out, want_err), argv
+        else:
+            assert (want, got) == (2, 2), argv
+            if "error: unrecognized arguments: " not in want_err:
+                assert err == want_err, argv
 
     check()
 
@@ -1005,9 +1175,10 @@ def test_verify_theorem_loads_only_the_modules_it_runs(tmp_path):
     """verify-theorem compiles no file format, no integer homology, no
     folding and no small command: those modules load on first use, by the
     runs that need them.
-    A plain verify-theorem call is read without argparse; usage, a usage
-    error or an abbreviated option loads it, with ``crosscap.commands``.
-    ``pathlib`` loads only to read a data path, and ``typing`` never."""
+    No valid command line loads argparse: the reader reads every one, an
+    abbreviated option included.  ``-h`` and a usage error load it, with
+    ``crosscap.commands``.  ``pathlib`` loads only to read a data path,
+    ``typing`` never, and a plain run compiles no word-token pattern."""
     package_root = str(Path(crosscap.__file__).resolve().parents[1])
     script = (
         "import contextlib, io, sys\n"
@@ -1018,10 +1189,11 @@ def test_verify_theorem_loads_only_the_modules_it_runs(tmp_path):
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
         "watched = ('crosscap', 'argparse', 'pathlib', 'typing')\n"
-        "print(code, *sorted(m for m in sys.modules if m.split('.')[0] in watched))\n"
+        "print(code, crosscap.words._TOKEN_RE is None)\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] in watched))\n"
     )
 
-    def loaded(*argv):
+    def run_loaded(*argv):
         proc = subprocess.run(
             [sys.executable, "-S", "-c", script, *argv],
             capture_output=True,
@@ -1030,8 +1202,13 @@ def test_verify_theorem_loads_only_the_modules_it_runs(tmp_path):
             env={**os.environ, "PYTHONPATH": package_root},
         )
         assert proc.returncode == 0, proc.stderr
-        code, *modules = proc.stdout.split()
-        return int(code), set(modules)
+        status, modules = proc.stdout.splitlines()
+        code, uncompiled = status.split()
+        return int(code), uncompiled == "True", set(modules.split())
+
+    def loaded(*argv):
+        code, _, modules = run_loaded(*argv)
+        return code, modules
 
     theorem = {
         "crosscap",
@@ -1041,20 +1218,25 @@ def test_verify_theorem_loads_only_the_modules_it_runs(tmp_path):
         "crosscap.twists",
         "crosscap.words",
     }
-    argparsed = theorem | {"argparse", "crosscap.commands", "crosscap.homology"}
+    small = theorem | {"crosscap.commands"}
+    argparsed = small | {"argparse"}
     surface = ("--genus", "6", "--n", "1")
     verify = ("verify-theorem", *surface)
-    assert loaded(*verify, "--format", "structured") == (0, theorem)
+    assert run_loaded(*verify, "--format", "structured") == (0, True, theorem)
     assert loaded(*verify, "--format", "structured", "--seed", "3") == (0, theorem)
-    assert loaded("relation", *surface, "a1", "a1") == (0, argparsed)
+    assert loaded("relation", *surface, "a1", "a1") == (0, small)
+    assert loaded("apply-curve", *surface, "a1", "alpha_1") == (0, small)
+    assert loaded("homology", *surface, "a1") == (0, small | {"crosscap.homology"})
+    assert loaded("complement", *surface, "--curves", "X0") == (0, small | {"crosscap.cutting"})
+    assert loaded("validate-data", *surface) == (0, small)
     registry = tmp_path / "registry.txt"
     # a file format is compiled only once a file has been found
     assert loaded(*verify, "--registry", str(registry)) == (1, theorem | {"pathlib"})
     registry.write_text(registry_text(standard_registry(SurfaceSpec(6, 1))), encoding="utf-8")
     read = theorem | {"crosscap.files", "pathlib"}
     assert loaded(*verify, "--registry", str(registry)) == (0, read)
-    # argparse reads what is not a plain call
-    assert loaded("verify-theorem", "--gen", "6", "--n", "1") == (0, argparsed)
+    # an abbreviated option is read without argparse; help and errors print through it
+    assert loaded("verify-theorem", "--gen", "6", "--n", "1") == (0, theorem)
     assert loaded("verify-theorem", "-h") == (0, argparsed)
     assert loaded("verify-theorem", "--genus", "3", "--n", "1") == (2, argparsed)
 
