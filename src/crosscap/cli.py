@@ -16,17 +16,18 @@
 * ``validate-data`` - integrity checks for external data files.
 
 ``verify-theorem`` lives here; the other five live in ``commands``, which
-``main`` imports only to run one of them, or to print ``-h`` or a usage
-error through argparse.  ``OPTIONS`` is the one table of every command's
-options and positionals, and ``read_args`` reads any command line by it in
-one pass over its tokens, as argparse reads it: an option in full or by a
-unique prefix, its value next or after ``=``, options before, between and
-after the positionals, a negative number as a value, ``--`` before tokens
-that are all positionals, and the last of a repeated option.  So no run
-builds a parser unless it prints ``-h`` or a usage error.  Such an error
-names an unknown option alone, an option of another command with its
-value, and surplus positionals together; every other fault keeps
-argparse's own message.
+``main`` imports only to run one of them, or to hand argparse a command
+line that ``read_args`` does not take.  ``OPTIONS`` is the one table of
+every command's options and positionals, and ``read_args`` reads a command
+line by it in one pass over its tokens, as argparse reads it: an option in
+full or by a unique prefix, its value next or after ``=``, options before,
+between and after the positionals, a negative number as a value, a ``--``
+before the positionals still to come, and the last of a repeated option.
+Anything else (``-h``, a usage error, a ``--`` elsewhere) goes to argparse,
+built from the same table, which prints help or its own error and exits;
+only unrecognized arguments and the genus bounds are worded in
+``commands``.  So no valid run builds a parser but one with such a
+``--``, which argparse reads itself.
 
 Every subcommand takes ``--genus``, ``--n``, ``--format`` and
 ``--registry``.  Only the two checking commands, ``verify-theorem`` and
@@ -132,8 +133,8 @@ CHECKING_COMMANDS = ("verify-theorem", "validate-data")
 #: name -> (the commands that take it, its ``add_argument`` keywords), in
 #: the order argparse adds them; a name without ``--`` is a positional.
 #: The one table of the command line: ``read_args`` reads every call by it,
-#: and ``commands`` builds the argparse parser from it for ``-h`` and usage
-#: errors.
+#: and ``commands`` builds from it the argparse parser that answers the
+#: calls ``read_args`` does not take.
 OPTIONS = {
     "--genus": (
         EVERY_COMMAND,
@@ -185,180 +186,106 @@ _HELP = ("-h", "--help")
 
 
 class _Usage(Exception):
-    """A command line that argparse would answer with ``-h`` (message None)
-    or a usage error: ``args`` are the parser that answers, None for the
-    top level or else a command, and the message."""
+    """A command line that ``_read`` does not take: ``-h``, a usage error,
+    or a ``--`` that is not right before a positional still to come."""
 
 
-def _option(token: str, options: Sequence[str], parser: str | None) -> tuple | None:
+def _option(token: str, options: Sequence[str]) -> tuple | None:
     """How argparse takes ``token``, met before ``--``, against ``options``.
 
-    None is a positional.  ``(option, value)`` is one of ``options``, named
-    in full or, for a ``--`` option, by a unique prefix; ``value`` is the
-    text after ``=``, or after ``-h``, else None.  ``(None, None)`` is an
-    option that ``options`` lack.
+    None is a positional.  Otherwise ``(found, value)``: ``found`` lists the
+    options that ``token`` names, in full or, for a ``--`` option, by prefix
+    (none for an option that ``options`` lack, more than one for an
+    ambiguous prefix), and ``value`` is the text after ``=``, or None.
     """
-    if not token.startswith("-"):
-        return None
-    if token in options:
-        return token, None
-    if len(token) == 1:
+    if not token.startswith("-") or len(token) == 1:
         return None
     name, eq, value = token.partition("=")
-    if eq and name in options:
-        return name, value
-    if token[1] == "-":
-        matches = [option for option in options if option.startswith(name)]
-        value = value if eq else None
+    if name in options:
+        found = [name]
+    elif token[1] == "-":
+        found = [option for option in options if option.startswith(name)]
     else:
-        matches = [token[:2]] if token[:2] in options else []
-        value = token[2:]
-    if len(matches) > 1:
-        raise _Usage(parser, f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value
+        found = [token[:2]] if token[:2] in options else []
     # argparse takes a negative number or a token with a space for a positional
-    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+    if not found and (re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token):
         return None
-    return None, None
-
-
-def _help(parser: str | None, option: str, value: str | None) -> None:
-    """``-h`` or ``--help`` met: argparse prints help, or refuses a value
-    given with it.  ``-hh`` is ``-h`` twice."""
-    if option == "-h" and value:
-        value = value.lstrip("h") or None
-    if value is not None:
-        raise _Usage(parser, f"argument -h/--help: ignored explicit argument {value!r}")
-    raise _Usage(parser, None)
-
-
-def _value(command: str, option: str, spec: dict, text: str):
-    """The value of ``option`` given as ``text``, checked as argparse checks it."""
-    kind = spec.get("type", str)
-    try:
-        value = kind(text)
-    except (TypeError, ValueError):
-        fault = f"invalid {kind.__name__} value: {text!r}"
-    else:
-        choices = spec.get("choices")
-        if choices is None or value in choices:
-            return value
-        fault = f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
-    raise _Usage(command, f"argument {option}: {fault}")
+    return found, value if eq else None
 
 
 def _read(tokens: Sequence[str]) -> SimpleNamespace:
-    strays: list[str] = []  # options that no parser on the way takes
-    at = 0
-    # before the command, argparse's top level knows only -h and --help
-    while at < len(tokens) and tokens[at] != "--":
-        found = _option(tokens[at], _HELP, None)
-        if found is None:
-            break
-        if found[0] is not None:
-            _help(None, *found)
-        strays.append(tokens[at])
-        at += 1
-    if at == len(tokens):
-        raise _Usage(None, "the following arguments are required: command")
-    command = tokens[at]
-    if command not in EVERY_COMMAND:
-        listed = ", ".join(map(repr, EVERY_COMMAND))
-        raise _Usage(None, f"argument command: invalid choice: {command!r} (choose from {listed})")
-
+    if not tokens or tokens[0] not in EVERY_COMMAND:
+        raise _Usage
+    command = tokens[0]
     taken = {name: spec for name, (takers, spec) in OPTIONS.items() if command in takers}
     options = [*_HELP, *(name for name in taken if name.startswith("-"))]
     positionals = [name for name in taken if not name.startswith("-")]
     args = SimpleNamespace(command=command)
     for name, spec in taken.items():
         setattr(args, spec.get("dest", name.lstrip("-")), spec.get("default"))
-    rest = tokens[at + 1 :]
-    # every token after the first "--" is a positional; argparse sorts the
-    # ones before it first, so an ambiguous option is the first fault
-    cut = rest.index("--") if "--" in rest else len(rest)
-    kinds = [_option(token, options, command) for token in rest[:cut]]
-
-    def is_value(k: int) -> bool:
-        return k < cut and kinds[k] is None
-
     given: set[str] = set()
-    words: list[str] = []  # the positionals, surplus ones included
-    word_at = None  # where the last of them stands
-    lent = 0  # values of options the command does not take
+    words: list[str] = []
+    rest = tokens[1:]
     k = 0
     while k < len(rest):
-        i, token = k, rest[k]
+        token = rest[k]
         k += 1
-        if i > cut or is_value(i):
+        if token == "--":
+            # every token after it is a positional; every argparse drops
+            # this "--" when a positional it takes comes next
+            if len(words) >= len(positionals) or "--" in rest[k:]:
+                raise _Usage
+            words += rest[k:]
+            break
+        kind = _option(token, options)
+        if kind is None:
             words.append(token)
-            word_at = i
             continue
-        if i == cut:
-            # argparse drops "--" next to a positional it takes: one still
-            # to come, or the last one, just before it; else it is surplus
-            if len(words) > len(positionals) or (
-                len(words) == len(positionals) and word_at != i - 1
-            ):
-                words.append(token)
-            continue
-        option, value = kinds[i]
-        if option is None:
-            # an option of another command is quoted with its value, which
-            # argparse still counts as a positional; an unknown one alone
-            if "=" not in token and any(n.startswith(token) for n in OPTIONS) and is_value(k):
-                token = f"{token} {rest[k]}"
-                k += 1
-                lent += 1
-            strays.append(token)
-            continue
-        if option in _HELP:
-            _help(command, option, value)
+        found, value = kind
+        if len(found) != 1 or found[0] in _HELP:
+            raise _Usage
+        option = found[0]
         if value is None:
-            if not is_value(k):
-                raise _Usage(command, f"argument {option}: expected one argument")
+            if k == len(rest) or rest[k] == "--" or _option(rest[k], options) is not None:
+                raise _Usage
             value = rest[k]
             k += 1
         spec = taken[option]
-        setattr(args, spec.get("dest", option.lstrip("-")), _value(command, option, spec, value))
+        try:
+            value = spec.get("type", str)(value)
+        except ValueError:
+            raise _Usage from None
+        if value not in spec.get("choices", [value]):
+            raise _Usage
+        setattr(args, spec.get("dest", option.lstrip("-")), value)
         given.add(option)
 
-    filled = len(words) + lent
-    missing = [
-        name
-        for name, spec in taken.items()
-        if (spec.get("required") and name not in given) or name in positionals[filled:]
-    ]
-    if missing:
-        raise _Usage(command, f"the following arguments are required: {', '.join(missing)}")
-    surplus = words[len(positionals) :]
-    if strays or surplus:
-        raise _Usage(None, f"unrecognized arguments: {' '.join(strays or surplus)}")
+    if len(words) != len(positionals):
+        raise _Usage
+    if any(spec.get("required") and name not in given for name, spec in taken.items()):
+        raise _Usage
     for name, word in zip(positionals, words):
         setattr(args, name, word)
     try:
         SurfaceSpec(args.genus, args.n)
-    except ValueError as exc:
-        raise _Usage(None, str(exc)) from None
+    except ValueError:
+        raise _Usage from None
     if command in CHECKING_COMMANDS and args.genus < MIN_RICH_GENUS:
-        raise _Usage(
-            None,
-            f"{command} needs --genus >= {MIN_RICH_GENUS} "
-            f"(the twist family below that is too small), got {args.genus}",
-        )
+        raise _Usage
     return args
 
 
 def read_args(tokens: Sequence[str]) -> SimpleNamespace:
     """The arguments of a command line, read in one pass as argparse reads
-    them.  ``-h`` and a usage error go to argparse, in ``commands``, which
-    prints them and exits, with status 0 and 2."""
+    them.  A line that ``_read`` does not take goes to argparse, in
+    ``commands``: it prints ``-h`` or the usage error and exits, with
+    status 0 and 2, or reads the line itself where its version takes it."""
     try:
         return _read(tokens)
-    except _Usage as usage:
-        from crosscap.commands import exit_usage
+    except _Usage:
+        from crosscap.commands import read_refused
 
-        exit_usage(*usage.args)  # prints, and exits
+        return read_refused(tokens)
 
 
 # -- world loading -------------------------------------------------------

@@ -1,33 +1,36 @@
 """The five small commands of ``crosscap``: ``relation``, ``apply-curve``,
 ``homology``, ``complement`` and ``validate-data``; and the argparse
-parser, which prints ``-h`` and usage errors.
+parser, for the command lines that ``cli.read_args`` does not take.
 
 ``cli.main`` imports this module only to run one of the small commands,
-or to print ``-h`` or a usage error that ``cli.read_args`` found, so that
-a plain ``verify-theorem`` compiles none of it.  argparse reads no command
-line: ``read_args`` reads every one by ``cli.OPTIONS``, the one table of
-the options and positionals, and the parser is built from the same table
-only to print, so that help and usage bytes stay argparse's own.  Data
-loading, the stage log and the errors that ``main`` reports stay in
-``cli``.
+or to hand ``read_refused`` such a command line, so that a plain
+``verify-theorem`` compiles none of it.  argparse, built from
+``cli.OPTIONS``, prints ``-h`` or its own usage error there, in the
+running version's words; this module names unrecognized arguments option
+by option and words the genus bounds.  Data loading, the stage log and
+the errors that ``main`` reports stay in ``cli``.
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from crosscap.cli import (
+    _HELP,
+    CHECKING_COMMANDS,
     OPTIONS,
     _certificate_fault,
     _load_certificates,
     _load_generators,
     _load_registry,
+    _option,
     _StageLog,
     _WorldError,
 )
 from crosscap.surface import (
     MIN_RICH_GENUS,
+    SurfaceSpec,
     UnknownCurveError,
     canonical_curve_name,
     chain_index,
@@ -38,7 +41,7 @@ from crosscap.twists import apply_to_curve, equal, evaluate, first_difference
 from crosscap.words import letter_str
 
 
-# -- -h and usage errors, printed by argparse --------------------------------
+# -- the command lines that cli.read_args does not take ----------------------
 
 #: each command and its line in ``crosscap -h``, in ``cli.EVERY_COMMAND``'s order
 SUMMARIES = {
@@ -51,29 +54,67 @@ SUMMARIES = {
 }
 
 
-def exit_usage(parser: str | None, message: str | None) -> None:
-    """Print ``-h`` (``message`` None) or a usage error of ``parser``, the
-    top level (None) or a command, as argparse does, and exit as it does:
-    with status 0 after help and 2 after an error."""
+def _strays(command: str, tokens: Sequence[str]) -> list[str]:
+    """The options in ``tokens`` that argparse does not know, in order: an
+    option of another command with the value it was given, any other one
+    alone.  Every token after the first ``--`` is a positional."""
+    at = tokens.index(command)
+    strays = [token for token in tokens[:at] if token != "--"]
+    rest = tokens[at + 1 :]
+    cut = rest.index("--") if "--" in rest else len(rest)
+    options = [
+        *_HELP,
+        *(name for name, (takers, _) in OPTIONS.items() if command in takers and name[0] == "-"),
+    ]
+    kinds = [_option(token, options) for token in rest[:cut]]
+    k = 0
+    while k < cut:
+        token, kind = rest[k], kinds[k]
+        k += 1
+        if kind is None or kind[0]:
+            continue
+        # argparse still takes the value for a positional
+        if "=" not in token and any(name.startswith(token) for name in OPTIONS):
+            if k < cut and kinds[k] is None:
+                token = f"{token} {rest[k]}"
+                k += 1
+        strays.append(token)
+    return strays
+
+
+def read_refused(tokens: Sequence[str]):
+    """Read through argparse a command line that ``cli.read_args`` did not
+    take.  argparse prints ``-h`` or its own usage error and exits, with
+    status 0 and 2; unrecognized arguments are named as ``_strays`` names
+    them, and the genus bounds are checked here.  A line that the running
+    argparse takes after all (``crosscap -- relation ...`` from 3.12 on) is
+    read as it reads it."""
     import argparse
 
-    top = argparse.ArgumentParser(
+    parser = argparse.ArgumentParser(
         prog="crosscap",
         description="Twist computations on non-orientable surfaces.",
     )
-    sub = top.add_subparsers(dest="command", required=True)
-    answer = top
+    sub = parser.add_subparsers(dest="command", required=True)
     for command, summary in SUMMARIES.items():
         p = sub.add_parser(command, help=summary)
         for name, (takers, spec) in OPTIONS.items():
             if command in takers:
                 p.add_argument(name, **spec)
-        if command == parser:
-            answer = p
-    if message is None:
-        answer.print_help()
-        answer.exit()
-    answer.error(message)
+    args, extras = parser.parse_known_args(tokens)
+    if extras:
+        named = _strays(args.command, tokens) or extras
+        parser.error(f"unrecognized arguments: {' '.join(named)}")
+    try:
+        SurfaceSpec(args.genus, args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.command in CHECKING_COMMANDS and args.genus < MIN_RICH_GENUS:
+        parser.error(
+            f"{args.command} needs --genus >= {MIN_RICH_GENUS} "
+            f"(the twist family below that is too small), got {args.genus}"
+        )
+    return args
 
 
 # -- the small commands ------------------------------------------------------

@@ -14,9 +14,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator
 
-#: ``x<i>`` or ``x<i>^<k>``, compiled by the first :meth:`Word.parse`: only
-#: data files and tests parse word text, so a plain run never compiles it.
-_TOKEN_RE: re.Pattern[str] | None = None
+_TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
 
 #: The most letters :meth:`Word.parse` expands a text into.  A token
 #: ``x1^k`` spells k letters, so the bound is checked before they are built.
@@ -189,9 +187,6 @@ class Word(Record):
         that would take the word past ``MAX_PARSED_LETTERS`` letters
         before reduction.
         """
-        global _TOKEN_RE
-        if _TOKEN_RE is None:
-            _TOKEN_RE = re.compile(r"x(\d+)(?:\^(-?\d+))?$")
         letters: list[int] = []
         for tok in text.split():
             if tok == "1":
