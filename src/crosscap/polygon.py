@@ -341,34 +341,33 @@ def _detours(curve: CurveGeometry, arrow: int, key: int, into: bool) -> list[int
 
 
 def _twisted_loop(curve: CurveGeometry, arrow: int, i: int, tau: int) -> tuple[int, ...]:
-    """Letters of the image, under the twist along `curve`, of the based loop
-    through crosscap i: from the anchor it hits side 2i at parameter tau,
-    emerges from side 2i - 1 and returns.  The caller has run
-    _check_twistable(curve, arrow), and tau is no parameter of the curve."""
+    """Letters of h_i = P⁻¹ t(P x_i P⁻¹) P, P = x₁²⋯x_{i-1}², t the twist
+    along `curve`: the based loop through crosscap i, which hits side 2i at
+    parameter tau and emerges from side 2i - 1, twisted and read from marker
+    2i - 2 instead of from the anchor (the walk between them spells P).  The
+    caller has run _check_twistable(curve, arrow), and tau is no parameter
+    of the curve."""
     hit, out = (2 * i - 1) * SIDE + tau, (2 * i - 2) * SIDE + tau
-    # the vertex, as a stop, has no marker below it
-    stops = [0, *_detours(curve, arrow, hit, True), 2 * i, 2 * i - 1]
-    stops += [*_detours(curve, arrow, out, False), 0]
+    stops = [2 * i - 2, *_detours(curve, arrow, hit, True), 2 * i, 2 * i - 1]
+    stops += [*_detours(curve, arrow, out, False), 2 * i - 2]
     return tuple(_walk_letters(zip(stops[::2], stops[1::2])))
 
 
 def twist_images(curve: CurveGeometry, arrow: int) -> dict[int, Word]:
-    """The images under the Dehn twist along `curve` of the generators it
+    """The images under the Dehn twist t along `curve` of the generators it
     moves: j maps to the image of x_{j+1}, and the twist fixes every
     generator not listed.
 
-    The twist acts on the based elementary loop through crosscap i,
-    whose class is P x_i P⁻¹ with P = x₁²⋯x_{i-1}²; images of the x_i
-    themselves follow by the triangular recursion
-    x_i ↦ S⁻¹ t(P x_i P⁻¹) S, where the shell S is the image of P.
+    The based loop through crosscap i has the class P x_i P⁻¹, with P =
+    x₁²⋯x_{i-1}², so x_i ↦ S⁻¹ t(P x_i P⁻¹) S with S = t(P).  With S kept as
+    its deviation D = P⁻¹S, empty at first, and h_i = P⁻¹ t(P x_i P⁻¹) P
+    from _twisted_loop, every crosscap takes one rule: x_i ↦ D⁻¹ h_i D,
+    then D ↦ x_i⁻² D t(x_i)².
 
-    Shortcut: when the loop through crosscap i picks up no detour and
-    the shell S is still P itself, x_i ↦ P⁻¹ (P x_i P⁻¹) P = x_i exactly,
-    and nothing is built.  A twist moves only the crosscaps its curve
-    passes near, and past them the shell returns to P, so most crosscaps
-    take this path.  (On every embedded curve tried, a loop with no
-    detour found S = P; the shell test keeps the shortcut exact by
-    algebra alone, without that geometric fact.)
+    A loop that no chord meets has h_i = x_i: x_i ↦ D⁻¹ x_i D, and D stays.
+    So while D is empty such a crosscap is skipped, and once D is empty past
+    the highest chord end, so are all the rest.  (Past the last loop a chord
+    meets, D is constant: the twist sends x₁²⋯x_g² to x₁²⋯x_g² D.)
     """
     _check_twistable(curve, arrow)
     genus = curve.genus
@@ -383,29 +382,24 @@ def twist_images(curve: CurveGeometry, arrow: int) -> dict[int, Word]:
     lows = sorted(min(chord) for chord in curve.chords)
     highs = sorted(max(chord) for chord in curve.chords)
     images: dict[int, Word] = {}
-    # S, the image of P, or None while S = P; P spells k // 2 for k in [2, 2i)
-    shell: Word | None = None
+    dev: tuple[int, ...] = ()  # D = P⁻¹S, freely reduced
     for i in range(lows[0] // (2 * SIDE) + 1, genus + 1):
-        if shell is None and i > highs[-1] // (2 * SIDE) + 1:
+        if not dev and i > highs[-1] // (2 * SIDE) + 1:
             break
         hit, out = (2 * i - 1) * SIDE + taus[i - 1], (2 * i - 2) * SIDE + taus[i - 1]
         touched = (
             bisect_left(lows, hit) != bisect_left(highs, hit)
             or bisect_left(lows, out) != bisect_left(highs, out)
         )
-        if shell is None and not touched:
+        if not dev and not touched:
             continue
-        if shell is None:
-            shell = Word._trusted(genus, tuple(k // 2 for k in range(2, 2 * i)))
-        # sides of crosscaps <= genus spell valid letters, and _reduce
-        # frees S⁻¹ h_i S of cancelling pairs in one pass
-        h_i = _twisted_loop(curve, arrow, i, taus[i - 1])
-        x_i = Word._trusted(genus, _reduce(shell.inverse().letters + h_i + shell.letters))
-        if x_i.letters != (i,):
-            images[i - 1] = x_i
-        shell = shell * x_i * x_i
-        if len(shell) == 2 * i and shell.letters == tuple(k // 2 for k in range(2, 2 * i + 2)):
-            shell = None  # back to P for crosscap i + 1
+        h_i = _twisted_loop(curve, arrow, i, taus[i - 1]) if touched else (i,)
+        # sides of crosscaps <= genus spell valid letters, and _reduce frees
+        # D⁻¹ h_i D of cancelling pairs in one pass
+        x_i = _reduce([-s for s in reversed(dev)] + [*h_i, *dev])
+        if x_i != (i,):
+            images[i - 1] = Word._trusted(genus, x_i)
+        dev = _reduce((-i, -i, *dev, *x_i, *x_i))
     return images
 
 

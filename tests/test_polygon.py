@@ -17,7 +17,7 @@ from crosscap.polygon import (
     spell_cyclic,
     twist_images,
 )
-from crosscap.surface import _grid as grid
+from crosscap.surface import SurfaceSpec, standard_registry, _grid as grid
 from crosscap.words import CyclicWord, Word, boundary_word
 
 from arc_reference import anchor_detours, detour_sequences, flipped
@@ -63,14 +63,6 @@ def compose(outer, inner):
     return [apply_images(outer, g) for g in inner]
 
 
-def shell_word(genus, i):
-    # x1^2 x2^2 ... x_{i-1}^2
-    letters = []
-    for j in range(1, i):
-        letters += [j, j]
-    return Word(genus, tuple(letters))
-
-
 # -- event basics --------------------------------------------------
 
 
@@ -93,14 +85,13 @@ def test_event_validation():
 
 def test_elementary_loops_spell_shell_conjugates():
     """A chain curve away from crosscap i puts no detour on the based loop
-    through it, which then spells P x_i P⁻¹ with P = x₁²⋯x_{i-1}²."""
+    through it, which then spells P x_i P⁻¹ with P = x₁²⋯x_{i-1}², and
+    _twisted_loop, which reads it relative to P, spells x_i."""
     for genus in (4, 5, 6):
         for i in range(1, genus + 1):
             far = alpha(genus, i + 1 if i + 2 <= genus else i - 2)
-            shell = shell_word(genus, i)
             for arrow in (1, -1):
-                got = Word(genus, _twisted_loop(far, arrow, i, grid(1, 2)))
-                assert got == shell * Word(genus, (i,)) * shell.inverse()
+                assert Word(genus, _twisted_loop(far, arrow, i, grid(1, 2))) == Word(genus, (i,))
 
 
 def test_chain_curve_spells_adjacent_generator_pair():
@@ -342,6 +333,47 @@ def test_disjoint_twists_commute():
     t1 = full_images(alpha(genus, 1), 1)
     t3 = full_images(alpha(genus, 3), 1)
     assert compose(t1, t3) == compose(t3, t1)
+
+
+def shifted_images(images, k, genus):
+    """Twist images under the shift x_j ↦ x_{j+k}, as words of `genus`."""
+    return {
+        j + k: Word(genus, tuple(s + k if s > 0 else s - k for s in w.letters))
+        for j, w in images.items()
+    }
+
+
+def test_twist_images_are_shift_equivariant():
+    """An embedded curve moved up k crosscaps, on the surface of genus g + k,
+    twists as the shift of the curve at genus g: x_{j+k} goes to the shift
+    of x_j's image, and x_1 .. x_k stay fixed."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+    from test_shortcuts import random_curves
+
+    @settings(max_examples=200, deadline=None)
+    @given(random_curves(), st.integers(1, 5), st.sampled_from([1, -1]))
+    def check(curve, k, arrow):
+        try:
+            embedded = curve.self_crossing_count() == 0
+        except DegeneratePositionError:
+            embedded = False
+        assume(embedded)
+        genus = curve.genus + k
+        up = CurveGeometry(genus, [Event(ev.pair + k, ev.hit_b, ev.t) for ev in curve.events])
+        assert twist_images(up, arrow) == shifted_images(twist_images(curve, arrow), k, genus)
+
+    check()
+
+
+@pytest.mark.parametrize("genus", range(6, 13))
+def test_chain_twists_are_shifts_of_the_first(genus):
+    reg = standard_registry(SurfaceSpec(genus, 1))
+    first = reg.geometry("alpha_1")
+    for i in range(2, genus):
+        for arrow in (1, -1):
+            want = shifted_images(twist_images(first, arrow), i - 1, genus)
+            assert twist_images(reg.geometry(f"alpha_{i}"), arrow) == want
 
 
 def test_geometric_and_algebraic_images_agree():

@@ -41,7 +41,7 @@ from crosscap.twists import (  # noqa: E402
     evaluate,
     first_difference,
 )
-from crosscap.words import Word, boundary_word  # noqa: E402
+from crosscap.words import Word, _reduce, boundary_word  # noqa: E402
 
 from det_reference import fraction_det  # noqa: E402
 
@@ -50,15 +50,17 @@ from det_reference import fraction_det  # noqa: E402
 
 
 def full_recursion(curve, arrow):
-    """Every image spelled: x_i ↦ S⁻¹ t(P x_i P⁻¹) S, S the image of P."""
+    """Every image spelled: x_i ↦ S⁻¹ t(P x_i P⁻¹) S, S the image of P =
+    x₁²⋯x_{i-1}², with t(P x_i P⁻¹) = P h_i P⁻¹ from the h_i of _twisted_loop."""
     _check_twistable(curve, arrow)
     genus = curve.genus
     tau = fresh_params(1, curve.params())[0]
-    images, shell = [], Word(genus)
+    images, prefix, shell = [], Word(genus), Word(genus)
     for i in range(1, genus + 1):
-        loop = Word(genus, _twisted_loop(curve, arrow, i, tau))
+        loop = prefix * Word(genus, _twisted_loop(curve, arrow, i, tau)) * prefix.inverse()
         x_i = shell.inverse() * loop * shell
         images.append(x_i)
+        prefix = prefix * Word(genus, (i, i))
         shell = shell * x_i * x_i
     return images
 
@@ -97,6 +99,13 @@ def test_twist_images_match_the_full_recursion(curve, arrow):
     fixed = [Word(curve.genus, (i,)) for i in range(1, curve.genus + 1)]
     full = full_recursion(curve, arrow)
     assert twist_images(curve, arrow) == {j: w for j, w in enumerate(full) if w != fixed[j]}
+    # a loop that no chord meets, lo < key < hi for neither of its keys, is x_i itself
+    tau = fresh_params(1, curve.params())[0]
+    spans = [sorted(chord) for chord in curve.chords]
+    for i in range(1, curve.genus + 1):
+        keys = ((2 * i - 1) * SIDE + tau, (2 * i - 2) * SIDE + tau)
+        if not any(lo < key < hi for lo, hi in spans for key in keys):
+            assert _reduce(_twisted_loop(curve, arrow, i, tau)) == (i,)
 
 
 # -- the restricted relation checks against full composition ---------------------
