@@ -1,8 +1,10 @@
 """The text formats of the data files: curve registries and certificates.
 
 A registry file holds one ``name | pi1_word | normal_coords | arrow``
-record a line (see :func:`registry_text`); a certificates file holds one
-``target | allowed | expression`` line.  In both, ``#`` starts a comment.
+record a line (see :func:`registry_text`), whose word must be the class
+its coordinates spell; a certificates file holds one ``target | allowed |
+expression`` line, for a target in ``twists.CERTIFICATE_TARGETS``.  In
+both, ``#`` starts a comment.
 Only a command that has found a data file imports this module.
 """
 
@@ -11,10 +13,10 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 
 from crosscap import surface
-from crosscap.polygon import SIDE, Event
+from crosscap.polygon import SIDE, Event, spell_cyclic
 from crosscap.surface import CurveRecord, Registry, SurfaceSpec, canonical_curve_name
-from crosscap.twists import Certificate, CertificateError
-from crosscap.words import Word
+from crosscap.twists import CERTIFICATE_TARGETS, Certificate, CertificateError
+from crosscap.words import CyclicWord, Word
 
 
 class RegistryFormatError(ValueError):
@@ -84,8 +86,10 @@ def parse_registry(
 ) -> Registry:
     """Parse the registry file format; see :func:`registry_text`.
 
-    A curve whose tokens are not its frozen layout is placed at fallback
-    parameters, and ``note``, when given, is called with a line naming it.
+    A record whose word is not, up to orientation, the class its tokens
+    spell is refused.  A curve whose tokens are not its frozen layout is
+    placed at fallback parameters, and ``note``, when given, is called with
+    a line naming it.
     """
     records: dict[str, CurveRecord] = {}
     # a record whose tokens match the frozen layout of its name takes its events
@@ -127,6 +131,12 @@ def parse_registry(
         arrow = -1 if arrow_text == "-1" else 1
         layout = frozen.get(name)
         events = _events_for(spec.genus, layout, tokens, line_no)
+        spelled = CyclicWord.of(spell_cyclic(spec.genus, events)).unoriented()
+        if CyclicWord.of(word).unoriented() != spelled:
+            raise RegistryFormatError(
+                f"line {line_no}: the word of {name} is not the class its "
+                f"coordinates spell, '{spelled}'"
+            )
         if events is not layout and note is not None:
             note(
                 f"curve {name} is placed at fallback parameters: its tokens "
@@ -150,6 +160,11 @@ def parse_certificates(text: str) -> dict[str, Certificate]:
                 f"line {line_no}: expected 'target | allowed | expression'"
             )
         target, allowed_text, expression = parts
+        if target not in CERTIFICATE_TARGETS:
+            raise CertificateError(
+                f"line {line_no}: no certificate is read for {target!r} "
+                f"(targets: {', '.join(CERTIFICATE_TARGETS)})"
+            )
         if target in certs:
             raise CertificateError(f"line {line_no}: duplicate certificate for {target}")
         allowed = tuple(

@@ -264,13 +264,6 @@ class CrossingTable:
             )
         return self._counts.get((i, j) if i <= j else (j, i), 0)
 
-    def meeting(self) -> set[tuple[Hashable, Hashable]]:
-        """The pairs (u, v) of distinct curves, both ways round, whose chords
-        cross or share an end; every other pair's count is 0."""
-        labels = list(self._curves)
-        pairs = [(labels[i], labels[j]) for i, j in (*self._counts, *self._shared) if i != j]
-        return {*pairs, *((v, u) for u, v in pairs)}
-
 
 # -- fresh parameters ------------------------------------------------------
 

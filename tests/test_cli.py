@@ -16,7 +16,7 @@ from crosscap.cli import DATA_DIR_ENV, main
 from crosscap.files import registry_text
 from crosscap.polygon import SIDE, Event, spell_cyclic
 from crosscap.surface import MAX_GENUS, CurveRecord, SurfaceSpec, standard_registry
-from crosscap.twists import TwistGenerator
+from crosscap.twists import TwistGenerator, standard_certificates
 from crosscap.words import MAX_PARSED_LETTERS
 
 F_EXPRESSION = "a3^-1 a2^-1 b a1^-1 a2^-1 a3^-1 e^-1 a3 a2 a1 b^-1 a2 a3"
@@ -160,9 +160,9 @@ def test_a_twist_reaching_a_far_support_fails_the_twist_suite(capsys, monkeypatc
 
 def test_a_chain_curve_crossing_a_far_one_fails_registry_validation(capsys, monkeypatch):
     """alpha_1 rerouted once around crosscap 3 stays embedded, bigon-free
-    and in its mod-2 class, but crosses alpha_3 twice.  Pairs whose chords
-    neither cross nor touch are measured 0 without a count; if the crossing
-    table's meeting pairs missed this one, only beta~alpha_1 would fail."""
+    and in its mod-2 class, but crosses alpha_3 twice.  Every pair is read
+    from the crossing table, which files only pairs whose chords cross; if
+    it missed this one, only beta~alpha_1 would fail."""
     registry = standard_registry(SurfaceSpec(8, 1))
     events = list(registry.curve("alpha_1").events)
     events[1:1] = [Event(3, True, SIDE * 3 // 8), Event(3, True, SIDE // 16)]
@@ -264,14 +264,19 @@ def test_a_registry_without_a_key_conjugation_curve_fails_that_stage(
     ]
 
 
+#: the word that epsilon's crossings spell in the order A1-,A4-,A2-,A3-
+EPSILON_REORDERED = "x2 x2 x3 x3 x4^-1 x3^-1 x3^-1 x2^-1 x3^-1 x2^-1 x2^-1 x1^-1"
+
+
 def epsilon_with_crossing_chords(tmp_path):
     """A genus-4 registry file whose epsilon cannot be twisted: this
-    ordering of its crossings gives chords that cross."""
+    ordering of its crossings, with the word it spells, gives chords that
+    cross."""
     text = registry_text(standard_registry(SurfaceSpec(4, 1)))
     lines = text.splitlines()
     (row,) = [i for i, line in enumerate(lines) if line.startswith("epsilon |")]
-    name, word, _, arrow = lines[row].split(" | ")
-    lines[row] = " | ".join((name, word, "A1-,A4-,A2-,A3-", arrow))
+    name, _, _, arrow = lines[row].split(" | ")
+    lines[row] = " | ".join((name, EPSILON_REORDERED, "A1-,A4-,A2-,A3-", arrow))
     bad = tmp_path / "registry.txt"
     bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return bad
@@ -1062,6 +1067,83 @@ def test_validate_data_rejects_certificates_that_verify_theorem_rejects(
     assert code == 1
     assert f"[FAIL] certificates: {diagnostic}\n" in out
     assert out.splitlines()[-1] == "validate-data: FAIL"
+
+
+@pytest.mark.parametrize("target", ["b", "zz"])
+def test_a_certificate_for_a_target_no_stage_reads_fails_both_commands(tmp_path, capsys, target):
+    # a false certificate for b, or one for no twist at all, is refused
+    # when the file is read, not skipped by the stage loop
+    f = standard_certificates(5)["f"]
+    certs = tmp_path / "certs.txt"
+    certs.write_text(
+        f"f | {','.join(f.allowed)} | {f.expression}\n{target} | a1 | a1\n", encoding="utf-8"
+    )
+    fault = f"certificates: line 2: no certificate is read for '{target}' (targets: f, c, y2)"
+    argv = ("--genus", "5", "--n", "1", "--certificates", str(certs))
+    code, out, _ = run(capsys, "verify-theorem", *argv)
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        f"[FAIL] certificate-f: {fault}",
+        "verify-theorem: FAIL at stage certificate-f (genus 5, n 1)",
+    ]
+    code, out, _ = run(capsys, "validate-data", *argv)
+    assert code == 1
+    assert out.splitlines()[-2:] == [f"[FAIL] certificates: {fault}", "validate-data: FAIL"]
+
+
+@pytest.mark.parametrize("genus, dropped", [(5, "alpha_4"), (6, "alpha_5")])
+def test_a_registry_without_an_x0_curve_fails_the_certificate(tmp_path, capsys, genus, dropped):
+    # the a4~b or a4~a5 braid is not checked without the curve, so the
+    # certificate for f, whose allowed set is X0, must not pass either
+    text = registry_text(standard_registry(SurfaceSpec(genus, 1)))
+    lines = [line for line in text.splitlines() if not line.startswith(f"{dropped} |")]
+    path = tmp_path / "registry.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    a = f"a{dropped.removeprefix('alpha_')}"
+    fault = f"certificate for 'f' allows generators that are not registered: {a}"
+    argv = ("--genus", str(genus), "--n", "1", "--registry", str(path))
+    code, out, err = run(capsys, "verify-theorem", *argv)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-3:] == [
+        "[PASS] key-conjugation: curve clause and twist clause hold",
+        f"[FAIL] certificate-f: {fault}",
+        f"verify-theorem: FAIL at stage certificate-f (genus {genus}, n 1)",
+    ]
+    code, out, err = run(capsys, "validate-data", *argv)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-2:] == [f"[FAIL] certificates: {fault}", "validate-data: FAIL"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, want",
+    [
+        (("apply-curve", "a1", "epsilon"), 2, "error: registry: {}\n"),
+        (("verify-theorem",), 1, "[FAIL] registry-validation: registry: {}\n"),
+        (("validate-data",), 1, "[FAIL] registry: registry: {}\n"),
+    ],
+    ids=["apply-curve", "verify-theorem", "validate-data"],
+)
+def test_a_registry_word_that_contradicts_its_coordinates_is_refused(
+    tmp_path, capsys, argv, code, want
+):
+    # twists come from the coordinates, so a word column that spells
+    # another curve would otherwise be printed as that curve's image
+    registry = standard_registry(SurfaceSpec(4, 1))
+    lines = registry_text(registry).splitlines()
+    (row,) = [i for i, line in enumerate(lines) if line.startswith("epsilon |")]
+    name, _, coords, arrow = lines[row].split(" | ")
+    lines[row] = " | ".join((name, str(registry.curve("alpha_1").word), coords, arrow))
+    path = tmp_path / "registry.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    got, out, err = run(
+        capsys, argv[0], "--genus", "4", "--n", "1", "--registry", str(path), *argv[1:]
+    )
+    fault = (
+        f"line {row + 1}: the word of epsilon is not the class its coordinates spell, "
+        f"'{registry.curve('epsilon').unoriented_class()}'"
+    )
+    assert got == code
+    assert want.format(fault) in out + err
 
 
 # -- data resolution ---------------------------------------------------------

@@ -48,7 +48,7 @@ def test_certificate_file_matches_the_construction(genus):
     certificates = standard_certificates(genus)
     parsed = parse_certificates(certificates_text(certificates))
     assert parsed == certificates
-    assert check_certificate(parsed["f"], generators, genus).ok
+    assert check_certificate(parsed["f"], generators, genus) is None
 
 
 def test_written_files_load_and_validate_end_to_end(tmp_path, monkeypatch, capsys):

@@ -31,8 +31,6 @@ from crosscap.surface import (  # noqa: E402
 from crosscap.twists import (  # noqa: E402
     Automorphism,
     Certificate,
-    CertificateReport,
-    KeyConjugationReport,
     TwistGenerator,
     derive_generators,
 )
@@ -103,7 +101,6 @@ components = st.builds(
 name_tuples = st.lists(texts, max_size=2).map(tuple)
 surface_specs = st.builds(SurfaceSpec, st.integers(2, 3), st.sampled_from((0, 1)))
 registry_reports = st.lists(check_results, max_size=2).map(lambda r: RegistryReport(tuple(r)))
-key_reports = st.builds(KeyConjugationReport, st.booleans(), st.booleans(), name_tuples)
 complement_reports = st.builds(
     ComplementReport,
     st.integers(2, 3),
@@ -129,21 +126,9 @@ RECORDS = [
     ),
     (TwistGenerator, ("name", "curve", "auto", "inverse"), twist_generators(), False),
     (
-        KeyConjugationReport,
-        ("curve_clause_ok", "twist_clause_ok", "diagnostics"),
-        key_reports,
-        False,
-    ),
-    (
         Certificate,
         ("target", "allowed", "expression"),
         st.builds(Certificate, texts, name_tuples, texts),
-        False,
-    ),
-    (
-        CertificateReport,
-        ("target", "ok", "diagnostic"),
-        st.builds(CertificateReport, texts, st.booleans(), texts),
         False,
     ),
     (HomologyMatrix, ("genus", "rows"), matrices(HomologyMatrix), False),
@@ -179,7 +164,7 @@ def rebuilt(record, fields):
 
 
 def test_every_record_is_listed():
-    assert len(RECORDS) == len(set(IDS)) == 15
+    assert len(RECORDS) == len(set(IDS)) == 13
 
 
 @pytest.mark.parametrize("cls, fields, instances, own_repr", RECORDS, ids=IDS)
@@ -265,8 +250,8 @@ def test_records_refuse_missing_doubled_extra_and_unknown_fields(
 def test_records_that_only_store_fields_take_the_base_constructor():
     bare = {cls.__name__ for cls, *_ in RECORDS if "__init__" not in vars(cls)}
     assert bare == {
+        "CheckResult",
         "TwistGenerator",
-        "KeyConjugationReport",
         "Certificate",
         "RegistryReport",
         "ComponentReport",
@@ -278,4 +263,4 @@ def test_records_that_only_store_fields_take_the_base_constructor():
 
 def test_records_of_different_classes_with_equal_fields_differ():
     assert Word(2, (1, 2)) != CyclicWord(2, (1, 2))
-    assert CheckResult("a", "b", True) != CertificateReport("a", "b", True)
+    assert CheckResult("a", "b", True, "") != ComponentReport("a", "b", True, "")

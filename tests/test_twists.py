@@ -193,10 +193,12 @@ def test_relation_and_fixing_suites_are_clean(genus):
 
 
 def test_derive_generators_names_a_curve_that_cannot_be_twisted():
-    # this ordering of epsilon's crossings gives chords that cross
+    # this ordering of epsilon's crossings, with the word it spells, gives
+    # chords that cross
     lines = registry_text(standard_registry(SurfaceSpec(4, 1))).splitlines()
     (row,) = [i for i, line in enumerate(lines) if line.startswith("epsilon |")]
-    name, word, _, arrow = lines[row].split(" | ")
+    name, _, _, arrow = lines[row].split(" | ")
+    word = "x2 x2 x3 x3 x4^-1 x3^-1 x3^-1 x2^-1 x3^-1 x2^-1 x2^-1 x1^-1"
     lines[row] = " | ".join((name, word, "A1-,A4-,A2-,A3-", arrow))
     reg = parse_registry(SurfaceSpec(4, 1), "\n".join(lines) + "\n")
     with pytest.raises(ValueError) as exc:
@@ -326,19 +328,16 @@ def test_conjugate_of_epsilon_is_zeta(world4):
 def test_key_conjugation_holds(genus):
     reg = standard_registry(SurfaceSpec(genus, 1))
     gens = derive_generators(reg)
-    report = verify_key_conjugation(reg, gens)
-    assert report.curve_clause_ok
-    assert report.twist_clause_ok
-    assert report.ok
+    assert verify_key_conjugation(reg, gens) == ()
 
 
 def test_key_conjugation_diagnostics_name_the_failure(world4):
     reg, gens = world4
     broken = dict(gens)
     broken["f"] = TwistGenerator("f", gens["f"].curve, gens["a1"].auto, gens["a1"].inverse)
-    report = verify_key_conjugation(reg, broken)
-    assert not report.ok
-    assert any("x" in d for d in report.diagnostics)
+    faults = verify_key_conjugation(reg, broken)
+    assert faults
+    assert any("x" in d for d in faults)
 
 
 # -- certificates ------------------------------------------------------------
@@ -348,16 +347,16 @@ def test_standard_certificate_for_f_verifies(world4):
     _, gens = world4
     certs = standard_certificates(4)
     assert set(certs) == {"f"}
-    result = check_certificate(certs["f"], gens, 4)
-    assert result.ok, result.diagnostic
+    fault = check_certificate(certs["f"], gens, 4)
+    assert fault is None, fault
 
 
 def test_bogus_certificate_reports_first_difference(world4):
     _, gens = world4
     bogus = Certificate(target="a1", allowed=("a1", "a2"), expression="a2")
-    result = check_certificate(bogus, gens, 4)
-    assert not result.ok
-    assert "first difference at x1" in result.diagnostic
+    fault = check_certificate(bogus, gens, 4)
+    assert fault is not None
+    assert "first difference at x1" in fault
 
 
 def test_certificate_rejects_escaping_generators(world4):
